@@ -22,7 +22,7 @@ from . import wordpiece as wp
 from .errors import ConfigError, DataError
 from .lineio import read_records, write_records
 from .metrics import accuracy, entity_f1
-from .model import ModelConfig, _forward, _softmax, _truncated_normal, backprop_encoder
+from .model import ModelConfig, _encode, _softmax, _truncated_normal, backprop_encoder
 from .pretrain_data import IGNORE_INDEX
 from .training import (
     AdamState,
@@ -292,7 +292,7 @@ def finetune_sequence(
             batch = _encode_texts([train[int(i)].text for i in picks], tokenizer, mcfg)
             gold = labels[picks]
 
-            outputs, cache = _forward(full, mcfg, batch)
+            outputs, cache = _encode(full, mcfg, batch)
             pooled = outputs["pooled"]
             logits = pooled @ full["head_w"] + full["head_b"]
             probs = _softmax(logits)
@@ -361,7 +361,7 @@ def finetune_tokens(
                 for pos, tag_id in zip(firsts[i], train_tag_ids[i]):
                     aligned[b, pos] = tag_id
 
-            outputs, cache = _forward(full, mcfg, batch)
+            outputs, cache = _encode(full, mcfg, batch)
             sequence = outputs["sequence"]
             logits = sequence @ full["head_w"] + full["head_b"]
             selected = aligned != IGNORE_INDEX
@@ -415,7 +415,7 @@ def predict(model: HeadModel, tokenizer: wp.WordPieceModel, inputs, batch_size: 
         for start in range(0, len(inputs), batch_size):
             chunk = inputs[start : start + batch_size]
             batch = _encode_texts(chunk, tokenizer, model.model_config)
-            outputs, _ = _forward(full, model.model_config, batch)
+            outputs, _ = _encode(full, model.model_config, batch)
             logits = outputs["pooled"] @ model.head_w + model.head_b
             for pick in logits.argmax(-1):
                 results.append(model.labels[int(pick)])
@@ -425,7 +425,7 @@ def predict(model: HeadModel, tokenizer: wp.WordPieceModel, inputs, batch_size: 
         for start in range(0, len(inputs), batch_size):
             chunk_rows = rows[start : start + batch_size]
             batch = _pad_batch(chunk_rows, tokenizer.pad_id)
-            outputs, _ = _forward(full, model.model_config, batch)
+            outputs, _ = _encode(full, model.model_config, batch)
             logits = outputs["sequence"] @ model.head_w + model.head_b
             picks = logits.argmax(-1)
             for b, first in enumerate(firsts[start : start + batch_size]):

@@ -162,12 +162,15 @@ def _layer_norm_back(dy, cache):
 
 
 def _gelu(x):
-    return x * ndtr(x)
+    """Exact GELU; also returns the normal CDF so the backward pass can
+    reuse it instead of evaluating ndtr a second time."""
+    cdf = ndtr(x)
+    return x * cdf, cdf
 
 
-def _gelu_back(dy, x):
+def _gelu_back(dy, x, cdf):
     phi = np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi)
-    return dy * (ndtr(x) + x * phi)
+    return dy * (cdf + x * phi)
 
 
 def _softmax(x):
@@ -203,9 +206,13 @@ def _validate_batch(config: ModelConfig, batch: dict[str, np.ndarray]) -> None:
         raise DataError(f"segment ids must lie in [0,{config.type_vocab})")
 
 
-def _forward(params, config, batch, dropout_rng=None):
-    """Run the encoder; returns (outputs, cache) with cache holding every
-    intermediate the backward pass needs."""
+def _encode(params, config, batch, dropout_rng=None):
+    """Run the encoder and the NSP head; returns (outputs, cache).
+
+    outputs holds nsp_logits, pooled and sequence; cache holds every
+    intermediate :func:`backprop_encoder` needs. The MLM head is not run
+    here: callers apply :func:`_mlm_head` to whichever rows they score.
+    """
     _validate_batch(config, batch)
     ids = batch["input_ids"]
     segs = batch["segment_ids"]
@@ -249,7 +256,7 @@ def _forward(params, config, batch, dropout_rng=None):
         )
 
         ffn_pre = x_attn @ params[p + "ffn_w1"] + params[p + "ffn_b1"]
-        ffn_act = _gelu(ffn_pre)
+        ffn_act, ffn_cdf = _gelu(ffn_pre)
         ffn_out = ffn_act @ params[p + "ffn_w2"] + params[p + "ffn_b2"]
         ffn_drop = _dropout_mask(dropout_rng, ffn_out.shape, rate)
         if ffn_drop is not None:
@@ -262,7 +269,7 @@ def _forward(params, config, batch, dropout_rng=None):
                 x_in=x_in, q=q, k=k, v=v, qh=qh, kh=kh, vh=vh,
                 probs=probs, probs_drop=probs_drop, probs_used=probs_used,
                 ctx=ctx, attn_drop=attn_drop, attn_ln=attn_ln_cache,
-                x_attn=x_attn, ffn_pre=ffn_pre, ffn_act=ffn_act,
+                x_attn=x_attn, ffn_pre=ffn_pre, ffn_cdf=ffn_cdf, ffn_act=ffn_act,
                 ffn_drop=ffn_drop, ffn_ln=ffn_ln_cache,
             )
         )
@@ -272,29 +279,54 @@ def _forward(params, config, batch, dropout_rng=None):
     pooled = np.tanh(pool_pre)
     nsp_logits = pooled @ params["nsp_w"] + params["nsp_b"]
 
-    mlm_pre = x @ params["mlm_w"] + params["mlm_b"]
-    mlm_act = _gelu(mlm_pre)
-    mlm_tr, mlm_ln_cache = _layer_norm(mlm_act, params["mlm_ln_g"], params["mlm_ln_b"])
-    mlm_logits = mlm_tr @ params["tok_emb"].T + params["mlm_out_b"]
-
-    outputs = {
-        "mlm_logits": mlm_logits,
-        "nsp_logits": nsp_logits,
-        "pooled": pooled,
-        "sequence": x,
-    }
+    outputs = {"nsp_logits": nsp_logits, "pooled": pooled, "sequence": x}
     cache = dict(
         ids=ids, segs=segs, length=length, emb_ln=emb_ln_cache, emb_drop=emb_drop,
-        layers=layer_caches, sequence=x, cls_state=cls_state, pooled=pooled,
-        mlm_pre=mlm_pre, mlm_act=mlm_act, mlm_tr=mlm_tr, mlm_ln=mlm_ln_cache,
+        layers=layer_caches, cls_state=cls_state, pooled=pooled,
     )
     return outputs, cache
 
 
+def _mlm_head(params, x):
+    """MLM transform plus the tied decoder over final hidden states of
+    shape (..., H); returns (logits of shape (..., V), cache)."""
+    pre = x @ params["mlm_w"] + params["mlm_b"]
+    act, cdf = _gelu(pre)
+    tr, ln_cache = _layer_norm(act, params["mlm_ln_g"], params["mlm_ln_b"])
+    logits = tr @ params["tok_emb"].T + params["mlm_out_b"]
+    return logits, (x, pre, cdf, tr, ln_cache)
+
+
 def forward(params, config: ModelConfig, batch, dropout_rng=None):
-    """Encoder outputs for one batch: mlm_logits, nsp_logits, pooled, sequence."""
-    outputs, _ = _forward(params, config, batch, dropout_rng)
+    """Encoder outputs for one batch: mlm_logits at every position,
+    nsp_logits, pooled, sequence."""
+    outputs, _ = _encode(params, config, batch, dropout_rng)
+    outputs["mlm_logits"], _ = _mlm_head(params, outputs["sequence"])
     return outputs
+
+
+def _losses(mlm_logits, mlm_gold, nsp_logits, nsp_labels):
+    """Loss record from MLM logits gathered at the labelled positions,
+    shape (n_sel, V), with their gold ids, and from the NSP logits.
+
+    Also returns the MLM log-softmax, which the backward pass turns into
+    the softmax gradient without normalizing a second time.
+    """
+    n_sel = len(mlm_gold)
+    mlm_logp = _log_softmax(mlm_logits)
+    if n_sel:
+        mlm_loss = -mlm_logp[np.arange(n_sel), mlm_gold].sum() / n_sel
+    else:
+        mlm_loss = 0.0
+    nsp_logp = _log_softmax(nsp_logits)
+    nsp_loss = -nsp_logp[np.arange(len(nsp_labels)), nsp_labels].mean()
+    losses = {
+        "mlm_loss": float(mlm_loss),
+        "nsp_loss": float(nsp_loss),
+        "total": float(mlm_loss + nsp_loss),
+        "mlm_positions": n_sel,
+    }
+    return losses, mlm_logp
 
 
 def compute_losses(outputs, batch) -> dict:
@@ -305,66 +337,56 @@ def compute_losses(outputs, batch) -> dict:
     """
     labels = batch["mlm_labels"]
     selected = labels != IGNORE_INDEX
-    n_sel = int(selected.sum())
-    if n_sel:
-        logp = _log_softmax(outputs["mlm_logits"])
-        rows = np.where(selected)
-        mlm_loss = -logp[rows[0], rows[1], labels[rows]].sum() / n_sel
-    else:
-        mlm_loss = 0.0
-
-    nsp_logp = _log_softmax(outputs["nsp_logits"])
-    nsp_labels = batch["nsp_labels"]
-    nsp_loss = -nsp_logp[np.arange(len(nsp_labels)), nsp_labels].mean()
-    return {
-        "mlm_loss": float(mlm_loss),
-        "nsp_loss": float(nsp_loss),
-        "total": float(mlm_loss + nsp_loss),
-        "mlm_positions": n_sel,
-    }
+    losses, _ = _losses(
+        outputs["mlm_logits"][selected], labels[selected],
+        outputs["nsp_logits"], batch["nsp_labels"],
+    )
+    return losses
 
 
 def gradients(params, config: ModelConfig, batch, dropout_rng=None):
-    """Losses plus analytic gradients of the total loss for every parameter."""
-    outputs, cache = _forward(params, config, batch, dropout_rng)
-    losses = compute_losses(outputs, batch)
+    """Losses plus analytic gradients of the total loss for every parameter.
+
+    Only labelled positions are scored, so the MLM head runs on just the
+    rows of the final hidden states that carry a label.
+    """
+    outputs, cache = _encode(params, config, batch, dropout_rng)
+    labels = batch["mlm_labels"]
+    selected = labels != IGNORE_INDEX
+    gold = labels[selected]
+    sequence = outputs["sequence"]
+    mlm_logits, (x_sel, mlm_pre, mlm_cdf, mlm_tr, mlm_ln) = _mlm_head(
+        params, sequence[selected]
+    )
+    nsp_labels = batch["nsp_labels"]
+    losses, mlm_logp = _losses(
+        mlm_logits, gold, outputs["nsp_logits"], nsp_labels
+    )
     if not np.isfinite(losses["total"]):
         raise DataError(f"non-finite loss {losses['total']}; aborting backward pass")
 
     grads = {name: np.zeros_like(value) for name, value in params.items()}
     bsz = batch["input_ids"].shape[0]
 
-    # MLM head backward
-    labels = batch["mlm_labels"]
-    selected = labels != IGNORE_INDEX
-    n_sel = int(selected.sum())
-    dx = np.zeros_like(cache["sequence"])
-    if n_sel:
-        probs = _softmax(outputs["mlm_logits"])
-        rows = np.where(selected)
-        dlogits = probs * selected[..., None]
-        dlogits[rows[0], rows[1], labels[rows]] -= 1.0
-        dlogits /= n_sel
-
-        flat_dlogits = dlogits.reshape(-1, config.vocab_size)
-        flat_tr = cache["mlm_tr"].reshape(-1, config.hidden)
-        grads["tok_emb"] += flat_dlogits.T @ flat_tr
-        grads["mlm_out_b"] += flat_dlogits.sum(0)
-        dtr = dlogits @ params["tok_emb"]
-        dact, dg, db = _layer_norm_back(dtr, cache["mlm_ln"])
-        grads["mlm_ln_g"] += dg
-        grads["mlm_ln_b"] += db
-        dpre = _gelu_back(dact, cache["mlm_pre"])
-        flat_dpre = dpre.reshape(-1, config.hidden)
-        flat_seq = cache["sequence"].reshape(-1, config.hidden)
-        grads["mlm_w"] += flat_seq.T @ flat_dpre
-        grads["mlm_b"] += flat_dpre.sum(0)
-        dx += dpre @ params["mlm_w"].T
+    # MLM head backward over the labelled rows; with none, every MLM
+    # gradient stays exactly zero
+    n_sel = len(gold)
+    dlogits = np.exp(mlm_logp)
+    dlogits[np.arange(n_sel), gold] -= 1.0
+    dlogits /= max(n_sel, 1)
+    grads["tok_emb"] += dlogits.T @ mlm_tr
+    grads["mlm_out_b"] += dlogits.sum(0)
+    dact, dg, db = _layer_norm_back(dlogits @ params["tok_emb"], mlm_ln)
+    grads["mlm_ln_g"] += dg
+    grads["mlm_ln_b"] += db
+    dpre = _gelu_back(dact, mlm_pre, mlm_cdf)
+    grads["mlm_w"] += x_sel.T @ dpre
+    grads["mlm_b"] += dpre.sum(0)
+    dx = np.zeros_like(sequence)
+    dx[selected] = dpre @ params["mlm_w"].T
 
     # NSP head backward
-    nsp_probs = _softmax(outputs["nsp_logits"])
-    nsp_labels = batch["nsp_labels"]
-    dnsp = nsp_probs.copy()
+    dnsp = _softmax(outputs["nsp_logits"])
     dnsp[np.arange(bsz), nsp_labels] -= 1.0
     dnsp /= bsz
     grads["nsp_w"] += cache["pooled"].T @ dnsp
@@ -407,7 +429,7 @@ def backprop_encoder(params, config: ModelConfig, cache, d_sequence, d_pooled, g
         grads[p + "ffn_w2"] += flat_act.T @ flat_dffn
         grads[p + "ffn_b2"] += flat_dffn.sum(0)
         dact = dffn_out @ params[p + "ffn_w2"].T
-        dffn_pre = _gelu_back(dact, c["ffn_pre"])
+        dffn_pre = _gelu_back(dact, c["ffn_pre"], c["ffn_cdf"])
         flat_dpre = dffn_pre.reshape(-1, config.intermediate)
         flat_x_attn = c["x_attn"].reshape(-1, config.hidden)
         grads[p + "ffn_w1"] += flat_x_attn.T @ flat_dpre

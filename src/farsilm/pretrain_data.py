@@ -231,8 +231,26 @@ def write_examples(examples: Sequence[PretrainExample], path: str | Path, vocab_
     return len(examples)
 
 
+def _record_dtype(max_len: int) -> np.dtype:
+    """One length-prefixed record of an example file, as written above."""
+    return np.dtype(
+        [
+            ("length", "<u4"),
+            ("input_ids", "<i4", (max_len,)),
+            ("segment_ids", "i1", (max_len,)),
+            ("attention_mask", "i1", (max_len,)),
+            ("mlm_labels", "<i4", (max_len,)),
+            ("nsp_label", "u1"),
+        ]
+    )
+
+
 def read_examples(path: str | Path) -> tuple[list[PretrainExample], int]:
-    """Read an example file back; returns (examples, vocab_size)."""
+    """Read an example file back; returns (examples, vocab_size).
+
+    Every value is range-checked against the header's vocabulary size, so
+    a file that reads back can be fed to the model as it stands.
+    """
     try:
         blob = Path(path).read_bytes()
     except OSError as exc:
@@ -244,42 +262,57 @@ def read_examples(path: str | Path) -> tuple[list[PretrainExample], int]:
         raise DataError(f"{path}: unsupported example file version {version}")
 
     expected = 10 * max_len + 1
-    examples = []
-    offset = 16
-    index = 0
-    while offset < len(blob):
-        if offset + 4 > len(blob):
-            raise DataError(f"{path}: truncated length prefix at record {index}")
-        (length,) = struct.unpack("<I", blob[offset : offset + 4])
-        offset += 4
+    count, tail = divmod(len(blob) - 16, 4 + expected)
+    # with no whole record present, a zero-width one stands in, so a corrupt
+    # max_len cannot ask numpy for a record wider than it allows
+    record = _record_dtype(max_len if count else 0)
+    records = np.frombuffer(blob, dtype=record, count=count, offset=16)
+    bad = np.flatnonzero(records["length"] != expected)
+    if bad.size:
+        index = int(bad[0])
+        raise DataError(
+            f"{path}: corrupted record {index}: payload {records['length'][index]} bytes, "
+            f"expected {expected}"
+        )
+    if tail:
+        if tail < 4:
+            raise DataError(f"{path}: truncated length prefix at record {count}")
+        (length,) = struct.unpack_from("<I", blob, 16 + count * (4 + expected))
         if length != expected:
             raise DataError(
-                f"{path}: corrupted record {index}: payload {length} bytes, expected {expected}"
+                f"{path}: corrupted record {count}: payload {length} bytes, expected {expected}"
             )
-        if offset + length > len(blob):
-            raise DataError(f"{path}: truncated record {index}")
-        payload = blob[offset : offset + length]
-        offset += length
-        pos = 0
-        ids = np.frombuffer(payload, dtype="<i4", count=max_len, offset=pos)
-        pos += 4 * max_len
-        segs = np.frombuffer(payload, dtype="i1", count=max_len, offset=pos)
-        pos += max_len
-        attn = np.frombuffer(payload, dtype="i1", count=max_len, offset=pos)
-        pos += max_len
-        labels = np.frombuffer(payload, dtype="<i4", count=max_len, offset=pos)
-        pos += 4 * max_len
-        nsp = payload[pos]
-        examples.append(
-            PretrainExample(
-                input_ids=tuple(int(x) for x in ids),
-                segment_ids=tuple(int(x) for x in segs),
-                attention_mask=tuple(int(x) for x in attn),
-                mlm_labels=tuple(int(x) for x in labels),
-                nsp_label=int(nsp),
-            )
+        raise DataError(f"{path}: truncated record {count}")
+
+    ids = records["input_ids"]
+    labels = records["mlm_labels"]
+    faults = (
+        (f"token id outside [0,{vocab_size})", (ids < 0) | (ids >= vocab_size)),
+        (
+            f"MLM label neither {IGNORE_INDEX} nor inside [0,{vocab_size})",
+            (labels != IGNORE_INDEX) & ((labels < 0) | (labels >= vocab_size)),
+        ),
+        ("segment byte not 0 or 1", records["segment_ids"].view(np.uint8) > 1),
+        ("attention byte not 0 or 1", records["attention_mask"].view(np.uint8) > 1),
+        ("NSP byte not 0 or 1", records["nsp_label"][:, None] > 1),
+    )
+    for what, bad_values in faults:
+        bad = np.flatnonzero(bad_values.any(axis=1))
+        if bad.size:
+            raise DataError(f"{path}: record {int(bad[0])}: {what}")
+
+    # converted record by record: whole-file lists of Python ints would
+    # double the memory the examples themselves take
+    examples = [
+        PretrainExample(
+            tuple(row["input_ids"].tolist()),
+            tuple(row["segment_ids"].tolist()),
+            tuple(row["attention_mask"].tolist()),
+            tuple(row["mlm_labels"].tolist()),
+            int(row["nsp_label"]),
         )
-        index += 1
+        for row in records
+    ]
     return examples, vocab_size
 
 

@@ -24,6 +24,12 @@ ZWNJ = "‌"
 
 JUNK_KINDS = ("control-char", "zero-width-junk", "emoji", "html-tag", "url", "email")
 
+# Tatweel and the Arabic diacritics are deleted by the character step, so
+# the URL and email rules match across them: a rule that matched only the
+# part after a wedged-in mark would leave the part before it behind.
+_MARKS = "\u0640\u064b-\u0652"
+_M = f"[{_MARKS}]*"
+
 # Ordered so later, coarser patterns see text already freed of characters
 # that would split their matches (a zero-width char inside a URL, say).
 _DEFAULT_JUNK: tuple[tuple[str, str, str], ...] = (
@@ -33,8 +39,8 @@ _DEFAULT_JUNK: tuple[tuple[str, str, str], ...] = (
     ("zero-width-junk", "[​‍‎‏⁠-⁤­؜᠎﻿]", ""),
     ("emoji", "[☀-➿⬀-⯿︀-️\U0001f000-\U0001faff]", ""),
     ("html-tag", r"<!--.*?-->|</?[A-Za-z][^<>]*>", ""),
-    ("url", r"(?:https?://|www\.)\S+", ""),
-    ("email", r"[A-Za-z0-9._%+-]+@[A-Za-z0-9.-]+\.[A-Za-z]{2,}", ""),
+    ("url", f"(?:h{_M}t{_M}t{_M}p{_M}(?:s{_M})?:{_M}/{_M}/|w{_M}w{_M}w{_M}\\.)\\S+", ""),
+    ("email", f"[A-Za-z0-9._%+{_MARKS}-]+@[A-Za-z0-9.{_MARKS}-]+\\.{_M}(?:[A-Za-z]{_M}){{2,}}", ""),
 )
 
 # Arabic presentation variants folded onto the Persian letters they render as.

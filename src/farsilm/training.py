@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import json
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -161,7 +162,40 @@ def save_checkpoint(
             handle.write(np.ascontiguousarray(tensors[name]).tobytes())
 
 
+def _config_from(cls, fields, path: str, key: str):
+    """Build a config dataclass from its header record, which must name
+    every field exactly once with a number of the field's type."""
+    if not isinstance(fields, dict):
+        raise DataError(f"checkpoint {path}: {key} is not a record")
+    names = {f.name for f in dataclasses.fields(cls)}
+    unknown, missing = sorted(set(fields) - names), sorted(names - set(fields))
+    if unknown or missing:
+        raise DataError(f"checkpoint {path}: {key} has unknown keys {unknown}, lacks {missing}")
+    for f in dataclasses.fields(cls):
+        value = fields[f.name]
+        # every field defaults to an int or a float; an int may stand for a float
+        allowed = int if isinstance(f.default, int) else (int, float)
+        if isinstance(value, bool) or not isinstance(value, allowed):
+            raise DataError(f"checkpoint {path}: {key}.{f.name} is {value!r}")
+    return cls(**fields)
+
+
+def _tensor_spec(entry, path: str) -> tuple[str, np.dtype, tuple[int, ...]]:
+    try:
+        name, dtype, shape = entry["name"], np.dtype(entry["dtype"]), tuple(entry["shape"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"checkpoint {path} has a malformed tensor entry {entry!r}") from exc
+    if not isinstance(name, str) or not all(
+        isinstance(d, int) and not isinstance(d, bool) and d >= 0 for d in shape
+    ):
+        raise DataError(f"checkpoint {path} has a malformed tensor entry {entry!r}")
+    if dtype.kind not in "biuf":
+        raise DataError(f"checkpoint {path}: tensor {name} has non-numeric dtype {dtype.str}")
+    return name, dtype, shape
+
+
 def load_checkpoint(path: str) -> Checkpoint:
+    """Read a checkpoint; any malformed or inconsistent file is a DataError."""
     with open(path, "rb") as handle:
         data = handle.read()
     if data[:4] != _MAGIC:
@@ -173,47 +207,62 @@ def load_checkpoint(path: str) -> Checkpoint:
         raise DataError(f"unsupported checkpoint version {version}")
     if len(data) < 12 + header_len:
         raise DataError(f"checkpoint {path} is truncated")
-    header = json.loads(data[12 : 12 + header_len].decode("utf-8"))
+    try:
+        header = json.loads(data[12 : 12 + header_len].decode("utf-8"))
+    except (UnicodeDecodeError, ValueError) as exc:
+        raise DataError(f"checkpoint {path} has a malformed header: {exc}") from exc
+    if not isinstance(header, dict):
+        raise DataError(f"checkpoint {path} header is not a record")
+    for key in ("model_config", "opt_config", "step", "tensors"):
+        if key not in header:
+            raise DataError(f"checkpoint {path} header lacks {key!r}")
+    step = header["step"]
+    if isinstance(step, bool) or not isinstance(step, int) or step < 0:
+        raise DataError(f"checkpoint {path} has a bad step {step!r}")
+    if not isinstance(header["tensors"], list):
+        raise DataError(f"checkpoint {path}: tensors is not a list")
+    head = header.get("head")
+    if head is not None and not (
+        isinstance(head, dict)
+        and isinstance(head.get("kind"), str)
+        and isinstance(head.get("labels"), list)
+    ):
+        raise DataError(f"checkpoint {path} has a malformed head record")
+    model_config = _config_from(ModelConfig, header["model_config"], path, "model_config")
+    opt_config = _config_from(OptimizerConfig, header["opt_config"], path, "opt_config")
 
     offset = 12 + header_len
     tensors: dict[str, np.ndarray] = {}
     for entry in header["tensors"]:
-        dtype = np.dtype(entry["dtype"])
-        shape = tuple(entry["shape"])
-        nbytes = dtype.itemsize * int(np.prod(shape)) if shape else dtype.itemsize
+        name, dtype, shape = _tensor_spec(entry, path)
+        nbytes = dtype.itemsize * math.prod(shape)
         chunk = data[offset : offset + nbytes]
         if len(chunk) != nbytes:
-            raise DataError(f"checkpoint {path} is truncated in tensor {entry['name']}")
-        tensors[entry["name"]] = np.frombuffer(chunk, dtype=dtype).reshape(shape).copy()
+            raise DataError(f"checkpoint {path} is truncated in tensor {name}")
+        tensors[name] = np.frombuffer(chunk, dtype=dtype).reshape(shape).copy()
         offset += nbytes
+    if offset != len(data):
+        raise DataError(f"checkpoint {path} has {len(data) - offset} bytes after its last tensor")
 
-    model_config = ModelConfig(**header["model_config"])
-    opt_config = OptimizerConfig(**header["opt_config"])
-    params = {
-        name[len("param:") :]: value
-        for name, value in tensors.items()
-        if name.startswith("param:")
-    }
-    state = AdamState(
-        m={
-            name[len("adam_m:") :]: value
+    def group(prefix):
+        return {
+            name[len(prefix) :]: value
             for name, value in tensors.items()
-            if name.startswith("adam_m:")
-        },
-        v={
-            name[len("adam_v:") :]: value
-            for name, value in tensors.items()
-            if name.startswith("adam_v:")
-        },
-        step=int(header["step"]),
-    )
+            if name.startswith(prefix)
+        }
+
+    params = group("param:")
+    state = AdamState(m=group("adam_m:"), v=group("adam_v:"), step=step)
     shape_audit(params, model_config)
-    head = header.get("head")
-    head_params = {
-        name[len("head:") :]: value
-        for name, value in tensors.items()
-        if name.startswith("head:")
-    }
+    # a fine-tuned model carries no moments; a pretraining one carries both
+    # for every parameter, with the parameter's shape
+    for moments in (state.m, state.v):
+        if moments and (
+            set(moments) != set(params)
+            or any(moments[k].shape != params[k].shape for k in params)
+        ):
+            raise DataError(f"checkpoint {path}: Adam moments do not match the parameters")
+    head_params = group("head:")
     return Checkpoint(
         model_config,
         opt_config,

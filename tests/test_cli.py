@@ -54,6 +54,23 @@ class TestExitCodes:
         assert main(["normalize", "--in", str(tmp_path / "missing.txt"),
                      "--out", str(tmp_path / "out.txt")]) == 2
 
+    @pytest.mark.parametrize(
+        "damage, message",
+        [("trailing-bytes", "2 bytes after its last tensor"), ("garbled-header", "malformed header")],
+    )
+    def test_malformed_checkpoint_is_two(self, pipeline, tmp_path, capsys, damage, message):
+        data = bytearray(pipeline["checkpoint"].read_bytes())
+        if damage == "trailing-bytes":
+            data += b"\x00\x01"
+        else:
+            data[12] = 0xFF  # first byte of the JSON header
+        bad = tmp_path / "bad.flcp"
+        bad.write_bytes(bytes(data))
+        # an existing --out checkpoint is loaded to resume from
+        assert main(["pretrain", "--examples", str(pipeline["examples"]), "--out", str(bad),
+                     "--seed", "5", "--steps", "2"]) == 2
+        assert message in capsys.readouterr().err
+
     def test_help_exits_zero(self):
         with pytest.raises(SystemExit) as info:
             main(["pretrain", "--help"])

@@ -29,7 +29,7 @@ from farsilm.finetune import (
     write_labeled,
     write_tagged,
 )
-from farsilm.model import ModelConfig, _forward, backprop_encoder, forward, init_params
+from farsilm.model import ModelConfig, _encode, backprop_encoder, forward, init_params
 from farsilm.training import Checkpoint, OptimizerConfig, init_adam_state, save_checkpoint
 from farsilm.wordpiece import TokenizerTrainConfig, train_wordpiece
 
@@ -345,7 +345,7 @@ class TestHeadGradients:
         batch = _encode_texts(["ab zz abc", "cab dab"], tokenizer, config)
         gold = np.array([0, 1])
 
-        outputs, cache = _forward(full, config, batch)
+        outputs, cache = _encode(full, config, batch)
         pooled = outputs["pooled"]
         logits = pooled @ full["head_w"] + full["head_b"]
         probs = _softmax(logits)
@@ -398,7 +398,7 @@ class TestHeadGradients:
             sel = np.where(aligned != IGNORE_INDEX)
             return -logp[sel[0], sel[1], aligned[sel]].mean()
 
-        outputs, cache = _forward(full, config, batch)
+        outputs, cache = _encode(full, config, batch)
         sequence = outputs["sequence"]
         logits = sequence @ full["head_w"] + full["head_b"]
         selected = aligned != IGNORE_INDEX

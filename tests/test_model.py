@@ -7,10 +7,16 @@ independent implementation of the same quantity.
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 from farsilm.errors import ConfigError, DataError
 from farsilm.model import (
     ModelConfig,
+    _encode,
+    _layer_norm,
+    _layer_norm_back,
+    _softmax,
+    backprop_encoder,
     compute_losses,
     desk_config,
     finite_difference_check,
@@ -171,10 +177,8 @@ class TestForward:
         assert np.abs(out1["mlm_logits"][:, :7] - out2["mlm_logits"][:, :7]).max() < 1e-9
 
     def test_attention_rows_are_normalized(self):
-        from farsilm.model import _forward
-
         batch = make_batch(self.rng, 300, pad_from=8)
-        _, cache = _forward(self.params, self.cfg, batch)
+        _, cache = _encode(self.params, self.cfg, batch)
         for layer_cache in cache["layers"]:
             sums = layer_cache["probs"].sum(-1)
             assert np.abs(sums - 1.0).max() < 1e-6
@@ -325,3 +329,108 @@ class TestGradients:
         assert losses["mlm_loss"] == 0.0
         assert np.abs(grads["nsp_w"]).max() > 0.0
         assert np.all(grads["mlm_w"] == 0.0)
+
+
+def full_position_reference(params, cfg, batch, dropout_rng=None):
+    """Losses and gradients with the MLM head run over every position and
+    the softmax taken over the whole (B, L, V) logits block: the scoring
+    that training used before the head was restricted to labelled rows."""
+    outputs, cache = _encode(params, cfg, batch, dropout_rng)
+    seq = outputs["sequence"]
+    pre = seq @ params["mlm_w"] + params["mlm_b"]
+    act = pre * ndtr(pre)
+    tr, ln_cache = _layer_norm(act, params["mlm_ln_g"], params["mlm_ln_b"])
+    logits = tr @ params["tok_emb"].T + params["mlm_out_b"]
+    losses = compute_losses(dict(outputs, mlm_logits=logits), batch)
+
+    grads = {name: np.zeros_like(value) for name, value in params.items()}
+    labels = batch["mlm_labels"]
+    selected = labels != -100
+    n_sel = int(selected.sum())
+    dx = np.zeros_like(seq)
+    if n_sel:
+        dlogits = _softmax(logits) * selected[..., None]
+        rows = np.where(selected)
+        dlogits[rows[0], rows[1], labels[rows]] -= 1.0
+        dlogits /= n_sel
+        flat_dlogits = dlogits.reshape(-1, cfg.vocab_size)
+        grads["tok_emb"] += flat_dlogits.T @ tr.reshape(-1, cfg.hidden)
+        grads["mlm_out_b"] += flat_dlogits.sum(0)
+        dact, dg, db = _layer_norm_back(dlogits @ params["tok_emb"], ln_cache)
+        grads["mlm_ln_g"] += dg
+        grads["mlm_ln_b"] += db
+        phi = np.exp(-0.5 * pre * pre) / np.sqrt(2.0 * np.pi)
+        dpre = dact * (ndtr(pre) + pre * phi)
+        flat_dpre = dpre.reshape(-1, cfg.hidden)
+        grads["mlm_w"] += seq.reshape(-1, cfg.hidden).T @ flat_dpre
+        grads["mlm_b"] += flat_dpre.sum(0)
+        dx += dpre @ params["mlm_w"].T
+
+    bsz = len(batch["nsp_labels"])
+    dnsp = _softmax(outputs["nsp_logits"])
+    dnsp[np.arange(bsz), batch["nsp_labels"]] -= 1.0
+    dnsp /= bsz
+    grads["nsp_w"] += cache["pooled"].T @ dnsp
+    grads["nsp_b"] += dnsp.sum(0)
+    backprop_encoder(params, cfg, cache, dx, dnsp @ params["nsp_w"].T, grads)
+    return losses, grads
+
+
+class TestMaskedPositionHead:
+    """Training runs the MLM head on labelled rows only; it must give the
+    gradients of the full-position head it replaced."""
+
+    def setup_method(self):
+        self.cfg = desk_config(vocab_size=300, max_positions=32)
+        self.params = init_params(self.cfg, seed=7)
+        self.rng = np.random.default_rng(12)
+
+    def _batch(self, kind):
+        if kind == "padded":
+            return make_batch(self.rng, 300, bsz=3, length=12, pad_from=9)
+        batch = make_batch(self.rng, 300, bsz=3, length=12)
+        if kind == "zero-masked":
+            batch["mlm_labels"] = np.full((3, 12), -100)
+        return batch
+
+    @pytest.mark.parametrize("kind", ["padded", "dropout", "zero-masked"])
+    def test_gradients_match_full_position_reference(self, kind):
+        cfg = self.cfg
+        if kind == "dropout":
+            cfg = ModelConfig(layers=2, heads=2, hidden=64, intermediate=256,
+                              vocab_size=300, max_positions=32, dropout=0.2)
+        batch = self._batch(kind)
+        losses, grads = gradients(self.params, cfg, batch, np.random.default_rng(3))
+        ref_losses, ref_grads = full_position_reference(
+            self.params, cfg, batch, np.random.default_rng(3)
+        )
+        assert losses["total"] == pytest.approx(ref_losses["total"], rel=1e-12)
+        assert set(grads) == set(ref_grads)
+        scale = max(np.abs(ref).max() for ref in ref_grads.values())
+        for name, ref in ref_grads.items():
+            # a key bias shifts every score of a query equally, so its exact
+            # gradient is zero and both sides hold only rounding noise
+            floor = 1e-12 * scale if name.endswith("k_b") else 0.0
+            err = np.abs(grads[name] - ref).max()
+            assert err <= 1e-10 * np.abs(ref).max() + floor, name
+        if kind == "zero-masked":
+            assert losses["mlm_loss"] == 0.0
+            for name in ("mlm_w", "mlm_b", "mlm_ln_g", "mlm_ln_b", "mlm_out_b"):
+                assert np.all(grads[name] == 0.0), name
+
+    def test_encode_outputs_equal_forward_outputs(self):
+        batch = self._batch("padded")
+        encoded, _ = _encode(self.params, self.cfg, batch)
+        out = forward(self.params, self.cfg, batch)
+        for key in ("sequence", "pooled", "nsp_logits"):
+            assert np.array_equal(encoded[key], out[key]), key
+        assert out["mlm_logits"].shape == (3, 12, 300)
+
+    @pytest.mark.parametrize("kind", ["padded", "zero-masked"])
+    def test_compute_losses_of_forward_equals_gradients_losses(self, kind):
+        batch = self._batch(kind)
+        losses, _ = gradients(self.params, self.cfg, batch)
+        direct = compute_losses(forward(self.params, self.cfg, batch), batch)
+        assert direct["mlm_positions"] == losses["mlm_positions"]
+        for key in ("mlm_loss", "nsp_loss", "total"):
+            assert direct[key] == pytest.approx(losses[key], rel=1e-12, abs=0.0), key

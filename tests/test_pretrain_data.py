@@ -284,6 +284,47 @@ class TestPipelineAndFiles:
         with pytest.raises(DataError, match="record 0"):
             read_examples(path)
 
+    @pytest.mark.parametrize(
+        "field, value, match",
+        [
+            ("ids", len(MODEL.vocab), "token id outside"),
+            ("ids", -1, "token id outside"),
+            ("labels", len(MODEL.vocab), "MLM label"),
+            ("labels", -3, "MLM label"),
+            ("segments", 2, "segment byte"),
+            ("attention", -1, "attention byte"),
+            ("nsp", 2, "NSP byte"),
+        ],
+    )
+    def test_out_of_range_value_named_with_record(self, tmp_path, field, value, match):
+        # payload layout for max_len L: ids (4L bytes), segments (L),
+        # attention (L), labels (4L), then one NSP byte
+        length = 16
+        start, width = {
+            "ids": (0, 4), "segments": (4 * length, 1), "attention": (5 * length, 1),
+            "labels": (6 * length, 4), "nsp": (10 * length, 1),
+        }[field]
+        examples = build_pretrain_examples(DOCS, MODEL, PackingConfig(max_len=length))
+        path = tmp_path / "ex.bin"
+        write_examples(examples, path, vocab_size=len(MODEL.vocab))
+        blob = bytearray(path.read_bytes())
+        position = 0 if field == "nsp" else 3
+        at = 16 + 2 * (4 + 10 * length + 1) + 4 + start + position * width  # record 2
+        blob[at : at + width] = value.to_bytes(width, "little", signed=True)
+        path.write_bytes(bytes(blob))
+        with pytest.raises(DataError, match=f"record 2: {match}"):
+            read_examples(path)
+
+    def test_corrupt_max_len_named(self, tmp_path):
+        path = tmp_path / "ex.bin"
+        write_examples(build_pretrain_examples(DOCS, MODEL, PackingConfig(max_len=16)),
+                       path, vocab_size=len(MODEL.vocab))
+        blob = bytearray(path.read_bytes())
+        blob[8:12] = b"\xff\xff\xff\xff"  # max_len
+        path.write_bytes(bytes(blob))
+        with pytest.raises(DataError, match="corrupted record 0"):
+            read_examples(path)
+
     def test_version_mismatch(self, tmp_path):
         path = tmp_path / "ex.bin"
         write_examples([], path, vocab_size=9)

@@ -131,6 +131,24 @@ class TestNormalize:
         # the fixed-point loop catches it after the mark is stripped.
         assert normalize("htّtp://x.ir/a") == ""
 
+    @pytest.mark.parametrize(
+        "junk",
+        [
+            "ـuser12@mail.com",  # tatweel at the start
+            "usـer12@mail.com",  # tatweel in the local part
+            "user1َ2@mail.com",  # diacritic between digits
+            "userـ@mail.com",  # tatweel before the @
+            "user@ًmail.com",  # diacritic after the @
+            "user@mail.example.iـr",  # tatweel inside the top-level domain
+            "ُhttps://www.example.com/p",  # diacritic at the start
+            "htـtps://www.example.com/p",  # tatweel inside the scheme
+            "https:/ّ/example.com",  # diacritic between the slashes
+            "wwـw.example.com",  # tatweel inside www
+        ],
+    )
+    def test_mark_inside_email_or_url_leaves_no_remnant(self, junk):
+        assert normalize(f"سلام {junk} ب") == "سلام ب"
+
     @given(any_texts)
     @settings(max_examples=300)
     def test_idempotent(self, text):

@@ -1,5 +1,8 @@
 """Optimizer, checkpoint container, and pretraining loop tests."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
@@ -172,6 +175,73 @@ class TestCheckpoint:
         cut.write_bytes(data[: len(data) - 64])
         with pytest.raises(DataError, match="truncated"):
             load_checkpoint(str(cut))
+
+    def _rewritten(self, tmp_path, edit_header=None, blob=None, tail=b""):
+        """A saved checkpoint whose header is edited (or replaced by raw
+        bytes) and which gets extra bytes appended."""
+        good = tmp_path / "good.ckpt"
+        save_checkpoint(str(good), self.config, self.opt, self.params, self.state)
+        data = good.read_bytes()
+        (header_len,) = struct.unpack("<I", data[8:12])
+        if blob is None:
+            header = json.loads(data[12 : 12 + header_len])
+            edit_header(header)
+            blob = json.dumps(header).encode("utf-8")
+        path = tmp_path / "edited.ckpt"
+        path.write_bytes(
+            data[:8] + struct.pack("<I", len(blob)) + blob + data[12 + header_len :] + tail
+        )
+        return str(path)
+
+    @pytest.mark.parametrize(
+        "blob, match",
+        [(b"\xff\xfe{}", "malformed header"), (b'{"step": 1', "malformed header"),
+         (b"[1, 2]", "not a record")],
+    )
+    def test_rejects_garbled_header(self, tmp_path, blob, match):
+        with pytest.raises(DataError, match=match):
+            load_checkpoint(self._rewritten(tmp_path, blob=blob))
+
+    @pytest.mark.parametrize("key", ["step", "tensors", "model_config", "opt_config"])
+    def test_rejects_missing_header_field(self, tmp_path, key):
+        path = self._rewritten(tmp_path, lambda h: h.pop(key))
+        with pytest.raises(DataError, match=key):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "edit, match",
+        [
+            (lambda h: h["model_config"].update(colour=3), "unknown keys \\['colour'\\]"),
+            (lambda h: h["opt_config"].update(momentum=0.9), "unknown keys \\['momentum'\\]"),
+            (lambda h: h["model_config"].pop("hidden"), "lacks \\['hidden'\\]"),
+            (lambda h: h["model_config"].update(layers=2.5), "model_config.layers"),
+            (lambda h: h["opt_config"].update(learning_rate="fast"), "opt_config.learning_rate"),
+            (lambda h: h.update(step="7"), "bad step"),
+        ],
+    )
+    def test_rejects_bad_config_record(self, tmp_path, edit, match):
+        with pytest.raises(DataError, match=match):
+            load_checkpoint(self._rewritten(tmp_path, edit))
+
+    def test_rejects_non_numeric_dtype(self, tmp_path):
+        def to_object(header):
+            header["tensors"][0]["dtype"] = "|O"
+
+        with pytest.raises(DataError, match="non-numeric dtype"):
+            load_checkpoint(self._rewritten(tmp_path, to_object))
+
+    def test_rejects_trailing_bytes(self, tmp_path):
+        path = self._rewritten(tmp_path, lambda h: None, tail=b"\x00" * 3)
+        with pytest.raises(DataError, match="3 bytes after its last tensor"):
+            load_checkpoint(path)
+
+    def test_rejects_moments_of_unknown_tensors(self, tmp_path):
+        def rename(header):
+            entry = next(e for e in header["tensors"] if e["name"] == "adam_m:pool_w")
+            entry["name"] = "adam_m:pool_x"
+
+        with pytest.raises(DataError, match="Adam moments"):
+            load_checkpoint(self._rewritten(tmp_path, rename))
 
 
 class TestLossTrace:
