@@ -4,7 +4,8 @@ One subcommand per stage: corpus normalization and segmentation, corpus
 stats, tokenizer training and encoding, pretraining example construction,
 pretraining itself, fine-tuning, evaluation, synthetic data generation,
 and a rules dump. ``run`` executes a whole pipeline from a key-value
-manifest file, with every path declared and every seed explicit.
+manifest file, with every path declared and every seed explicit; it calls
+the same stage functions as the subcommands.
 
 Exit codes: 0 on success, 1 on usage errors, 2 on data or configuration
 errors. All flags use long names; ``--seed``, ``--in``, and ``--out`` are
@@ -14,9 +15,10 @@ uniform across subcommands.
 from __future__ import annotations
 
 import argparse
-import struct
 import sys
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 from . import synthetic
 from .corpus import corpus_stats, format_stats_table, load_documents, stats_records
@@ -33,7 +35,7 @@ from .finetune import (
     write_labeled,
     write_tagged,
 )
-from .lineio import read_records, write_records
+from .lineio import read_records, read_text, write_records
 from .metrics import (
     accuracy,
     entity_f1,
@@ -48,6 +50,7 @@ from .pretrain_data import (
     MaskingPolicy,
     PackingConfig,
     build_pretrain_examples,
+    read_examples_header,
     write_examples,
 )
 from .segmenter import SegmenterConfig, segment_by_notation, segment_true
@@ -62,6 +65,26 @@ from .wordpiece import (
     train_wordpiece,
 )
 
+# Defaults shared by subcommand flags (--batch-size) and manifest keys
+# (batch_size). Model shape is the desk profile; the learning rate is the
+# desk recipe's 1e-3, not OptimizerConfig's 1e-4.
+_PRETRAIN_OPTIONS = {
+    "layers": 2,
+    "heads": 2,
+    "hidden": 64,
+    "intermediate": 256,
+    "learning_rate": 1e-3,
+    "beta1": 0.9,
+    "beta2": 0.98,
+    "batch_size": 32,
+    "warmup": 0,
+    "log_every": 100,
+}
+_FINETUNE_OPTIONS = {
+    key: getattr(FinetuneConfig, key) for key in ("epochs", "learning_rate", "batch_size", "seed")
+}
+_SYNTHETIC_OPTIONS = {"docs": 120, "count": 200, "classes": 2}
+
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits with status 2 on usage problems; this surface uses 1."""
@@ -73,15 +96,6 @@ class _Parser(argparse.ArgumentParser):
 
 def _note(message: str) -> None:
     print(message, file=sys.stderr)
-
-
-def _read_text(path: str) -> str:
-    try:
-        return Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: invalid UTF-8 at byte offset {exc.start}") from exc
 
 
 def _write_text(path: str, text: str) -> None:
@@ -98,7 +112,7 @@ def _load_sentences(path: str, format: str) -> list[str]:
     ``text`` field; both shapes feed the tokenizer trainer.
     """
     if format == "plain":
-        return [line for line in _read_text(path).splitlines() if line.strip()]
+        return [line for line in read_text(path).splitlines() if line.strip()]
     sentences: list[str] = []
     for lineno, record in read_records(path):
         listed = record.get("sentences")
@@ -124,43 +138,179 @@ def _segmented_documents(path: str) -> list[list[str]]:
     return documents
 
 
-# --- subcommand handlers ---
+# --- stages, shared by the subcommands and the manifest runner ---
 
 
-def _cmd_normalize(args) -> int:
-    if args.format == "plain":
-        text = _read_text(args.infile)
-        lines = [normalize(line) for line in text.splitlines()]
-        _write_text(args.out, "\n".join(lines) + ("\n" if lines else ""))
-        _note(f"normalized {len(lines)} lines into {args.out}")
-        return 0
-    records = []
-    for doc in load_documents(args.infile, format=args.format):
-        records.append({"id": doc.id, "source": doc.source, "text": normalize(doc.text)})
-    write_records(args.out, records)
-    _note(f"normalized {len(records)} documents into {args.out}")
-    return 0
+def _gen_synthetic(
+    task,
+    out,
+    seed,
+    docs=_SYNTHETIC_OPTIONS["docs"],
+    count=_SYNTHETIC_OPTIONS["count"],
+    classes=_SYNTHETIC_OPTIONS["classes"],
+) -> None:
+    if task == "mlm-corpus":
+        corpus = synthetic.generate_mlm_corpus(seed=seed, n_docs=docs)
+        records = [{"id": d.doc_id, "source": "synthetic", "text": d.text} for d in corpus]
+        write_records(out, records)
+        _note(f"wrote {len(records)} documents at {out}")
+    elif task == "cls":
+        items = synthetic.generate_classification(seed=seed, count=count, n_classes=classes)
+        write_labeled(out, items)
+        _note(f"wrote {len(items)} labeled texts at {out}")
+    else:
+        items = synthetic.generate_ner(seed=seed, count=count)
+        write_tagged(out, items)
+        _note(f"wrote {len(items)} tagged sequences at {out}")
 
 
-def _cmd_segment(args) -> int:
-    config = SegmenterConfig(min_tokens=args.min_tokens)
+def _normalize(infile, out, format) -> None:
+    if format == "plain":
+        lines = [normalize(line) for line in read_text(infile).splitlines()]
+        _write_text(out, "\n".join(lines) + ("\n" if lines else ""))
+        _note(f"normalized {len(lines)} lines into {out}")
+        return
+    records = [
+        {"id": doc.id, "source": doc.source, "text": normalize(doc.text)}
+        for doc in load_documents(infile, format=format)
+    ]
+    write_records(out, records)
+    _note(f"normalized {len(records)} documents into {out}")
+
+
+def _segment(infile, out, format, mode="true", min_tokens=SegmenterConfig.min_tokens) -> None:
+    config = SegmenterConfig(min_tokens=min_tokens)
+    split = segment_by_notation if mode == "notation" else segment_true
     records = []
     total = 0
-    for doc in load_documents(args.infile, format=args.format):
-        if args.mode == "notation":
-            sentences = segment_by_notation(doc.text, config, doc_id=doc.id)
-        else:
-            sentences = segment_true(doc.text, config, doc_id=doc.id, lenient=args.lenient)
+    for doc in load_documents(infile, format=format):
+        sentences = split(doc.text, config, doc_id=doc.id)
         total += len(sentences)
         records.append(
             {"id": doc.id, "source": doc.source, "sentences": [s.text for s in sentences]}
         )
-    write_records(args.out, records)
-    _note(f"segmented {len(records)} documents into {total} sentences at {args.out}")
-    return 0
+    write_records(out, records)
+    _note(f"segmented {len(records)} documents into {total} sentences at {out}")
 
 
-def _cmd_stats(args) -> int:
+def _train_tokenizer(infile, out, format, config: TokenizerTrainConfig) -> None:
+    model = train_wordpiece(_load_sentences(infile, format), config)
+    save_vocab(model, out)
+    _note(f"trained vocabulary of {len(model.vocab)} tokens at {out}")
+
+
+def _build_pretrain(infile, vocab, out, max_len, seed) -> None:
+    model = load_vocab(vocab)
+    documents = _segmented_documents(infile)
+    packing = PackingConfig(max_len=max_len, rng_seed=seed)
+    examples = build_pretrain_examples(documents, model, packing, MaskingPolicy())
+    write_examples(examples, out, vocab_size=len(model.vocab))
+    _note(f"wrote {len(examples)} examples at {out}")
+
+
+def _pretrain(examples, out, trace, seed, steps, max_positions, options: dict) -> None:
+    """Pretrain on an example file; ``max_positions`` 0 means its length."""
+    max_len, vocab_size = read_examples_header(examples)
+    model_config = ModelConfig(
+        layers=options["layers"],
+        heads=options["heads"],
+        hidden=options["hidden"],
+        intermediate=options["intermediate"],
+        vocab_size=vocab_size,
+        max_positions=max_positions or max_len,
+    )
+    opt_config = OptimizerConfig(
+        learning_rate=options["learning_rate"],
+        beta1=options["beta1"],
+        beta2=options["beta2"],
+        batch_size=options["batch_size"],
+        max_steps=steps,
+        warmup_steps=options["warmup"],
+    )
+    result = pretrain(
+        examples,
+        model_config,
+        opt_config,
+        seed=seed,
+        checkpoint_path=out,
+        trace_path=trace,
+        log=_note,
+        log_every=options["log_every"],
+    )
+    _note(f"checkpoint at step {result.step} written to {out}")
+
+
+def _cls_report(items, pred, labels):
+    gold = [item.label for item in items]
+    report = f1_report(gold, pred, labels)
+    score = accuracy(gold, pred)
+    return eval_report_records(report), f"accuracy {score:.4f}\n{format_eval_report(report)}", score
+
+
+def _ner_report(items, pred, labels):
+    score = entity_f1([list(item.tags) for item in items], pred)
+    return entity_score_records(score), format_entity_score(score), score.f1
+
+
+@dataclass(frozen=True)
+class _Task:
+    """How one fine-tuning task reads, trains on and scores its items."""
+
+    load: Callable
+    finetune: Callable
+    score_name: str
+    inputs: Callable  # item -> model input
+    labels: Callable  # item -> the labels it uses
+    report: Callable  # (items, predicted, labels) -> (records, table, score)
+
+
+_TASKS = {
+    "cls": _Task(
+        load_labeled, finetune_sequence, "accuracy",
+        inputs=lambda item: item.text,
+        labels=lambda item: (item.label,),
+        report=_cls_report,
+    ),
+    "ner": _Task(
+        load_tagged, finetune_tokens, "entity F1",
+        inputs=lambda item: list(item.tokens),
+        labels=lambda item: item.tags,
+        report=_ner_report,
+    ),
+}
+
+
+def _finetune(task, checkpoint, vocab, train, dev, out, labels, options: dict) -> None:
+    """Fine-tune a head; ``labels`` None takes the inventory from the data."""
+    spec = _TASKS[task]
+    checkpoint = load_checkpoint(checkpoint)
+    tokenizer = load_vocab(vocab)
+    train_items = spec.load(train)
+    dev_items = spec.load(dev)
+    if labels is None:
+        labels = tuple(sorted({x for item in train_items + dev_items for x in spec.labels(item)}))
+    config = FinetuneConfig(label_inventory=labels, **options)
+    outcome = spec.finetune(checkpoint, tokenizer, train_items, dev_items, config)
+    for epoch, score in enumerate(outcome.dev_trace, start=1):
+        _note(f"epoch {epoch}: dev {spec.score_name} {score:.4f}")
+    save_head_model(out, outcome.model)
+    _note(f"{outcome.model.kind} with labels {labels} written to {out}")
+
+
+def _evaluate(task, model_path, vocab, infile):
+    """(report records, printable table, headline score) for a head on a file."""
+    spec = _TASKS[task]
+    model = load_head_model(model_path)
+    tokenizer = load_vocab(vocab)
+    items = spec.load(infile)
+    pred = predict(model, tokenizer, [spec.inputs(item) for item in items])
+    return spec.report(items, pred, model.labels)
+
+
+# --- subcommands without a manifest counterpart ---
+
+
+def _cmd_stats(args) -> None:
     config = SegmenterConfig()
     counted = (
         (doc, len(segment_true(doc.text, config, doc_id=doc.id)))
@@ -170,26 +320,12 @@ def _cmd_stats(args) -> int:
     print(format_stats_table(stats))
     if args.out:
         write_records(args.out, stats_records(stats))
-    return 0
 
 
-def _cmd_train_tokenizer(args) -> int:
-    sentences = _load_sentences(args.infile, args.format)
-    config = TokenizerTrainConfig(
-        vocab_size=args.vocab_size,
-        min_frequency=args.min_freq,
-        alphabet_limit=args.alphabet,
-    )
-    model = train_wordpiece(sentences, config)
-    save_vocab(model, args.out)
-    _note(f"trained vocabulary of {len(model.vocab)} tokens at {args.out}")
-    return 0
-
-
-def _cmd_encode(args) -> int:
+def _cmd_encode(args) -> None:
     model = load_vocab(args.vocab)
     records = []
-    for line in _read_text(args.infile).splitlines():
+    for line in read_text(args.infile).splitlines():
         if not line.strip():
             continue
         record = {"text": line, "ids": encode(model, line)}
@@ -198,165 +334,18 @@ def _cmd_encode(args) -> int:
         records.append(record)
     write_records(args.out, records)
     _note(f"encoded {len(records)} lines into {args.out}")
-    return 0
 
 
-def _cmd_build_pretrain(args) -> int:
-    model = load_vocab(args.vocab)
-    documents = _segmented_documents(args.infile)
-    packing = PackingConfig(max_len=args.max_len, rng_seed=args.seed)
-    examples = build_pretrain_examples(documents, model, packing, MaskingPolicy())
-    write_examples(examples, args.out, vocab_size=len(model.vocab))
-    _note(f"wrote {len(examples)} examples at {args.out}")
-    return 0
-
-
-def _peek_examples_header(path: str) -> tuple[int, int]:
-    """(max_len, vocab_size) from an example file without loading records."""
-    try:
-        with open(path, "rb") as fh:
-            head = fh.read(16)
-    except OSError as exc:
-        raise DataError(f"cannot read example file {path}: {exc}") from exc
-    if len(head) < 16 or head[:4] != b"PTEX":
-        raise DataError(f"{path} is not an example file (bad magic)")
-    _, max_len, vocab_size = struct.unpack("<III", head[4:16])
-    return max_len, vocab_size
-
-
-def _cmd_pretrain(args) -> int:
-    max_len, vocab_size = _peek_examples_header(args.examples)
-    model_config = ModelConfig(
-        layers=args.layers,
-        heads=args.heads,
-        hidden=args.hidden,
-        intermediate=args.intermediate,
-        vocab_size=vocab_size,
-        max_positions=args.max_positions or max_len,
-    )
-    opt_config = OptimizerConfig(
-        learning_rate=args.learning_rate,
-        beta1=args.beta1,
-        beta2=args.beta2,
-        batch_size=args.batch_size,
-        max_steps=args.steps,
-        warmup_steps=args.warmup,
-    )
-    result = pretrain(
-        args.examples,
-        model_config,
-        opt_config,
-        seed=args.seed,
-        checkpoint_path=args.out,
-        trace_path=args.trace,
-        log=_note,
-        log_every=args.log_every,
-    )
-    _note(f"checkpoint at step {result.step} written to {args.out}")
-    return 0
-
-
-def _labels_from(args_labels: str | None, seen: set[str]) -> tuple[str, ...]:
-    if args_labels:
-        return tuple(part.strip() for part in args_labels.split(",") if part.strip())
-    return tuple(sorted(seen))
-
-
-def _cmd_finetune_cls(args) -> int:
-    checkpoint = load_checkpoint(args.checkpoint)
-    tokenizer = load_vocab(args.vocab)
-    train = load_labeled(args.train)
-    dev = load_labeled(args.dev)
-    inventory = _labels_from(args.labels, {item.label for item in train + dev})
-    config = FinetuneConfig(
-        label_inventory=inventory,
-        epochs=args.epochs,
-        learning_rate=args.learning_rate,
-        batch_size=args.batch_size,
-        seed=args.seed,
-    )
-    outcome = finetune_sequence(checkpoint, tokenizer, train, dev, config)
-    for epoch, score in enumerate(outcome.dev_trace, start=1):
-        _note(f"epoch {epoch}: dev accuracy {score:.4f}")
-    save_head_model(args.out, outcome.model)
-    _note(f"classifier with labels {inventory} written to {args.out}")
-    return 0
-
-
-def _cmd_finetune_ner(args) -> int:
-    checkpoint = load_checkpoint(args.checkpoint)
-    tokenizer = load_vocab(args.vocab)
-    train = load_tagged(args.train)
-    dev = load_tagged(args.dev)
-    seen = {tag for item in train + dev for tag in item.tags}
-    inventory = _labels_from(args.labels, seen)
-    config = FinetuneConfig(
-        label_inventory=inventory,
-        epochs=args.epochs,
-        learning_rate=args.learning_rate,
-        batch_size=args.batch_size,
-        seed=args.seed,
-    )
-    outcome = finetune_tokens(checkpoint, tokenizer, train, dev, config)
-    for epoch, score in enumerate(outcome.dev_trace, start=1):
-        _note(f"epoch {epoch}: dev entity F1 {score:.4f}")
-    save_head_model(args.out, outcome.model)
-    _note(f"tagger with {len(inventory)} tags written to {args.out}")
-    return 0
-
-
-def _cmd_eval_cls(args) -> int:
-    model = load_head_model(args.model)
-    tokenizer = load_vocab(args.vocab)
-    items = load_labeled(args.infile)
-    gold = [item.label for item in items]
-    pred = predict(model, tokenizer, [item.text for item in items])
-    report = f1_report(gold, pred, model.labels)
-    print(f"accuracy {accuracy(gold, pred):.4f}")
-    print(format_eval_report(report))
+def _cmd_eval(task, args) -> None:
+    records, table, _ = _evaluate(task, args.model, args.vocab, args.infile)
+    print(table)
     if args.out:
-        write_records(args.out, eval_report_records(report))
-    return 0
-
-
-def _cmd_eval_ner(args) -> int:
-    model = load_head_model(args.model)
-    tokenizer = load_vocab(args.vocab)
-    items = load_tagged(args.infile)
-    gold = [list(item.tags) for item in items]
-    pred = predict(model, tokenizer, [list(item.tokens) for item in items])
-    score = entity_f1(gold, pred)
-    print(format_entity_score(score))
-    if args.out:
-        write_records(args.out, entity_score_records(score))
-    return 0
-
-
-def _cmd_gen_synthetic(args) -> int:
-    if args.task == "mlm-corpus":
-        docs = synthetic.generate_mlm_corpus(seed=args.seed, n_docs=args.docs)
-        records = [
-            {"id": doc.doc_id, "source": "synthetic", "text": doc.text} for doc in docs
-        ]
         write_records(args.out, records)
-        _note(f"wrote {len(records)} documents at {args.out}")
-    elif args.task == "cls":
-        items = synthetic.generate_classification(
-            seed=args.seed, count=args.count, n_classes=args.classes
-        )
-        write_labeled(args.out, items)
-        _note(f"wrote {len(items)} labeled texts at {args.out}")
-    else:
-        items = synthetic.generate_ner(seed=args.seed, count=args.count)
-        write_tagged(args.out, items)
-        _note(f"wrote {len(items)} tagged sequences at {args.out}")
-    return 0
 
 
-def _cmd_dump_rules(args) -> int:
+def _cmd_dump_rules(args) -> None:
     count = dump_rules(args.out)
     _note(f"wrote {count} rules at {args.out}")
-    return 0
 
 
 # --- manifest runner ---
@@ -366,7 +355,7 @@ _MANIFEST_PATHS = ("corpus", "normalized", "segments", "vocab", "examples", "che
 
 def _parse_manifest(path: str) -> dict[str, str]:
     entries: dict[str, str] = {}
-    for lineno, line in enumerate(_read_text(path).splitlines(), start=1):
+    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -382,24 +371,19 @@ def _parse_manifest(path: str) -> dict[str, str]:
     return entries
 
 
-def _manifest_int(entries: dict, key: str, default: int | None = None) -> int:
+def _manifest_number(entries: dict, key: str, default):
+    """The value of ``key`` as the default's type; a None default makes
+    ``key`` a required integer."""
     if key not in entries:
         if default is None:
             raise ConfigError(f"manifest lacks the required {key} key")
         return default
+    kind = float if isinstance(default, float) else int
     try:
-        return int(entries[key])
+        return kind(entries[key])
     except ValueError:
-        raise ConfigError(f"manifest key {key} is not an integer: {entries[key]!r}") from None
-
-
-def _manifest_float(entries: dict, key: str, default: float) -> float:
-    if key not in entries:
-        return default
-    try:
-        return float(entries[key])
-    except ValueError:
-        raise ConfigError(f"manifest key {key} is not a number: {entries[key]!r}") from None
+        what = "a number" if kind is float else "an integer"
+        raise ConfigError(f"manifest key {key} is not {what}: {entries[key]!r}") from None
 
 
 def _manifest_path(entries: dict, base: Path, key: str) -> str:
@@ -408,144 +392,67 @@ def _manifest_path(entries: dict, base: Path, key: str) -> str:
     return str(base / entries[key])
 
 
-def _run_finetune_stage(entries: dict, base: Path, seed: int, checkpoint_path: str, vocab_path: str, task: str) -> None:
-    prefix = "cls" if task == "cls" else "ner"
-    train_path = _manifest_path(entries, base, f"{prefix}_train")
-    dev_path = _manifest_path(entries, base, f"{prefix}_dev")
-    model_path = _manifest_path(entries, base, f"{prefix}_model")
-    report_path = _manifest_path(entries, base, f"{prefix}_report")
-    count = _manifest_int(entries, f"{prefix}_count", 300)
-    epochs = _manifest_int(entries, f"{prefix}_epochs", 5)
-    lr = _manifest_float(entries, f"{prefix}_learning_rate", 5e-4)
-    batch = _manifest_int(entries, f"{prefix}_batch_size", 16)
-
-    dev_count = max(2, count // 4)
-    if task == "cls":
-        classes = _manifest_int(entries, "cls_classes", 2)
-        train = synthetic.generate_classification(seed=seed, count=count, n_classes=classes)
-        dev = synthetic.generate_classification(seed=seed + 1, count=dev_count, n_classes=classes)
-        write_labeled(train_path, train)
-        write_labeled(dev_path, dev)
-        inventory = synthetic.classification_labels(classes)
-    else:
-        train = synthetic.generate_ner(seed=seed, count=count)
-        dev = synthetic.generate_ner(seed=seed + 1, count=dev_count)
-        write_tagged(train_path, train)
-        write_tagged(dev_path, dev)
-        inventory = synthetic.ner_tag_inventory()
-
-    checkpoint = load_checkpoint(checkpoint_path)
-    tokenizer = load_vocab(vocab_path)
-    config = FinetuneConfig(
-        label_inventory=inventory,
-        epochs=epochs,
-        learning_rate=lr,
-        batch_size=batch,
-        seed=seed,
+def _run_finetune(entries: dict, base: Path, seed: int, paths: dict, task: str) -> None:
+    train, dev, model, report = (
+        _manifest_path(entries, base, f"{task}_{key}") for key in ("train", "dev", "model", "report")
     )
+    # 300 items here, where gen-synthetic's --count defaults to 200
+    count = _manifest_number(entries, f"{task}_count", 300)
     if task == "cls":
-        outcome = finetune_sequence(checkpoint, tokenizer, train, dev, config)
-        gold = [item.label for item in dev]
-        pred = predict(outcome.model, tokenizer, [item.text for item in dev])
-        report = f1_report(gold, pred, inventory)
-        write_records(report_path, eval_report_records(report))
-        _note(f"{task}: dev accuracy {accuracy(gold, pred):.4f}, report at {report_path}")
+        classes = _manifest_number(entries, "cls_classes", _SYNTHETIC_OPTIONS["classes"])
+        labels = synthetic.classification_labels(classes)
     else:
-        outcome = finetune_tokens(checkpoint, tokenizer, train, dev, config)
-        gold = [list(item.tags) for item in dev]
-        pred = predict(outcome.model, tokenizer, [list(item.tokens) for item in dev])
-        score = entity_f1(gold, pred)
-        write_records(report_path, entity_score_records(score))
-        _note(f"{task}: dev entity F1 {score.f1:.4f}, report at {report_path}")
-    save_head_model(model_path, outcome.model)
+        classes, labels = _SYNTHETIC_OPTIONS["classes"], synthetic.ner_tag_inventory()
+    _gen_synthetic(task, train, seed, count=count, classes=classes)
+    _gen_synthetic(task, dev, seed + 1, count=max(2, count // 4), classes=classes)
+
+    options = {
+        key: _manifest_number(entries, f"{task}_{key}", default)
+        for key, default in _FINETUNE_OPTIONS.items()
+        if key != "seed"
+    }
+    options["seed"] = seed
+    _finetune(task, paths["checkpoint"], paths["vocab"], train, dev, model, labels, options)
+    records, _, score = _evaluate(task, model, paths["vocab"], dev)
+    write_records(report, records)
+    _note(f"{task}: dev {_TASKS[task].score_name} {score:.4f}, report at {report}")
 
 
-def _cmd_run(args) -> int:
-    manifest_path = Path(args.manifest)
+def _cmd_run(args) -> None:
     entries = _parse_manifest(args.manifest)
-    base = manifest_path.parent
+    base = Path(args.manifest).parent
 
-    seed = _manifest_int(entries, "seed")
+    def number(key, default):
+        return _manifest_number(entries, key, default)
+
+    seed = number("seed", None)
     paths = {key: _manifest_path(entries, base, key) for key in _MANIFEST_PATHS}
     for target in paths.values():
         parent = Path(target).parent
         if not parent.is_dir():
             raise DataError(f"manifest output directory {parent} does not exist")
 
-    docs = synthetic.generate_mlm_corpus(seed=seed, n_docs=_manifest_int(entries, "docs", 120))
-    write_records(
-        paths["corpus"],
-        [{"id": d.doc_id, "source": "synthetic", "text": d.text} for d in docs],
+    _gen_synthetic("mlm-corpus", paths["corpus"], seed, docs=number("docs", _SYNTHETIC_OPTIONS["docs"]))
+    _normalize(paths["corpus"], paths["normalized"], "line-records")
+    _segment(paths["normalized"], paths["segments"], "line-records")
+    # The manifest's own defaults where the subcommands differ: vocab_size
+    # 1,000 (train-tokenizer: 100,000), max_len 64 (build-pretrain: 512) and
+    # steps 100 (pretrain: required). Each surface keeps its values, so
+    # existing manifests and command lines produce the same artifacts.
+    tokenizer_config = TokenizerTrainConfig(
+        vocab_size=number("vocab_size", 1000),
+        min_frequency=number("min_frequency", TokenizerTrainConfig.min_frequency),
+        alphabet_limit=number("alphabet_limit", TokenizerTrainConfig.alphabet_limit),
     )
-    _note(f"corpus: {len(docs)} documents at {paths['corpus']}")
+    _train_tokenizer(paths["segments"], paths["vocab"], "line-records", tokenizer_config)
+    _build_pretrain(paths["segments"], paths["vocab"], paths["examples"], number("max_len", 64), seed)
+    trace = str(base / entries["trace"]) if "trace" in entries else None
+    options = {key: number(key, default) for key, default in _PRETRAIN_OPTIONS.items()}
+    _pretrain(paths["examples"], paths["checkpoint"], trace, seed, number("steps", 100), 0, options)
 
-    normalized = [
-        {"id": d.doc_id, "source": "synthetic", "text": normalize(d.text)} for d in docs
-    ]
-    write_records(paths["normalized"], normalized)
-
-    config = SegmenterConfig()
-    segmented = []
-    sentences: list[str] = []
-    for record in normalized:
-        parts = [
-            s.text for s in segment_true(record["text"], config, doc_id=record["id"])
-        ]
-        segmented.append({"id": record["id"], "source": "synthetic", "sentences": parts})
-        sentences.extend(parts)
-    write_records(paths["segments"], segmented)
-    _note(f"segments: {len(sentences)} sentences at {paths['segments']}")
-
-    tok_config = TokenizerTrainConfig(
-        vocab_size=_manifest_int(entries, "vocab_size", 1000),
-        min_frequency=_manifest_int(entries, "min_frequency", 3),
-        alphabet_limit=_manifest_int(entries, "alphabet_limit", 1500),
-    )
-    model = train_wordpiece(sentences, tok_config)
-    save_vocab(model, paths["vocab"])
-    _note(f"vocab: {len(model.vocab)} tokens at {paths['vocab']}")
-
-    packing = PackingConfig(max_len=_manifest_int(entries, "max_len", 64), rng_seed=seed)
-    examples = build_pretrain_examples(
-        [d["sentences"] for d in segmented], model, packing, MaskingPolicy()
-    )
-    write_examples(examples, paths["examples"], vocab_size=len(model.vocab))
-    _note(f"examples: {len(examples)} at {paths['examples']}")
-
-    model_config = ModelConfig(
-        layers=_manifest_int(entries, "layers", 2),
-        heads=_manifest_int(entries, "heads", 2),
-        hidden=_manifest_int(entries, "hidden", 64),
-        intermediate=_manifest_int(entries, "intermediate", 256),
-        vocab_size=len(model.vocab),
-        max_positions=packing.max_len,
-    )
-    opt_config = OptimizerConfig(
-        learning_rate=_manifest_float(entries, "learning_rate", 1e-3),
-        beta1=_manifest_float(entries, "beta1", 0.9),
-        beta2=_manifest_float(entries, "beta2", 0.98),
-        batch_size=_manifest_int(entries, "batch_size", 32),
-        max_steps=_manifest_int(entries, "steps", 100),
-        warmup_steps=_manifest_int(entries, "warmup", 0),
-    )
-    trace_path = str(base / entries["trace"]) if "trace" in entries else None
-    result = pretrain(
-        paths["examples"],
-        model_config,
-        opt_config,
-        seed=seed,
-        checkpoint_path=paths["checkpoint"],
-        trace_path=trace_path,
-        log=_note,
-        log_every=_manifest_int(entries, "log_every", 100),
-    )
-    _note(f"checkpoint: step {result.step} at {paths['checkpoint']}")
-
-    if "cls_model" in entries:
-        _run_finetune_stage(entries, base, seed, paths["checkpoint"], paths["vocab"], "cls")
-    if "ner_model" in entries:
-        _run_finetune_stage(entries, base, seed, paths["checkpoint"], paths["vocab"], "ner")
-    return 0
+    for task in ("cls", "ner"):
+        if f"{task}_model" in entries:
+            _run_finetune(entries, base, seed, paths, task)
 
 
 # --- parser assembly ---
@@ -565,6 +472,16 @@ def _add_format(parser, default: str):
     )
 
 
+def _add_options(parser, options: dict):
+    """One --flag-name per key_name of a defaults table."""
+    for key, default in options.items():
+        parser.add_argument("--" + key.replace("_", "-"), type=type(default), default=default)
+
+
+def _options(args, table: dict) -> dict:
+    return {key: getattr(args, key) for key in table}
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="farsilm", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -572,15 +489,14 @@ def build_parser() -> _Parser:
     p = sub.add_parser("normalize", help="clean and standardize text")
     _add_io(p)
     _add_format(p, "plain")
-    p.set_defaults(handler=_cmd_normalize)
+    p.set_defaults(handler=lambda a: _normalize(a.infile, a.out, a.format))
 
     p = sub.add_parser("segment", help="split documents into sentences")
     _add_io(p)
     _add_format(p, "line-records")
     p.add_argument("--mode", choices=("true", "notation"), default="true")
-    p.add_argument("--min-tokens", type=int, default=3)
-    p.add_argument("--lenient", action="store_true", help="soften repair preconditions")
-    p.set_defaults(handler=_cmd_segment)
+    p.add_argument("--min-tokens", type=int, default=SegmenterConfig.min_tokens)
+    p.set_defaults(handler=lambda a: _segment(a.infile, a.out, a.format, a.mode, a.min_tokens))
 
     p = sub.add_parser("stats", help="per-source document and sentence counts")
     _add_io(p, out_required=False)
@@ -590,10 +506,13 @@ def build_parser() -> _Parser:
     p = sub.add_parser("train-tokenizer", help="learn a subword vocabulary")
     _add_io(p)
     _add_format(p, "line-records")
-    p.add_argument("--vocab-size", type=int, default=100_000)
-    p.add_argument("--min-freq", type=int, default=3)
-    p.add_argument("--alphabet", type=int, default=1_500)
-    p.set_defaults(handler=_cmd_train_tokenizer)
+    p.add_argument("--vocab-size", type=int, default=TokenizerTrainConfig.vocab_size)
+    p.add_argument("--min-freq", type=int, default=TokenizerTrainConfig.min_frequency)
+    p.add_argument("--alphabet", type=int, default=TokenizerTrainConfig.alphabet_limit)
+    p.set_defaults(handler=lambda a: _train_tokenizer(
+        a.infile, a.out, a.format,
+        TokenizerTrainConfig(vocab_size=a.vocab_size, min_frequency=a.min_freq, alphabet_limit=a.alphabet),
+    ))
 
     p = sub.add_parser("encode", help="tokenize text lines into id records")
     _add_io(p)
@@ -604,9 +523,9 @@ def build_parser() -> _Parser:
     p = sub.add_parser("build-pretrain", help="construct masked sentence-pair examples")
     _add_io(p)
     p.add_argument("--vocab", required=True)
-    p.add_argument("--max-len", type=int, default=512)
+    p.add_argument("--max-len", type=int, default=PackingConfig.max_len)
     p.add_argument("--seed", type=int, required=True)
-    p.set_defaults(handler=_cmd_build_pretrain)
+    p.set_defaults(handler=lambda a: _build_pretrain(a.infile, a.vocab, a.out, a.max_len, a.seed))
 
     p = sub.add_parser("pretrain", help="train the encoder on an example file")
     p.add_argument("--examples", required=True)
@@ -614,51 +533,40 @@ def build_parser() -> _Parser:
     p.add_argument("--trace", help="loss trace CSV path")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--learning-rate", type=float, default=1e-3)
-    p.add_argument("--beta1", type=float, default=0.9)
-    p.add_argument("--beta2", type=float, default=0.98)
-    p.add_argument("--warmup", type=int, default=0)
-    p.add_argument("--layers", type=int, default=2)
-    p.add_argument("--heads", type=int, default=2)
-    p.add_argument("--hidden", type=int, default=64)
-    p.add_argument("--intermediate", type=int, default=256)
     p.add_argument("--max-positions", type=int, default=0, help="0 means the example length")
-    p.add_argument("--log-every", type=int, default=100)
-    p.set_defaults(handler=_cmd_pretrain)
+    _add_options(p, _PRETRAIN_OPTIONS)
+    p.set_defaults(handler=lambda a: _pretrain(
+        a.examples, a.out, a.trace, a.seed, a.steps, a.max_positions, _options(a, _PRETRAIN_OPTIONS)))
 
-    for name, handler, score in (
-        ("finetune-cls", _cmd_finetune_cls, "accuracy"),
-        ("finetune-ner", _cmd_finetune_ner, "entity F1"),
-    ):
-        p = sub.add_parser(name, help=f"fine-tune a head, tracking dev {score}")
+    for task, spec in _TASKS.items():
+        p = sub.add_parser(f"finetune-{task}", help=f"fine-tune a head, tracking dev {spec.score_name}")
         p.add_argument("--checkpoint", required=True)
         p.add_argument("--vocab", required=True)
         p.add_argument("--train", required=True)
         p.add_argument("--dev", required=True)
         p.add_argument("--out", required=True, help="head model path")
         p.add_argument("--labels", help="comma-separated inventory (default: from train data)")
-        p.add_argument("--epochs", type=int, default=5)
-        p.add_argument("--learning-rate", type=float, default=5e-4)
-        p.add_argument("--batch-size", type=int, default=16)
-        p.add_argument("--seed", type=int, default=0)
-        p.set_defaults(handler=handler)
+        _add_options(p, _FINETUNE_OPTIONS)
+        p.set_defaults(handler=lambda a, task=task: _finetune(
+            task, a.checkpoint, a.vocab, a.train, a.dev, a.out,
+            tuple(x.strip() for x in a.labels.split(",") if x.strip()) if a.labels else None,
+            _options(a, _FINETUNE_OPTIONS)))
 
-    for name, handler in (("eval-cls", _cmd_eval_cls), ("eval-ner", _cmd_eval_ner)):
-        p = sub.add_parser(name, help="score predictions against gold labels")
+    for task in _TASKS:
+        p = sub.add_parser(f"eval-{task}", help="score predictions against gold labels")
         p.add_argument("--model", required=True, help="head model path")
         p.add_argument("--vocab", required=True)
         _add_io(p, out_required=False)
-        p.set_defaults(handler=handler)
+        p.set_defaults(handler=lambda a, task=task: _cmd_eval(task, a))
 
     p = sub.add_parser("gen-synthetic", help="write a seeded synthetic dataset")
     p.add_argument("task", choices=("mlm-corpus", "cls", "ner"))
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--docs", type=int, default=120, help="mlm-corpus document count")
-    p.add_argument("--count", type=int, default=200, help="cls/ner item count")
-    p.add_argument("--classes", type=int, default=2, help="cls class count")
-    p.set_defaults(handler=_cmd_gen_synthetic)
+    p.add_argument("--docs", type=int, default=_SYNTHETIC_OPTIONS["docs"], help="mlm-corpus document count")
+    p.add_argument("--count", type=int, default=_SYNTHETIC_OPTIONS["count"], help="cls/ner item count")
+    p.add_argument("--classes", type=int, default=_SYNTHETIC_OPTIONS["classes"], help="cls class count")
+    p.set_defaults(handler=lambda a: _gen_synthetic(a.task, a.out, a.seed, a.docs, a.count, a.classes))
 
     p = sub.add_parser("dump-rules", help="write the normalization rule table")
     p.add_argument("--out", required=True)
@@ -675,13 +583,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
-    except FarsilmError as exc:
+        args.handler(args)
+    except (FarsilmError, OSError) as exc:
         print(f"farsilm {args.command}: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"farsilm {args.command}: {exc}", file=sys.stderr)
-        return 2
+    return 0
 
 
 if __name__ == "__main__":

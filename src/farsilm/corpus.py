@@ -6,8 +6,8 @@ Two on-disk formats are understood:
 * ``line-records``: one JSON object per line with string fields ``id``,
   ``source`` and ``text``; unknown fields are preserved into ``meta``.
 
-Documents are streamed, never materialized as a whole corpus, so inputs
-far larger than memory stay processable.
+Each file is read and decoded whole, so a corpus must fit in memory as
+text; documents are then built and yielded one at a time.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 from .errors import DataError
+from .lineio import read_records, read_text
 
 FORMATS = ("plain", "line-records")
 
@@ -51,7 +52,7 @@ class CorpusStats:
 
 
 def load_documents(path: str | Path, format: str = "line-records") -> Iterator[Document]:
-    """Stream documents from ``path`` in file order.
+    """Yield documents from ``path`` in file order.
 
     For line-records, a missing ``id`` is synthesized as
     ``<filename>#<line-number>`` and a missing ``source`` falls back to the
@@ -66,33 +67,12 @@ def load_documents(path: str | Path, format: str = "line-records") -> Iterator[D
     yield from _load_line_records(path)
 
 
-def _decode_utf8(path: Path) -> str:
-    try:
-        raw = path.read_bytes()
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    try:
-        return raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: invalid UTF-8 at byte offset {exc.start}") from exc
-
-
 def _load_plain(path: Path) -> Document:
-    text = _decode_utf8(path)
-    return Document(id=f"{path.name}#1", source=path.stem, text=text)
+    return Document(id=f"{path.name}#1", source=path.stem, text=read_text(path))
 
 
 def _load_line_records(path: Path) -> Iterator[Document]:
-    text = _decode_utf8(path)
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise DataError(f"{path}: malformed record on line {lineno}: {exc.msg}") from exc
-        if not isinstance(record, dict):
-            raise DataError(f"{path}: record on line {lineno} is not an object")
+    for lineno, record in read_records(path):
         if "text" not in record:
             raise DataError(f"{path}: record on line {lineno} lacks the text field")
         if not isinstance(record["text"], str):

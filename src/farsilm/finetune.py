@@ -13,6 +13,7 @@ from first-piece positions, so tag sequences always line up with words.
 
 from __future__ import annotations
 
+import io
 import re
 from dataclasses import dataclass
 
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import wordpiece as wp
 from .errors import ConfigError, DataError
-from .lineio import read_records, write_records
+from .lineio import read_records, read_text, write_records
 from .metrics import accuracy, entity_f1
 from .model import ModelConfig, _encode, _softmax, _truncated_normal, backprop_encoder
 from .pretrain_data import IGNORE_INDEX
@@ -35,6 +36,9 @@ from .training import (
 )
 
 _TAG_SHAPE = re.compile(r"^[BI][-_]\S+$")
+
+# inputs per forward pass in predict and in the per-epoch dev scoring
+PREDICT_BATCH = 32
 
 
 @dataclass(frozen=True)
@@ -77,7 +81,6 @@ class FinetuneConfig:
     learning_rate: float = 5e-4
     batch_size: int = 16
     seed: int = 0
-    subword_label_mode: str = "first-piece"
 
     def __post_init__(self):
         object.__setattr__(self, "label_inventory", tuple(self.label_inventory))
@@ -91,10 +94,6 @@ class FinetuneConfig:
             raise ConfigError("learning_rate must be positive")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be at least 1")
-        if self.subword_label_mode != "first-piece":
-            raise ConfigError(
-                f"unknown subword_label_mode {self.subword_label_mode!r}"
-            )
 
 
 @dataclass(frozen=True)
@@ -135,19 +134,19 @@ def load_tagged(path: str) -> list[TaggedSequence]:
     sequences = []
     tokens: list[str] = []
     tags: list[str] = []
-    with open(path, encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip():
-                if tokens:
-                    sequences.append(TaggedSequence(tuple(tokens), tuple(tags)))
-                    tokens, tags = [], []
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2 or not parts[0] or not parts[1]:
-                raise DataError(f"malformed token line {lineno} in {path}")
-            tokens.append(parts[0])
-            tags.append(parts[1])
+    # universal newlines, as a text-mode file read would see them
+    for lineno, raw in enumerate(io.StringIO(read_text(path), newline=None), start=1):
+        line = raw.rstrip("\n")
+        if not line.strip():
+            if tokens:
+                sequences.append(TaggedSequence(tuple(tokens), tuple(tags)))
+                tokens, tags = [], []
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2 or not parts[0] or not parts[1]:
+            raise DataError(f"malformed token line {lineno} in {path}")
+        tokens.append(parts[0])
+        tags.append(parts[1])
     if tokens:
         sequences.append(TaggedSequence(tuple(tokens), tuple(tags)))
     return sequences
@@ -172,32 +171,30 @@ def _check_tokenizer(tokenizer: wp.WordPieceModel, config: ModelConfig) -> None:
         )
 
 
-def _pad_batch(rows: list[list[int]], pad_id: int):
-    width = max(len(r) for r in rows)
-    ids = np.full((len(rows), width), pad_id, dtype=np.int64)
-    attn = np.zeros((len(rows), width), dtype=np.int64)
+def _pad(rows: list[list[int]], fill: int) -> np.ndarray:
+    out = np.full((len(rows), max(len(r) for r in rows)), fill, dtype=np.int64)
     for i, row in enumerate(rows):
-        ids[i, : len(row)] = row
-        attn[i, : len(row)] = 1
-    segs = np.zeros_like(ids)
+        out[i, : len(row)] = row
+    return out
+
+
+def _pad_batch(rows: list[list[int]], pad_id: int):
+    ids = _pad(rows, pad_id)
     return {
         "input_ids": ids,
-        "segment_ids": segs,
-        "attention_mask": attn,
+        "segment_ids": np.zeros_like(ids),
+        "attention_mask": _pad([[1] * len(r) for r in rows], 0),
         "mlm_labels": np.full_like(ids, IGNORE_INDEX),
         "nsp_labels": np.zeros(len(rows), dtype=np.int64),
     }
 
 
-def _encode_texts(texts, tokenizer, config: ModelConfig):
+def _encode_texts(texts, tokenizer, config: ModelConfig) -> list[list[int]]:
+    """[CLS] pieces [SEP] per text, truncated to the model's capacity."""
     cls_id = tokenizer.token_to_id[wp.CLS]
     sep_id = tokenizer.token_to_id[wp.SEP]
     budget = config.max_positions - 2
-    rows = []
-    for text in texts:
-        ids = wp.encode(tokenizer, text)[:budget]
-        rows.append([cls_id] + ids + [sep_id])
-    return _pad_batch(rows, tokenizer.pad_id)
+    return [[cls_id] + wp.encode(tokenizer, text)[:budget] + [sep_id] for text in texts]
 
 
 def _encode_token_rows(token_seqs, tokenizer, config: ModelConfig):
@@ -224,6 +221,27 @@ def _encode_token_rows(token_seqs, tokenizer, config: ModelConfig):
     return rows, firsts
 
 
+# the encoder output each head reads
+_HEAD_INPUT = {"classifier": "pooled", "tagger": "sequence"}
+
+
+def _encode_inputs(kind: str, inputs, tokenizer, config: ModelConfig):
+    """Piece rows for a head's inputs, plus first-piece positions for a
+    tagger (None for a classifier)."""
+    if kind == "classifier":
+        return _encode_texts(inputs, tokenizer, config), None
+    if kind == "tagger":
+        return _encode_token_rows(inputs, tokenizer, config)
+    raise ConfigError(f"unknown head kind {kind!r}")
+
+
+def _label_ids(items, label_to_id, where: str):
+    for item in items:
+        if item.label not in label_to_id:
+            raise DataError(f"label {item.label!r} is not in the label inventory")
+    return [label_to_id[item.label] for item in items]
+
+
 def _tag_ids(sequences, label_to_id, where: str):
     all_ids = []
     for i, seq in enumerate(sequences):
@@ -240,15 +258,83 @@ def _tag_ids(sequences, label_to_id, where: str):
     return all_ids
 
 
-def _init_head(config: ModelConfig, n_labels: int, seed: int):
-    rng = np.random.default_rng((seed, 4))
-    head_w = _truncated_normal(rng, (config.hidden, n_labels), 0.02)
-    head_b = np.zeros(n_labels)
-    return head_w, head_b
+def _finetune(kind, checkpoint, tokenizer, train, dev, config, inputs, targets, score):
+    """The fine-tuning loop both heads share.
 
+    ``inputs(items)`` gives the texts or word sequences to encode,
+    ``targets(items, label_to_id, where)`` their label ids (one per item,
+    or one per word), and ``score(items, predicted)`` the dev score
+    recorded after each epoch. Rows are encoded once, before training.
+    """
+    mcfg = checkpoint.model_config
+    _check_tokenizer(tokenizer, mcfg)
+    if not train:
+        raise DataError("training set is empty")
+    label_to_id = {label: i for i, label in enumerate(config.label_inventory)}
+    train_ids = targets(train, label_to_id, "train")
+    targets(dev, label_to_id, "dev")
+    rows, firsts = _encode_inputs(kind, inputs(train), tokenizer, mcfg)
+    dev_rows = _encode_inputs(kind, inputs(dev), tokenizer, mcfg)
+    if firsts is None:
+        gold_rows = np.array(train_ids)
+    else:
+        # word tags sit on first pieces; every other position is ignored
+        gold_rows = [[IGNORE_INDEX] * len(row) for row in rows]
+        for gold, first, ids in zip(gold_rows, firsts, train_ids):
+            for pos, tag_id in zip(first, ids):
+                gold[pos] = tag_id
 
-def _clone(params):
-    return {k: v.copy() for k, v in params.items()}
+    n_labels = len(config.label_inventory)
+    full = {name: value.copy() for name, value in checkpoint.params.items()}
+    rng = np.random.default_rng((config.seed, 4))
+    full["head_w"] = _truncated_normal(rng, (mcfg.hidden, n_labels), 0.02)
+    full["head_b"] = np.zeros(n_labels)
+    state = init_adam_state(full)
+    steps_per_epoch = (len(train) + config.batch_size - 1) // config.batch_size
+    opt = OptimizerConfig(
+        learning_rate=config.learning_rate,
+        batch_size=config.batch_size,
+        max_steps=max(1, config.epochs * steps_per_epoch),
+    )
+    source = _HEAD_INPUT[kind]
+    trace = []
+    for epoch in range(config.epochs):
+        order = np.random.default_rng((config.seed, 5, epoch)).permutation(len(train))
+        for start in range(0, len(train), config.batch_size):
+            picks = order[start : start + config.batch_size]
+            batch = _pad_batch([rows[i] for i in picks], tokenizer.pad_id)
+            if firsts is None:
+                gold = gold_rows[picks]
+            else:
+                gold = _pad([gold_rows[i] for i in picks], IGNORE_INDEX)
+
+            # mean softmax cross-entropy over every target not IGNORE_INDEX
+            outputs, cache = _encode(full, mcfg, batch)
+            features = outputs[source]
+            logits = features @ full["head_w"] + full["head_b"]
+            selected = gold != IGNORE_INDEX
+            dlogits = _softmax(logits) * selected[..., None]
+            picked = np.nonzero(selected)
+            dlogits[picked + (gold[picked],)] -= 1.0
+            dlogits /= int(selected.sum())
+
+            grads = {name: np.zeros_like(value) for name, value in full.items()}
+            flat_dlogits = dlogits.reshape(-1, n_labels)
+            grads["head_w"] += features.reshape(-1, mcfg.hidden).T @ flat_dlogits
+            grads["head_b"] += flat_dlogits.sum(0)
+            dfeatures = dlogits @ full["head_w"].T
+            if source == "pooled":
+                dx = np.zeros_like(outputs["sequence"])
+                backprop_encoder(full, mcfg, cache, dx, dfeatures, grads)
+            else:
+                backprop_encoder(full, mcfg, cache, dfeatures, None, grads)
+            adam_step(full, grads, state, opt)
+        if dev:
+            model = _assemble(kind, mcfg, full, config.label_inventory)
+            trace.append(score(dev, _predict_rows(model, *dev_rows, tokenizer.pad_id)))
+
+    model = _assemble(kind, mcfg, full, config.label_inventory)
+    return FinetuneOutcome(model=model, dev_trace=tuple(trace))
 
 
 def finetune_sequence(
@@ -263,58 +349,12 @@ def finetune_sequence(
     Every encoder weight updates alongside the head. Returns the model and
     the dev accuracy measured after each epoch.
     """
-    mcfg = checkpoint.model_config
-    _check_tokenizer(tokenizer, mcfg)
-    if not train:
-        raise DataError("training set is empty")
-    label_to_id = {label: i for i, label in enumerate(config.label_inventory)}
-    for item in list(train) + list(dev):
-        if item.label not in label_to_id:
-            raise DataError(f"label {item.label!r} is not in the label inventory")
-
-    params = _clone(checkpoint.params)
-    head_w, head_b = _init_head(mcfg, len(config.label_inventory), config.seed)
-    full = dict(params, head_w=head_w, head_b=head_b)
-    state = init_adam_state(full)
-    steps_per_epoch = (len(train) + config.batch_size - 1) // config.batch_size
-    opt = OptimizerConfig(
-        learning_rate=config.learning_rate,
-        batch_size=config.batch_size,
-        max_steps=max(1, config.epochs * steps_per_epoch),
+    return _finetune(
+        "classifier", checkpoint, tokenizer, train, dev, config,
+        inputs=lambda items: [item.text for item in items],
+        targets=_label_ids,
+        score=lambda items, predicted: accuracy([item.label for item in items], predicted),
     )
-
-    labels = np.array([label_to_id[item.label] for item in train])
-    trace = []
-    for epoch in range(config.epochs):
-        order = np.random.default_rng((config.seed, 5, epoch)).permutation(len(train))
-        for start in range(0, len(train), config.batch_size):
-            picks = order[start : start + config.batch_size]
-            batch = _encode_texts([train[int(i)].text for i in picks], tokenizer, mcfg)
-            gold = labels[picks]
-
-            outputs, cache = _encode(full, mcfg, batch)
-            pooled = outputs["pooled"]
-            logits = pooled @ full["head_w"] + full["head_b"]
-            probs = _softmax(logits)
-            dlogits = probs.copy()
-            dlogits[np.arange(len(gold)), gold] -= 1.0
-            dlogits /= len(gold)
-
-            grads = {name: np.zeros_like(value) for name, value in full.items()}
-            grads["head_w"] += pooled.T @ dlogits
-            grads["head_b"] += dlogits.sum(0)
-            dpooled = dlogits @ full["head_w"].T
-            dx = np.zeros_like(outputs["sequence"])
-            backprop_encoder(full, mcfg, cache, dx, dpooled, grads)
-            adam_step(full, grads, state, opt)
-
-        model = _assemble("classifier", mcfg, full, config.label_inventory)
-        if dev:
-            predicted = predict(model, tokenizer, [item.text for item in dev])
-            trace.append(accuracy([item.label for item in dev], predicted))
-
-    model = _assemble("classifier", mcfg, full, config.label_inventory)
-    return FinetuneOutcome(model=model, dev_trace=tuple(trace))
 
 
 def finetune_tokens(
@@ -329,66 +369,12 @@ def finetune_tokens(
     Word tags sit on first pieces only; continuation pieces are ignored by
     the loss. Returns the model and dev entity F1 after each epoch.
     """
-    mcfg = checkpoint.model_config
-    _check_tokenizer(tokenizer, mcfg)
-    if not train:
-        raise DataError("training set is empty")
-    label_to_id = {label: i for i, label in enumerate(config.label_inventory)}
-    train_tag_ids = _tag_ids(train, label_to_id, "train")
-    _tag_ids(dev, label_to_id, "dev")
-
-    params = _clone(checkpoint.params)
-    head_w, head_b = _init_head(mcfg, len(config.label_inventory), config.seed)
-    full = dict(params, head_w=head_w, head_b=head_b)
-    state = init_adam_state(full)
-    steps_per_epoch = (len(train) + config.batch_size - 1) // config.batch_size
-    opt = OptimizerConfig(
-        learning_rate=config.learning_rate,
-        batch_size=config.batch_size,
-        max_steps=max(1, config.epochs * steps_per_epoch),
+    return _finetune(
+        "tagger", checkpoint, tokenizer, train, dev, config,
+        inputs=lambda items: [item.tokens for item in items],
+        targets=_tag_ids,
+        score=lambda items, predicted: entity_f1([list(s.tags) for s in items], predicted).f1,
     )
-
-    rows, firsts = _encode_token_rows([s.tokens for s in train], tokenizer, mcfg)
-    trace = []
-    for epoch in range(config.epochs):
-        order = np.random.default_rng((config.seed, 5, epoch)).permutation(len(train))
-        for start in range(0, len(train), config.batch_size):
-            picks = [int(i) for i in order[start : start + config.batch_size]]
-            batch = _pad_batch([rows[i] for i in picks], tokenizer.pad_id)
-            width = batch["input_ids"].shape[1]
-            aligned = np.full((len(picks), width), IGNORE_INDEX, dtype=np.int64)
-            for b, i in enumerate(picks):
-                for pos, tag_id in zip(firsts[i], train_tag_ids[i]):
-                    aligned[b, pos] = tag_id
-
-            outputs, cache = _encode(full, mcfg, batch)
-            sequence = outputs["sequence"]
-            logits = sequence @ full["head_w"] + full["head_b"]
-            selected = aligned != IGNORE_INDEX
-            n_sel = int(selected.sum())
-            probs = _softmax(logits)
-            dlogits = probs * selected[..., None]
-            sel_rows = np.where(selected)
-            dlogits[sel_rows[0], sel_rows[1], aligned[sel_rows]] -= 1.0
-            dlogits /= n_sel
-
-            grads = {name: np.zeros_like(value) for name, value in full.items()}
-            flat_seq = sequence.reshape(-1, mcfg.hidden)
-            flat_dlogits = dlogits.reshape(-1, len(config.label_inventory))
-            grads["head_w"] += flat_seq.T @ flat_dlogits
-            grads["head_b"] += flat_dlogits.sum(0)
-            dx = dlogits @ full["head_w"].T
-            backprop_encoder(full, mcfg, cache, dx, None, grads)
-            adam_step(full, grads, state, opt)
-
-        model = _assemble("tagger", mcfg, full, config.label_inventory)
-        if dev:
-            predicted = predict(model, tokenizer, [s.tokens for s in dev])
-            score = entity_f1([list(s.tags) for s in dev], predicted)
-            trace.append(score.f1)
-
-    model = _assemble("tagger", mcfg, full, config.label_inventory)
-    return FinetuneOutcome(model=model, dev_trace=tuple(trace))
 
 
 def _assemble(kind, mcfg, full, labels) -> HeadModel:
@@ -403,35 +389,25 @@ def _assemble(kind, mcfg, full, labels) -> HeadModel:
     )
 
 
-def predict(model: HeadModel, tokenizer: wp.WordPieceModel, inputs, batch_size: int = 32):
+def _predict_rows(model: HeadModel, rows, firsts, pad_id: int):
+    results = []
+    for start in range(0, len(rows), PREDICT_BATCH):
+        batch = _pad_batch(rows[start : start + PREDICT_BATCH], pad_id)
+        outputs, _ = _encode(model.params, model.model_config, batch)
+        picks = (outputs[_HEAD_INPUT[model.kind]] @ model.head_w + model.head_b).argmax(-1)
+        if firsts is None:
+            results.extend(model.labels[int(pick)] for pick in picks)
+        else:
+            for row, first in zip(picks, firsts[start : start + PREDICT_BATCH]):
+                results.append([model.labels[int(row[pos])] for pos in first])
+    return results
+
+
+def predict(model: HeadModel, tokenizer: wp.WordPieceModel, inputs):
     """Argmax predictions: label strings for classifiers, tag rows for taggers."""
     _check_tokenizer(tokenizer, model.model_config)
-    inputs = list(inputs)
-    if not inputs:
-        return []
-    full = dict(model.params, head_w=model.head_w, head_b=model.head_b)
-    results = []
-    if model.kind == "classifier":
-        for start in range(0, len(inputs), batch_size):
-            chunk = inputs[start : start + batch_size]
-            batch = _encode_texts(chunk, tokenizer, model.model_config)
-            outputs, _ = _encode(full, model.model_config, batch)
-            logits = outputs["pooled"] @ model.head_w + model.head_b
-            for pick in logits.argmax(-1):
-                results.append(model.labels[int(pick)])
-        return results
-    if model.kind == "tagger":
-        rows, firsts = _encode_token_rows(inputs, tokenizer, model.model_config)
-        for start in range(0, len(inputs), batch_size):
-            chunk_rows = rows[start : start + batch_size]
-            batch = _pad_batch(chunk_rows, tokenizer.pad_id)
-            outputs, _ = _encode(full, model.model_config, batch)
-            logits = outputs["sequence"] @ model.head_w + model.head_b
-            picks = logits.argmax(-1)
-            for b, first in enumerate(firsts[start : start + batch_size]):
-                results.append([model.labels[int(picks[b, pos])] for pos in first])
-        return results
-    raise ConfigError(f"unknown head kind {model.kind!r}")
+    rows, firsts = _encode_inputs(model.kind, list(inputs), tokenizer, model.model_config)
+    return _predict_rows(model, rows, firsts, tokenizer.pad_id)
 
 
 def save_head_model(path: str, model: HeadModel) -> None:

@@ -1,4 +1,4 @@
-"""Line-record (JSONL) helpers used by every file-facing module.
+"""UTF-8 text and line-record (JSONL) helpers used by every file-facing module.
 
 A line-record file is UTF-8 text with one JSON object per line. Writers
 always emit LF line endings and sorted keys so identical data produces
@@ -14,23 +14,29 @@ from typing import Any, Iterable, Iterator
 from .errors import DataError
 
 
+def read_text(path: str | Path) -> str:
+    """A whole UTF-8 file as text.
+
+    An unreadable file or invalid UTF-8 raises :class:`DataError`; the
+    latter names the byte offset of the first bad byte.
+    """
+    try:
+        raw = Path(path).read_bytes()
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: invalid UTF-8 at byte offset {exc.start}") from exc
+
+
 def read_records(path: str | Path) -> Iterator[tuple[int, dict]]:
     """Yield (line_number, record) pairs from a line-record file.
 
     Line numbers are 1-based. Blank lines are skipped. A line that is not
     a JSON object raises :class:`DataError` naming the line.
     """
-    path = Path(path)
-    try:
-        raw = path.read_bytes()
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    try:
-        text = raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise DataError(
-            f"{path}: invalid UTF-8 at byte offset {exc.start}"
-        ) from exc
+    text = read_text(path)
     for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue

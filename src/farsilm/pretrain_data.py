@@ -245,14 +245,12 @@ def _record_dtype(max_len: int) -> np.dtype:
     )
 
 
-def read_examples(path: str | Path) -> tuple[list[PretrainExample], int]:
-    """Read an example file back; returns (examples, vocab_size).
-
-    Every value is range-checked against the header's vocabulary size, so
-    a file that reads back can be fed to the model as it stands.
-    """
+def _read_with_header(path: str | Path, size: int = -1) -> tuple[bytes, int, int]:
+    """The first ``size`` bytes of an example file (all with -1), plus the
+    header's (max_len, vocab_size)."""
     try:
-        blob = Path(path).read_bytes()
+        with open(path, "rb") as fh:
+            blob = fh.read(size)
     except OSError as exc:
         raise DataError(f"cannot read example file {path}: {exc}") from exc
     if len(blob) < 16 or blob[:4] != _MAGIC:
@@ -260,6 +258,21 @@ def read_examples(path: str | Path) -> tuple[list[PretrainExample], int]:
     version, max_len, vocab_size = struct.unpack("<III", blob[4:16])
     if version != _VERSION:
         raise DataError(f"{path}: unsupported example file version {version}")
+    return blob, max_len, vocab_size
+
+
+def read_examples_header(path: str | Path) -> tuple[int, int]:
+    """(max_len, vocab_size) of an example file, without reading its records."""
+    return _read_with_header(path, 16)[1:]
+
+
+def read_examples(path: str | Path) -> tuple[list[PretrainExample], int]:
+    """Read an example file back; returns (examples, vocab_size).
+
+    Every value is range-checked against the header's vocabulary size, so
+    a file that reads back can be fed to the model as it stands.
+    """
+    blob, max_len, vocab_size = _read_with_header(path)
 
     expected = 10 * max_len + 1
     count, tail = divmod(len(blob) - 16, 4 + expected)

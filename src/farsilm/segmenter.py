@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
 from typing import Protocol
 
 from .errors import AdjudicatorError, ConfigError, DataError
+from .lineio import read_text
 
 BOUNDARY_CHARS = frozenset("؟?!.:")
 
@@ -38,31 +38,11 @@ class BoundaryAdjudicator(Protocol):
 
 def load_abbreviations(path: str | Path) -> frozenset[str]:
     """Read an abbreviation lexicon: one entry per line, '#' comments."""
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot read abbreviation lexicon {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: invalid UTF-8 at byte offset {exc.start}") from exc
-    entries = set()
-    for line in text.splitlines():
-        entry = line.split("#", 1)[0].strip()
-        if entry:
-            entries.add(entry)
-    return frozenset(entries)
+    entries = (line.split("#", 1)[0].strip() for line in read_text(path).splitlines())
+    return frozenset(entry for entry in entries if entry)
 
 
-def _shipped_abbreviations() -> frozenset[str]:
-    source = resources.files("farsilm").joinpath("data/abbreviations.txt")
-    entries = set()
-    for line in source.read_text(encoding="utf-8").splitlines():
-        entry = line.split("#", 1)[0].strip()
-        if entry:
-            entries.add(entry)
-    return frozenset(entries)
-
-
-DEFAULT_ABBREVIATIONS = _shipped_abbreviations()
+DEFAULT_ABBREVIATIONS = load_abbreviations(Path(__file__).parent / "data" / "abbreviations.txt")
 
 
 @dataclass(frozen=True)

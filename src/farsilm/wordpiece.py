@@ -18,6 +18,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .errors import ConfigError, DataError
+from .lineio import read_text
 
 PAD, UNK, CLS, SEP, MASK = "[PAD]", "[UNK]", "[CLS]", "[SEP]", "[MASK]"
 SPECIAL_TOKENS = (PAD, UNK, CLS, SEP, MASK)
@@ -287,13 +288,7 @@ def save_vocab(model: WordPieceModel, path: str | Path) -> None:
 def load_vocab(
     path: str | Path, config: TokenizerTrainConfig = TokenizerTrainConfig()
 ) -> WordPieceModel:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot read vocab file {path}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: invalid UTF-8 at byte offset {exc.start}") from exc
-    vocab = tuple(text.splitlines())
+    vocab = tuple(read_text(path).splitlines())
     if len(set(vocab)) != len(vocab):
         raise DataError(f"{path}: vocab file contains duplicate tokens")
     token_to_id = {tok: i for i, tok in enumerate(vocab)}

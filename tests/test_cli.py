@@ -9,6 +9,7 @@ import pytest
 from farsilm.cli import main
 from farsilm.lineio import read_records
 from farsilm.pretrain_data import read_examples
+from farsilm.synthetic import classification_labels, ner_tag_inventory
 from farsilm.training import load_checkpoint
 
 
@@ -50,9 +51,23 @@ class TestExitCodes:
             main([])
         assert info.value.code == 1
 
-    def test_data_error_is_two(self, tmp_path):
-        assert main(["normalize", "--in", str(tmp_path / "missing.txt"),
-                     "--out", str(tmp_path / "out.txt")]) == 2
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["normalize", "--in", "{missing}", "--out", "{out}"], "cannot read"),
+            (["finetune-ner", "--checkpoint", "{checkpoint}", "--vocab", "{vocab}",
+              "--train", "{bad}", "--dev", "{bad}", "--out", "{out}"],
+             "invalid UTF-8 at byte offset 3"),
+        ],
+        ids=["missing-input", "invalid-utf8-tags"],
+    )
+    def test_data_error_is_two(self, pipeline, tmp_path, capsys, argv, message):
+        bad = tmp_path / "bad.tsv"
+        bad.write_bytes(b"ab\t\xff\n")
+        names = {"missing": tmp_path / "missing.txt", "out": tmp_path / "out", "bad": bad,
+                 "checkpoint": pipeline["checkpoint"], "vocab": pipeline["vocab"]}
+        assert main([arg.format(**names) for arg in argv]) == 2
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "damage, message",
@@ -261,3 +276,24 @@ class TestManifestRun:
         assert main(["run", "--manifest", str(self._write(tmp_path / "m.txt", extra))]) == 0
         assert (tmp_path / "cls_head.flcp").exists()
         assert any(True for _ in read_records(tmp_path / "cls_report.jsonl"))
+
+    def test_subcommands_write_the_heads_the_runner_writes(self, tmp_path):
+        settings = {"cls": ("1", "0.002", "5"), "ner": ("2", "0.001", "4")}
+        extra = "cls_classes = 3\n"
+        for task, (epochs, lr, batch) in settings.items():
+            for key in ("train", "dev", "model", "report"):
+                extra += f"{task}_{key} = {task}_{key}.out\n"
+            extra += (f"{task}_count = 12\n{task}_epochs = {epochs}\n"
+                      f"{task}_learning_rate = {lr}\n{task}_batch_size = {batch}\n")
+        assert main(["run", "--manifest", str(self._write(tmp_path / "m.txt", extra))]) == 0
+
+        labels = {"cls": classification_labels(3), "ner": ner_tag_inventory()}
+        for task, (epochs, lr, batch) in settings.items():
+            head = tmp_path / f"{task}_cli.flcp"
+            assert main([f"finetune-{task}", "--checkpoint", str(tmp_path / "ck.flcp"),
+                         "--vocab", str(tmp_path / "vocab.txt"),
+                         "--train", str(tmp_path / f"{task}_train.out"),
+                         "--dev", str(tmp_path / f"{task}_dev.out"), "--out", str(head),
+                         "--labels", ",".join(labels[task]), "--epochs", epochs,
+                         "--learning-rate", lr, "--batch-size", batch, "--seed", "21"]) == 0
+            assert filecmp.cmp(tmp_path / f"{task}_model.out", head, shallow=False), task

@@ -105,10 +105,6 @@ class TestTypes:
         with pytest.raises(ConfigError, match="nonempty"):
             FinetuneConfig(())
 
-    def test_config_rejects_unknown_alignment_mode(self):
-        with pytest.raises(ConfigError, match="subword_label_mode"):
-            FinetuneConfig(("a",), subword_label_mode="average")
-
 
 class TestDataFiles:
     def test_labeled_round_trip(self, tmp_path):
@@ -342,7 +338,8 @@ class TestHeadGradients:
         full = dict({k: v.copy() for k, v in checkpoint.params.items()})
         full["head_w"] = rng.normal(0, 0.05, (config.hidden, 2))
         full["head_b"] = np.zeros(2)
-        batch = _encode_texts(["ab zz abc", "cab dab"], tokenizer, config)
+        batch = _pad_batch(_encode_texts(["ab zz abc", "cab dab"], tokenizer, config),
+                           tokenizer.pad_id)
         gold = np.array([0, 1])
 
         outputs, cache = _encode(full, config, batch)
