@@ -2,8 +2,8 @@
 
 One subcommand per stage: corpus normalization and segmentation, corpus
 stats, tokenizer training and encoding, pretraining example construction,
-pretraining itself, fine-tuning, evaluation, synthetic data generation,
-and a rules dump. ``run`` executes a whole pipeline from a key-value
+pretraining itself, fine-tuning, evaluation and synthetic data
+generation. ``run`` executes a whole pipeline from a key-value
 manifest file, with every path declared and every seed explicit; it calls
 the same stage functions as the subcommands.
 
@@ -54,7 +54,7 @@ from .pretrain_data import (
     write_examples,
 )
 from .segmenter import SegmenterConfig, segment_by_notation, segment_true
-from .textnorm import dump_rules, normalize
+from .textnorm import normalize
 from .training import OptimizerConfig, load_checkpoint, pretrain
 from .wordpiece import (
     TokenizerTrainConfig,
@@ -343,11 +343,6 @@ def _cmd_eval(task, args) -> None:
         write_records(args.out, records)
 
 
-def _cmd_dump_rules(args) -> None:
-    count = dump_rules(args.out)
-    _note(f"wrote {count} rules at {args.out}")
-
-
 # --- manifest runner ---
 
 _MANIFEST_PATHS = ("corpus", "normalized", "segments", "vocab", "examples", "checkpoint")
@@ -567,10 +562,6 @@ def build_parser() -> _Parser:
     p.add_argument("--count", type=int, default=_SYNTHETIC_OPTIONS["count"], help="cls/ner item count")
     p.add_argument("--classes", type=int, default=_SYNTHETIC_OPTIONS["classes"], help="cls class count")
     p.set_defaults(handler=lambda a: _gen_synthetic(a.task, a.out, a.seed, a.docs, a.count, a.classes))
-
-    p = sub.add_parser("dump-rules", help="write the normalization rule table")
-    p.add_argument("--out", required=True)
-    p.set_defaults(handler=_cmd_dump_rules)
 
     p = sub.add_parser("run", help="execute a whole pipeline from a manifest")
     p.add_argument("--manifest", required=True, help="key = value manifest file")

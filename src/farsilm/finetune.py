@@ -428,11 +428,26 @@ def load_head_model(path: str) -> HeadModel:
     checkpoint = load_checkpoint(path)
     if checkpoint.head_kind is None or checkpoint.head_params is None:
         raise DataError(f"{path} holds no fine-tuned head")
+    if checkpoint.head_kind not in _HEAD_INPUT:
+        raise DataError(f"{path}: unknown head kind {checkpoint.head_kind!r}")
+    labels = tuple(checkpoint.head_labels or ())
+    head = checkpoint.head_params
+    hidden = checkpoint.model_config.hidden
+    if (
+        set(head) != {"w", "b"}
+        or head["w"].shape != (hidden, len(labels))
+        or head["b"].shape != (len(labels),)
+        or not all(np.isfinite(value).all() for value in head.values())
+    ):
+        n = len(labels)
+        raise DataError(
+            f"{path}: head tensors must be finite and shaped ({hidden}, {n}) and ({n},)"
+        )
     return HeadModel(
         kind=checkpoint.head_kind,
         model_config=checkpoint.model_config,
         params=checkpoint.params,
-        head_w=checkpoint.head_params["w"],
-        head_b=checkpoint.head_params["b"],
-        labels=tuple(checkpoint.head_labels or ()),
+        head_w=head["w"],
+        head_b=head["b"],
+        labels=labels,
     )

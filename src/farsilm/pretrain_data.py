@@ -10,9 +10,10 @@ so files are byte-identical however the work is distributed.
 from __future__ import annotations
 
 import struct
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -81,31 +82,79 @@ def build_nsp_pairs(
     A fair coin keeps the true next sentence (is-next) or swaps in a
     uniformly sampled sentence that is not the true next one, drawn from
     a different document whenever one exists.
+
+    Cost: O(n) set-up over the n corpus sentences, then O(log n) per
+    negative. The candidate pool, every corpus position outside the
+    current document that does not hold the true next sentence, is never
+    built: its size is counted from the document's range and the sorted
+    positions of that sentence, and the drawn index is mapped to the
+    position it names by bisection. The draws, ``rng.random()`` then
+    ``rng.integers(0, pool size)``, are those of listing the pool.
     """
-    doc_of: list[int] = []
     flat: list[str] = []
-    for d, sentences in enumerate(documents):
+    spans: list[tuple[int, int]] = []  # each document's [start, end) in flat
+    positions: dict[str, list[int]] = {}  # each sentence's sorted flat indices
+    for sentences in documents:
+        start = len(flat)
         for sentence in sentences:
-            doc_of.append(d)
+            positions.setdefault(sentence, []).append(len(flat))
             flat.append(sentence)
-    if len(flat) < 2:
+        spans.append((start, len(flat)))
+    n = len(flat)
+    if n < 2:
         raise DataError("insufficient sentences for NSP")
 
     pairs = []
-    for d, sentences in enumerate(documents):
+    for sentences, (start, end) in zip(documents, spans):
         for i in range(len(sentences) - 1):
             first, true_next = sentences[i], sentences[i + 1]
             if rng.random() < 0.5:
                 pairs.append((first, true_next, IS_NEXT))
                 continue
-            pool = [j for j in range(len(flat)) if doc_of[j] != d and flat[j] != true_next]
-            if not pool:
-                pool = [j for j in range(len(flat)) if flat[j] != true_next]
-            if not pool:
-                raise DataError("no negative candidate distinct from the true next sentence")
-            candidate = flat[pool[int(rng.integers(0, len(pool)))]]
-            pairs.append((first, candidate, NOT_NEXT))
+            same = positions[true_next]
+            # the positions of true_next before and after this document;
+            # with the document's range cut out, the later ones move down
+            # by its width
+            before = bisect_left(same, start)
+            after = bisect_left(same, end)
+            width = end - start
+            outside = before + len(same) - after
+            size = n - width - outside
+            if size > 0:
+                k = int(rng.integers(0, size))
+                j = k + _excluded_at_or_below(
+                    k,
+                    lambda e: same[e] if e < before else same[e - before + after] - width,
+                    outside,
+                )
+                if j >= start:
+                    j += width
+            else:
+                size = n - len(same)
+                if size == 0:
+                    raise DataError("no negative candidate distinct from the true next sentence")
+                k = int(rng.integers(0, size))
+                j = k + _excluded_at_or_below(k, same.__getitem__, len(same))
+            pairs.append((first, flat[j], NOT_NEXT))
     return pairs
+
+
+def _excluded_at_or_below(k: int, excluded: Callable[[int], int], count: int) -> int:
+    """How many of ``count`` excluded indices, ascending as ``excluded(e)``
+    for e in [0, count), precede the k-th (from 0) index not excluded.
+
+    ``excluded(e) - e`` counts the free indices below ``excluded(e)`` and
+    never decreases, so the answer, the first e where it exceeds k, is
+    found by bisection.
+    """
+    lo, hi = 0, count
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if excluded(mid) - mid <= k:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
 
 
 def assemble_input(
@@ -161,7 +210,7 @@ def apply_mlm_mask(
     attention mask. Selected positions get their original id as label;
     everything else stays ignored.
     """
-    special_ids = {model.token_to_id[t] for t in model.config.special_tokens}
+    special_ids = model.special_ids
     candidates = [
         i
         for i, (tok, attn) in enumerate(zip(example.input_ids, example.attention_mask))
@@ -174,7 +223,7 @@ def apply_mlm_mask(
     order = rng.permutation(len(candidates))
     selected = sorted(candidates[int(j)] for j in order[:k])
 
-    non_special = [i for i in range(len(model.vocab)) if i not in special_ids]
+    non_special = model.non_special_ids
     mask_id = model.token_to_id[MASK]
     ids = list(example.input_ids)
     labels = [IGNORE_INDEX] * len(ids)
@@ -296,6 +345,11 @@ def read_examples(path: str | Path) -> tuple[list[PretrainExample], int]:
                 f"{path}: corrupted record {count}: payload {length} bytes, expected {expected}"
             )
         raise DataError(f"{path}: truncated record {count}")
+    if not count and max_len:
+        # the writer gives a file without examples max_len 0
+        raise DataError(
+            f"{path}: truncated: no record follows a header for {max_len}-token records"
+        )
 
     ids = records["input_ids"]
     labels = records["mlm_labels"]

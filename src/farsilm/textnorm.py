@@ -7,18 +7,16 @@ canonical Persian letters, unifies digit families, strips diacritics,
 tidies ZWNJ and collapses whitespace. ZWNJ (U+200C) is deliberately kept
 inside words; deleting it would merge distinct Persian words.
 
-The rule inventory lives in a :class:`NormalizationRules` value so it can
-be dumped, audited and overridden from a rules file.
+The rule inventory lives in a :class:`NormalizationRules` value, so a
+caller can audit it or pass its own rules to every step.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from pathlib import Path
 
 from .errors import DataError
-from .lineio import read_records, write_records
 
 ZWNJ = "‌"
 
@@ -149,69 +147,3 @@ def normalize(text: str, rules: NormalizationRules = DEFAULT_RULES) -> str:
             return cur
         prev = cur
     return prev
-
-
-def rules_records(rules: NormalizationRules = DEFAULT_RULES) -> list[dict]:
-    """Flatten a rule inventory into dumpable line records, one per rule."""
-    records: list[dict] = [
-        {"kind": kind, "pattern": pattern, "replacement": replacement}
-        for kind, pattern, replacement in rules.junk_patterns
-    ]
-    for src in sorted(rules.char_map):
-        records.append({"kind": "char-map", "pattern": chr(src), "replacement": rules.char_map[src]})
-    for mark in sorted(rules.strip_marks):
-        records.append({"kind": "strip-mark", "pattern": chr(mark), "replacement": ""})
-    records.append(
-        {
-            "kind": "whitespace-policy",
-            "pattern": ",".join(sorted(rules.whitespace_policy)),
-            "replacement": "",
-        }
-    )
-    return records
-
-
-def dump_rules(path: str | Path, rules: NormalizationRules = DEFAULT_RULES) -> int:
-    """Write the rule inventory to a rules file; returns the record count."""
-    return write_records(path, rules_records(rules))
-
-
-def load_rules(path: str | Path) -> NormalizationRules:
-    """Read a rules file written by :func:`dump_rules` (or edited by hand)."""
-    junk: list[tuple[str, str, str]] = []
-    char_map: dict[int, str] = {}
-    strip_marks: set[int] = set()
-    whitespace_policy: set[str] = set()
-    for lineno, record in read_records(path):
-        try:
-            kind = record["kind"]
-            pattern = record["pattern"]
-            replacement = record.get("replacement", "")
-        except (KeyError, TypeError) as exc:
-            raise DataError(f"{path}: rule on line {lineno} lacks a required field") from exc
-        if kind in JUNK_KINDS:
-            junk.append((kind, pattern, replacement))
-        elif kind == "char-map":
-            if len(pattern) != 1:
-                raise DataError(
-                    f"{path}: char-map rule on line {lineno} must name a single codepoint"
-                )
-            char_map[ord(pattern)] = replacement
-        elif kind == "strip-mark":
-            if len(pattern) != 1:
-                raise DataError(
-                    f"{path}: strip-mark rule on line {lineno} must name a single codepoint"
-                )
-            strip_marks.add(ord(pattern))
-        elif kind == "whitespace-policy":
-            whitespace_policy.update(p for p in pattern.split(",") if p)
-        else:
-            raise DataError(f"{path}: unknown rule kind {kind!r} on line {lineno}")
-    if not whitespace_policy:
-        whitespace_policy = {"collapse-runs", "trim"}
-    return NormalizationRules(
-        junk_patterns=tuple(junk),
-        char_map=char_map,
-        strip_marks=frozenset(strip_marks),
-        whitespace_policy=frozenset(whitespace_policy),
-    )

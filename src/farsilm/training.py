@@ -17,6 +17,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import struct
 from dataclasses import dataclass
 
@@ -28,6 +29,8 @@ from .pretrain_data import collate, read_examples
 
 _MAGIC = b"FLCP"
 _VERSION = 1
+_TENSOR_GROUPS = ("param:", "adam_m:", "adam_v:", "head:")  # tensor name prefixes
+_NUMERIC_DTYPE = re.compile(r"[<>|][biuf][0-9]{1,2}")
 
 
 @dataclass(frozen=True)
@@ -177,20 +180,34 @@ def _config_from(cls, fields, path: str, key: str):
         allowed = int if isinstance(f.default, int) else (int, float)
         if isinstance(value, bool) or not isinstance(value, allowed):
             raise DataError(f"checkpoint {path}: {key}.{f.name} is {value!r}")
-    return cls(**fields)
+    try:
+        return cls(**fields)
+    except ConfigError as exc:
+        raise DataError(f"checkpoint {path}: {key}: {exc}") from exc
 
 
 def _tensor_spec(entry, path: str) -> tuple[str, np.dtype, tuple[int, ...]]:
     try:
-        name, dtype, shape = entry["name"], np.dtype(entry["dtype"]), tuple(entry["shape"])
-    except (KeyError, TypeError, ValueError) as exc:
+        name, spelled, shape = entry["name"], entry["dtype"], tuple(entry["shape"])
+    except (KeyError, TypeError) as exc:
         raise DataError(f"checkpoint {path} has a malformed tensor entry {entry!r}") from exc
     if not isinstance(name, str) or not all(
         isinstance(d, int) and not isinstance(d, bool) and d >= 0 for d in shape
     ):
         raise DataError(f"checkpoint {path} has a malformed tensor entry {entry!r}")
-    if dtype.kind not in "biuf":
-        raise DataError(f"checkpoint {path}: tensor {name} has non-numeric dtype {dtype.str}")
+    if not name.startswith(_TENSOR_GROUPS):
+        raise DataError(f"checkpoint {path}: tensor {name!r} belongs to no group")
+    # np.dtype parses far more than the writer writes (field lists, repeat
+    # counts, some of which end in SyntaxError), so only a plain numeric
+    # spelling reaches it, and only the one spelling the writer uses passes
+    if not (isinstance(spelled, str) and _NUMERIC_DTYPE.fullmatch(spelled)):
+        raise DataError(f"checkpoint {path}: tensor {name} has non-numeric dtype {spelled!r}")
+    try:
+        dtype = np.dtype(spelled)
+    except TypeError as exc:
+        raise DataError(f"checkpoint {path}: tensor {name} has unknown dtype {spelled!r}") from exc
+    if dtype.str != spelled:
+        raise DataError(f"checkpoint {path}: tensor {name} dtype {spelled!r} is not {dtype.str!r}")
     return name, dtype, shape
 
 
@@ -216,6 +233,9 @@ def load_checkpoint(path: str) -> Checkpoint:
     for key in ("model_config", "opt_config", "step", "tensors"):
         if key not in header:
             raise DataError(f"checkpoint {path} header lacks {key!r}")
+    unknown = sorted(set(header) - {"model_config", "opt_config", "step", "tensors", "head"})
+    if unknown:
+        raise DataError(f"checkpoint {path} header has unknown keys {unknown}")
     step = header["step"]
     if isinstance(step, bool) or not isinstance(step, int) or step < 0:
         raise DataError(f"checkpoint {path} has a bad step {step!r}")
@@ -226,6 +246,7 @@ def load_checkpoint(path: str) -> Checkpoint:
         isinstance(head, dict)
         and isinstance(head.get("kind"), str)
         and isinstance(head.get("labels"), list)
+        and all(isinstance(label, str) for label in head["labels"])
     ):
         raise DataError(f"checkpoint {path} has a malformed head record")
     model_config = _config_from(ModelConfig, header["model_config"], path, "model_config")
@@ -235,6 +256,9 @@ def load_checkpoint(path: str) -> Checkpoint:
     tensors: dict[str, np.ndarray] = {}
     for entry in header["tensors"]:
         name, dtype, shape = _tensor_spec(entry, path)
+        if tensors and name <= next(reversed(tensors)):
+            # the writer lists tensors once each, in name order
+            raise DataError(f"checkpoint {path}: tensor {name} is repeated or out of order")
         nbytes = dtype.itemsize * math.prod(shape)
         chunk = data[offset : offset + nbytes]
         if len(chunk) != nbytes:
@@ -263,6 +287,8 @@ def load_checkpoint(path: str) -> Checkpoint:
         ):
             raise DataError(f"checkpoint {path}: Adam moments do not match the parameters")
     head_params = group("head:")
+    if bool(head_params) != (head is not None):
+        raise DataError(f"checkpoint {path}: head tensors and head record disagree")
     return Checkpoint(
         model_config,
         opt_config,

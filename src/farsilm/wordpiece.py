@@ -6,14 +6,23 @@ repeatedly merge the adjacent pair maximizing freq(ab)/(freq(a)·freq(b))
 until the vocabulary cap is hit or no pair is frequent enough. Encoding
 is the greedy longest-match-first walk over a word. Everything is
 deterministic: ties are broken by pair frequency, then by the merged
-string with the continuation prefix ignored, then with it included.
+string with the continuation prefix ignored, then with it included, then
+by where the pair first occurs in the corpus.
+
+Cost per call: training counts pieces and pairs once, O(characters of
+the distinct words); each merge then rewrites only the words holding the
+merged pair and re-ranks, at O(log pairs) each, only the pairs whose
+counts it changed. ``encode`` pretokenizes and matches a whitespace
+chunk the first time a model sees it; later it costs one dict lookup.
 """
 
 from __future__ import annotations
 
+import heapq
 import unicodedata
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -56,6 +65,11 @@ class WordPieceModel:
     vocab: tuple[str, ...]
     token_to_id: dict[str, int]
     config: TokenizerTrainConfig = field(default_factory=TokenizerTrainConfig)
+    # ids of each whitespace-separated chunk encode has seen; tuples, so
+    # no caller can edit a cached entry through the list encode returns
+    _chunk_ids: dict[str, tuple[int, ...]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         specials = self.config.special_tokens
@@ -75,6 +89,15 @@ class WordPieceModel:
     @property
     def pad_id(self) -> int:
         return self.token_to_id[PAD]
+
+    @cached_property
+    def special_ids(self) -> frozenset[int]:
+        return frozenset(self.token_to_id[t] for t in self.config.special_tokens)
+
+    @cached_property
+    def non_special_ids(self) -> tuple[int, ...]:
+        """Every id but the special tokens', ascending."""
+        return tuple(i for i in range(len(self.vocab)) if i not in self.special_ids)
 
 
 def _is_punct(ch: str) -> bool:
@@ -157,45 +180,158 @@ def train_wordpiece(
 
     vocab: list[str] = list(config.special_tokens) + seed_pieces
     in_vocab = set(vocab)
+    merges = _MergeCounts(words, config.min_frequency, prefix)
     while len(vocab) < config.vocab_size:
-        piece_freq: Counter[str] = Counter()
-        pair_freq: Counter[tuple[str, str]] = Counter()
-        for pieces, freq in words.items():
-            for piece in pieces:
-                piece_freq[piece] += freq
-            for a, b in zip(pieces, pieces[1:]):
-                pair_freq[(a, b)] += freq
-
-        eligible = [
-            (pair, freq) for pair, freq in pair_freq.items() if freq >= config.min_frequency
-        ]
-        if not eligible:
+        best = merges.best()
+        if best is None:
             break
-
-        def rank(item):
-            (a, b), freq = item
-            score = freq / (piece_freq[a] * piece_freq[b])
-            merged = a + _strip_prefix(b, prefix)
-            return (-score, -freq, _strip_prefix(merged, prefix), merged)
-
-        (best_a, best_b), _ = min(eligible, key=rank)
-        merged = best_a + _strip_prefix(best_b, prefix)
-        if merged in in_vocab:
-            # a pair can re-form after other merges; re-merging it adds
-            # no new token, so only the decompositions are updated
-            pass
-        else:
+        merged = merges.merge(*best)
+        # a pair can re-form after other merges; re-merging it adds no new
+        # token, so only the decompositions are updated
+        if merged not in in_vocab:
             vocab.append(merged)
             in_vocab.add(merged)
-        words = Counter(
-            {
-                _apply_merge(pieces, best_a, best_b, merged): freq
-                for pieces, freq in words.items()
-            }
-        )
 
     token_to_id = {tok: i for i, tok in enumerate(vocab)}
     return WordPieceModel(vocab=tuple(vocab), token_to_id=token_to_id, config=config)
+
+
+Pair = tuple[str, str]
+
+
+class _MergeCounts:
+    """Piece and adjacent-pair counts over the training words, kept up to
+    date merge by merge, plus a heap of pairs by rank.
+
+    A merge rewrites only the words that hold the merged pair, found
+    through an index from each pair to those words, and re-ranks only the
+    pairs whose count, or whose pieces' counts, it changed. Heap entries
+    made stale by a later change are skipped when they surface.
+    """
+
+    def __init__(self, words: Counter[tuple[str, ...]], min_frequency: int, prefix: str):
+        self.min_frequency = min_frequency
+        self.prefix = prefix
+        # first-seen order; the order ties are broken in (see ``best``)
+        self.words = list(words)
+        self.freqs = list(words.values())
+        self.piece_freq: Counter[str] = Counter()
+        self.pair_freq: Counter[Pair] = Counter()
+        self.pair_words: dict[Pair, set[int]] = defaultdict(set)
+        self.piece_pairs: dict[str, set[Pair]] = defaultdict(set)
+        for w, (pieces, freq) in enumerate(zip(self.words, self.freqs)):
+            for piece in pieces:
+                self.piece_freq[piece] += freq
+            for pair in zip(pieces, pieces[1:]):
+                self.pair_freq[pair] += freq
+                self.pair_words[pair].add(w)
+        for a, b in self.pair_freq:
+            self.piece_pairs[a].add((a, b))
+            self.piece_pairs[b].add((a, b))
+        self.heap: list[tuple] = []
+        self._push(self.pair_freq)
+
+    def _rank(self, pair: Pair) -> tuple | None:
+        """Heap entry of a pair, or None when it is below min_frequency;
+        smaller ranks higher."""
+        freq = self.pair_freq.get(pair, 0)
+        if freq < self.min_frequency:
+            return None
+        a, b = pair
+        score = freq / (self.piece_freq[a] * self.piece_freq[b])
+        merged = a + _strip_prefix(b, self.prefix)
+        return (-score, -freq, _strip_prefix(merged, self.prefix), merged, a, b)
+
+    def _push(self, pairs: Iterable[Pair]) -> None:
+        for pair in pairs:
+            entry = self._rank(pair)
+            if entry is not None:
+                heapq.heappush(self.heap, entry)
+
+    def _pop_current(self) -> tuple | None:
+        """Pop entries until one still holds its pair's current rank."""
+        while self.heap:
+            entry = heapq.heappop(self.heap)
+            if self._rank(entry[4:]) == entry:
+                return entry
+        return None
+
+    def _first_seen(self, pair: Pair) -> tuple[int, int]:
+        w = min(self.pair_words[pair])
+        pieces = self.words[w]
+        return w, next(i for i, adjacent in enumerate(zip(pieces, pieces[1:])) if adjacent == pair)
+
+    def best(self) -> Pair | None:
+        """The eligible pair of highest score, then of highest frequency,
+        then smallest merged string with the continuation prefix ignored,
+        then with it included. Pairs equal on all four (two splits of one
+        merged string) go by where the pair first occurs, in first-seen
+        word order and then left to right: the order a full recount lists
+        them in."""
+        top = self._pop_current()
+        if top is None:
+            return None
+        tied = [top]
+        while self.heap and self.heap[0][:4] == top[:4]:
+            entry = self._pop_current()
+            if entry is not None and entry[:4] == top[:4] and entry not in tied:
+                tied.append(entry)
+            elif entry is not None:
+                heapq.heappush(self.heap, entry)
+                break
+        if len(tied) == 1:
+            return top[4:]
+        tied.sort(key=lambda entry: self._first_seen(entry[4:]))
+        for entry in tied[1:]:
+            heapq.heappush(self.heap, entry)
+        return tied[0][4:]
+
+    def merge(self, a: str, b: str) -> str:
+        """Merge every occurrence of (a, b); returns the merged piece."""
+        merged = a + _strip_prefix(b, self.prefix)
+        piece_delta: Counter[str] = Counter()
+        pair_delta: Counter[Pair] = Counter()
+        for w in list(self.pair_words[(a, b)]):
+            old = self.words[w]
+            new = _apply_merge(old, a, b, merged)
+            self.words[w] = new
+            freq = self.freqs[w]
+            for piece in old:
+                piece_delta[piece] -= freq
+            for piece in new:
+                piece_delta[piece] += freq
+            for pair in zip(old, old[1:]):
+                pair_delta[pair] -= freq
+                self.pair_words[pair].discard(w)
+            for pair in zip(new, new[1:]):
+                pair_delta[pair] += freq
+                self.pair_words[pair].add(w)
+
+        dirty: set[Pair] = set()
+        for pair, delta in pair_delta.items():
+            if not delta:
+                continue
+            dirty.add(pair)
+            was = self.pair_freq[pair]
+            self.pair_freq[pair] = now = was + delta
+            if now == 0:
+                del self.pair_freq[pair], self.pair_words[pair]
+                self.piece_pairs[pair[0]].discard(pair)
+                self.piece_pairs[pair[1]].discard(pair)
+            elif was == 0:
+                self.piece_pairs[pair[0]].add(pair)
+                self.piece_pairs[pair[1]].add(pair)
+        for piece, delta in piece_delta.items():
+            if delta:
+                self.piece_freq[piece] += delta
+                dirty.update(self.piece_pairs[piece])
+        self._push(dirty)
+        if len(self.heap) > 2 * len(self.pair_freq):
+            # mostly stale entries: rebuild from the current ranks, which
+            # keeps the heap, and the memory it holds, linear in the pairs
+            self.heap = []
+            self._push(self.pair_freq)
+        return merged
 
 
 def _apply_merge(
@@ -242,11 +378,18 @@ def encode(model: WordPieceModel, text: str) -> list[int]:
     """Tokenize to ids: whitespace words, greedy longest-match pieces.
 
     A word with no matching piece, or longer than max_word_chars, becomes
-    a single [UNK].
+    a single [UNK]. Each whitespace-separated chunk is encoded once per
+    model and then read from the model's memo, so a call costs one dict
+    lookup per chunk it has seen before.
     """
-    ids = []
-    for word in pretokenize(text):
-        ids.extend(_encode_word(model, word))
+    memo = model._chunk_ids
+    ids: list[int] = []
+    for chunk in text.split():
+        chunk_ids = memo.get(chunk)
+        if chunk_ids is None:
+            chunk_ids = tuple(i for word in pretokenize(chunk) for i in _encode_word(model, word))
+            memo[chunk] = chunk_ids
+        ids.extend(chunk_ids)
     return ids
 
 

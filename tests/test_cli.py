@@ -216,14 +216,6 @@ class TestGenSynthetic:
                      "--classes", "1", "--out", str(tmp_path / "x.jsonl")]) == 2
 
 
-class TestDumpRules:
-    def test_writes_rule_records(self, tmp_path):
-        out = tmp_path / "rules.jsonl"
-        assert main(["dump-rules", "--out", str(out)]) == 0
-        kinds = {r["kind"] for _, r in read_records(out)}
-        assert kinds
-
-
 class TestManifestRun:
     def _write(self, path: Path, extra: str = "") -> Path:
         path.write_text(

@@ -1,5 +1,9 @@
+import time
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from farsilm.errors import ConfigError, DataError
 from farsilm.pretrain_data import (
@@ -19,6 +23,7 @@ from farsilm.pretrain_data import (
     write_examples,
 )
 from farsilm.wordpiece import CLS, MASK, PAD, SEP, SPECIAL_TOKENS, WordPieceModel
+from mutation import mutate, mutations
 
 
 def model_from(tokens):
@@ -45,6 +50,76 @@ class StubRng:
 
     def integers(self, low, high):
         return low
+
+
+def reference_nsp_pairs(documents, rng):
+    """build_nsp_pairs as it was before its pool went arithmetic: the pool
+    of candidates is listed in full for every negative, O(n) each."""
+    doc_of, flat = [], []
+    for d, sentences in enumerate(documents):
+        for sentence in sentences:
+            doc_of.append(d)
+            flat.append(sentence)
+    if len(flat) < 2:
+        raise DataError("insufficient sentences for NSP")
+    pairs = []
+    for d, sentences in enumerate(documents):
+        for i in range(len(sentences) - 1):
+            first, true_next = sentences[i], sentences[i + 1]
+            if rng.random() < 0.5:
+                pairs.append((first, true_next, IS_NEXT))
+                continue
+            pool = [j for j in range(len(flat)) if doc_of[j] != d and flat[j] != true_next]
+            if not pool:
+                pool = [j for j in range(len(flat)) if flat[j] != true_next]
+            if not pool:
+                raise DataError("no negative candidate distinct from the true next sentence")
+            candidate = flat[pool[int(rng.integers(0, len(pool)))]]
+            pairs.append((first, candidate, NOT_NEXT))
+    return pairs
+
+
+def outcome(build, documents, seed):
+    """Pairs or the DataError message, plus where the generator was left."""
+    rng = np.random.default_rng(seed)
+    try:
+        result = build(documents, rng)
+    except DataError as exc:
+        result = str(exc)
+    return result, rng.bit_generator.state
+
+
+# few distinct sentences, so duplicates within and across documents are
+# the rule; empty and one-sentence documents included
+nsp_corpora = st.lists(
+    st.lists(st.sampled_from("abcd"), max_size=6), min_size=1, max_size=5
+)
+
+
+class TestNspMatchesFullPool:
+    @given(nsp_corpora, st.integers(0, 2**32 - 1))
+    @example([["a", "b", "a", "c", "a", "b"]], 0)  # one document: fallback pool
+    @example([["a", "a"], ["a"], []], 0)  # every sentence alike: no candidate
+    @example([["a", "b"], ["b", "b", "b"], ["c", "b"]], 5)  # others hold only true_next
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    def test_same_pairs_and_draws(self, documents, seed):
+        assert outcome(build_nsp_pairs, documents, seed) == outcome(
+            reference_nsp_pairs, documents, seed
+        )
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=25, derandomize=True, deadline=None)
+    def test_long_document_among_short_ones(self, seed):
+        docs = [["a", "b"] * 40 + ["c"], ["b", "a", "d"], ["c"] * 5, ["a", "e"]]
+        assert outcome(build_nsp_pairs, docs, seed) == outcome(reference_nsp_pairs, docs, seed)
+
+    def test_scale_is_not_quadratic(self):
+        docs = [[f"d{d} s{i}" for i in range(10)] for d in range(2_000)]
+        started = time.monotonic()
+        pairs = build_nsp_pairs(docs, np.random.default_rng(4))
+        elapsed = time.monotonic() - started
+        assert len(pairs) == 2_000 * 9
+        assert elapsed < 3.0
 
 
 class TestBuildNspPairs:
@@ -353,6 +428,36 @@ class TestPipelineAndFiles:
         assert batch["input_ids"].shape == (n, 16)
         assert batch["nsp_labels"].shape == (n,)
         assert batch["input_ids"].dtype == np.int64
+
+
+class TestExampleFileMutation:
+    def test_mutated_file_is_rejected_or_read_faithfully(self, tmp_path_factory):
+        """The format carries no checksum, so a flipped token byte can make
+        another valid file; what must hold is that the reader either raises
+        DataError or returns exactly what the bytes say, so writing the
+        examples back gives the mutated file byte for byte."""
+        work = tmp_path_factory.mktemp("mutation")
+        docs = [[sent("abcde"), sent("fgh")], [sent("ijk"), sent("lmnop"), sent("qrst")]]
+        examples = build_pretrain_examples(docs, MODEL, PackingConfig(max_len=12, rng_seed=3))
+        write_examples(examples, work / "good.ptex", len(MODEL.vocab))
+        data = (work / "good.ptex").read_bytes()
+
+        @given(mutations(len(data), 16))
+        @example(("truncate", 16))  # the header alone
+        @example(("truncate", len(data) - (len(data) - 16) // 2))  # a whole record
+        @settings(max_examples=400, derandomize=True, deadline=None)
+        def check(mutation):
+            mutated = mutate(data, mutation)
+            path = work / "mutated.ptex"
+            path.write_bytes(mutated)
+            try:
+                got, vocab_size = read_examples(path)
+            except DataError:
+                return
+            write_examples(got, path, vocab_size)
+            assert path.read_bytes() == mutated
+
+        check()
 
 
 class TestExampleValidation:

@@ -10,10 +10,7 @@ from farsilm.textnorm import (
     ZWNJ,
     NormalizationRules,
     clean_junk,
-    dump_rules,
-    load_rules,
     normalize,
-    rules_records,
     standardize_chars,
 )
 
@@ -178,33 +175,6 @@ class TestNormalize:
         assert out == out.strip()
 
 
-class TestRulesIO:
-    def test_dump_load_round_trip(self, tmp_path):
-        path = tmp_path / "rules.jsonl"
-        count = dump_rules(path)
-        assert count == len(rules_records())
-        loaded = load_rules(path)
-        assert loaded == DEFAULT_RULES
-
-    def test_unknown_kind_rejected(self, tmp_path):
-        path = tmp_path / "rules.jsonl"
-        path.write_text('{"kind": "mystery", "pattern": "x", "replacement": ""}\n')
-        with pytest.raises(DataError, match="mystery"):
-            load_rules(path)
-
-    def test_multichar_charmap_pattern_rejected(self, tmp_path):
-        path = tmp_path / "rules.jsonl"
-        path.write_text('{"kind": "char-map", "pattern": "ab", "replacement": "c"}\n')
-        with pytest.raises(DataError, match="single codepoint"):
-            load_rules(path)
-
-    def test_loaded_override_changes_behavior(self, tmp_path):
-        path = tmp_path / "rules.jsonl"
-        path.write_text('{"kind": "char-map", "pattern": "x", "replacement": "y"}\n')
-        rules = load_rules(path)
-        assert normalize("xx <b>", rules) == "yy <b>"
-
-
 class TestRulesValidation:
     def test_char_map_must_be_closed(self):
         with pytest.raises(DataError, match="not closed"):
@@ -234,3 +204,9 @@ class TestRulesValidation:
         text = "عليكتاب١٢3" * 3
         once = text.translate(DEFAULT_RULES.char_map)
         assert once.translate(DEFAULT_RULES.char_map) == once
+
+    def test_custom_rules_change_behavior(self):
+        rules = NormalizationRules(
+            junk_patterns=(), char_map={ord("x"): "y"}, strip_marks=frozenset()
+        )
+        assert normalize("xx <b>", rules) == "yy <b>"

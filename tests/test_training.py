@@ -5,8 +5,10 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from farsilm.errors import ConfigError, DataError
+from farsilm.finetune import load_head_model
 from farsilm.model import ModelConfig, init_params
 from farsilm.pretrain_data import MaskingPolicy, PackingConfig, build_pretrain_examples, write_examples
 from farsilm.training import (
@@ -21,6 +23,7 @@ from farsilm.training import (
     write_loss_trace,
 )
 from farsilm.wordpiece import TokenizerTrainConfig, train_wordpiece
+from mutation import mutate, mutations
 
 WORDS = ["ab", "abc", "bcd", "cab", "dab", "bad", "cad", "add", "dba", "cba"]
 
@@ -242,6 +245,64 @@ class TestCheckpoint:
 
         with pytest.raises(DataError, match="Adam moments"):
             load_checkpoint(self._rewritten(tmp_path, rename))
+
+
+def _split_checkpoint(data):
+    (header_len,) = struct.unpack("<I", data[8:12])
+    return data[:8], json.loads(data[12 : 12 + header_len]), data[12 + header_len :]
+
+
+def _valid_checkpoints(tmp_path):
+    """A pretraining checkpoint with Adam moments and a fine-tuned one with
+    a head record and head tensors, small enough to mutate quickly."""
+    config = ModelConfig(
+        layers=1, heads=1, hidden=4, intermediate=4, vocab_size=8, max_positions=8
+    )
+    params = init_params(config, seed=3)
+    state = init_adam_state(params)
+    state.step = 7
+    opt = OptimizerConfig(max_steps=7)
+    pretrained, tuned = tmp_path / "pretrained.flcp", tmp_path / "tuned.flcp"
+    save_checkpoint(str(pretrained), config, opt, params, state)
+    head = {"w": np.full((4, 2), 0.5), "b": np.zeros(2)}
+    save_checkpoint(
+        str(tuned), config, opt, params, AdamState(m={}, v={}, step=0),
+        head_kind="classifier", head_labels=("neg", "pos"), head_params=head,
+    )
+    return pretrained.read_bytes(), tuned.read_bytes()
+
+
+class TestCheckpointMutation:
+    @pytest.mark.parametrize("which", [0, 1], ids=["pretrained", "tuned"])
+    def test_mutated_file_is_rejected_or_read_faithfully(self, which, tmp_path_factory):
+        """Neither format carries a checksum, so a flipped value byte can
+        make another valid file; what must hold is that the reader either
+        raises DataError or returns exactly what the bytes say, so saving
+        the loaded checkpoint gives the same header record and tensor bytes."""
+        work = tmp_path_factory.mktemp("mutation")
+        data = _valid_checkpoints(work)[which]
+        header_end = 12 + struct.unpack("<I", data[8:12])[0]
+
+        @given(mutations(len(data), header_end))
+        @settings(max_examples=300, derandomize=True, deadline=None)
+        def check(mutation):
+            path = work / "mutated.flcp"
+            mutated = mutate(data, mutation)
+            path.write_bytes(mutated)
+            try:
+                got = load_checkpoint(str(path))
+                if got.head_kind is not None:
+                    load_head_model(str(path))
+            except DataError:
+                return
+            save_checkpoint(
+                str(path), got.model_config, got.opt_config, got.params, got.adam_state,
+                head_kind=got.head_kind, head_labels=got.head_labels,
+                head_params=got.head_params,
+            )
+            assert _split_checkpoint(path.read_bytes()) == _split_checkpoint(mutated)
+
+        check()
 
 
 class TestLossTrace:

@@ -1,8 +1,11 @@
+from collections import Counter
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from farsilm.errors import ConfigError, DataError
+from farsilm.pretrain_data import PackingConfig, assemble_input
 from farsilm.wordpiece import (
     CLS,
     MASK,
@@ -20,6 +23,7 @@ from farsilm.wordpiece import (
     save_vocab,
     train_wordpiece,
 )
+from farsilm.wordpiece import _apply_merge, _decompose, _MergeCounts, _strip_prefix
 
 
 def model_from(tokens):
@@ -44,6 +48,130 @@ class TestPretokenize:
     def test_empty(self):
         assert pretokenize("") == []
         assert pretokenize("   ") == []
+
+
+def reference_train(sentences, config):
+    """train_wordpiece's vocab as it was computed before merge counts were
+    kept up to date: every piece and pair recounted on every merge."""
+    word_freq = Counter()
+    for sentence in sentences:
+        word_freq.update(pretokenize(sentence))
+    if not word_freq:
+        raise DataError("training corpus is empty")
+
+    char_freq = Counter()
+    for word, freq in word_freq.items():
+        for ch in word:
+            char_freq[ch] += freq
+    ranked = sorted(char_freq.items(), key=lambda item: (-item[1], ord(item[0])))
+    alphabet = {ch for ch, _ in ranked[: config.alphabet_limit]}
+
+    prefix = config.continuation_prefix
+    words = Counter()
+    initial_chars, continuation_chars = set(), set()
+    for word, freq in word_freq.items():
+        if any(ch not in alphabet for ch in word):
+            continue
+        words[_decompose(word, prefix)] += freq
+        initial_chars.add(word[0])
+        continuation_chars.update(word[1:])
+
+    seed_pieces = [ch for ch, _ in ranked[: config.alphabet_limit] if ch in initial_chars]
+    seed_pieces += [
+        prefix + ch for ch, _ in ranked[: config.alphabet_limit] if ch in continuation_chars
+    ]
+    needed = len(config.special_tokens) + len(seed_pieces)
+    if config.vocab_size < needed:
+        raise ConfigError(
+            f"vocab_size {config.vocab_size} cannot hold {len(config.special_tokens)} "
+            f"special tokens plus {len(seed_pieces)} alphabet pieces; "
+            f"short by {needed - config.vocab_size}"
+        )
+
+    vocab = list(config.special_tokens) + seed_pieces
+    in_vocab = set(vocab)
+    while len(vocab) < config.vocab_size:
+        piece_freq, pair_freq = Counter(), Counter()
+        for pieces, freq in words.items():
+            for piece in pieces:
+                piece_freq[piece] += freq
+            for a, b in zip(pieces, pieces[1:]):
+                pair_freq[(a, b)] += freq
+        eligible = [
+            (pair, freq) for pair, freq in pair_freq.items() if freq >= config.min_frequency
+        ]
+        if not eligible:
+            break
+
+        def rank(item):
+            (a, b), freq = item
+            score = freq / (piece_freq[a] * piece_freq[b])
+            merged = a + _strip_prefix(b, prefix)
+            return (-score, -freq, _strip_prefix(merged, prefix), merged)
+
+        (best_a, best_b), _ = min(eligible, key=rank)
+        merged = best_a + _strip_prefix(best_b, prefix)
+        if merged not in in_vocab:
+            vocab.append(merged)
+            in_vocab.add(merged)
+        words = Counter(
+            {_apply_merge(pieces, best_a, best_b, merged): f for pieces, f in words.items()}
+        )
+    return tuple(vocab)
+
+
+def training_outcome(train, sentences, config):
+    try:
+        return train(sentences, config)
+    except (ConfigError, DataError) as exc:
+        return type(exc), str(exc)
+
+
+# words over four letters, so pairs repeat and scores tie often; the
+# punctuation marks become one-character words
+training_corpora = st.lists(
+    st.lists(st.text("abcd.", min_size=1, max_size=6), min_size=1, max_size=6).map(" ".join),
+    max_size=8,
+)
+
+
+class TestTrainingMatchesRecount:
+    @given(
+        training_corpora,
+        st.integers(6, 60),
+        st.integers(1, 4),
+        st.integers(1, 5),
+        st.sampled_from(["##", "@"]),
+    )
+    @example(["ab ab ab"], 100, 3, 1500, "##")  # pair exactly at min_frequency
+    @example(["ab ab"], 100, 3, 1500, "##")  # pair one below it
+    @example(["aaab"] * 3, 12, 1, 1500, "##")  # score and frequency ties
+    @example(["ab ba ab ba"], 100, 1, 1500, "##")  # ties down to the merged string
+    @example(["  "], 10, 1, 5, "##")  # empty corpus
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    def test_same_vocab(self, sentences, vocab_size, min_frequency, alphabet_limit, prefix):
+        config = TokenizerTrainConfig(
+            vocab_size=vocab_size,
+            min_frequency=min_frequency,
+            alphabet_limit=alphabet_limit,
+            continuation_prefix=prefix,
+        )
+        got = training_outcome(train_wordpiece, sentences, config)
+        if isinstance(got, WordPieceModel):
+            got = got.vocab
+        assert got == training_outcome(reference_train, sentences, config)
+
+    @pytest.mark.parametrize(
+        "words, expected",
+        [
+            ({("ab", "##c"): 2, ("a", "##bc"): 2}, ("ab", "##c")),
+            ({("a", "##bc"): 2, ("ab", "##c"): 2}, ("a", "##bc")),
+        ],
+    )
+    def test_equal_rank_goes_to_first_seen_pair(self, words, expected):
+        # both pairs merge to "abc" with frequency 2 and score 2/(2*2);
+        # a full recount lists pairs in first-seen word order
+        assert _MergeCounts(Counter(words), 1, "##").best() == expected
 
 
 class TestTraining:
@@ -141,6 +269,28 @@ class TestTraining:
 
 
 class TestEncode:
+    @pytest.mark.parametrize(
+        "text, ids",
+        [("aaaa bbbb, aa", [5, 6, 6, 6, 7, 8, 8, 8, 1, 5, 6]), ("aaaaaa", [5, 6, 6, 6, 6, 6])],
+    )
+    def test_truncation_leaves_memo_intact(self, text, ids):
+        model = model_from(["a", "##a", "b", "##b"])
+        first = encode(model, text)
+        example = assemble_input((text, "b", 1), model, PackingConfig(max_len=8))
+        assert example.input_ids[1:5] == tuple(ids[:4])  # A was cut to fit
+        first.clear()
+        assert encode(model, text) == ids
+
+    def test_memo_is_per_model(self):
+        text = "ab ab"
+        assert encode(model_from(["a", "##b"]), text) == [5, 6, 5, 6]
+        assert encode(model_from(["ab"]), text) == [5, 5]
+
+    def test_special_id_tables(self):
+        model = model_from(["x", "y"])
+        assert model.special_ids == frozenset(range(len(SPECIAL_TOKENS)))
+        assert model.non_special_ids == (5, 6)
+
     def test_greedy_longest_match(self):
         model = model_from(["un", "##aff", "##able", "u", "##n", "##a"])
         assert encode_to_pieces(model, "unaffable") == ["un", "##aff", "##able"]
