@@ -8,7 +8,7 @@ deterministic seeding end to end.
 """
 
 from .corpus import CorpusStats, Document, corpus_stats, load_documents
-from .errors import AdjudicatorError, ConfigError, DataError, FarsilmError
+from .errors import ConfigError, DataError, FarsilmError
 from .finetune import (
     FinetuneConfig,
     HeadModel,
@@ -60,7 +60,6 @@ from .wordpiece import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdjudicatorError",
     "Checkpoint",
     "ConfigError",
     "CorpusStats",

@@ -45,7 +45,7 @@ from .metrics import (
     format_entity_score,
     format_eval_report,
 )
-from .model import ModelConfig
+from .model import ModelConfig, desk_config
 from .pretrain_data import (
     MaskingPolicy,
     PackingConfig,
@@ -66,18 +66,15 @@ from .wordpiece import (
 )
 
 # Defaults shared by subcommand flags (--batch-size) and manifest keys
-# (batch_size). Model shape is the desk profile; the learning rate is the
-# desk recipe's 1e-3, not OptimizerConfig's 1e-4.
+# (batch_size). Model shape is the desk profile and the optimizer settings
+# are OptimizerConfig's, except the learning rate: the desk recipe's 1e-3,
+# not OptimizerConfig's 1e-4.
+_DESK = desk_config(vocab_size=1)
 _PRETRAIN_OPTIONS = {
-    "layers": 2,
-    "heads": 2,
-    "hidden": 64,
-    "intermediate": 256,
+    **{key: getattr(_DESK, key) for key in ("layers", "heads", "hidden", "intermediate")},
     "learning_rate": 1e-3,
-    "beta1": 0.9,
-    "beta2": 0.98,
-    "batch_size": 32,
-    "warmup": 0,
+    **{key: getattr(OptimizerConfig, key) for key in ("beta1", "beta2", "batch_size")},
+    "warmup": OptimizerConfig.warmup_steps,
     "log_every": 100,
 }
 _FINETUNE_OPTIONS = {

@@ -4,7 +4,7 @@ Two on-disk formats are understood:
 
 * ``plain``: one UTF-8 text file is one document.
 * ``line-records``: one JSON object per line with string fields ``id``,
-  ``source`` and ``text``; unknown fields are preserved into ``meta``.
+  ``source`` and ``text``; any other field is ignored.
 
 Each file is read and decoded whole, so a corpus must fit in memory as
 text; documents are then built and yielded one at a time.
@@ -12,8 +12,7 @@ text; documents are then built and yielded one at a time.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -25,12 +24,11 @@ FORMATS = ("plain", "line-records")
 
 @dataclass(frozen=True)
 class Document:
-    """One raw or normalized text unit with its source metadata."""
+    """One raw or normalized text unit with its source."""
 
     id: str
     source: str
     text: str
-    meta: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
         if "\x00" in self.text:
@@ -83,12 +81,7 @@ def _load_line_records(path: Path) -> Iterator[Document]:
         source = record.get("source")
         if source is None:
             source = path.stem
-        meta = {
-            key: value if isinstance(value, str) else json.dumps(value, ensure_ascii=False)
-            for key, value in record.items()
-            if key not in ("id", "source", "text")
-        }
-        yield Document(id=str(doc_id), source=str(source), text=record["text"], meta=meta)
+        yield Document(id=str(doc_id), source=str(source), text=record["text"])
 
 
 def corpus_stats(documents: Iterable[tuple[Document, int]]) -> CorpusStats:

@@ -15,7 +15,3 @@ class DataError(FarsilmError):
 
 class ConfigError(FarsilmError):
     """Invalid configuration values or incompatible component settings."""
-
-
-class AdjudicatorError(FarsilmError):
-    """A pluggable boundary adjudicator failed while judging a split."""

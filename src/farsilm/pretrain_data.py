@@ -255,33 +255,9 @@ def build_pretrain_examples(
     return examples
 
 
-def write_examples(examples: Sequence[PretrainExample], path: str | Path, vocab_size: int) -> int:
-    """Binary example file: 16-byte header, length-prefixed fixed records."""
-    if examples:
-        max_len = len(examples[0].input_ids)
-    else:
-        max_len = 0
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC + struct.pack("<III", _VERSION, max_len, vocab_size))
-        for i, ex in enumerate(examples):
-            if len(ex.input_ids) != max_len:
-                raise DataError(
-                    f"record {i}: length {len(ex.input_ids)} differs from header {max_len}"
-                )
-            payload = (
-                np.asarray(ex.input_ids, dtype="<i4").tobytes()
-                + np.asarray(ex.segment_ids, dtype="i1").tobytes()
-                + np.asarray(ex.attention_mask, dtype="i1").tobytes()
-                + np.asarray(ex.mlm_labels, dtype="<i4").tobytes()
-                + struct.pack("B", ex.nsp_label)
-            )
-            fh.write(struct.pack("<I", len(payload)))
-            fh.write(payload)
-    return len(examples)
-
-
 def _record_dtype(max_len: int) -> np.dtype:
-    """One length-prefixed record of an example file, as written above."""
+    """One record of an example file: a u32 payload length (10 * max_len + 1
+    bytes), then the payload's five fields."""
     return np.dtype(
         [
             ("length", "<u4"),
@@ -292,6 +268,31 @@ def _record_dtype(max_len: int) -> np.dtype:
             ("nsp_label", "u1"),
         ]
     )
+
+
+_WRITE_CHUNK = 1024  # records staged per write, which bounds the writer's memory
+
+
+def write_examples(examples: Sequence[PretrainExample], path: str | Path, vocab_size: int) -> int:
+    """Binary example file: 16-byte header, then one `_record_dtype` record
+    per example."""
+    max_len = len(examples[0].input_ids) if examples else 0
+    record = _record_dtype(max_len)
+    with open(path, "wb") as fh:
+        fh.write(_MAGIC + struct.pack("<III", _VERSION, max_len, vocab_size))
+        for start in range(0, len(examples), _WRITE_CHUNK):
+            chunk = examples[start : start + _WRITE_CHUNK]
+            for i, ex in enumerate(chunk, start):
+                if len(ex.input_ids) != max_len:
+                    raise DataError(
+                        f"record {i}: length {len(ex.input_ids)} differs from header {max_len}"
+                    )
+            rows = np.empty(len(chunk), dtype=record)
+            rows["length"] = record.itemsize - 4
+            for name in record.names[1:]:  # the example fields after the length
+                rows[name] = [getattr(ex, name) for ex in chunk]
+            fh.write(rows.tobytes())
+    return len(examples)
 
 
 def _read_with_header(path: str | Path, size: int = -1) -> tuple[bytes, int, int]:
@@ -381,20 +382,6 @@ def read_examples(path: str | Path) -> tuple[list[PretrainExample], int]:
         for row in records
     ]
     return examples, vocab_size
-
-
-def example_records(examples: Sequence[PretrainExample]) -> list[dict]:
-    """Debug dump: one line-record per example."""
-    return [
-        {
-            "input_ids": list(ex.input_ids),
-            "segment_ids": list(ex.segment_ids),
-            "attention_mask": list(ex.attention_mask),
-            "mlm_labels": list(ex.mlm_labels),
-            "nsp_label": ex.nsp_label,
-        }
-        for ex in examples
-    ]
 
 
 def collate(examples: Sequence[PretrainExample]) -> dict[str, np.ndarray]:

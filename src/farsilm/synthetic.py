@@ -46,6 +46,13 @@ _THEME_CONSONANTS = "ژطظعغقثح"
 # on one side of a pair, and pair matching stays gradient-dense
 _THEME_PLANTS = 3
 
+# sentences per corpus document, and the chance that a document plants an
+# abbreviation or a decimal number for segmentation to step over
+_MIN_SENTENCES = 4
+_MAX_SENTENCES = 9
+_ABBREVIATION_CHANCE = 0.6
+_DECIMAL_CHANCE = 0.4
+
 # downstream dictionaries; every word holds at least one letter outside the
 # syllable alphabet above, so base text can never reproduce one by chance
 CLASS_MARKERS = ("عالی", "ضعیف", "قشنگ", "طلایی", "غمگین", "حقیر", "ثابت", "ذهنی")
@@ -174,14 +181,7 @@ def _terminal(rng) -> str:
     return "؟" if roll < 0.9 else "!"
 
 
-def generate_mlm_corpus(
-    seed: int,
-    n_docs: int,
-    min_sentences: int = 4,
-    max_sentences: int = 9,
-    abbreviation_prob: float = 0.6,
-    decimal_prob: float = 0.4,
-) -> list[SyntheticDocument]:
+def generate_mlm_corpus(seed: int, n_docs: int) -> list[SyntheticDocument]:
     """Topic-coherent documents with planted abbreviations and decimals.
 
     Every sentence has at least four words and ends with a boundary mark;
@@ -194,27 +194,25 @@ def generate_mlm_corpus(
     """
     if n_docs < 1:
         raise ConfigError("n_docs must be at least 1")
-    if min_sentences < 1 or max_sentences < min_sentences:
-        raise ConfigError("sentence range is invalid")
     themes = theme_words()
     rng = np.random.default_rng((seed, 0))
     documents = []
     for index in range(n_docs):
         topic = int(rng.integers(0, _TOPICS))
         theme = themes[int(rng.integers(0, len(themes)))]
-        count = int(rng.integers(min_sentences, max_sentences + 1))
+        count = int(rng.integers(_MIN_SENTENCES, _MAX_SENTENCES + 1))
         rows = []
         for _ in range(count):
             row = _sentence_words(rng, topic, int(rng.integers(4, 10)), inject_proper=True)
             for _ in range(_THEME_PLANTS):
                 row.insert(int(rng.integers(0, len(row) + 1)), theme)
             rows.append(row)
-        has_abbreviation = bool(rng.random() < abbreviation_prob)
+        has_abbreviation = bool(rng.random() < _ABBREVIATION_CHANCE)
         if has_abbreviation:
             row = rows[int(rng.integers(0, count))]
             abbr = ABBREVIATIONS[int(rng.integers(0, len(ABBREVIATIONS)))]
             row.insert(int(rng.integers(1, len(row))), abbr)
-        has_decimal = bool(rng.random() < decimal_prob)
+        has_decimal = bool(rng.random() < _DECIMAL_CHANCE)
         if has_decimal:
             row = rows[int(rng.integers(0, count))]
             row.insert(int(rng.integers(1, len(row))), _decimal_token(rng))

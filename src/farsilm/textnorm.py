@@ -76,7 +76,6 @@ class NormalizationRules:
     junk_patterns: tuple[tuple[str, str, str], ...]
     char_map: dict[int, str]
     strip_marks: frozenset[int]
-    whitespace_policy: frozenset[str] = frozenset({"collapse-runs", "trim"})
 
     def __post_init__(self):
         for kind, pattern, _ in self.junk_patterns:
@@ -114,7 +113,8 @@ def standardize_chars(text: str, rules: NormalizationRules = DEFAULT_RULES) -> s
     """Fold character variants, strip diacritics and tidy spacing.
 
     ZWNJ runs collapse to one ZWNJ, and a ZWNJ touching whitespace or a
-    string edge is dropped since it no longer joins anything.
+    string edge is dropped since it no longer joins anything. Whitespace
+    runs then become one space, and the ends are trimmed.
     """
     text = text.translate(rules.char_map)
     if rules.strip_marks:
@@ -122,11 +122,7 @@ def standardize_chars(text: str, rules: NormalizationRules = DEFAULT_RULES) -> s
     text = re.sub(f"{ZWNJ}+", ZWNJ, text)
     text = re.sub(f"(?:(?<=\\s)|^){ZWNJ}", "", text)
     text = re.sub(f"{ZWNJ}(?=\\s|$)", "", text)
-    if "collapse-runs" in rules.whitespace_policy:
-        text = re.sub(r"\s+", " ", text)
-    if "trim" in rules.whitespace_policy:
-        text = text.strip()
-    return text
+    return re.sub(r"\s+", " ", text).strip()
 
 
 _MAX_PASSES = 16

@@ -73,12 +73,12 @@ class TestLoadLineRecords:
         assert docs[1].id == "corpus.jsonl#2"
         assert docs[0].source == "corpus"
 
-    def test_unknown_fields_go_to_meta(self, tmp_path):
+    def test_unknown_fields_are_ignored(self, tmp_path):
         path = write_lines(
-            tmp_path / "c.jsonl", ['{"text": "x", "lang": "fa", "year": 1399}']
+            tmp_path / "c.jsonl", ['{"id": "a", "text": "x", "lang": "fa", "year": [1399]}']
         )
         (doc,) = load_documents(path)
-        assert doc.meta == {"lang": "fa", "year": "1399"}
+        assert doc == Document(id="a", source="c", text="x")
 
     def test_unknown_format_rejected(self, tmp_path):
         path = write_lines(tmp_path / "c.jsonl", ['{"text": "x"}'])

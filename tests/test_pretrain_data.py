@@ -1,3 +1,4 @@
+import struct
 import time
 
 import numpy as np
@@ -18,7 +19,6 @@ from farsilm.pretrain_data import (
     build_nsp_pairs,
     build_pretrain_examples,
     collate,
-    example_records,
     read_examples,
     write_examples,
 )
@@ -415,12 +415,6 @@ class TestPipelineAndFiles:
         with pytest.raises(DataError, match="magic"):
             read_examples(path)
 
-    def test_debug_records_mirror_examples(self):
-        examples = build_pretrain_examples(DOCS, MODEL, PackingConfig(max_len=16))
-        records = example_records(examples)
-        assert len(records) == len(examples)
-        assert records[0]["input_ids"] == list(examples[0].input_ids)
-
     def test_collate_shapes(self):
         examples = build_pretrain_examples(DOCS, MODEL, PackingConfig(max_len=16))
         batch = collate(examples)
@@ -428,6 +422,51 @@ class TestPipelineAndFiles:
         assert batch["input_ids"].shape == (n, 16)
         assert batch["nsp_labels"].shape == (n,)
         assert batch["input_ids"].dtype == np.int64
+
+
+def reference_write_examples(examples, path, vocab_size):
+    """write_examples as it was before it staged records in arrays: each
+    record is packed field by field and written on its own."""
+    max_len = len(examples[0].input_ids) if examples else 0
+    with open(path, "wb") as fh:
+        fh.write(b"PTEX" + struct.pack("<III", 1, max_len, vocab_size))
+        for ex in examples:
+            payload = (
+                np.asarray(ex.input_ids, dtype="<i4").tobytes()
+                + np.asarray(ex.segment_ids, dtype="i1").tobytes()
+                + np.asarray(ex.attention_mask, dtype="i1").tobytes()
+                + np.asarray(ex.mlm_labels, dtype="<i4").tobytes()
+                + struct.pack("B", ex.nsp_label)
+            )
+            fh.write(struct.pack("<I", len(payload)))
+            fh.write(payload)
+
+
+def many_examples(max_len, count):
+    """``count`` examples cycled from a small corpus: enough to span
+    several of the writer's chunks."""
+    docs = [[sent(LETTERS[i : i + 3 + i % 4]) for i in range(j, j + 6)] for j in range(12)]
+    examples = build_pretrain_examples(docs, MODEL, PackingConfig(max_len=max_len, rng_seed=5))
+    return (examples * (count // len(examples) + 1))[:count]
+
+
+class TestWriterMatchesReference:
+    @pytest.mark.parametrize("max_len", [16, 64])
+    def test_bytes_equal_reference(self, tmp_path, max_len):
+        examples = many_examples(max_len, 2100)
+        write_examples(examples, tmp_path / "got.ptex", len(MODEL.vocab))
+        reference_write_examples(examples, tmp_path / "want.ptex", len(MODEL.vocab))
+        assert (tmp_path / "got.ptex").read_bytes() == (tmp_path / "want.ptex").read_bytes()
+
+    def test_empty_list_equals_reference(self, tmp_path):
+        write_examples([], tmp_path / "got.ptex", 9)
+        reference_write_examples([], tmp_path / "want.ptex", 9)
+        assert (tmp_path / "got.ptex").read_bytes() == (tmp_path / "want.ptex").read_bytes()
+
+    def test_mixed_lengths_name_the_record(self, tmp_path):
+        examples = many_examples(16, 1030) + many_examples(20, 1)
+        with pytest.raises(DataError, match="record 1030: length 20 differs from header 16"):
+            write_examples(examples, tmp_path / "mixed.ptex", len(MODEL.vocab))
 
 
 class TestExampleFileMutation:

@@ -131,8 +131,6 @@ class TestMlmCorpus:
     def test_rejects_bad_sizes(self):
         with pytest.raises(ConfigError):
             generate_mlm_corpus(1, 0)
-        with pytest.raises(ConfigError):
-            generate_mlm_corpus(1, 5, min_sentences=3, max_sentences=2)
 
 
 class TestRoundTripSentences:
