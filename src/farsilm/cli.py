@@ -25,6 +25,7 @@ from .corpus import corpus_stats, format_stats_table, load_documents, stats_reco
 from .errors import ConfigError, DataError, FarsilmError
 from .finetune import (
     FinetuneConfig,
+    check_capacity,
     finetune_sequence,
     finetune_tokens,
     load_head_model,
@@ -255,6 +256,7 @@ class _Task:
 
     load: Callable
     finetune: Callable
+    kind: str  # the head kind fine-tuning writes
     score_name: str
     inputs: Callable  # item -> model input
     labels: Callable  # item -> the labels it uses
@@ -263,13 +265,13 @@ class _Task:
 
 _TASKS = {
     "cls": _Task(
-        load_labeled, finetune_sequence, "accuracy",
+        load_labeled, finetune_sequence, "classifier", "accuracy",
         inputs=lambda item: item.text,
         labels=lambda item: (item.label,),
         report=_cls_report,
     ),
     "ner": _Task(
-        load_tagged, finetune_tokens, "entity F1",
+        load_tagged, finetune_tokens, "tagger", "entity F1",
         inputs=lambda item: list(item.tokens),
         labels=lambda item: item.tags,
         report=_ner_report,
@@ -384,7 +386,10 @@ def _manifest_path(entries: dict, base: Path, key: str) -> str:
     return str(base / entries[key])
 
 
-def _run_finetune(entries: dict, base: Path, seed: int, paths: dict, task: str) -> None:
+def _prepare_finetune(entries: dict, base: Path, seed: int, task: str, vocab: str, capacity: int):
+    """Read a task's manifest keys, write its synthetic train and dev files
+    and check that every item fits a model of ``capacity`` positions, so
+    that a bad key or an oversized item fails before pretraining."""
     train, dev, model, report = (
         _manifest_path(entries, base, f"{task}_{key}") for key in ("train", "dev", "model", "report")
     )
@@ -395,15 +400,21 @@ def _run_finetune(entries: dict, base: Path, seed: int, paths: dict, task: str) 
         labels = synthetic.classification_labels(classes)
     else:
         classes, labels = _SYNTHETIC_OPTIONS["classes"], synthetic.ner_tag_inventory()
-    _gen_synthetic(task, train, seed, count=count, classes=classes)
-    _gen_synthetic(task, dev, seed + 1, count=max(2, count // 4), classes=classes)
-
     options = {
         key: _manifest_number(entries, f"{task}_{key}", default)
         for key, default in _FINETUNE_OPTIONS.items()
         if key != "seed"
     }
     options["seed"] = seed
+    _gen_synthetic(task, train, seed, count=count, classes=classes)
+    _gen_synthetic(task, dev, seed + 1, count=max(2, count // 4), classes=classes)
+    spec, tokenizer = _TASKS[task], load_vocab(vocab)
+    for path in (train, dev):
+        check_capacity(spec.kind, [spec.inputs(item) for item in spec.load(path)], tokenizer, capacity)
+    return train, dev, model, report, labels, options
+
+
+def _run_finetune(task: str, paths: dict, train, dev, model, report, labels, options) -> None:
     _finetune(task, paths["checkpoint"], paths["vocab"], train, dev, model, labels, options)
     records, _, score = _evaluate(task, model, paths["vocab"], dev)
     write_records(report, records)
@@ -437,14 +448,19 @@ def _cmd_run(args) -> None:
         alphabet_limit=number("alphabet_limit", TokenizerTrainConfig.alphabet_limit),
     )
     _train_tokenizer(paths["segments"], paths["vocab"], "line-records", tokenizer_config)
-    _build_pretrain(paths["segments"], paths["vocab"], paths["examples"], number("max_len", 64), seed)
+    max_len = number("max_len", 64)
+    finetune_stages = {
+        task: _prepare_finetune(entries, base, seed, task, paths["vocab"], max_len)
+        for task in ("cls", "ner")
+        if f"{task}_model" in entries
+    }
+    _build_pretrain(paths["segments"], paths["vocab"], paths["examples"], max_len, seed)
     trace = str(base / entries["trace"]) if "trace" in entries else None
     options = {key: number(key, default) for key, default in _PRETRAIN_OPTIONS.items()}
     _pretrain(paths["examples"], paths["checkpoint"], trace, seed, number("steps", 100), 0, options)
 
-    for task in ("cls", "ner"):
-        if f"{task}_model" in entries:
-            _run_finetune(entries, base, seed, paths, task)
+    for task, stage in finetune_stages.items():
+        _run_finetune(task, paths, *stage)
 
 
 # --- parser assembly ---

@@ -189,15 +189,15 @@ def _pad_batch(rows: list[list[int]], pad_id: int):
     }
 
 
-def _encode_texts(texts, tokenizer, config: ModelConfig) -> list[list[int]]:
+def _encode_texts(texts, tokenizer, capacity: int) -> list[list[int]]:
     """[CLS] pieces [SEP] per text, truncated to the model's capacity."""
     cls_id = tokenizer.token_to_id[wp.CLS]
     sep_id = tokenizer.token_to_id[wp.SEP]
-    budget = config.max_positions - 2
+    budget = capacity - 2
     return [[cls_id] + wp.encode(tokenizer, text)[:budget] + [sep_id] for text in texts]
 
 
-def _encode_token_rows(token_seqs, tokenizer, config: ModelConfig):
+def _encode_token_rows(token_seqs, tokenizer, capacity: int):
     """Piece rows for word sequences plus each word's first-piece position."""
     cls_id = tokenizer.token_to_id[wp.CLS]
     sep_id = tokenizer.token_to_id[wp.SEP]
@@ -211,10 +211,9 @@ def _encode_token_rows(token_seqs, tokenizer, config: ModelConfig):
             first.append(len(ids))
             ids.extend(piece_ids)
         ids.append(sep_id)
-        if len(ids) > config.max_positions:
+        if len(ids) > capacity:
             raise DataError(
-                f"sequence {index} needs {len(ids)} pieces, model capacity is "
-                f"{config.max_positions}"
+                f"sequence {index} needs {len(ids)} pieces, model capacity is {capacity}"
             )
         rows.append(ids)
         firsts.append(first)
@@ -225,14 +224,22 @@ def _encode_token_rows(token_seqs, tokenizer, config: ModelConfig):
 _HEAD_INPUT = {"classifier": "pooled", "tagger": "sequence"}
 
 
-def _encode_inputs(kind: str, inputs, tokenizer, config: ModelConfig):
+def _encode_inputs(kind: str, inputs, tokenizer, capacity: int):
     """Piece rows for a head's inputs, plus first-piece positions for a
-    tagger (None for a classifier)."""
+    tagger (None for a classifier). ``capacity`` is the model's
+    max_positions: a classifier truncates to it, a tagger input longer
+    than it is a DataError."""
     if kind == "classifier":
-        return _encode_texts(inputs, tokenizer, config), None
+        return _encode_texts(inputs, tokenizer, capacity), None
     if kind == "tagger":
-        return _encode_token_rows(inputs, tokenizer, config)
+        return _encode_token_rows(inputs, tokenizer, capacity)
     raise ConfigError(f"unknown head kind {kind!r}")
+
+
+def check_capacity(kind: str, inputs, tokenizer: wp.WordPieceModel, capacity: int) -> None:
+    """Raise the DataError fine-tuning or predict would raise on these
+    inputs for a model of ``capacity`` positions, before any model exists."""
+    _encode_inputs(kind, list(inputs), tokenizer, capacity)
 
 
 def _label_ids(items, label_to_id, where: str):
@@ -273,8 +280,8 @@ def _finetune(kind, checkpoint, tokenizer, train, dev, config, inputs, targets, 
     label_to_id = {label: i for i, label in enumerate(config.label_inventory)}
     train_ids = targets(train, label_to_id, "train")
     targets(dev, label_to_id, "dev")
-    rows, firsts = _encode_inputs(kind, inputs(train), tokenizer, mcfg)
-    dev_rows = _encode_inputs(kind, inputs(dev), tokenizer, mcfg)
+    rows, firsts = _encode_inputs(kind, inputs(train), tokenizer, mcfg.max_positions)
+    dev_rows = _encode_inputs(kind, inputs(dev), tokenizer, mcfg.max_positions)
     if firsts is None:
         gold_rows = np.array(train_ids)
     else:
@@ -406,7 +413,9 @@ def _predict_rows(model: HeadModel, rows, firsts, pad_id: int):
 def predict(model: HeadModel, tokenizer: wp.WordPieceModel, inputs):
     """Argmax predictions: label strings for classifiers, tag rows for taggers."""
     _check_tokenizer(tokenizer, model.model_config)
-    rows, firsts = _encode_inputs(model.kind, list(inputs), tokenizer, model.model_config)
+    rows, firsts = _encode_inputs(
+        model.kind, list(inputs), tokenizer, model.model_config.max_positions
+    )
     return _predict_rows(model, rows, firsts, tokenizer.pad_id)
 
 

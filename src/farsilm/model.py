@@ -143,18 +143,22 @@ def shape_audit(params: dict[str, np.ndarray], config: ModelConfig) -> None:
 
 def _layer_norm(x, g, b):
     mu = x.mean(-1, keepdims=True)
-    var = ((x - mu) ** 2).mean(-1, keepdims=True)
+    centered = x - mu
+    var = (centered**2).mean(-1, keepdims=True)
     sig = np.sqrt(var + LN_EPS)
-    xhat = (x - mu) / sig
-    return g * xhat + b, (xhat, sig, g)
+    xhat = centered
+    xhat /= sig
+    y = xhat * g
+    y += b
+    return y, (xhat, sig, g)
 
 
 def _layer_norm_back(dy, cache):
     xhat, sig, g = cache
     dxhat = dy * g
-    dx = (
-        dxhat - dxhat.mean(-1, keepdims=True) - xhat * (dxhat * xhat).mean(-1, keepdims=True)
-    ) / sig
+    dx = dxhat - dxhat.mean(-1, keepdims=True)
+    dx -= xhat * (dxhat * xhat).mean(-1, keepdims=True)
+    dx /= sig
     axes = tuple(range(dy.ndim - 1))
     dg = (dy * xhat).sum(axes)
     db = dy.sum(axes)
@@ -169,8 +173,15 @@ def _gelu(x):
 
 
 def _gelu_back(dy, x, cdf):
-    phi = np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi)
-    return dy * (cdf + x * phi)
+    # dy * (cdf + x * phi(x)), evaluated in place in that order
+    grad = -0.5 * x
+    grad *= x
+    np.exp(grad, out=grad)
+    grad /= np.sqrt(2.0 * np.pi)
+    grad *= x
+    grad += cdf
+    grad *= dy
+    return grad
 
 
 def _softmax(x):
@@ -204,6 +215,66 @@ def _validate_batch(config: ModelConfig, batch: dict[str, np.ndarray]) -> None:
     segs = batch["segment_ids"]
     if segs.min() < 0 or segs.max() >= config.type_vocab:
         raise DataError(f"segment ids must lie in [0,{config.type_vocab})")
+    # the encoder skips unattended rows, which is exact only for 0/1 masks
+    # that attend each row's [CLS] slot and put no MLM label on padding
+    attn = batch["attention_mask"]
+    checks = [
+        ((attn != 0) & (attn != 1), "holds an attention value outside {0, 1}"),
+        (attn[:, :1] != 1, "leaves position 0 unattended"),
+    ]
+    labels = batch.get("mlm_labels")
+    if labels is not None:
+        checks.append(((labels != IGNORE_INDEX) & (attn == 0),
+                       "carries an MLM label on an unattended position"))
+    for bad, what in checks:
+        if bad.any():
+            raise DataError(f"batch row {int(np.flatnonzero(bad.any(1))[0])} {what}")
+
+
+class _Rows:
+    """The attended positions of a (B, L) batch.
+
+    Token-wise work runs on arrays of shape (N, K) holding the N attended
+    rows in batch order, or, when every position is attended, on the
+    padded (B, L, K) arrays themselves. The attention core and the
+    backward matrix products stay in the padded layout. A batch with a
+    single attended position in all sends its projections to a
+    matrix-vector kernel, so only there the bits may differ from running
+    every position; encoded inputs always hold [CLS] and [SEP].
+    """
+
+    def __init__(self, attn: np.ndarray):
+        self.bsz, self.length = attn.shape
+        self.flat = np.flatnonzero(attn)
+        self.full = self.flat.size == attn.size
+        if self.full:
+            self.positions = np.broadcast_to(np.arange(self.length), attn.shape)
+            self.cls = (slice(None), 0)
+        else:
+            self.positions = self.flat % self.length
+            # _validate_batch guarantees each row attends its position 0
+            self.cls = np.searchsorted(self.flat, np.arange(self.bsz) * self.length)
+
+    def gather(self, padded: np.ndarray) -> np.ndarray:
+        """Token rows of a (B, L, ...) array."""
+        if self.full:
+            return padded
+        return padded.reshape((-1,) + padded.shape[2:])[self.flat]
+
+    def scatter(self, tokens: np.ndarray) -> np.ndarray:
+        """(B, L, K) array with the token rows in place and zeros elsewhere."""
+        if self.full:
+            return tokens
+        padded = np.zeros((self.bsz * self.length, tokens.shape[-1]))
+        padded[self.flat] = tokens
+        return padded.reshape(self.bsz, self.length, -1)
+
+
+def _affine(x, w, b):
+    """x @ w + b, adding the bias in place."""
+    out = x @ w
+    out += b
+    return out
 
 
 def _encode(params, config, batch, dropout_rng=None):
@@ -212,61 +283,72 @@ def _encode(params, config, batch, dropout_rng=None):
     outputs holds nsp_logits, pooled and sequence; cache holds every
     intermediate :func:`backprop_encoder` needs. The MLM head is not run
     here: callers apply :func:`_mlm_head` to whichever rows they score.
+    Unattended positions are skipped: ``sequence`` holds exact zeros
+    there, and nothing at an attended position depends on them.
     """
     _validate_batch(config, batch)
-    ids = batch["input_ids"]
-    segs = batch["segment_ids"]
-    attn = batch["attention_mask"]
-    bsz, length = ids.shape
+    rows = _Rows(batch["attention_mask"])
+    ids = rows.gather(batch["input_ids"])
+    segs = rows.gather(batch["segment_ids"])
+    bsz, length = rows.bsz, rows.length
     nh = config.heads
     dh = config.hidden // nh
     rate = config.dropout
 
-    emb = params["tok_emb"][ids] + params["pos_emb"][:length] + params["seg_emb"][segs]
-    x, emb_ln_cache = _layer_norm(emb, params["emb_ln_g"], params["emb_ln_b"])
-    emb_drop = _dropout_mask(dropout_rng, x.shape, rate)
+    def dropout_mask(shape):
+        # drawn at the padded shape, so the random stream does not depend
+        # on how many positions are attended
+        mask = _dropout_mask(dropout_rng, shape, rate)
+        return None if mask is None else rows.gather(mask)
+
+    x = params["tok_emb"][ids] + params["pos_emb"][rows.positions]
+    x += params["seg_emb"][segs]
+    x, emb_ln_cache = _layer_norm(x, params["emb_ln_g"], params["emb_ln_b"])
+    emb_drop = dropout_mask((bsz, length, config.hidden))
     if emb_drop is not None:
-        x = x * emb_drop
+        x *= emb_drop
 
     # keys with attention 0 get a huge negative bias; exp underflows to an
     # exact zero weight, which is what makes padding invariance exact
-    bias = (1.0 - attn[:, None, None, :]) * _MASK_BIAS
+    bias = (1.0 - batch["attention_mask"][:, None, None, :]) * _MASK_BIAS
+
+    def heads(tokens):
+        return rows.scatter(tokens).reshape(bsz, length, nh, dh).transpose(0, 2, 1, 3)
 
     layer_caches = []
     for layer in range(config.layers):
         p = f"layer{layer}."
         x_in = x
-        q = x @ params[p + "q_w"] + params[p + "q_b"]
-        k = x @ params[p + "k_w"] + params[p + "k_b"]
-        v = x @ params[p + "v_w"] + params[p + "v_b"]
-        qh = q.reshape(bsz, length, nh, dh).transpose(0, 2, 1, 3)
-        kh = k.reshape(bsz, length, nh, dh).transpose(0, 2, 1, 3)
-        vh = v.reshape(bsz, length, nh, dh).transpose(0, 2, 1, 3)
+        qh = heads(_affine(x, params[p + "q_w"], params[p + "q_b"]))
+        kh = heads(_affine(x, params[p + "k_w"], params[p + "k_b"]))
+        vh = heads(_affine(x, params[p + "v_w"], params[p + "v_b"]))
         scores = qh @ kh.transpose(0, 1, 3, 2) / np.sqrt(dh) + bias
         probs = _softmax(scores)
         probs_drop = _dropout_mask(dropout_rng, probs.shape, rate)
         probs_used = probs if probs_drop is None else probs * probs_drop
         ctx = (probs_used @ vh).transpose(0, 2, 1, 3).reshape(bsz, length, config.hidden)
-        attn_out = ctx @ params[p + "o_w"] + params[p + "o_b"]
-        attn_drop = _dropout_mask(dropout_rng, attn_out.shape, rate)
+        attn_out = _affine(rows.gather(ctx), params[p + "o_w"], params[p + "o_b"])
+        attn_drop = dropout_mask(ctx.shape)
         if attn_drop is not None:
-            attn_out = attn_out * attn_drop
+            attn_out *= attn_drop
+        attn_out += x_in
         x_attn, attn_ln_cache = _layer_norm(
-            x_in + attn_out, params[p + "attn_ln_g"], params[p + "attn_ln_b"]
+            attn_out, params[p + "attn_ln_g"], params[p + "attn_ln_b"]
         )
 
-        ffn_pre = x_attn @ params[p + "ffn_w1"] + params[p + "ffn_b1"]
+        ffn_pre = _affine(x_attn, params[p + "ffn_w1"], params[p + "ffn_b1"])
         ffn_act, ffn_cdf = _gelu(ffn_pre)
-        ffn_out = ffn_act @ params[p + "ffn_w2"] + params[p + "ffn_b2"]
-        ffn_drop = _dropout_mask(dropout_rng, ffn_out.shape, rate)
+        ffn_out = _affine(ffn_act, params[p + "ffn_w2"], params[p + "ffn_b2"])
+        ffn_drop = dropout_mask(ctx.shape)
         if ffn_drop is not None:
-            ffn_out = ffn_out * ffn_drop
+            ffn_out *= ffn_drop
+        ffn_out += x_attn
         x, ffn_ln_cache = _layer_norm(
-            x_attn + ffn_out, params[p + "ffn_ln_g"], params[p + "ffn_ln_b"]
+            ffn_out, params[p + "ffn_ln_g"], params[p + "ffn_ln_b"]
         )
         layer_caches.append(
             dict(
-                x_in=x_in, q=q, k=k, v=v, qh=qh, kh=kh, vh=vh,
+                x_in=x_in, qh=qh, kh=kh, vh=vh,
                 probs=probs, probs_drop=probs_drop, probs_used=probs_used,
                 ctx=ctx, attn_drop=attn_drop, attn_ln=attn_ln_cache,
                 x_attn=x_attn, ffn_pre=ffn_pre, ffn_cdf=ffn_cdf, ffn_act=ffn_act,
@@ -274,14 +356,14 @@ def _encode(params, config, batch, dropout_rng=None):
             )
         )
 
-    cls_state = x[:, 0]
+    cls_state = x[rows.cls]
     pool_pre = cls_state @ params["pool_w"] + params["pool_b"]
     pooled = np.tanh(pool_pre)
     nsp_logits = pooled @ params["nsp_w"] + params["nsp_b"]
 
-    outputs = {"nsp_logits": nsp_logits, "pooled": pooled, "sequence": x}
+    outputs = {"nsp_logits": nsp_logits, "pooled": pooled, "sequence": rows.scatter(x)}
     cache = dict(
-        ids=ids, segs=segs, length=length, emb_ln=emb_ln_cache, emb_drop=emb_drop,
+        rows=rows, ids=ids, segs=segs, emb_ln=emb_ln_cache, emb_drop=emb_drop,
         layers=layer_caches, cls_state=cls_state, pooled=pooled,
     )
     return outputs, cache
@@ -299,7 +381,9 @@ def _mlm_head(params, x):
 
 def forward(params, config: ModelConfig, batch, dropout_rng=None):
     """Encoder outputs for one batch: mlm_logits at every position,
-    nsp_logits, pooled, sequence."""
+    nsp_logits, pooled, sequence. ``sequence`` is exactly zero at
+    unattended positions, so mlm_logits there are the head's output for a
+    zero state and carry no meaning."""
     outputs, _ = _encode(params, config, batch, dropout_rng)
     outputs["mlm_logits"], _ = _mlm_head(params, outputs["sequence"])
     return outputs
@@ -402,19 +486,37 @@ def backprop_encoder(params, config: ModelConfig, cache, d_sequence, d_pooled, g
     hidden states and, optionally, on the pooled [CLS] vector.
 
     This is the shared backward half used by the pretraining heads and by
-    the fine-tuning heads; grads is mutated in place.
+    the fine-tuning heads; grads is mutated in place. ``d_sequence`` at
+    unattended positions is ignored, as those outputs are constant zeros.
+
+    Token-wise work runs on the attended rows, but every matrix product
+    runs on padded (B, L, K) operands whose unattended gradient rows are
+    exact zeros. BLAS may choose another kernel, and so another summation
+    order, for another row count; the padded products give the same bits
+    as an encoder that runs every position.
     """
-    ids, segs, length = cache["ids"], cache["segs"], cache["length"]
-    bsz = ids.shape[0]
+    rows = cache["rows"]
+    bsz, length = rows.bsz, rows.length
     nh = config.heads
     dh = config.hidden // nh
-    dx = np.array(d_sequence)
+    dx = np.array(d_sequence) if rows.full else rows.gather(d_sequence)
 
     if d_pooled is not None:
         dpool_pre = d_pooled * (1.0 - cache["pooled"] ** 2)
         grads["pool_w"] += cache["cls_state"].T @ dpool_pre
         grads["pool_b"] += dpool_pre.sum(0)
-        dx[:, 0] += dpool_pre @ params["pool_w"].T
+        dx[rows.cls] += dpool_pre @ params["pool_w"].T
+
+    def padded_rows(tokens):
+        return rows.scatter(tokens).reshape(bsz * length, -1)
+
+    def dense_back(flat_x, dy, w_name, b_name):
+        """Weight and bias gradients of x @ w + b, for x as padded rows and
+        dy as a padded (B, L, N) array; returns dy @ w.T at the token rows."""
+        flat_dy = dy.reshape(-1, dy.shape[-1])
+        grads[w_name] += flat_x.T @ flat_dy
+        grads[b_name] += flat_dy.sum(0)
+        return rows.gather(dy @ params[w_name].T)
 
     for layer in reversed(range(config.layers)):
         p = f"layer{layer}."
@@ -424,25 +526,19 @@ def backprop_encoder(params, config: ModelConfig, cache, d_sequence, d_pooled, g
         grads[p + "ffn_ln_g"] += dg
         grads[p + "ffn_ln_b"] += db
         dffn_out = dsum if c["ffn_drop"] is None else dsum * c["ffn_drop"]
-        flat_dffn = dffn_out.reshape(-1, config.hidden)
-        flat_act = c["ffn_act"].reshape(-1, config.intermediate)
-        grads[p + "ffn_w2"] += flat_act.T @ flat_dffn
-        grads[p + "ffn_b2"] += flat_dffn.sum(0)
-        dact = dffn_out @ params[p + "ffn_w2"].T
+        dact = dense_back(
+            padded_rows(c["ffn_act"]), rows.scatter(dffn_out), p + "ffn_w2", p + "ffn_b2")
         dffn_pre = _gelu_back(dact, c["ffn_pre"], c["ffn_cdf"])
-        flat_dpre = dffn_pre.reshape(-1, config.intermediate)
-        flat_x_attn = c["x_attn"].reshape(-1, config.hidden)
-        grads[p + "ffn_w1"] += flat_x_attn.T @ flat_dpre
-        grads[p + "ffn_b1"] += flat_dpre.sum(0)
-        dx_attn = dsum + dffn_pre @ params[p + "ffn_w1"].T
+        dx_attn = dense_back(
+            padded_rows(c["x_attn"]), rows.scatter(dffn_pre), p + "ffn_w1", p + "ffn_b1")
+        dx_attn += dsum
 
         dsum, dg, db = _layer_norm_back(dx_attn, c["attn_ln"])
         grads[p + "attn_ln_g"] += dg
         grads[p + "attn_ln_b"] += db
-        dattn_out = dsum if c["attn_drop"] is None else dsum * c["attn_drop"]
+        dattn_out = rows.scatter(dsum if c["attn_drop"] is None else dsum * c["attn_drop"])
         flat_dattn = dattn_out.reshape(-1, config.hidden)
-        flat_ctx = c["ctx"].reshape(-1, config.hidden)
-        grads[p + "o_w"] += flat_ctx.T @ flat_dattn
+        grads[p + "o_w"] += c["ctx"].reshape(-1, config.hidden).T @ flat_dattn
         grads[p + "o_b"] += flat_dattn.sum(0)
         dctx = (dattn_out @ params[p + "o_w"].T).reshape(bsz, length, nh, dh)
         dctx = dctx.transpose(0, 2, 1, 3)
@@ -460,18 +556,12 @@ def backprop_encoder(params, config: ModelConfig, cache, d_sequence, d_pooled, g
         def merge(heads_grad):
             return heads_grad.transpose(0, 2, 1, 3).reshape(bsz, length, config.hidden)
 
-        dq, dk, dv = merge(dqh), merge(dkh), merge(dvh)
-        flat_x_in = c["x_in"].reshape(-1, config.hidden)
-        for name, dmat in (("q", dq), ("k", dk), ("v", dv)):
-            flat = dmat.reshape(-1, config.hidden)
-            grads[p + f"{name}_w"] += flat_x_in.T @ flat
-            grads[p + f"{name}_b"] += flat.sum(0)
-        dx = (
-            dsum
-            + dq @ params[p + "q_w"].T
-            + dk @ params[p + "k_w"].T
-            + dv @ params[p + "v_w"].T
-        )
+        # dsum + dq @ q_w.T + dk @ k_w.T + dv @ v_w.T, summed in that order
+        x_in = padded_rows(c["x_in"])
+        dx = dense_back(x_in, merge(dqh), p + "q_w", p + "q_b")
+        dx += dsum
+        dx += dense_back(x_in, merge(dkh), p + "k_w", p + "k_b")
+        dx += dense_back(x_in, merge(dvh), p + "v_w", p + "v_b")
 
     # embedding backward
     if cache["emb_drop"] is not None:
@@ -479,9 +569,9 @@ def backprop_encoder(params, config: ModelConfig, cache, d_sequence, d_pooled, g
     demb, dg, db = _layer_norm_back(dx, cache["emb_ln"])
     grads["emb_ln_g"] += dg
     grads["emb_ln_b"] += db
-    np.add.at(grads["tok_emb"], ids, demb)
-    grads["pos_emb"][:length] += demb.sum(0)
-    np.add.at(grads["seg_emb"], segs, demb)
+    np.add.at(grads["tok_emb"], cache["ids"], demb)
+    np.add.at(grads["pos_emb"], rows.positions, demb)
+    np.add.at(grads["seg_emb"], cache["segs"], demb)
 
 
 def finite_difference_check(

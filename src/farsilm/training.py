@@ -353,7 +353,9 @@ def pretrain(
 
     If the checkpoint already exists, training resumes from its recorded
     step and runs until opt_config.max_steps. With max_steps 0 the saved
-    checkpoint holds the untouched initialization.
+    checkpoint holds the untouched initialization. A non-finite gradient
+    ends the run with a DataError naming the step, before any update or
+    checkpoint write.
     """
     examples, file_vocab = read_examples(examples_path)
     if file_vocab != model_config.vocab_size:
@@ -385,6 +387,11 @@ def pretrain(
         batch = _batch_for_step(examples, opt_config.batch_size, seed, step)
         dropout_rng = np.random.default_rng((seed, 3, step)) if dropout_active else None
         losses, grads = gradients(params, model_config, batch, dropout_rng)
+        for name, grad in grads.items():
+            if not np.isfinite(grad).all():
+                raise DataError(
+                    f"step {step}: gradient of {name} is not finite; no checkpoint written"
+                )
         adam_step(params, grads, state, opt_config)
         trace.append((step, losses["mlm_loss"], losses["nsp_loss"]))
         if log is not None and (step % log_every == 0 or step == opt_config.max_steps):

@@ -2,6 +2,7 @@
 
 import filecmp
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -268,6 +269,15 @@ class TestManifestRun:
         assert main(["run", "--manifest", str(self._write(tmp_path / "m.txt", extra))]) == 0
         assert (tmp_path / "cls_head.flcp").exists()
         assert any(True for _ in read_records(tmp_path / "cls_report.jsonl"))
+
+    def test_oversized_finetune_item_fails_before_pretraining(self, tmp_path, capsys):
+        extra = "".join(f"ner_{key} = ner_{key}.out\n" for key in ("train", "dev", "model", "report"))
+        assert main(["run", "--manifest", str(self._write(tmp_path / "m.txt", extra))]) == 2
+        assert re.search(r"sequence \d+ needs \d+ pieces, model capacity is 32\n$",
+                         capsys.readouterr().err)
+        assert (tmp_path / "vocab.txt").exists()
+        for name in ("ex.ptex", "ck.flcp", "trace.csv", "ner_model.out"):
+            assert not (tmp_path / name).exists(), name
 
     def test_subcommands_write_the_heads_the_runner_writes(self, tmp_path):
         settings = {"cls": ("1", "0.002", "5"), "ner": ("2", "0.001", "4")}

@@ -148,7 +148,7 @@ class TestAlignment:
             ["x y z xyz"] * 3,
             TokenizerTrainConfig(vocab_size=40, min_frequency=99, alphabet_limit=10),
         )
-        rows, firsts = _encode_token_rows([("xyz",)], splitter, config)
+        rows, firsts = _encode_token_rows([("xyz",)], splitter, config.max_positions)
         assert len(rows[0]) == 2 + 3  # CLS + three pieces + SEP
         assert firsts[0] == [1]
 
@@ -164,13 +164,13 @@ class TestAlignment:
             layers=1, heads=2, hidden=32, intermediate=64,
             vocab_size=len(splitter.vocab), max_positions=16,
         )
-        rows, firsts = _encode_token_rows([("xyz", "x")], splitter, small)
+        rows, firsts = _encode_token_rows([("xyz", "x")], splitter, small.max_positions)
         assert firsts[0] == [1, 4]
 
     def test_sequence_beyond_capacity_is_an_error(self, setup):
         tokenizer, config, _ = setup
         with pytest.raises(DataError, match="capacity"):
-            _encode_token_rows([tuple(WORDS * 5)], tokenizer, config)
+            _encode_token_rows([tuple(WORDS * 5)], tokenizer, config.max_positions)
 
     def test_tagger_output_length_equals_word_count(self, setup):
         tokenizer, config, checkpoint = setup
@@ -338,7 +338,7 @@ class TestHeadGradients:
         full = dict({k: v.copy() for k, v in checkpoint.params.items()})
         full["head_w"] = rng.normal(0, 0.05, (config.hidden, 2))
         full["head_b"] = np.zeros(2)
-        batch = _pad_batch(_encode_texts(["ab zz abc", "cab dab"], tokenizer, config),
+        batch = _pad_batch(_encode_texts(["ab zz abc", "cab dab"], tokenizer, config.max_positions),
                            tokenizer.pad_id)
         gold = np.array([0, 1])
 
@@ -378,7 +378,9 @@ class TestHeadGradients:
         full = dict({k: v.copy() for k, v in checkpoint.params.items()})
         full["head_w"] = rng.normal(0, 0.05, (config.hidden, 3))
         full["head_b"] = np.zeros(3)
-        rows, firsts = _encode_token_rows([("ab", "yy", "cab"), ("dba", "bad")], tokenizer, config)
+        rows, firsts = _encode_token_rows(
+            [("ab", "yy", "cab"), ("dba", "bad")], tokenizer, config.max_positions
+        )
         batch = _pad_batch(rows, tokenizer.pad_id)
         width = batch["input_ids"].shape[1]
         aligned = np.full((2, width), IGNORE_INDEX, dtype=np.int64)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
+from farsilm import model as model_module
 from farsilm.errors import ConfigError, DataError
 from farsilm.model import (
     ModelConfig,
@@ -26,6 +27,7 @@ from farsilm.model import (
     param_count,
     shape_audit,
 )
+from padded_reference import padded_backprop, padded_encode
 
 
 def make_batch(rng, vocab, bsz=2, length=12, pad_from=None):
@@ -434,3 +436,160 @@ class TestMaskedPositionHead:
         assert direct["mlm_positions"] == losses["mlm_positions"]
         for key in ("mlm_loss", "nsp_loss", "total"):
             assert direct[key] == pytest.approx(losses[key], rel=1e-12, abs=0.0), key
+
+
+# The grid the unpadded encoder is held to, declared before any run: every
+# (B, L) pair, rows that are all full or ragged, the three kinds of
+# upstream gradient the callers pass (a classifier on the pooled vector, a
+# tagger on every position, pretraining's MLM plus NSP), dropout off and on.
+# 16 x 18 is the fine-tuning shape where a compact dY @ W.T takes another
+# BLAS kernel than the padded product.
+_GRID_B = (1, 3, 16, 32)
+_GRID_L = (5, 18, 64)
+_GRID_LAYOUT = ("full", "ragged")
+_GRID_UPSTREAM = ("classifier", "tagger", "mlm+nsp")
+_GRID_DROPOUT = (0.0, 0.1)
+
+
+def grid_batch(bsz, length, layout, vocab=300):
+    """Row b holds 2 + (3b + L // 2) mod (L - 1) real tokens when ragged;
+    labels sit on real positions 1, 5, 9, ..."""
+    rng = np.random.default_rng((bsz, length))
+    if layout == "full":
+        lengths = np.full(bsz, length)
+    else:
+        lengths = 2 + (3 * np.arange(bsz) + length // 2) % (length - 1)
+    pos = np.arange(length)[None, :]
+    attn = (pos < lengths[:, None]).astype(np.int64)
+    labels = np.where((pos % 4 == 1) & (attn == 1), rng.integers(5, vocab, (bsz, length)), -100)
+    return dict(
+        input_ids=rng.integers(5, vocab, (bsz, length)) * attn,
+        segment_ids=((pos >= lengths[:, None] // 2) & (attn == 1)).astype(np.int64),
+        attention_mask=attn,
+        mlm_labels=labels,
+        nsp_labels=rng.integers(0, 2, bsz),
+    )
+
+
+def head_gradients(encode, backprop, params, cfg, batch, kind, seed):
+    """One fine-tuning step's outputs and gradients for a classifier or a
+    tagger head, computed as ``finetune`` computes them."""
+    head_rng = np.random.default_rng(99)
+    head_w = head_rng.normal(0.0, 0.02, (cfg.hidden, 3))
+    head_b = head_rng.normal(0.0, 0.02, 3)
+    outputs, cache = encode(params, cfg, batch, np.random.default_rng(seed))
+    features = outputs["pooled" if kind == "classifier" else "sequence"]
+    logits = features @ head_w + head_b
+    if kind == "classifier":
+        gold = np.arange(len(logits)) % 3
+        selected = np.ones(len(logits), dtype=bool)
+    else:
+        gold = batch["input_ids"] % 3
+        selected = batch["mlm_labels"] != -100
+    dlogits = _softmax(logits) * selected[..., None]
+    picked = np.nonzero(selected)
+    dlogits[picked + (gold[picked],)] -= 1.0
+    dlogits /= int(selected.sum())
+    grads = {name: np.zeros_like(value) for name, value in params.items()}
+    grads["head_w"] = features.reshape(-1, cfg.hidden).T @ dlogits.reshape(-1, 3)
+    dfeatures = dlogits @ head_w.T
+    if kind == "classifier":
+        backprop(params, cfg, cache, np.zeros_like(outputs["sequence"]), dfeatures, grads)
+    else:
+        backprop(params, cfg, cache, dfeatures, None, grads)
+    return outputs, grads
+
+
+class TestUnpaddedEncoder:
+    """The encoder skips unattended rows; its outputs and gradients must be
+    the padded encoder's, byte for byte."""
+
+    params = init_params(
+        ModelConfig(layers=2, heads=2, hidden=64, intermediate=256, vocab_size=300,
+                    max_positions=64),
+        seed=31,
+    )
+
+    @pytest.mark.parametrize("dropout", _GRID_DROPOUT)
+    @pytest.mark.parametrize("upstream", _GRID_UPSTREAM)
+    @pytest.mark.parametrize("layout", _GRID_LAYOUT)
+    @pytest.mark.parametrize("length", _GRID_L)
+    @pytest.mark.parametrize("bsz", _GRID_B)
+    def test_bytes_equal_padded_reference(self, bsz, length, layout, upstream, dropout,
+                                          monkeypatch):
+        cfg = ModelConfig(layers=2, heads=2, hidden=64, intermediate=256, vocab_size=300,
+                          max_positions=64, dropout=dropout)
+        batch = grid_batch(bsz, length, layout)
+        attended = batch["attention_mask"] == 1
+        if upstream == "mlm+nsp":
+            outputs, _ = _encode(self.params, cfg, batch, np.random.default_rng(6))
+            ref_outputs, _ = padded_encode(self.params, cfg, batch, np.random.default_rng(6))
+            losses, grads = gradients(self.params, cfg, batch, np.random.default_rng(6))
+            monkeypatch.setattr(model_module, "_encode", padded_encode)
+            monkeypatch.setattr(model_module, "backprop_encoder", padded_backprop)
+            ref_losses, ref_grads = gradients(self.params, cfg, batch, np.random.default_rng(6))
+            assert losses == ref_losses
+        else:
+            outputs, grads = head_gradients(
+                _encode, backprop_encoder, self.params, cfg, batch, upstream, 6)
+            ref_outputs, ref_grads = head_gradients(
+                padded_encode, padded_backprop, self.params, cfg, batch, upstream, 6)
+        assert set(grads) == set(ref_grads)
+        for name, ref in ref_grads.items():
+            assert grads[name].tobytes() == ref.tobytes(), name
+        for key in ("pooled", "nsp_logits"):
+            assert outputs[key].tobytes() == ref_outputs[key].tobytes(), key
+        sequence = outputs["sequence"]
+        assert sequence[attended].tobytes() == ref_outputs["sequence"][attended].tobytes()
+        assert np.all(sequence[~attended] == 0.0)
+
+    def test_upstream_gradient_on_padding_is_ignored(self):
+        cfg = desk_config(vocab_size=300, max_positions=64)
+        batch = grid_batch(3, 18, "ragged")
+        _, cache = _encode(self.params, cfg, batch)
+        upstream = np.random.default_rng(4).normal(size=(3, 18, 64))
+        noisy = upstream.copy()
+        clean = upstream * batch["attention_mask"][..., None]
+        results = []
+        for d_sequence in (clean, noisy):
+            grads = {name: np.zeros_like(value) for name, value in self.params.items()}
+            backprop_encoder(self.params, cfg, cache, d_sequence, None, grads)
+            results.append(grads)
+        for name in results[0]:
+            assert results[0][name].tobytes() == results[1][name].tobytes(), name
+
+
+class TestBatchGuards:
+    """The encoder's exactness rests on 0/1 masks that attend [CLS] and put
+    no label on padding; anything else is a DataError naming the row."""
+
+    cfg = desk_config(vocab_size=300, max_positions=32)
+    params = init_params(cfg, seed=2)
+
+    def _batch(self):
+        return make_batch(np.random.default_rng(3), 300, bsz=3, length=10, pad_from=7)
+
+    def test_attention_value_outside_zero_one(self):
+        batch = self._batch()
+        batch["attention_mask"][1, 3] = 2
+        with pytest.raises(DataError, match=r"row 1 holds an attention value outside \{0, 1\}"):
+            forward(self.params, self.cfg, batch)
+
+    def test_unattended_first_position(self):
+        batch = self._batch()
+        batch["attention_mask"][2, 0] = 0
+        with pytest.raises(DataError, match="row 2 leaves position 0 unattended"):
+            gradients(self.params, self.cfg, batch)
+
+    def test_all_zero_attention_row(self):
+        batch = self._batch()
+        batch["attention_mask"][0] = 0
+        batch["mlm_labels"][0] = -100
+        with pytest.raises(DataError, match="row 0 leaves position 0 unattended"):
+            forward(self.params, self.cfg, batch)
+
+    def test_mlm_label_on_unattended_position(self):
+        batch = self._batch()
+        batch["mlm_labels"][1, 8] = 17
+        with pytest.raises(DataError, match="row 1 carries an MLM label on an unattended"):
+            gradients(self.params, self.cfg, batch)

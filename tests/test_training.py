@@ -11,6 +11,7 @@ from farsilm.errors import ConfigError, DataError
 from farsilm.finetune import load_head_model
 from farsilm.model import ModelConfig, init_params
 from farsilm.pretrain_data import MaskingPolicy, PackingConfig, build_pretrain_examples, write_examples
+from farsilm import training
 from farsilm.training import (
     AdamState,
     OptimizerConfig,
@@ -361,6 +362,28 @@ class TestPretrain:
         )
         assert [row[0] for row in result.trace] == [1, 2, 3, 4, 5]
         assert all(np.isfinite(row[1]) and np.isfinite(row[2]) for row in result.trace)
+
+    def test_non_finite_gradient_aborts_without_checkpoint(
+        self, example_file, tmp_path, monkeypatch
+    ):
+        path, vocab = example_file
+        calls = []
+
+        def poisoned(*args, **kwargs):
+            losses, grads = real_gradients(*args, **kwargs)
+            calls.append(1)
+            if len(calls) == 3:
+                grads["layer0.ffn_w1"][2, 5] = np.nan
+            return losses, grads
+
+        real_gradients = training.gradients
+        monkeypatch.setattr(training, "gradients", poisoned)
+        ckpt, trace = tmp_path / "nan.ckpt", tmp_path / "nan.csv"
+        with pytest.raises(DataError, match="step 3: gradient of layer0.ffn_w1 is not finite"):
+            pretrain(path, small_config(vocab), OptimizerConfig(batch_size=4, max_steps=5),
+                     1, str(ckpt), trace_path=str(trace))
+        assert len(calls) == 3
+        assert not ckpt.exists() and not trace.exists()
 
     def test_vocab_mismatch_fails_before_first_step(self, example_file, tmp_path):
         path, vocab = example_file
