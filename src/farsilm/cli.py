@@ -71,10 +71,12 @@ from .wordpiece import (
 # are OptimizerConfig's, except the learning rate: the desk recipe's 1e-3,
 # not OptimizerConfig's 1e-4.
 _DESK = desk_config(vocab_size=1)
+_SHAPE_KEYS = ("layers", "heads", "hidden", "intermediate")
+_ADAM_KEYS = ("learning_rate", "beta1", "beta2", "batch_size")
 _PRETRAIN_OPTIONS = {
-    **{key: getattr(_DESK, key) for key in ("layers", "heads", "hidden", "intermediate")},
+    **{key: getattr(_DESK, key) for key in _SHAPE_KEYS},
+    **{key: getattr(OptimizerConfig, key) for key in _ADAM_KEYS},
     "learning_rate": 1e-3,
-    **{key: getattr(OptimizerConfig, key) for key in ("beta1", "beta2", "batch_size")},
     "warmup": OptimizerConfig.warmup_steps,
     "log_every": 100,
 }
@@ -206,25 +208,28 @@ def _build_pretrain(infile, vocab, out, max_len, seed) -> None:
     _note(f"wrote {len(examples)} examples at {out}")
 
 
-def _pretrain(examples, out, trace, seed, steps, max_positions, options: dict) -> None:
-    """Pretrain on an example file; ``max_positions`` 0 means its length."""
-    max_len, vocab_size = read_examples_header(examples)
+def _pretrain_configs(options: dict, steps, vocab_size, max_positions):
+    """Model and optimizer configs from the pretraining options."""
+    if options["log_every"] < 1:
+        raise ConfigError(f"log_every must be at least 1, got {options['log_every']}")
     model_config = ModelConfig(
-        layers=options["layers"],
-        heads=options["heads"],
-        hidden=options["hidden"],
-        intermediate=options["intermediate"],
+        **{key: options[key] for key in _SHAPE_KEYS},
         vocab_size=vocab_size,
-        max_positions=max_positions or max_len,
+        max_positions=max_positions,
     )
     opt_config = OptimizerConfig(
-        learning_rate=options["learning_rate"],
-        beta1=options["beta1"],
-        beta2=options["beta2"],
-        batch_size=options["batch_size"],
+        **{key: options[key] for key in _ADAM_KEYS},
         max_steps=steps,
         warmup_steps=options["warmup"],
     )
+    return model_config, opt_config
+
+
+def _pretrain(examples, out, trace, seed, steps, max_positions, options: dict) -> None:
+    """Pretrain on an example file; ``max_positions`` 0 means its length."""
+    max_len, vocab_size = read_examples_header(examples)
+    model_config, opt_config = _pretrain_configs(
+        options, steps, vocab_size, max_positions or max_len)
     result = pretrain(
         examples,
         model_config,
@@ -347,97 +352,106 @@ def _cmd_eval(task, args) -> None:
 _MANIFEST_PATHS = ("corpus", "normalized", "segments", "vocab", "examples", "checkpoint")
 
 
-def _parse_manifest(path: str) -> dict[str, str]:
-    entries: dict[str, str] = {}
-    for lineno, line in enumerate(read_text(path).splitlines(), start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if "=" not in stripped:
-            raise ConfigError(f"{path}: line {lineno} is not a key = value entry")
-        key, _, value = stripped.partition("=")
-        key, value = key.strip(), value.strip()
-        if not key or not value:
-            raise ConfigError(f"{path}: line {lineno} has an empty key or value")
-        if key in entries:
-            raise ConfigError(f"{path}: duplicate key {key!r} on line {lineno}")
-        entries[key] = value
-    return entries
+class _Manifest:
+    """A manifest's key = value entries. Lookups record the key, so that
+    :meth:`reject_unread` can name every key the runner never reads."""
+
+    def __init__(self, path: str):
+        self.base = Path(path).parent
+        self.entries: dict[str, str] = {}
+        self.read: set[str] = set()
+        for lineno, line in enumerate(read_text(path).splitlines(), start=1):
+            stripped = line.strip()
+            if not stripped or stripped.startswith("#"):
+                continue
+            if "=" not in stripped:
+                raise ConfigError(f"{path}: line {lineno} is not a key = value entry")
+            key, _, value = stripped.partition("=")
+            key, value = key.strip(), value.strip()
+            if not key or not value:
+                raise ConfigError(f"{path}: line {lineno} has an empty key or value")
+            if key in self.entries:
+                raise ConfigError(f"{path}: duplicate key {key!r} on line {lineno}")
+            self.entries[key] = value
+
+    def has(self, key: str) -> bool:
+        self.read.add(key)
+        return key in self.entries
+
+    def number(self, key: str, default):
+        """The value of ``key`` as the default's type; a None default makes
+        ``key`` a required integer."""
+        if not self.has(key):
+            if default is None:
+                raise ConfigError(f"manifest lacks the required {key} key")
+            return default
+        kind = float if isinstance(default, float) else int
+        try:
+            return kind(self.entries[key])
+        except ValueError:
+            what = "a number" if kind is float else "an integer"
+            raise ConfigError(f"manifest key {key} is not {what}: {self.entries[key]!r}") from None
+
+    def path(self, key: str) -> str:
+        if not self.has(key):
+            raise ConfigError(f"manifest lacks the required {key} path")
+        return str(self.base / self.entries[key])
+
+    def reject_unread(self) -> None:
+        unread = sorted(set(self.entries) - self.read)
+        if unread:
+            raise ConfigError(f"manifest has unknown keys {unread}")
 
 
-def _manifest_number(entries: dict, key: str, default):
-    """The value of ``key`` as the default's type; a None default makes
-    ``key`` a required integer."""
-    if key not in entries:
-        if default is None:
-            raise ConfigError(f"manifest lacks the required {key} key")
-        return default
-    kind = float if isinstance(default, float) else int
-    try:
-        return kind(entries[key])
-    except ValueError:
-        what = "a number" if kind is float else "an integer"
-        raise ConfigError(f"manifest key {key} is not {what}: {entries[key]!r}") from None
-
-
-def _manifest_path(entries: dict, base: Path, key: str) -> str:
-    if key not in entries:
-        raise ConfigError(f"manifest lacks the required {key} path")
-    return str(base / entries[key])
-
-
-def _prepare_finetune(entries: dict, base: Path, seed: int, task: str, vocab: str, capacity: int):
-    """Read a task's manifest keys, write its synthetic train and dev files
-    and check that every item fits a model of ``capacity`` positions, so
-    that a bad key or an oversized item fails before pretraining."""
+def _finetune_stages(manifest: _Manifest, task: str, seed: int, capacity: int):
+    """Read and check a task's manifest keys. Returns its two stages: one
+    writes the synthetic data and checks that every item fits ``capacity``
+    positions, before pretraining; the other fine-tunes and reports."""
     train, dev, model, report = (
-        _manifest_path(entries, base, f"{task}_{key}") for key in ("train", "dev", "model", "report")
+        manifest.path(f"{task}_{key}") for key in ("train", "dev", "model", "report")
     )
     # 300 items here, where gen-synthetic's --count defaults to 200
-    count = _manifest_number(entries, f"{task}_count", 300)
+    count = manifest.number(f"{task}_count", 300)
     if task == "cls":
-        classes = _manifest_number(entries, "cls_classes", _SYNTHETIC_OPTIONS["classes"])
+        classes = manifest.number("cls_classes", _SYNTHETIC_OPTIONS["classes"])
         labels = synthetic.classification_labels(classes)
     else:
         classes, labels = _SYNTHETIC_OPTIONS["classes"], synthetic.ner_tag_inventory()
     options = {
-        key: _manifest_number(entries, f"{task}_{key}", default)
+        key: seed if key == "seed" else manifest.number(f"{task}_{key}", default)
         for key, default in _FINETUNE_OPTIONS.items()
-        if key != "seed"
     }
-    options["seed"] = seed
-    _gen_synthetic(task, train, seed, count=count, classes=classes)
-    _gen_synthetic(task, dev, seed + 1, count=max(2, count // 4), classes=classes)
-    spec, tokenizer = _TASKS[task], load_vocab(vocab)
-    for path in (train, dev):
-        check_capacity(spec.kind, [spec.inputs(item) for item in spec.load(path)], tokenizer, capacity)
-    return train, dev, model, report, labels, options
+    FinetuneConfig(label_inventory=labels, **options)
+    spec = _TASKS[task]
 
+    def write_data(vocab):
+        _gen_synthetic(task, train, seed, count=count, classes=classes)
+        _gen_synthetic(task, dev, seed + 1, count=max(2, count // 4), classes=classes)
+        tokenizer = load_vocab(vocab)
+        for path in (train, dev):
+            check_capacity(spec.kind, [spec.inputs(item) for item in spec.load(path)], tokenizer, capacity)
 
-def _run_finetune(task: str, paths: dict, train, dev, model, report, labels, options) -> None:
-    _finetune(task, paths["checkpoint"], paths["vocab"], train, dev, model, labels, options)
-    records, _, score = _evaluate(task, model, paths["vocab"], dev)
-    write_records(report, records)
-    _note(f"{task}: dev {_TASKS[task].score_name} {score:.4f}, report at {report}")
+    def run(checkpoint, vocab):
+        _finetune(task, checkpoint, vocab, train, dev, model, labels, options)
+        records, _, score = _evaluate(task, model, vocab, dev)
+        write_records(report, records)
+        _note(f"{task}: dev {spec.score_name} {score:.4f}, report at {report}")
+
+    return write_data, run
 
 
 def _cmd_run(args) -> None:
-    entries = _parse_manifest(args.manifest)
-    base = Path(args.manifest).parent
+    manifest = _Manifest(args.manifest)
+    number = manifest.number
 
-    def number(key, default):
-        return _manifest_number(entries, key, default)
-
+    # every key is read and checked before the first stage writes a file
     seed = number("seed", None)
-    paths = {key: _manifest_path(entries, base, key) for key in _MANIFEST_PATHS}
+    paths = {key: manifest.path(key) for key in _MANIFEST_PATHS}
     for target in paths.values():
         parent = Path(target).parent
         if not parent.is_dir():
             raise DataError(f"manifest output directory {parent} does not exist")
-
-    _gen_synthetic("mlm-corpus", paths["corpus"], seed, docs=number("docs", _SYNTHETIC_OPTIONS["docs"]))
-    _normalize(paths["corpus"], paths["normalized"], "line-records")
-    _segment(paths["normalized"], paths["segments"], "line-records")
+    docs = number("docs", _SYNTHETIC_OPTIONS["docs"])
     # The manifest's own defaults where the subcommands differ: vocab_size
     # 1,000 (train-tokenizer: 100,000), max_len 64 (build-pretrain: 512) and
     # steps 100 (pretrain: required). Each surface keeps its values, so
@@ -447,20 +461,28 @@ def _cmd_run(args) -> None:
         min_frequency=number("min_frequency", TokenizerTrainConfig.min_frequency),
         alphabet_limit=number("alphabet_limit", TokenizerTrainConfig.alphabet_limit),
     )
-    _train_tokenizer(paths["segments"], paths["vocab"], "line-records", tokenizer_config)
     max_len = number("max_len", 64)
-    finetune_stages = {
-        task: _prepare_finetune(entries, base, seed, task, paths["vocab"], max_len)
-        for task in ("cls", "ner")
-        if f"{task}_model" in entries
-    }
-    _build_pretrain(paths["segments"], paths["vocab"], paths["examples"], max_len, seed)
-    trace = str(base / entries["trace"]) if "trace" in entries else None
+    PackingConfig(max_len=max_len, rng_seed=seed)
+    finetune_stages = [
+        _finetune_stages(manifest, task, seed, max_len) for task in _TASKS if manifest.has(f"{task}_model")
+    ]
+    trace = manifest.path("trace") if manifest.has("trace") else None
+    steps = number("steps", 100)
     options = {key: number(key, default) for key, default in _PRETRAIN_OPTIONS.items()}
-    _pretrain(paths["examples"], paths["checkpoint"], trace, seed, number("steps", 100), 0, options)
+    # the trained vocabulary's size is known only later; its cap stands in
+    _pretrain_configs(options, steps, tokenizer_config.vocab_size, max_len)
+    manifest.reject_unread()
 
-    for task, stage in finetune_stages.items():
-        _run_finetune(task, paths, *stage)
+    _gen_synthetic("mlm-corpus", paths["corpus"], seed, docs=docs)
+    _normalize(paths["corpus"], paths["normalized"], "line-records")
+    _segment(paths["normalized"], paths["segments"], "line-records")
+    _train_tokenizer(paths["segments"], paths["vocab"], "line-records", tokenizer_config)
+    for write_data, _ in finetune_stages:
+        write_data(paths["vocab"])
+    _build_pretrain(paths["segments"], paths["vocab"], paths["examples"], max_len, seed)
+    _pretrain(paths["examples"], paths["checkpoint"], trace, seed, steps, 0, options)
+    for _, run in finetune_stages:
+        run(paths["checkpoint"], paths["vocab"])
 
 
 # --- parser assembly ---

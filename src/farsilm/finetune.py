@@ -23,7 +23,7 @@ from . import wordpiece as wp
 from .errors import ConfigError, DataError
 from .lineio import read_records, read_text, write_records
 from .metrics import accuracy, entity_f1
-from .model import ModelConfig, _encode, _softmax, _truncated_normal, backprop_encoder
+from .model import ModelConfig, _encode, _softmax_xent_grad, _truncated_normal, backprop_encoder
 from .pretrain_data import IGNORE_INDEX
 from .training import (
     AdamState,
@@ -184,8 +184,6 @@ def _pad_batch(rows: list[list[int]], pad_id: int):
         "input_ids": ids,
         "segment_ids": np.zeros_like(ids),
         "attention_mask": _pad([[1] * len(r) for r in rows], 0),
-        "mlm_labels": np.full_like(ids, IGNORE_INDEX),
-        "nsp_labels": np.zeros(len(rows), dtype=np.int64),
     }
 
 
@@ -315,26 +313,18 @@ def _finetune(kind, checkpoint, tokenizer, train, dev, config, inputs, targets, 
             else:
                 gold = _pad([gold_rows[i] for i in picks], IGNORE_INDEX)
 
-            # mean softmax cross-entropy over every target not IGNORE_INDEX
             outputs, cache = _encode(full, mcfg, batch)
             features = outputs[source]
             logits = features @ full["head_w"] + full["head_b"]
-            selected = gold != IGNORE_INDEX
-            dlogits = _softmax(logits) * selected[..., None]
-            picked = np.nonzero(selected)
-            dlogits[picked + (gold[picked],)] -= 1.0
-            dlogits /= int(selected.sum())
+            dlogits = _softmax_xent_grad(logits, gold)
 
             grads = {name: np.zeros_like(value) for name, value in full.items()}
             flat_dlogits = dlogits.reshape(-1, n_labels)
             grads["head_w"] += features.reshape(-1, mcfg.hidden).T @ flat_dlogits
             grads["head_b"] += flat_dlogits.sum(0)
             dfeatures = dlogits @ full["head_w"].T
-            if source == "pooled":
-                dx = np.zeros_like(outputs["sequence"])
-                backprop_encoder(full, mcfg, cache, dx, dfeatures, grads)
-            else:
-                backprop_encoder(full, mcfg, cache, dfeatures, None, grads)
+            d_sequence, d_pooled = (None, dfeatures) if source == "pooled" else (dfeatures, None)
+            backprop_encoder(full, mcfg, cache, d_sequence, d_pooled, grads)
             adam_step(full, grads, state, opt)
         if dev:
             model = _assemble(kind, mcfg, full, config.label_inventory)

@@ -23,6 +23,8 @@ from .pretrain_data import IGNORE_INDEX
 LN_EPS = 1e-12
 _MASK_BIAS = -1e9
 _INIT_STD = 0.02
+# segment ids are 0 (sentence A) or 1 (sentence B), as the example file holds them
+TYPE_VOCAB = 2
 
 
 @dataclass(frozen=True)
@@ -35,20 +37,13 @@ class ModelConfig:
     intermediate: int = 3072
     vocab_size: int = 100_000
     max_positions: int = 512
-    type_vocab: int = 2
-    dropout: float = 0.0
 
     def __post_init__(self):
-        if self.hidden % self.heads != 0:
-            raise ConfigError(
-                f"hidden {self.hidden} is not divisible by heads {self.heads}"
-            )
-        for name in ("layers", "heads", "hidden", "intermediate", "vocab_size",
-                     "max_positions", "type_vocab"):
+        for name in ("layers", "heads", "hidden", "intermediate", "vocab_size", "max_positions"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be positive")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ConfigError(f"dropout must lie in [0,1), got {self.dropout}")
+        if self.hidden % self.heads != 0:
+            raise ConfigError(f"hidden {self.hidden} is not divisible by heads {self.heads}")
 
 
 def desk_config(vocab_size: int, max_positions: int = 128) -> ModelConfig:
@@ -68,7 +63,7 @@ def _param_shapes(config: ModelConfig) -> dict[str, tuple[int, ...]]:
     shapes: dict[str, tuple[int, ...]] = {
         "tok_emb": (config.vocab_size, h),
         "pos_emb": (config.max_positions, h),
-        "seg_emb": (config.type_vocab, h),
+        "seg_emb": (TYPE_VOCAB, h),
         "emb_ln_g": (h,),
         "emb_ln_b": (h,),
     }
@@ -190,15 +185,20 @@ def _softmax(x):
     return e / e.sum(-1, keepdims=True)
 
 
+def _softmax_xent_grad(logits, gold):
+    """Gradient of the mean softmax cross-entropy over the targets in
+    ``gold`` that are not IGNORE_INDEX, for logits of shape gold.shape + (C,)."""
+    selected = gold != IGNORE_INDEX
+    dlogits = _softmax(logits) * selected[..., None]
+    picked = np.nonzero(selected)
+    dlogits[picked + (gold[picked],)] -= 1.0
+    dlogits /= int(selected.sum())
+    return dlogits
+
+
 def _log_softmax(x):
     shifted = x - x.max(-1, keepdims=True)
     return shifted - np.log(np.exp(shifted).sum(-1, keepdims=True))
-
-
-def _dropout_mask(rng, shape, rate):
-    if rate <= 0.0 or rng is None:
-        return None
-    return (rng.random(shape) >= rate) / (1.0 - rate)
 
 
 def _validate_batch(config: ModelConfig, batch: dict[str, np.ndarray]) -> None:
@@ -213,8 +213,8 @@ def _validate_batch(config: ModelConfig, batch: dict[str, np.ndarray]) -> None:
             f"[{ids.min()},{ids.max()}]"
         )
     segs = batch["segment_ids"]
-    if segs.min() < 0 or segs.max() >= config.type_vocab:
-        raise DataError(f"segment ids must lie in [0,{config.type_vocab})")
+    if segs.min() < 0 or segs.max() >= TYPE_VOCAB:
+        raise DataError(f"segment ids must lie in [0,{TYPE_VOCAB})")
     # the encoder skips unattended rows, which is exact only for 0/1 masks
     # that attend each row's [CLS] slot and put no MLM label on padding
     attn = batch["attention_mask"]
@@ -235,36 +235,27 @@ class _Rows:
     """The attended positions of a (B, L) batch.
 
     Token-wise work runs on arrays of shape (N, K) holding the N attended
-    rows in batch order, or, when every position is attended, on the
-    padded (B, L, K) arrays themselves. The attention core and the
-    backward matrix products stay in the padded layout. A batch with a
-    single attended position in all sends its projections to a
-    matrix-vector kernel, so only there the bits may differ from running
-    every position; encoded inputs always hold [CLS] and [SEP].
+    rows in batch order; a batch without padding takes the same path with
+    N = B * L. The attention core and the backward matrix products stay in
+    the padded layout. A batch with a single attended position in all
+    sends its projections to a matrix-vector kernel, so only there the
+    bits may differ from running every position; encoded inputs always
+    hold [CLS] and [SEP].
     """
 
     def __init__(self, attn: np.ndarray):
         self.bsz, self.length = attn.shape
         self.flat = np.flatnonzero(attn)
-        self.full = self.flat.size == attn.size
-        if self.full:
-            self.positions = np.broadcast_to(np.arange(self.length), attn.shape)
-            self.cls = (slice(None), 0)
-        else:
-            self.positions = self.flat % self.length
-            # _validate_batch guarantees each row attends its position 0
-            self.cls = np.searchsorted(self.flat, np.arange(self.bsz) * self.length)
+        self.positions = self.flat % self.length
+        # _validate_batch guarantees each row attends its position 0
+        self.cls = np.searchsorted(self.flat, np.arange(self.bsz) * self.length)
 
     def gather(self, padded: np.ndarray) -> np.ndarray:
         """Token rows of a (B, L, ...) array."""
-        if self.full:
-            return padded
         return padded.reshape((-1,) + padded.shape[2:])[self.flat]
 
     def scatter(self, tokens: np.ndarray) -> np.ndarray:
         """(B, L, K) array with the token rows in place and zeros elsewhere."""
-        if self.full:
-            return tokens
         padded = np.zeros((self.bsz * self.length, tokens.shape[-1]))
         padded[self.flat] = tokens
         return padded.reshape(self.bsz, self.length, -1)
@@ -277,7 +268,7 @@ def _affine(x, w, b):
     return out
 
 
-def _encode(params, config, batch, dropout_rng=None):
+def _encode(params, config, batch):
     """Run the encoder and the NSP head; returns (outputs, cache).
 
     outputs holds nsp_logits, pooled and sequence; cache holds every
@@ -293,20 +284,10 @@ def _encode(params, config, batch, dropout_rng=None):
     bsz, length = rows.bsz, rows.length
     nh = config.heads
     dh = config.hidden // nh
-    rate = config.dropout
-
-    def dropout_mask(shape):
-        # drawn at the padded shape, so the random stream does not depend
-        # on how many positions are attended
-        mask = _dropout_mask(dropout_rng, shape, rate)
-        return None if mask is None else rows.gather(mask)
 
     x = params["tok_emb"][ids] + params["pos_emb"][rows.positions]
     x += params["seg_emb"][segs]
     x, emb_ln_cache = _layer_norm(x, params["emb_ln_g"], params["emb_ln_b"])
-    emb_drop = dropout_mask((bsz, length, config.hidden))
-    if emb_drop is not None:
-        x *= emb_drop
 
     # keys with attention 0 get a huge negative bias; exp underflows to an
     # exact zero weight, which is what makes padding invariance exact
@@ -324,13 +305,8 @@ def _encode(params, config, batch, dropout_rng=None):
         vh = heads(_affine(x, params[p + "v_w"], params[p + "v_b"]))
         scores = qh @ kh.transpose(0, 1, 3, 2) / np.sqrt(dh) + bias
         probs = _softmax(scores)
-        probs_drop = _dropout_mask(dropout_rng, probs.shape, rate)
-        probs_used = probs if probs_drop is None else probs * probs_drop
-        ctx = (probs_used @ vh).transpose(0, 2, 1, 3).reshape(bsz, length, config.hidden)
+        ctx = (probs @ vh).transpose(0, 2, 1, 3).reshape(bsz, length, config.hidden)
         attn_out = _affine(rows.gather(ctx), params[p + "o_w"], params[p + "o_b"])
-        attn_drop = dropout_mask(ctx.shape)
-        if attn_drop is not None:
-            attn_out *= attn_drop
         attn_out += x_in
         x_attn, attn_ln_cache = _layer_norm(
             attn_out, params[p + "attn_ln_g"], params[p + "attn_ln_b"]
@@ -339,20 +315,15 @@ def _encode(params, config, batch, dropout_rng=None):
         ffn_pre = _affine(x_attn, params[p + "ffn_w1"], params[p + "ffn_b1"])
         ffn_act, ffn_cdf = _gelu(ffn_pre)
         ffn_out = _affine(ffn_act, params[p + "ffn_w2"], params[p + "ffn_b2"])
-        ffn_drop = dropout_mask(ctx.shape)
-        if ffn_drop is not None:
-            ffn_out *= ffn_drop
         ffn_out += x_attn
         x, ffn_ln_cache = _layer_norm(
             ffn_out, params[p + "ffn_ln_g"], params[p + "ffn_ln_b"]
         )
         layer_caches.append(
             dict(
-                x_in=x_in, qh=qh, kh=kh, vh=vh,
-                probs=probs, probs_drop=probs_drop, probs_used=probs_used,
-                ctx=ctx, attn_drop=attn_drop, attn_ln=attn_ln_cache,
-                x_attn=x_attn, ffn_pre=ffn_pre, ffn_cdf=ffn_cdf, ffn_act=ffn_act,
-                ffn_drop=ffn_drop, ffn_ln=ffn_ln_cache,
+                x_in=x_in, qh=qh, kh=kh, vh=vh, probs=probs, ctx=ctx,
+                attn_ln=attn_ln_cache, x_attn=x_attn, ffn_pre=ffn_pre,
+                ffn_cdf=ffn_cdf, ffn_act=ffn_act, ffn_ln=ffn_ln_cache,
             )
         )
 
@@ -363,7 +334,7 @@ def _encode(params, config, batch, dropout_rng=None):
 
     outputs = {"nsp_logits": nsp_logits, "pooled": pooled, "sequence": rows.scatter(x)}
     cache = dict(
-        rows=rows, ids=ids, segs=segs, emb_ln=emb_ln_cache, emb_drop=emb_drop,
+        rows=rows, ids=ids, segs=segs, emb_ln=emb_ln_cache,
         layers=layer_caches, cls_state=cls_state, pooled=pooled,
     )
     return outputs, cache
@@ -379,12 +350,12 @@ def _mlm_head(params, x):
     return logits, (x, pre, cdf, tr, ln_cache)
 
 
-def forward(params, config: ModelConfig, batch, dropout_rng=None):
+def forward(params, config: ModelConfig, batch):
     """Encoder outputs for one batch: mlm_logits at every position,
     nsp_logits, pooled, sequence. ``sequence`` is exactly zero at
     unattended positions, so mlm_logits there are the head's output for a
     zero state and carry no meaning."""
-    outputs, _ = _encode(params, config, batch, dropout_rng)
+    outputs, _ = _encode(params, config, batch)
     outputs["mlm_logits"], _ = _mlm_head(params, outputs["sequence"])
     return outputs
 
@@ -428,29 +399,24 @@ def compute_losses(outputs, batch) -> dict:
     return losses
 
 
-def gradients(params, config: ModelConfig, batch, dropout_rng=None):
+def gradients(params, config: ModelConfig, batch):
     """Losses plus analytic gradients of the total loss for every parameter.
 
     Only labelled positions are scored, so the MLM head runs on just the
     rows of the final hidden states that carry a label.
     """
-    outputs, cache = _encode(params, config, batch, dropout_rng)
+    outputs, cache = _encode(params, config, batch)
     labels = batch["mlm_labels"]
     selected = labels != IGNORE_INDEX
     gold = labels[selected]
     sequence = outputs["sequence"]
-    mlm_logits, (x_sel, mlm_pre, mlm_cdf, mlm_tr, mlm_ln) = _mlm_head(
-        params, sequence[selected]
-    )
+    mlm_logits, (x_sel, mlm_pre, mlm_cdf, mlm_tr, mlm_ln) = _mlm_head(params, sequence[selected])
     nsp_labels = batch["nsp_labels"]
-    losses, mlm_logp = _losses(
-        mlm_logits, gold, outputs["nsp_logits"], nsp_labels
-    )
+    losses, mlm_logp = _losses(mlm_logits, gold, outputs["nsp_logits"], nsp_labels)
     if not np.isfinite(losses["total"]):
         raise DataError(f"non-finite loss {losses['total']}; aborting backward pass")
 
     grads = {name: np.zeros_like(value) for name, value in params.items()}
-    bsz = batch["input_ids"].shape[0]
 
     # MLM head backward over the labelled rows; with none, every MLM
     # gradient stays exactly zero
@@ -470,9 +436,7 @@ def gradients(params, config: ModelConfig, batch, dropout_rng=None):
     dx[selected] = dpre @ params["mlm_w"].T
 
     # NSP head backward
-    dnsp = _softmax(outputs["nsp_logits"])
-    dnsp[np.arange(bsz), nsp_labels] -= 1.0
-    dnsp /= bsz
+    dnsp = _softmax_xent_grad(outputs["nsp_logits"], nsp_labels)
     grads["nsp_w"] += cache["pooled"].T @ dnsp
     grads["nsp_b"] += dnsp.sum(0)
     dpooled = dnsp @ params["nsp_w"].T
@@ -483,7 +447,7 @@ def gradients(params, config: ModelConfig, batch, dropout_rng=None):
 
 def backprop_encoder(params, config: ModelConfig, cache, d_sequence, d_pooled, grads):
     """Accumulate encoder gradients for upstream gradients on the final
-    hidden states and, optionally, on the pooled [CLS] vector.
+    hidden states and on the pooled [CLS] vector; either may be None.
 
     This is the shared backward half used by the pretraining heads and by
     the fine-tuning heads; grads is mutated in place. ``d_sequence`` at
@@ -499,7 +463,10 @@ def backprop_encoder(params, config: ModelConfig, cache, d_sequence, d_pooled, g
     bsz, length = rows.bsz, rows.length
     nh = config.heads
     dh = config.hidden // nh
-    dx = np.array(d_sequence) if rows.full else rows.gather(d_sequence)
+    if d_sequence is None:
+        dx = np.zeros((rows.flat.size, config.hidden))
+    else:
+        dx = rows.gather(d_sequence)
 
     if d_pooled is not None:
         dpool_pre = d_pooled * (1.0 - cache["pooled"] ** 2)
@@ -525,9 +492,8 @@ def backprop_encoder(params, config: ModelConfig, cache, d_sequence, d_pooled, g
         dsum, dg, db = _layer_norm_back(dx, c["ffn_ln"])
         grads[p + "ffn_ln_g"] += dg
         grads[p + "ffn_ln_b"] += db
-        dffn_out = dsum if c["ffn_drop"] is None else dsum * c["ffn_drop"]
         dact = dense_back(
-            padded_rows(c["ffn_act"]), rows.scatter(dffn_out), p + "ffn_w2", p + "ffn_b2")
+            padded_rows(c["ffn_act"]), rows.scatter(dsum), p + "ffn_w2", p + "ffn_b2")
         dffn_pre = _gelu_back(dact, c["ffn_pre"], c["ffn_cdf"])
         dx_attn = dense_back(
             padded_rows(c["x_attn"]), rows.scatter(dffn_pre), p + "ffn_w1", p + "ffn_b1")
@@ -536,18 +502,15 @@ def backprop_encoder(params, config: ModelConfig, cache, d_sequence, d_pooled, g
         dsum, dg, db = _layer_norm_back(dx_attn, c["attn_ln"])
         grads[p + "attn_ln_g"] += dg
         grads[p + "attn_ln_b"] += db
-        dattn_out = rows.scatter(dsum if c["attn_drop"] is None else dsum * c["attn_drop"])
+        dattn_out = rows.scatter(dsum)
         flat_dattn = dattn_out.reshape(-1, config.hidden)
         grads[p + "o_w"] += c["ctx"].reshape(-1, config.hidden).T @ flat_dattn
         grads[p + "o_b"] += flat_dattn.sum(0)
         dctx = (dattn_out @ params[p + "o_w"].T).reshape(bsz, length, nh, dh)
         dctx = dctx.transpose(0, 2, 1, 3)
 
-        dprobs_used = dctx @ c["vh"].transpose(0, 1, 3, 2)
-        dvh = c["probs_used"].transpose(0, 1, 3, 2) @ dctx
-        dprobs = (
-            dprobs_used if c["probs_drop"] is None else dprobs_used * c["probs_drop"]
-        )
+        dprobs = dctx @ c["vh"].transpose(0, 1, 3, 2)
+        dvh = c["probs"].transpose(0, 1, 3, 2) @ dctx
         dscores = c["probs"] * (dprobs - (dprobs * c["probs"]).sum(-1, keepdims=True))
         dscores /= np.sqrt(dh)
         dqh = dscores @ c["kh"]
@@ -564,8 +527,6 @@ def backprop_encoder(params, config: ModelConfig, cache, d_sequence, d_pooled, g
         dx += dense_back(x_in, merge(dvh), p + "v_w", p + "v_b")
 
     # embedding backward
-    if cache["emb_drop"] is not None:
-        dx = dx * cache["emb_drop"]
     demb, dg, db = _layer_norm_back(dx, cache["emb_ln"])
     grads["emb_ln_g"] += dg
     grads["emb_ln_b"] += db
@@ -586,9 +547,8 @@ def finite_difference_check(
     ``coordinates`` are (parameter name, flat index) pairs. Uses the total
     loss; a non-finite loss aborts before any differencing.
     """
-    losses, grads = gradients(params, config, batch)
-    if not np.isfinite(losses["total"]):
-        raise DataError("non-finite loss; cannot run finite differences")
+    # gradients() raises DataError on a non-finite loss
+    _, grads = gradients(params, config, batch)
 
     worst = 0.0
     for name, flat_index in coordinates:

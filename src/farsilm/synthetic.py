@@ -249,19 +249,19 @@ def generate_round_trip_sentences(seed: int, count: int) -> list[str]:
 
 
 def classification_labels(n_classes: int) -> tuple[str, ...]:
+    if n_classes < 2:
+        raise ConfigError("classification needs at least 2 classes")
+    if n_classes > len(CLASS_MARKERS):
+        raise ConfigError(f"at most {len(CLASS_MARKERS)} classes are available")
     return tuple(f"class{i}" for i in range(n_classes))
 
 
 def generate_classification(seed: int, count: int, n_classes: int = 2) -> list[LabeledText]:
     """Texts whose class is fully determined by a planted marker word."""
-    if n_classes < 2:
-        raise ConfigError("classification needs at least 2 classes")
-    if n_classes > len(CLASS_MARKERS):
-        raise ConfigError(f"at most {len(CLASS_MARKERS)} classes are available")
+    labels = classification_labels(n_classes)
     if count < n_classes:
         raise ConfigError("count must cover every class at least once")
     rng = np.random.default_rng((seed, 2))
-    labels = classification_labels(n_classes)
     items = []
     for index in range(count):
         cls = index % n_classes

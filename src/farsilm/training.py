@@ -381,12 +381,10 @@ def pretrain(
         state = init_adam_state(params)
 
     trace: list[tuple[int, float, float]] = []
-    dropout_active = model_config.dropout > 0.0
     while state.step < opt_config.max_steps:
         step = state.step + 1
         batch = _batch_for_step(examples, opt_config.batch_size, seed, step)
-        dropout_rng = np.random.default_rng((seed, 3, step)) if dropout_active else None
-        losses, grads = gradients(params, model_config, batch, dropout_rng)
+        losses, grads = gradients(params, model_config, batch)
         for name, grad in grads.items():
             if not np.isfinite(grad).all():
                 raise DataError(

@@ -1,16 +1,16 @@
 """The padded encoder: every position runs through every layer.
 
 This is the encoder as it was before token-wise work moved to the
-attended rows only. The tests hold the unpadded encoder in
-``farsilm.model`` to its output and gradient bytes. It is kept verbatim,
-helpers included, so that a change to a shared helper cannot move both
-sides at once.
+attended rows only, without the dropout it has since lost. The tests
+hold the unpadded encoder in ``farsilm.model`` to its output and
+gradient bytes. It keeps its own copies of the helpers, so that a change
+to a shared helper cannot move both sides at once.
 """
 
 import numpy as np
 from scipy.special import ndtr
 
-from farsilm.model import _MASK_BIAS, LN_EPS, _dropout_mask, _softmax, _validate_batch
+from farsilm.model import _MASK_BIAS, LN_EPS, _softmax, _validate_batch
 
 
 def _layer_norm(x, g, b):
@@ -45,7 +45,7 @@ def _gelu_back(dy, x, cdf):
     return dy * (cdf + x * phi)
 
 
-def padded_encode(params, config, batch, dropout_rng=None):
+def padded_encode(params, config, batch):
     """``_encode`` with every position in the (B, L) layout."""
     _validate_batch(config, batch)
     ids = batch["input_ids"]
@@ -54,13 +54,9 @@ def padded_encode(params, config, batch, dropout_rng=None):
     bsz, length = ids.shape
     nh = config.heads
     dh = config.hidden // nh
-    rate = config.dropout
 
     emb = params["tok_emb"][ids] + params["pos_emb"][:length] + params["seg_emb"][segs]
     x, emb_ln_cache = _layer_norm(emb, params["emb_ln_g"], params["emb_ln_b"])
-    emb_drop = _dropout_mask(dropout_rng, x.shape, rate)
-    if emb_drop is not None:
-        x = x * emb_drop
 
     # keys with attention 0 get a huge negative bias; exp underflows to an
     # exact zero weight, which is what makes padding invariance exact
@@ -78,13 +74,8 @@ def padded_encode(params, config, batch, dropout_rng=None):
         vh = v.reshape(bsz, length, nh, dh).transpose(0, 2, 1, 3)
         scores = qh @ kh.transpose(0, 1, 3, 2) / np.sqrt(dh) + bias
         probs = _softmax(scores)
-        probs_drop = _dropout_mask(dropout_rng, probs.shape, rate)
-        probs_used = probs if probs_drop is None else probs * probs_drop
-        ctx = (probs_used @ vh).transpose(0, 2, 1, 3).reshape(bsz, length, config.hidden)
+        ctx = (probs @ vh).transpose(0, 2, 1, 3).reshape(bsz, length, config.hidden)
         attn_out = ctx @ params[p + "o_w"] + params[p + "o_b"]
-        attn_drop = _dropout_mask(dropout_rng, attn_out.shape, rate)
-        if attn_drop is not None:
-            attn_out = attn_out * attn_drop
         x_attn, attn_ln_cache = _layer_norm(
             x_in + attn_out, params[p + "attn_ln_g"], params[p + "attn_ln_b"]
         )
@@ -92,19 +83,14 @@ def padded_encode(params, config, batch, dropout_rng=None):
         ffn_pre = x_attn @ params[p + "ffn_w1"] + params[p + "ffn_b1"]
         ffn_act, ffn_cdf = _gelu(ffn_pre)
         ffn_out = ffn_act @ params[p + "ffn_w2"] + params[p + "ffn_b2"]
-        ffn_drop = _dropout_mask(dropout_rng, ffn_out.shape, rate)
-        if ffn_drop is not None:
-            ffn_out = ffn_out * ffn_drop
         x, ffn_ln_cache = _layer_norm(
             x_attn + ffn_out, params[p + "ffn_ln_g"], params[p + "ffn_ln_b"]
         )
         layer_caches.append(
             dict(
-                x_in=x_in, q=q, k=k, v=v, qh=qh, kh=kh, vh=vh,
-                probs=probs, probs_drop=probs_drop, probs_used=probs_used,
-                ctx=ctx, attn_drop=attn_drop, attn_ln=attn_ln_cache,
-                x_attn=x_attn, ffn_pre=ffn_pre, ffn_cdf=ffn_cdf, ffn_act=ffn_act,
-                ffn_drop=ffn_drop, ffn_ln=ffn_ln_cache,
+                x_in=x_in, q=q, k=k, v=v, qh=qh, kh=kh, vh=vh, probs=probs,
+                ctx=ctx, attn_ln=attn_ln_cache, x_attn=x_attn, ffn_pre=ffn_pre,
+                ffn_cdf=ffn_cdf, ffn_act=ffn_act, ffn_ln=ffn_ln_cache,
             )
         )
 
@@ -115,7 +101,7 @@ def padded_encode(params, config, batch, dropout_rng=None):
 
     outputs = {"nsp_logits": nsp_logits, "pooled": pooled, "sequence": x}
     cache = dict(
-        ids=ids, segs=segs, length=length, emb_ln=emb_ln_cache, emb_drop=emb_drop,
+        ids=ids, segs=segs, length=length, emb_ln=emb_ln_cache,
         layers=layer_caches, cls_state=cls_state, pooled=pooled,
     )
     return outputs, cache
@@ -127,7 +113,7 @@ def padded_backprop(params, config, cache, d_sequence, d_pooled, grads):
     bsz = ids.shape[0]
     nh = config.heads
     dh = config.hidden // nh
-    dx = np.array(d_sequence)
+    dx = np.zeros(ids.shape + (config.hidden,)) if d_sequence is None else np.array(d_sequence)
 
     if d_pooled is not None:
         dpool_pre = d_pooled * (1.0 - cache["pooled"] ** 2)
@@ -142,12 +128,11 @@ def padded_backprop(params, config, cache, d_sequence, d_pooled, grads):
         dsum, dg, db = _layer_norm_back(dx, c["ffn_ln"])
         grads[p + "ffn_ln_g"] += dg
         grads[p + "ffn_ln_b"] += db
-        dffn_out = dsum if c["ffn_drop"] is None else dsum * c["ffn_drop"]
-        flat_dffn = dffn_out.reshape(-1, config.hidden)
+        flat_dffn = dsum.reshape(-1, config.hidden)
         flat_act = c["ffn_act"].reshape(-1, config.intermediate)
         grads[p + "ffn_w2"] += flat_act.T @ flat_dffn
         grads[p + "ffn_b2"] += flat_dffn.sum(0)
-        dact = dffn_out @ params[p + "ffn_w2"].T
+        dact = dsum @ params[p + "ffn_w2"].T
         dffn_pre = _gelu_back(dact, c["ffn_pre"], c["ffn_cdf"])
         flat_dpre = dffn_pre.reshape(-1, config.intermediate)
         flat_x_attn = c["x_attn"].reshape(-1, config.hidden)
@@ -158,19 +143,15 @@ def padded_backprop(params, config, cache, d_sequence, d_pooled, grads):
         dsum, dg, db = _layer_norm_back(dx_attn, c["attn_ln"])
         grads[p + "attn_ln_g"] += dg
         grads[p + "attn_ln_b"] += db
-        dattn_out = dsum if c["attn_drop"] is None else dsum * c["attn_drop"]
-        flat_dattn = dattn_out.reshape(-1, config.hidden)
+        flat_dattn = dsum.reshape(-1, config.hidden)
         flat_ctx = c["ctx"].reshape(-1, config.hidden)
         grads[p + "o_w"] += flat_ctx.T @ flat_dattn
         grads[p + "o_b"] += flat_dattn.sum(0)
-        dctx = (dattn_out @ params[p + "o_w"].T).reshape(bsz, length, nh, dh)
+        dctx = (dsum @ params[p + "o_w"].T).reshape(bsz, length, nh, dh)
         dctx = dctx.transpose(0, 2, 1, 3)
 
-        dprobs_used = dctx @ c["vh"].transpose(0, 1, 3, 2)
-        dvh = c["probs_used"].transpose(0, 1, 3, 2) @ dctx
-        dprobs = (
-            dprobs_used if c["probs_drop"] is None else dprobs_used * c["probs_drop"]
-        )
+        dprobs = dctx @ c["vh"].transpose(0, 1, 3, 2)
+        dvh = c["probs"].transpose(0, 1, 3, 2) @ dctx
         dscores = c["probs"] * (dprobs - (dprobs * c["probs"]).sum(-1, keepdims=True))
         dscores /= np.sqrt(dh)
         dqh = dscores @ c["kh"]
@@ -193,8 +174,6 @@ def padded_backprop(params, config, cache, d_sequence, d_pooled, grads):
         )
 
     # embedding backward
-    if cache["emb_drop"] is not None:
-        dx = dx * cache["emb_drop"]
     demb, dg, db = _layer_norm_back(dx, cache["emb_ln"])
     grads["emb_ln_g"] += dg
     grads["emb_ln_b"] += db

@@ -217,6 +217,9 @@ class TestGenSynthetic:
                      "--classes", "1", "--out", str(tmp_path / "x.jsonl")]) == 2
 
 
+_CLS_PATHS = "".join(f"cls_{key} = cls_{key}.out\n" for key in ("train", "dev", "model", "report"))
+
+
 class TestManifestRun:
     def _write(self, path: Path, extra: str = "") -> Path:
         path.write_text(
@@ -256,6 +259,27 @@ class TestManifestRun:
         manifest = tmp_path / "m.txt"
         manifest.write_text("seed = 1\nthis line has no equals sign\n", encoding="utf-8")
         assert main(["run", "--manifest", str(manifest)]) == 2
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("beta1 = 1.5", r"beta1 must lie in \[0,1\), got 1.5"),
+            ("learning_rate = fast", "manifest key learning_rate is not a number: 'fast'"),
+            ("heads = 3", "hidden 64 is not divisible by heads 3"),
+            ("heads = 0", "heads must be positive"),
+            ("cls_classes = 1\n" + _CLS_PATHS, "classification needs at least 2 classes"),
+            ("log_every = 0", "log_every must be at least 1"),
+            ("stepz = 2", r"manifest has unknown keys \['stepz'\]"),
+            ("dropout = 0.1", r"manifest has unknown keys \['dropout'\]"),
+            ("cls_epochs = 1", r"manifest has unknown keys \['cls_epochs'\]"),
+        ],
+        ids=["beta1", "learning_rate", "heads-3", "heads-0", "cls_classes", "log_every",
+             "stepz", "dropout", "cls_epochs-without-cls_model"],
+    )
+    def test_bad_key_fails_before_the_first_stage(self, tmp_path, capsys, line, message):
+        assert main(["run", "--manifest", str(self._write(tmp_path / "m.txt", line + "\n"))]) == 2
+        assert re.search(message, capsys.readouterr().err)
+        assert not (tmp_path / "corpus.jsonl").exists()
 
     def test_optional_finetune_stage_runs(self, tmp_path):
         extra = (

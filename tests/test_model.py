@@ -57,7 +57,6 @@ class TestConfig:
         cfg = ModelConfig()
         assert (cfg.layers, cfg.heads, cfg.hidden) == (12, 12, 768)
         assert cfg.max_positions == 512
-        assert cfg.dropout == 0.0
 
     def test_desk_profile(self):
         cfg = desk_config(vocab_size=1000)
@@ -68,10 +67,6 @@ class TestConfig:
         with pytest.raises(ConfigError, match="divisible"):
             ModelConfig(layers=1, heads=3, hidden=64, intermediate=128)
 
-    def test_dropout_range(self):
-        with pytest.raises(ConfigError, match="dropout"):
-            ModelConfig(dropout=1.0)
-
     def test_positive_dimensions(self):
         with pytest.raises(ConfigError):
             ModelConfig(layers=0)
@@ -80,7 +75,7 @@ class TestConfig:
 class TestParams:
     def test_param_count_desk_config_hand_sum(self):
         # closed form, term by term, for layers=2 heads=2 hidden=64
-        # intermediate=256 vocab=1000 max_positions=128 type_vocab=2
+        # intermediate=256 vocab=1000 max_positions=128, two segment types
         tok = 1000 * 64
         pos = 128 * 64
         seg = 2 * 64
@@ -202,25 +197,6 @@ class TestForward:
         with pytest.raises(DataError, match="segment ids"):
             forward(self.params, self.cfg, batch)
 
-    def test_dropout_perturbs_and_default_does_not(self):
-        batch = make_batch(self.rng, 300)
-        base = forward(self.params, self.cfg, batch)
-        again = forward(self.params, self.cfg, batch, dropout_rng=np.random.default_rng(0))
-        assert np.array_equal(base["mlm_logits"], again["mlm_logits"])
-
-        dropped_cfg = desk_config(vocab_size=300, max_positions=32)
-        dropped_cfg = ModelConfig(
-            layers=dropped_cfg.layers,
-            heads=dropped_cfg.heads,
-            hidden=dropped_cfg.hidden,
-            intermediate=dropped_cfg.intermediate,
-            vocab_size=300,
-            max_positions=32,
-            dropout=0.3,
-        )
-        dropped = forward(self.params, dropped_cfg, batch, dropout_rng=np.random.default_rng(0))
-        assert not np.array_equal(base["mlm_logits"], dropped["mlm_logits"])
-
 
 class TestLosses:
     def setup_method(self):
@@ -333,11 +309,11 @@ class TestGradients:
         assert np.all(grads["mlm_w"] == 0.0)
 
 
-def full_position_reference(params, cfg, batch, dropout_rng=None):
+def full_position_reference(params, cfg, batch):
     """Losses and gradients with the MLM head run over every position and
     the softmax taken over the whole (B, L, V) logits block: the scoring
     that training used before the head was restricted to labelled rows."""
-    outputs, cache = _encode(params, cfg, batch, dropout_rng)
+    outputs, cache = _encode(params, cfg, batch)
     seq = outputs["sequence"]
     pre = seq @ params["mlm_w"] + params["mlm_b"]
     act = pre * ndtr(pre)
@@ -395,17 +371,11 @@ class TestMaskedPositionHead:
             batch["mlm_labels"] = np.full((3, 12), -100)
         return batch
 
-    @pytest.mark.parametrize("kind", ["padded", "dropout", "zero-masked"])
+    @pytest.mark.parametrize("kind", ["padded", "zero-masked"])
     def test_gradients_match_full_position_reference(self, kind):
-        cfg = self.cfg
-        if kind == "dropout":
-            cfg = ModelConfig(layers=2, heads=2, hidden=64, intermediate=256,
-                              vocab_size=300, max_positions=32, dropout=0.2)
         batch = self._batch(kind)
-        losses, grads = gradients(self.params, cfg, batch, np.random.default_rng(3))
-        ref_losses, ref_grads = full_position_reference(
-            self.params, cfg, batch, np.random.default_rng(3)
-        )
+        losses, grads = gradients(self.params, self.cfg, batch)
+        ref_losses, ref_grads = full_position_reference(self.params, self.cfg, batch)
         assert losses["total"] == pytest.approx(ref_losses["total"], rel=1e-12)
         assert set(grads) == set(ref_grads)
         scale = max(np.abs(ref).max() for ref in ref_grads.values())
@@ -441,14 +411,13 @@ class TestMaskedPositionHead:
 # The grid the unpadded encoder is held to, declared before any run: every
 # (B, L) pair, rows that are all full or ragged, the three kinds of
 # upstream gradient the callers pass (a classifier on the pooled vector, a
-# tagger on every position, pretraining's MLM plus NSP), dropout off and on.
+# tagger on every position, pretraining's MLM plus NSP).
 # 16 x 18 is the fine-tuning shape where a compact dY @ W.T takes another
 # BLAS kernel than the padded product.
 _GRID_B = (1, 3, 16, 32)
 _GRID_L = (5, 18, 64)
 _GRID_LAYOUT = ("full", "ragged")
 _GRID_UPSTREAM = ("classifier", "tagger", "mlm+nsp")
-_GRID_DROPOUT = (0.0, 0.1)
 
 
 def grid_batch(bsz, length, layout, vocab=300):
@@ -471,13 +440,13 @@ def grid_batch(bsz, length, layout, vocab=300):
     )
 
 
-def head_gradients(encode, backprop, params, cfg, batch, kind, seed):
+def head_gradients(encode, backprop, params, cfg, batch, kind):
     """One fine-tuning step's outputs and gradients for a classifier or a
     tagger head, computed as ``finetune`` computes them."""
     head_rng = np.random.default_rng(99)
     head_w = head_rng.normal(0.0, 0.02, (cfg.hidden, 3))
     head_b = head_rng.normal(0.0, 0.02, 3)
-    outputs, cache = encode(params, cfg, batch, np.random.default_rng(seed))
+    outputs, cache = encode(params, cfg, batch)
     features = outputs["pooled" if kind == "classifier" else "sequence"]
     logits = features @ head_w + head_b
     if kind == "classifier":
@@ -494,7 +463,7 @@ def head_gradients(encode, backprop, params, cfg, batch, kind, seed):
     grads["head_w"] = features.reshape(-1, cfg.hidden).T @ dlogits.reshape(-1, 3)
     dfeatures = dlogits @ head_w.T
     if kind == "classifier":
-        backprop(params, cfg, cache, np.zeros_like(outputs["sequence"]), dfeatures, grads)
+        backprop(params, cfg, cache, None, dfeatures, grads)
     else:
         backprop(params, cfg, cache, dfeatures, None, grads)
     return outputs, grads
@@ -510,30 +479,28 @@ class TestUnpaddedEncoder:
         seed=31,
     )
 
-    @pytest.mark.parametrize("dropout", _GRID_DROPOUT)
     @pytest.mark.parametrize("upstream", _GRID_UPSTREAM)
     @pytest.mark.parametrize("layout", _GRID_LAYOUT)
     @pytest.mark.parametrize("length", _GRID_L)
     @pytest.mark.parametrize("bsz", _GRID_B)
-    def test_bytes_equal_padded_reference(self, bsz, length, layout, upstream, dropout,
-                                          monkeypatch):
+    def test_bytes_equal_padded_reference(self, bsz, length, layout, upstream, monkeypatch):
         cfg = ModelConfig(layers=2, heads=2, hidden=64, intermediate=256, vocab_size=300,
-                          max_positions=64, dropout=dropout)
+                          max_positions=64)
         batch = grid_batch(bsz, length, layout)
         attended = batch["attention_mask"] == 1
         if upstream == "mlm+nsp":
-            outputs, _ = _encode(self.params, cfg, batch, np.random.default_rng(6))
-            ref_outputs, _ = padded_encode(self.params, cfg, batch, np.random.default_rng(6))
-            losses, grads = gradients(self.params, cfg, batch, np.random.default_rng(6))
+            outputs, _ = _encode(self.params, cfg, batch)
+            ref_outputs, _ = padded_encode(self.params, cfg, batch)
+            losses, grads = gradients(self.params, cfg, batch)
             monkeypatch.setattr(model_module, "_encode", padded_encode)
             monkeypatch.setattr(model_module, "backprop_encoder", padded_backprop)
-            ref_losses, ref_grads = gradients(self.params, cfg, batch, np.random.default_rng(6))
+            ref_losses, ref_grads = gradients(self.params, cfg, batch)
             assert losses == ref_losses
         else:
             outputs, grads = head_gradients(
-                _encode, backprop_encoder, self.params, cfg, batch, upstream, 6)
+                _encode, backprop_encoder, self.params, cfg, batch, upstream)
             ref_outputs, ref_grads = head_gradients(
-                padded_encode, padded_backprop, self.params, cfg, batch, upstream, 6)
+                padded_encode, padded_backprop, self.params, cfg, batch, upstream)
         assert set(grads) == set(ref_grads)
         for name, ref in ref_grads.items():
             assert grads[name].tobytes() == ref.tobytes(), name

@@ -216,6 +216,9 @@ class TestCheckpoint:
         "edit, match",
         [
             (lambda h: h["model_config"].update(colour=3), "unknown keys \\['colour'\\]"),
+            # the header older writers produced, with a dropout rate and a segment-type count
+            (lambda h: h["model_config"].update(dropout=0.0, type_vocab=2),
+             "model_config has unknown keys \\['dropout', 'type_vocab'\\]"),
             (lambda h: h["opt_config"].update(momentum=0.9), "unknown keys \\['momentum'\\]"),
             (lambda h: h["model_config"].pop("hidden"), "lacks \\['hidden'\\]"),
             (lambda h: h["model_config"].update(layers=2.5), "model_config.layers"),
