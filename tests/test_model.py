@@ -411,13 +411,17 @@ class TestMaskedPositionHead:
 # The grid the unpadded encoder is held to, declared before any run: every
 # (B, L) pair, rows that are all full or ragged, the three kinds of
 # upstream gradient the callers pass (a classifier on the pooled vector, a
-# tagger on every position, pretraining's MLM plus NSP).
+# tagger on every position, pretraining's MLM plus NSP), and parameters as
+# initialised or with N(0, 0.1) noise added to every entry.
 # 16 x 18 is the fine-tuning shape where a compact dY @ W.T takes another
-# BLAS kernel than the padded product.
+# BLAS kernel than the padded product. Fresh parameters have unit layer-norm
+# gains and zero biases, where a reordered multiply or add cannot show; the
+# noisy ones make every gain and bias take part in the arithmetic.
 _GRID_B = (1, 3, 16, 32)
 _GRID_L = (5, 18, 64)
 _GRID_LAYOUT = ("full", "ragged")
 _GRID_UPSTREAM = ("classifier", "tagger", "mlm+nsp")
+_GRID_PARAM_NOISE = (0.0, 0.1)
 
 
 def grid_batch(bsz, length, layout, vocab=300):
@@ -479,28 +483,35 @@ class TestUnpaddedEncoder:
         seed=31,
     )
 
+    @pytest.mark.parametrize("param_noise", _GRID_PARAM_NOISE)
     @pytest.mark.parametrize("upstream", _GRID_UPSTREAM)
     @pytest.mark.parametrize("layout", _GRID_LAYOUT)
     @pytest.mark.parametrize("length", _GRID_L)
     @pytest.mark.parametrize("bsz", _GRID_B)
-    def test_bytes_equal_padded_reference(self, bsz, length, layout, upstream, monkeypatch):
+    def test_bytes_equal_padded_reference(self, bsz, length, layout, upstream, param_noise,
+                                          monkeypatch):
         cfg = ModelConfig(layers=2, heads=2, hidden=64, intermediate=256, vocab_size=300,
                           max_positions=64)
+        noise_rng = np.random.default_rng(7)
+        params = {
+            name: value + param_noise * noise_rng.normal(size=value.shape)
+            for name, value in self.params.items()
+        }
         batch = grid_batch(bsz, length, layout)
         attended = batch["attention_mask"] == 1
         if upstream == "mlm+nsp":
-            outputs, _ = _encode(self.params, cfg, batch)
-            ref_outputs, _ = padded_encode(self.params, cfg, batch)
-            losses, grads = gradients(self.params, cfg, batch)
+            outputs, _ = _encode(params, cfg, batch)
+            ref_outputs, _ = padded_encode(params, cfg, batch)
+            losses, grads = gradients(params, cfg, batch)
             monkeypatch.setattr(model_module, "_encode", padded_encode)
             monkeypatch.setattr(model_module, "backprop_encoder", padded_backprop)
-            ref_losses, ref_grads = gradients(self.params, cfg, batch)
+            ref_losses, ref_grads = gradients(params, cfg, batch)
             assert losses == ref_losses
         else:
             outputs, grads = head_gradients(
-                _encode, backprop_encoder, self.params, cfg, batch, upstream)
+                _encode, backprop_encoder, params, cfg, batch, upstream)
             ref_outputs, ref_grads = head_gradients(
-                padded_encode, padded_backprop, self.params, cfg, batch, upstream)
+                padded_encode, padded_backprop, params, cfg, batch, upstream)
         assert set(grads) == set(ref_grads)
         for name, ref in ref_grads.items():
             assert grads[name].tobytes() == ref.tobytes(), name
