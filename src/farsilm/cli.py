@@ -412,9 +412,12 @@ def _finetune_stages(manifest: _Manifest, task: str, seed: int, capacity: int):
     )
     # 300 items here, where gen-synthetic's --count defaults to 200
     count = manifest.number(f"{task}_count", 300)
+    dev_count = max(2, count // 4)
     if task == "cls":
         classes = manifest.number("cls_classes", _SYNTHETIC_OPTIONS["classes"])
         labels = synthetic.classification_labels(classes)
+        for items in (count, dev_count):
+            synthetic.check_class_count(items, classes)
     else:
         classes, labels = _SYNTHETIC_OPTIONS["classes"], synthetic.ner_tag_inventory()
     options = {
@@ -426,7 +429,7 @@ def _finetune_stages(manifest: _Manifest, task: str, seed: int, capacity: int):
 
     def write_data(vocab):
         _gen_synthetic(task, train, seed, count=count, classes=classes)
-        _gen_synthetic(task, dev, seed + 1, count=max(2, count // 4), classes=classes)
+        _gen_synthetic(task, dev, seed + 1, count=dev_count, classes=classes)
         tokenizer = load_vocab(vocab)
         for path in (train, dev):
             check_capacity(spec.kind, [spec.inputs(item) for item in spec.load(path)], tokenizer, capacity)

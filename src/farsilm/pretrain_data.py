@@ -157,6 +157,40 @@ def _excluded_at_or_below(k: int, excluded: Callable[[int], int], count: int) ->
     return lo
 
 
+def _pack(pair: tuple[str, str, int], model: WordPieceModel, max_len: int) -> tuple[list[int], int]:
+    """The real tokens of :func:`assemble_input`'s packing, and how many
+    of them are segment 0."""
+    text_a, text_b, _ = pair
+    ids_a = encode(model, text_a)
+    ids_b = encode(model, text_b)
+    while 3 + len(ids_a) + len(ids_b) > max_len:
+        longer = ids_a if len(ids_a) >= len(ids_b) else ids_b
+        longer.pop()
+    if not ids_a or not ids_b:
+        raise DataError(f"pair untokenizable at max_len {max_len}")
+    cls_id = model.token_to_id[CLS]
+    sep_id = model.token_to_id[SEP]
+    return [cls_id] + ids_a + [sep_id] + ids_b + [sep_id], 2 + len(ids_a)
+
+
+def _padded(
+    ids: list[int], first: int, labels: list[int] | None, nsp_label: int, max_len: int, pad_id: int
+) -> PretrainExample:
+    """An example from its real tokens, ``first`` of them segment 0, and
+    their MLM labels (None: all ignored), padded to ``max_len``."""
+    real = len(ids)
+    pad = max_len - real
+    return PretrainExample(
+        input_ids=tuple(ids + [pad_id] * pad),
+        segment_ids=tuple([0] * first + [1] * (real - first) + [0] * pad),
+        attention_mask=tuple([1] * real + [0] * pad),
+        mlm_labels=(
+            (IGNORE_INDEX,) * max_len if labels is None else tuple(labels + [IGNORE_INDEX] * pad)
+        ),
+        nsp_label=nsp_label,
+    )
+
+
 def assemble_input(
     pair: tuple[str, str, int],
     model: WordPieceModel,
@@ -167,28 +201,8 @@ def assemble_input(
     Truncation pops tokens off the end of the longer side (ties trim A)
     until the three structural tokens plus both sides fit.
     """
-    text_a, text_b, nsp_label = pair
-    ids_a = encode(model, text_a)
-    ids_b = encode(model, text_b)
-    while 3 + len(ids_a) + len(ids_b) > packing.max_len:
-        longer = ids_a if len(ids_a) >= len(ids_b) else ids_b
-        longer.pop()
-    if not ids_a or not ids_b:
-        raise DataError(f"pair untokenizable at max_len {packing.max_len}")
-
-    cls_id = model.token_to_id[CLS]
-    sep_id = model.token_to_id[SEP]
-    ids = [cls_id] + ids_a + [sep_id] + ids_b + [sep_id]
-    segments = [0] * (2 + len(ids_a)) + [1] * (len(ids_b) + 1)
-    real = len(ids)
-    pad = packing.max_len - real
-    return PretrainExample(
-        input_ids=tuple(ids + [model.pad_id] * pad),
-        segment_ids=tuple(segments + [0] * pad),
-        attention_mask=tuple([1] * real + [0] * pad),
-        mlm_labels=(IGNORE_INDEX,) * packing.max_len,
-        nsp_label=nsp_label,
-    )
+    ids, first = _pack(pair, model, packing.max_len)
+    return _padded(ids, first, None, pair[2], packing.max_len, model.pad_id)
 
 
 def _mask_count(n_candidates: int, select_fraction: float) -> int:
@@ -196,6 +210,37 @@ def _mask_count(n_candidates: int, select_fraction: float) -> int:
         return 0
     # round half-up, floored at one so short sequences still train
     return max(1, int(np.floor(select_fraction * n_candidates + 0.5)))
+
+
+def _mask(
+    ids: list[int],
+    candidates: list[int],
+    model: WordPieceModel,
+    policy: MaskingPolicy,
+    rng: np.random.Generator,
+) -> list[int] | None:
+    """Select among the candidate positions of ``ids`` and apply the
+    mask/random/keep split to ``ids`` in place. Returns the MLM labels
+    over ``ids``, or None when nothing is selected (and nothing drawn)."""
+    k = _mask_count(len(candidates), policy.select_fraction)
+    if k == 0:
+        return None
+
+    order = rng.permutation(len(candidates))
+    selected = sorted(candidates[j] for j in order[:k].tolist())
+
+    non_special = model.non_special_ids
+    mask_id = model.token_to_id[MASK]
+    labels = [IGNORE_INDEX] * len(ids)
+    for pos in selected:
+        labels[pos] = ids[pos]
+        u = rng.random()
+        if u < policy.mask_prob:
+            ids[pos] = mask_id
+        elif u < policy.mask_prob + policy.random_prob:
+            ids[pos] = non_special[int(rng.integers(0, len(non_special)))]
+        # else: keep the original token
+    return labels
 
 
 def apply_mlm_mask(
@@ -216,25 +261,10 @@ def apply_mlm_mask(
         for i, (tok, attn) in enumerate(zip(example.input_ids, example.attention_mask))
         if attn == 1 and tok not in special_ids
     ]
-    k = _mask_count(len(candidates), policy.select_fraction)
-    if k == 0:
-        return example
-
-    order = rng.permutation(len(candidates))
-    selected = sorted(candidates[int(j)] for j in order[:k])
-
-    non_special = model.non_special_ids
-    mask_id = model.token_to_id[MASK]
     ids = list(example.input_ids)
-    labels = [IGNORE_INDEX] * len(ids)
-    for pos in selected:
-        labels[pos] = ids[pos]
-        u = rng.random()
-        if u < policy.mask_prob:
-            ids[pos] = mask_id
-        elif u < policy.mask_prob + policy.random_prob:
-            ids[pos] = non_special[int(rng.integers(0, len(non_special)))]
-        # else: keep the original token
+    labels = _mask(ids, candidates, model, policy, rng)
+    if labels is None:
+        return example
     return replace(example, input_ids=tuple(ids), mlm_labels=tuple(labels))
 
 
@@ -244,14 +274,23 @@ def build_pretrain_examples(
     packing: PackingConfig = PackingConfig(),
     policy: MaskingPolicy = MaskingPolicy(),
 ) -> list[PretrainExample]:
-    """Corpus to masked examples, reproducible from packing.rng_seed alone."""
+    """Corpus to masked examples, reproducible from packing.rng_seed alone.
+
+    Each example equals ``apply_mlm_mask(assemble_input(pair), ...)`` with
+    the generator ``default_rng((rng_seed, 1, index))``; it is packed and
+    masked in one pass, with candidates sought among its real tokens only,
+    since padding is never attended.
+    """
     pair_rng = np.random.default_rng((packing.rng_seed, 0))
     pairs = build_nsp_pairs(documents, pair_rng)
+    special_ids = model.special_ids
     examples = []
     for idx, pair in enumerate(pairs):
-        example = assemble_input(pair, model, packing)
+        ids, first = _pack(pair, model, packing.max_len)
+        candidates = [i for i, tok in enumerate(ids) if tok not in special_ids]
         mask_rng = np.random.default_rng((packing.rng_seed, 1, idx))
-        examples.append(apply_mlm_mask(example, model, policy, mask_rng))
+        labels = _mask(ids, candidates, model, policy, mask_rng)
+        examples.append(_padded(ids, first, labels, pair[2], packing.max_len, model.pad_id))
     return examples
 
 

@@ -17,6 +17,8 @@ from .errors import ConfigError, DataError
 from .lineio import read_text
 
 BOUNDARY_CHARS = frozenset("؟?!.:")
+# the splitters visit only the boundary characters, found by this one scan
+_BOUNDARY = re.compile(f"[{re.escape(''.join(sorted(BOUNDARY_CHARS)))}]")
 
 # Two or more letter-dot units at a word start, e.g. ق.م. or U.S.
 _LETTER_RUN = re.compile(r"(?:(?<=\s)|^)(?:[^\W\d_]\.){2,}")
@@ -81,19 +83,24 @@ def segment_by_notation(
     Empty fragments are dropped; nothing else is filtered or repaired.
     ``config`` is unused; it keeps the two splitters interchangeable.
     """
-    positions = [i for i, ch in enumerate(text) if ch in BOUNDARY_CHARS]
+    positions = [match.start() for match in _BOUNDARY.finditer(text)]
     return _emit(_split_after(text, positions), doc_id)
 
 
 def _suppressed_positions(text: str, config: SegmenterConfig) -> set[int]:
+    """Every position inside an abbreviation or a letter-dot run, and
+    every dot or colon between two ``str.isdigit`` characters."""
     suppressed: set[int] = set()
     for abbr in config.abbreviations:
+        if abbr not in text:  # the pattern below matches abbr literally
+            continue
         for match in re.finditer(rf"(?<!\S){re.escape(abbr)}(?!\w)", text):
             suppressed.update(range(match.start(), match.end()))
     for match in _LETTER_RUN.finditer(text):
         suppressed.update(range(match.start(), match.end()))
-    for i, ch in enumerate(text):
-        if ch in ".:" and 0 < i < len(text) - 1:
+    for match in _BOUNDARY.finditer(text):
+        i = match.start()
+        if text[i] in ".:" and 0 < i < len(text) - 1:
             if text[i - 1].isdigit() and text[i + 1].isdigit():
                 suppressed.add(i)
     return suppressed
@@ -111,10 +118,11 @@ def segment_true(
     """
     suppressed = _suppressed_positions(text, config)
     positions = []
-    for i, ch in enumerate(text):
-        if ch not in BOUNDARY_CHARS or i in suppressed:
+    for match in _BOUNDARY.finditer(text):
+        i = match.start()
+        if i in suppressed:
             continue
-        if ch == ":" and i + 1 < len(text) and not text[i + 1].isspace():
+        if text[i] == ":" and i + 1 < len(text) and not text[i + 1].isspace():
             continue
         positions.append(i)
 

@@ -256,11 +256,18 @@ def classification_labels(n_classes: int) -> tuple[str, ...]:
     return tuple(f"class{i}" for i in range(n_classes))
 
 
+def check_class_count(count: int, n_classes: int) -> None:
+    """Raise unless ``count`` items give each of ``n_classes`` classes one."""
+    if count < n_classes:
+        raise ConfigError(
+            f"count {count} must cover every class at least once ({n_classes} classes)"
+        )
+
+
 def generate_classification(seed: int, count: int, n_classes: int = 2) -> list[LabeledText]:
     """Texts whose class is fully determined by a planted marker word."""
     labels = classification_labels(n_classes)
-    if count < n_classes:
-        raise ConfigError("count must cover every class at least once")
+    check_class_count(count, n_classes)
     rng = np.random.default_rng((seed, 2))
     items = []
     for index in range(count):

@@ -71,18 +71,26 @@ def _default_char_map() -> dict[int, str]:
 
 @dataclass(frozen=True)
 class NormalizationRules:
-    """The complete, ordered rule inventory for one normalization profile."""
+    """The complete, ordered rule inventory for one normalization profile.
+
+    The rules are read once, when the value is built: each junk pattern
+    is compiled there, and ``strip_marks`` is folded into the
+    ``char_map`` translation table (a mark maps to nothing, and marks are
+    removed from every mapped value), so one ``str.translate`` does
+    exactly "translate, then strip".
+    """
 
     junk_patterns: tuple[tuple[str, str, str], ...]
     char_map: dict[int, str]
     strip_marks: frozenset[int]
 
     def __post_init__(self):
-        for kind, pattern, _ in self.junk_patterns:
+        compiled = []
+        for kind, pattern, replacement in self.junk_patterns:
             if kind not in JUNK_KINDS:
                 raise DataError(f"unknown junk rule kind {kind!r}")
             try:
-                re.compile(pattern)
+                compiled.append((re.compile(pattern), replacement))
             except re.error as exc:
                 raise DataError(f"junk rule {kind!r} has a bad pattern: {exc}") from exc
         for src, dst in self.char_map.items():
@@ -92,6 +100,12 @@ class NormalizationRules:
                         f"char_map is not closed: U+{src:04X} maps into mapped "
                         f"codepoint U+{ord(ch):04X}"
                     )
+        table: dict[int, str | None] = dict.fromkeys(self.strip_marks)
+        for src, dst in self.char_map.items():
+            table[src] = "".join(ch for ch in dst if ord(ch) not in self.strip_marks)
+        # derived, not fields: set past the frozen dataclass's __setattr__
+        object.__setattr__(self, "_compiled_junk", tuple(compiled))
+        object.__setattr__(self, "_fold_table", table)
 
 
 DEFAULT_RULES = NormalizationRules(
@@ -101,11 +115,17 @@ DEFAULT_RULES = NormalizationRules(
 )
 
 
+_ZWNJ_RUN = re.compile(f"{ZWNJ}+")
+_ZWNJ_AFTER_SPACE = re.compile(f"(?:(?<=\\s)|^){ZWNJ}")
+_ZWNJ_BEFORE_SPACE = re.compile(f"{ZWNJ}(?=\\s|$)")
+_SPACES = re.compile(r"\s+")
+
+
 def clean_junk(text: str, rules: NormalizationRules = DEFAULT_RULES) -> str:
     """Remove trivial and junk content: markup, URLs, emails, control
     characters, emoji and zero-width characters other than ZWNJ."""
-    for _, pattern, replacement in rules.junk_patterns:
-        text = re.sub(pattern, replacement, text)
+    for pattern, replacement in rules._compiled_junk:
+        text = pattern.sub(replacement, text)
     return text
 
 
@@ -116,13 +136,12 @@ def standardize_chars(text: str, rules: NormalizationRules = DEFAULT_RULES) -> s
     string edge is dropped since it no longer joins anything. Whitespace
     runs then become one space, and the ends are trimmed.
     """
-    text = text.translate(rules.char_map)
-    if rules.strip_marks:
-        text = "".join(ch for ch in text if ord(ch) not in rules.strip_marks)
-    text = re.sub(f"{ZWNJ}+", ZWNJ, text)
-    text = re.sub(f"(?:(?<=\\s)|^){ZWNJ}", "", text)
-    text = re.sub(f"{ZWNJ}(?=\\s|$)", "", text)
-    return re.sub(r"\s+", " ", text).strip()
+    text = text.translate(rules._fold_table)
+    if ZWNJ in text:
+        text = _ZWNJ_RUN.sub(ZWNJ, text)
+        text = _ZWNJ_AFTER_SPACE.sub("", text)
+        text = _ZWNJ_BEFORE_SPACE.sub("", text)
+    return _SPACES.sub(" ", text).strip()
 
 
 _MAX_PASSES = 16

@@ -133,6 +133,24 @@ def _decompose(word: str, prefix: str) -> tuple[str, ...]:
     return tuple(ch if i == 0 else prefix + ch for i, ch in enumerate(word))
 
 
+def _word_counts(sentences: Iterable[str]) -> Counter[str]:
+    """How often ``pretokenize`` yields each word over ``sentences``, in
+    first-seen order, which the merge tie-break reads.
+
+    Each distinct whitespace chunk is pretokenized once, in first-seen
+    order, and its words count as often as the chunk occurs; a word is
+    first seen inside the first chunk that holds it, so the order is kept.
+    """
+    chunk_freq: Counter[str] = Counter()
+    for sentence in sentences:
+        chunk_freq.update(sentence.split())
+    word_freq: Counter[str] = Counter()
+    for chunk, freq in chunk_freq.items():
+        for word in pretokenize(chunk):
+            word_freq[word] += freq
+    return word_freq
+
+
 def train_wordpiece(
     sentences: Iterable[str], config: TokenizerTrainConfig = TokenizerTrainConfig()
 ) -> WordPieceModel:
@@ -142,9 +160,7 @@ def train_wordpiece(
     (ties go to the smaller codepoint); words using characters beyond it
     can only ever encode to [UNK], so they are left out of merge counting.
     """
-    word_freq: Counter[str] = Counter()
-    for sentence in sentences:
-        word_freq.update(pretokenize(sentence))
+    word_freq = _word_counts(sentences)
     if not word_freq:
         raise DataError("training corpus is empty")
 

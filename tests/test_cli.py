@@ -268,13 +268,18 @@ class TestManifestRun:
             ("heads = 3", "hidden 64 is not divisible by heads 3"),
             ("heads = 0", "heads must be positive"),
             ("cls_classes = 1\n" + _CLS_PATHS, "classification needs at least 2 classes"),
+            # the dev set is a quarter of cls_count, at least 2: here 2 items
+            (
+                "cls_classes = 3\ncls_count = 4\n" + _CLS_PATHS,
+                r"count 2 must cover every class at least once \(3 classes\)",
+            ),
             ("log_every = 0", "log_every must be at least 1"),
             ("stepz = 2", r"manifest has unknown keys \['stepz'\]"),
             ("dropout = 0.1", r"manifest has unknown keys \['dropout'\]"),
             ("cls_epochs = 1", r"manifest has unknown keys \['cls_epochs'\]"),
         ],
-        ids=["beta1", "learning_rate", "heads-3", "heads-0", "cls_classes", "log_every",
-             "stepz", "dropout", "cls_epochs-without-cls_model"],
+        ids=["beta1", "learning_rate", "heads-3", "heads-0", "cls_classes", "cls_count-dev",
+             "log_every", "stepz", "dropout", "cls_epochs-without-cls_model"],
     )
     def test_bad_key_fails_before_the_first_stage(self, tmp_path, capsys, line, message):
         assert main(["run", "--manifest", str(self._write(tmp_path / "m.txt", line + "\n"))]) == 2

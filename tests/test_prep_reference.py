@@ -1,0 +1,297 @@
+"""Normalization, segmentation, word counting and example building are
+held to their earlier implementations in ``prep_reference``: equal
+outputs, and equal generator state after every call that draws."""
+
+from contextlib import contextmanager
+from unittest import mock
+
+import numpy as np
+import prep_reference as ref
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from farsilm.pretrain_data import (
+    MaskingPolicy,
+    PackingConfig,
+    PretrainExample,
+    apply_mlm_mask,
+    assemble_input,
+    build_nsp_pairs,
+    build_pretrain_examples,
+)
+from farsilm.segmenter import (
+    BOUNDARY_CHARS,
+    DEFAULT_ABBREVIATIONS,
+    SegmenterConfig,
+    _suppressed_positions,
+    segment_by_notation,
+    segment_true,
+)
+from farsilm.synthetic import generate_mlm_corpus
+from farsilm.textnorm import (
+    DEFAULT_RULES,
+    ZWNJ,
+    NormalizationRules,
+    clean_junk,
+    normalize,
+    standardize_chars,
+)
+from farsilm.wordpiece import (
+    SPECIAL_TOKENS,
+    TokenizerTrainConfig,
+    WordPieceModel,
+    _word_counts,
+    train_wordpiece,
+)
+
+TATWEEL = "ـ"
+# every char_map key, every strip mark, ZWNJ and tatweel, whitespace of
+# several kinds, the boundary characters, digits that pass str.isdigit
+# without being decimal, abbreviations, letter-dot runs and junk
+PIECES = (
+    [chr(c) for c in sorted(DEFAULT_RULES.char_map)]
+    + [chr(c) for c in sorted(DEFAULT_RULES.strip_marks)]
+    + [ZWNJ, ZWNJ * 2, TATWEEL]
+    + [" ", "  ", "\t", "\n", "\r", "\x0b", "\xa0", " ", "　"]
+    + sorted(BOUNDARY_CHARS)
+    + ["²", "³", "①", "۵", "٣", "7"]
+    + sorted(DEFAULT_ABBREVIATIONS)
+    + ["U.S.", "a.b.", "۳.۵", "3:45", "²:³", "².³"]
+    + ["سلام", "کتاب", "خانه", "word", "x", "q", "«", "»", "-"]
+    + ["<b>", "</div>", "<!--x-->", "http://مثال.ir/a", "www.example.com", "user@mail.co"]
+    + ["​", "‍", "\x00", "\x7f", "😊", "☀"]
+)
+
+texts = st.lists(st.sampled_from(PIECES), max_size=40).map("".join)
+
+# abbreviations at the string edges, touching boundaries and digits
+EDGE_CASES = [
+    "ق.م.",
+    "ق.م. سال ۵۰",
+    "سال ۵۰ ق.م.",
+    "².³ و ۱:۲ و 1.",
+    ":" + ZWNJ + "ب",
+    ZWNJ + " " + ZWNJ,
+]
+
+CUSTOM_RULES = {
+    # a mapped value carries a strip mark
+    "mark-in-value": NormalizationRules(
+        junk_patterns=DEFAULT_RULES.junk_patterns,
+        char_map={ord("x"): "yً", ord("q"): "َzُ"},
+        strip_marks=DEFAULT_RULES.strip_marks,
+    ),
+    # a strip mark is itself a char_map key
+    "mark-is-key": NormalizationRules(
+        junk_patterns=(),
+        char_map={0x064E: "a", 0x0650: "", ord("x"): "ً"},
+        strip_marks=DEFAULT_RULES.strip_marks,
+    ),
+    # a mapped value is a ZWNJ, which the input need not hold
+    "maps-to-zwnj": NormalizationRules(
+        junk_patterns=DEFAULT_RULES.junk_patterns[:2],
+        char_map={ord("q"): ZWNJ, ord("x"): ZWNJ + "ً" + ZWNJ},
+        strip_marks=DEFAULT_RULES.strip_marks,
+    ),
+    "no-marks": NormalizationRules(
+        junk_patterns=DEFAULT_RULES.junk_patterns,
+        char_map=DEFAULT_RULES.char_map,
+        strip_marks=frozenset(),
+    ),
+}
+
+SEGMENTER_CONFIGS = {
+    "default": SegmenterConfig(),
+    "min-1": SegmenterConfig(min_tokens=1),
+    # entries with boundary characters and regex syntax in them
+    "custom": SegmenterConfig(abbreviations=frozenset({"a.b", "3:4", "x?", "(.)"}), min_tokens=2),
+}
+
+
+def outcome(fn, *args):
+    """What ``fn(*args)`` returns, or the type and message of what it raises."""
+    try:
+        return "returned", fn(*args)
+    except Exception as exc:  # the reference must raise the same
+        return "raised", type(exc), str(exc)
+
+
+class TestNormalization:
+    @given(texts)
+    @settings(max_examples=300)
+    @example(":" + ZWNJ + "ب")
+    @example(ZWNJ + " " + ZWNJ)
+    def test_default_rules(self, text):
+        assert clean_junk(text) == ref.clean_junk(text, DEFAULT_RULES)
+        assert standardize_chars(text) == ref.standardize_chars(text, DEFAULT_RULES)
+        assert normalize(text) == ref.normalize(text, DEFAULT_RULES)
+
+    @pytest.mark.parametrize("name", sorted(CUSTOM_RULES))
+    @given(text=texts)
+    @settings(max_examples=100)
+    def test_custom_rules(self, name, text):
+        rules = CUSTOM_RULES[name]
+        assert clean_junk(text, rules) == ref.clean_junk(text, rules)
+        assert standardize_chars(text, rules) == ref.standardize_chars(text, rules)
+        assert normalize(text, rules) == ref.normalize(text, rules)
+
+    def test_zwnj_from_the_char_map_is_tidied(self):
+        rules = CUSTOM_RULES["maps-to-zwnj"]
+        assert standardize_chars("aqqb q", rules) == "a" + ZWNJ + "b"
+
+
+class TestSegmentation:
+    @pytest.mark.parametrize("name", sorted(SEGMENTER_CONFIGS))
+    @given(text=texts)
+    @settings(max_examples=200)
+    def test_matches_reference(self, name, text):
+        self._check(SEGMENTER_CONFIGS[name], text)
+
+    @pytest.mark.parametrize("text", EDGE_CASES)
+    @pytest.mark.parametrize("name", sorted(SEGMENTER_CONFIGS))
+    def test_edge_cases(self, name, text):
+        self._check(SEGMENTER_CONFIGS[name], text)
+
+    @staticmethod
+    def _check(config, text):
+        assert _suppressed_positions(text, config) == ref.suppressed_positions(text, config)
+        for new, old in (
+            (segment_true, ref.segment_true),
+            (segment_by_notation, ref.segment_by_notation),
+        ):
+            assert outcome(new, text, config, "d") == outcome(old, text, config, "d")
+
+
+@given(st.lists(texts, max_size=12))
+@settings(max_examples=200)
+def test_word_counts_and_their_order(sentences):
+    assert list(_word_counts(sentences).items()) == list(ref.word_counts(sentences).items())
+
+
+LETTERS = list("abcdefghij")
+VOCAB = tuple(SPECIAL_TOKENS) + tuple(LETTERS) + ("##a", "##b")
+MODEL = WordPieceModel(vocab=VOCAB, token_to_id={t: i for i, t in enumerate(VOCAB)})
+
+
+@contextmanager
+def generators_made():
+    """Every generator ``np.random.default_rng`` makes inside the block."""
+    made = []
+    real = np.random.default_rng
+
+    def record(*args, **kwargs):
+        made.append(real(*args, **kwargs))
+        return made[-1]
+
+    with mock.patch.object(np.random, "default_rng", record):
+        yield made
+
+
+def _states(generators):
+    return [g.bit_generator.state for g in generators]
+
+
+def _composed(documents, model, packing, policy):
+    """build_pretrain_examples through the public assembly and masking
+    calls, as the benchmark's traced run makes them."""
+    pairs = build_nsp_pairs(documents, np.random.default_rng((packing.rng_seed, 0)))
+    return [
+        apply_mlm_mask(
+            assemble_input(pair, model, packing),
+            model,
+            policy,
+            np.random.default_rng((packing.rng_seed, 1, idx)),
+        )
+        for idx, pair in enumerate(pairs)
+    ]
+
+
+def _check_build(documents, model, packing, policy=MaskingPolicy()):
+    with generators_made() as made:
+        got = outcome(build_pretrain_examples, documents, model, packing, policy)
+    with generators_made() as made_ref:
+        want = outcome(ref.build_pretrain_examples, documents, model, packing, policy)
+    with generators_made() as made_composed:
+        composed = outcome(_composed, documents, model, packing, policy)
+    assert got == want == composed
+    assert _states(made) == _states(made_ref) == _states(made_composed)
+    return got
+
+
+# words of letters, with a chance of [UNK] from a letter outside the vocab
+words = st.text(alphabet="abcdefghijz", min_size=1, max_size=4)
+sentences = st.lists(words, min_size=1, max_size=12).map(" ".join)
+documents = st.lists(st.lists(sentences, min_size=1, max_size=5), min_size=1, max_size=5).filter(
+    lambda docs: sum(len(d) for d in docs) >= 2 and any(len(d) >= 2 for d in docs)
+)
+
+
+class TestExampleBuilding:
+    @given(documents, st.integers(8, 40), st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_reference_and_composition(self, docs, max_len, seed):
+        _check_build(docs, MODEL, PackingConfig(max_len=max_len, rng_seed=seed))
+
+    @given(
+        st.lists(st.sampled_from(range(len(VOCAB))), min_size=8, max_size=24),
+        st.data(),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=200)
+    def test_mask_on_any_attention_pattern(self, ids, data, seed):
+        # attention holes and special tokens anywhere, which packing never makes
+        n = len(ids)
+        attention = data.draw(st.lists(st.sampled_from((0, 1)), min_size=n, max_size=n))
+        unmasked = PretrainExample(
+            input_ids=tuple(ids),
+            segment_ids=(0,) * n,
+            attention_mask=tuple(attention),
+            mlm_labels=(-100,) * n,
+            nsp_label=1,
+        )
+        rng, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        got = apply_mlm_mask(unmasked, MODEL, MaskingPolicy(), rng)
+        assert got == ref.apply_mlm_mask(unmasked, MODEL, MaskingPolicy(), rng_ref)
+        assert rng.bit_generator.state == rng_ref.bit_generator.state
+
+
+_JUNK = (
+    ["<b>", "</div>", "<!-- x -->", "<span dir='rtl'>", "https://example.com/a?b=1"]
+    + ["www.example.ir/page", "user.name@example.com", "usـer@mail.com", "😀", "⚡"]
+    + ["​", "‎", "\x00", "\t", "  ", ZWNJ, "ي", "ك", "ة", "١٢", "456", "ً", "ّ", TATWEEL]
+)
+
+
+def _junk_corpus(seed, n_docs):
+    """Synthetic documents with junk pieces planted between their words."""
+    rng = np.random.default_rng((seed, 99))
+    corpus = []
+    for doc in generate_mlm_corpus(seed, n_docs):
+        words = doc.text.split(" ")
+        for _ in range(int(rng.integers(1, 8))):
+            piece = _JUNK[int(rng.integers(0, len(_JUNK)))]
+            words.insert(int(rng.integers(0, len(words) + 1)), piece)
+        corpus.append(" ".join(words))
+    return corpus
+
+
+@pytest.mark.parametrize("seed", [3, 17, 401])
+def test_junk_corpus_through_every_step(seed):
+    raw = _junk_corpus(seed, 40)
+    texts = [normalize(text) for text in raw]
+    assert texts == [ref.normalize(text, DEFAULT_RULES) for text in raw]
+    config = SegmenterConfig()
+    per_doc = []
+    for text in texts:
+        assert _suppressed_positions(text, config) == ref.suppressed_positions(text, config)
+        assert segment_by_notation(text) == ref.segment_by_notation(text, config)
+        sentences = segment_true(text)
+        assert sentences == ref.segment_true(text, config)
+        per_doc.append([s.text for s in sentences])
+    flat = [s for doc in per_doc for s in doc]
+    assert list(_word_counts(flat).items()) == list(ref.word_counts(flat).items())
+    model = train_wordpiece(flat, TokenizerTrainConfig(vocab_size=300, min_frequency=1))
+    for max_len in (16, 64):
+        packing = PackingConfig(max_len=max_len, rng_seed=seed)
+        assert _check_build(per_doc, model, packing)[0] == "returned"
