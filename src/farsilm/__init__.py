@@ -31,6 +31,7 @@ from .model import (
     param_count,
 )
 from .pretrain_data import (
+    ExampleTable,
     MaskingPolicy,
     PackingConfig,
     PretrainExample,
@@ -65,6 +66,7 @@ __all__ = [
     "CorpusStats",
     "DataError",
     "Document",
+    "ExampleTable",
     "FarsilmError",
     "FinetuneConfig",
     "HeadModel",

@@ -351,12 +351,13 @@ def _mlm_head(params, x):
 
 
 def forward(params, config: ModelConfig, batch):
-    """Encoder outputs for one batch: mlm_logits at every position,
-    nsp_logits, pooled, sequence. ``sequence`` is exactly zero at
-    unattended positions, so mlm_logits there are the head's output for a
-    zero state and carry no meaning."""
-    outputs, _ = _encode(params, config, batch)
-    outputs["mlm_logits"], _ = _mlm_head(params, outputs["sequence"])
+    """Encoder outputs for one batch: mlm_logits, nsp_logits, pooled,
+    sequence. The MLM head runs on the attended positions only, so
+    ``sequence`` and ``mlm_logits`` are exactly zero at the others."""
+    outputs, cache = _encode(params, config, batch)
+    rows = cache["rows"]
+    logits, _ = _mlm_head(params, rows.gather(outputs["sequence"]))
+    outputs["mlm_logits"] = rows.scatter(logits)
     return outputs
 
 

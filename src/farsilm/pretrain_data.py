@@ -2,6 +2,13 @@
 fixed length, the 15% / 80-10-10 masking procedure, and a binary example
 file format.
 
+Examples live in an :class:`ExampleTable` from build to batch: one
+structured array in the file's record layout, which is written and read
+as it stands and indexed into training batches. :class:`PretrainExample`
+is the single example, as :func:`assemble_input` and
+:func:`apply_mlm_mask` take and give it and as a table's integer index
+returns it.
+
 Randomness discipline: pair building consumes one generator; each
 example's masking derives its own generator from (seed, example index),
 so files are byte-identical however the work is distributed.
@@ -9,11 +16,14 @@ so files are byte-identical however the work is distributed.
 
 from __future__ import annotations
 
+import os
 import struct
+from array import array
 from bisect import bisect_left
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -173,21 +183,89 @@ def _pack(pair: tuple[str, str, int], model: WordPieceModel, max_len: int) -> tu
     return [cls_id] + ids_a + [sep_id] + ids_b + [sep_id], 2 + len(ids_a)
 
 
-def _padded(
-    ids: list[int], first: int, labels: list[int] | None, nsp_label: int, max_len: int, pad_id: int
-) -> PretrainExample:
-    """An example from its real tokens, ``first`` of them segment 0, and
-    their MLM labels (None: all ignored), padded to ``max_len``."""
-    real = len(ids)
-    pad = max_len - real
+def _record_dtype(max_len: int) -> np.dtype:
+    """One record of an example file: a u32 payload length (10 * max_len + 1
+    bytes), then the payload's five fields."""
+    return np.dtype(
+        [
+            ("length", "<u4"),
+            ("input_ids", "<i4", (max_len,)),
+            ("segment_ids", "i1", (max_len,)),
+            ("attention_mask", "i1", (max_len,)),
+            ("mlm_labels", "<i4", (max_len,)),
+            ("nsp_label", "u1"),
+        ]
+    )
+
+
+_FIELDS = _record_dtype(0).names[1:]  # the example fields after the length
+
+
+class ExampleTable(Sequence):
+    """Read-only examples held as one `_record_dtype` array, the layout
+    of the example file.
+
+    An integer index gives a :class:`PretrainExample`; a slice or an
+    integer array gives another table over the chosen records. A table
+    equals any sequence of equal examples.
+    """
+
+    __slots__ = ("records",)
+
+    def __init__(self, records: np.ndarray):
+        self.records = records.view()
+        self.records.flags.writeable = False
+
+    @classmethod
+    def of(cls, examples: Sequence[PretrainExample]) -> ExampleTable:
+        """``examples`` as a table; a list must hold examples of one length."""
+        if isinstance(examples, ExampleTable):
+            return examples
+        max_len = len(examples[0].input_ids) if examples else 0
+        for i, ex in enumerate(examples):
+            if len(ex.input_ids) != max_len:
+                raise DataError(
+                    f"record {i}: length {len(ex.input_ids)} differs from header {max_len}"
+                )
+        record = _record_dtype(max_len)
+        records = np.empty(len(examples), dtype=record)
+        records["length"] = record.itemsize - 4
+        for name in _FIELDS:
+            records[name] = [getattr(ex, name) for ex in examples]
+        return cls(records)
+
+    @property
+    def max_len(self) -> int:
+        return self.records.dtype["input_ids"].shape[0]
+
+    def __len__(self) -> int:
+        return len(self.records)
+
+    def __getitem__(self, index):
+        if isinstance(index, (int, np.integer)):
+            return _example(self.records[index])
+        return ExampleTable(self.records[index])
+
+    def __iter__(self):
+        return map(_example, self.records)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, ExampleTable):
+            return len(self) == len(other) and all(
+                np.array_equal(self.records[name], other.records[name]) for name in _FIELDS
+            )
+        if isinstance(other, Sequence) and not isinstance(other, (str, bytes)):
+            return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+        return NotImplemented
+
+
+def _example(row) -> PretrainExample:
     return PretrainExample(
-        input_ids=tuple(ids + [pad_id] * pad),
-        segment_ids=tuple([0] * first + [1] * (real - first) + [0] * pad),
-        attention_mask=tuple([1] * real + [0] * pad),
-        mlm_labels=(
-            (IGNORE_INDEX,) * max_len if labels is None else tuple(labels + [IGNORE_INDEX] * pad)
-        ),
-        nsp_label=nsp_label,
+        tuple(row["input_ids"].tolist()),
+        tuple(row["segment_ids"].tolist()),
+        tuple(row["attention_mask"].tolist()),
+        tuple(row["mlm_labels"].tolist()),
+        int(row["nsp_label"]),
     )
 
 
@@ -202,7 +280,14 @@ def assemble_input(
     until the three structural tokens plus both sides fit.
     """
     ids, first = _pack(pair, model, packing.max_len)
-    return _padded(ids, first, None, pair[2], packing.max_len, model.pad_id)
+    real, pad = len(ids), packing.max_len - len(ids)
+    return PretrainExample(
+        input_ids=tuple(ids + [model.pad_id] * pad),
+        segment_ids=tuple([0] * first + [1] * (real - first) + [0] * pad),
+        attention_mask=tuple([1] * real + [0] * pad),
+        mlm_labels=(IGNORE_INDEX,) * packing.max_len,
+        nsp_label=pair[2],
+    )
 
 
 def _mask_count(n_candidates: int, select_fraction: float) -> int:
@@ -218,29 +303,29 @@ def _mask(
     model: WordPieceModel,
     policy: MaskingPolicy,
     rng: np.random.Generator,
-) -> list[int] | None:
+) -> tuple[list[int], list[int]]:
     """Select among the candidate positions of ``ids`` and apply the
-    mask/random/keep split to ``ids`` in place. Returns the MLM labels
-    over ``ids``, or None when nothing is selected (and nothing drawn)."""
+    mask/random/keep split to ``ids`` in place. Returns the selected
+    positions, ascending, and the ids they held; nothing is drawn when
+    nothing is selected."""
     k = _mask_count(len(candidates), policy.select_fraction)
     if k == 0:
-        return None
+        return [], []
 
     order = rng.permutation(len(candidates))
     selected = sorted(candidates[j] for j in order[:k].tolist())
+    originals = [ids[pos] for pos in selected]
 
     non_special = model.non_special_ids
     mask_id = model.token_to_id[MASK]
-    labels = [IGNORE_INDEX] * len(ids)
     for pos in selected:
-        labels[pos] = ids[pos]
         u = rng.random()
         if u < policy.mask_prob:
             ids[pos] = mask_id
         elif u < policy.mask_prob + policy.random_prob:
             ids[pos] = non_special[int(rng.integers(0, len(non_special)))]
         # else: keep the original token
-    return labels
+    return selected, originals
 
 
 def apply_mlm_mask(
@@ -262,9 +347,12 @@ def apply_mlm_mask(
         if attn == 1 and tok not in special_ids
     ]
     ids = list(example.input_ids)
-    labels = _mask(ids, candidates, model, policy, rng)
-    if labels is None:
+    selected, originals = _mask(ids, candidates, model, policy, rng)
+    if not selected:
         return example
+    labels = [IGNORE_INDEX] * len(ids)
+    for pos, original in zip(selected, originals):
+        labels[pos] = original
     return replace(example, input_ids=tuple(ids), mlm_labels=tuple(labels))
 
 
@@ -273,65 +361,70 @@ def build_pretrain_examples(
     model: WordPieceModel,
     packing: PackingConfig = PackingConfig(),
     policy: MaskingPolicy = MaskingPolicy(),
-) -> list[PretrainExample]:
+) -> ExampleTable:
     """Corpus to masked examples, reproducible from packing.rng_seed alone.
 
     Each example equals ``apply_mlm_mask(assemble_input(pair), ...)`` with
     the generator ``default_rng((rng_seed, 1, index))``; it is packed and
     masked in one pass, with candidates sought among its real tokens only,
-    since padding is never attended.
+    since padding is never attended. The loop keeps only each example's
+    real tokens, how many are segment 0 and its MLM targets; the padded
+    columns are filled once, after the last example.
     """
     pair_rng = np.random.default_rng((packing.rng_seed, 0))
     pairs = build_nsp_pairs(documents, pair_rng)
     special_ids = model.special_ids
-    examples = []
+    tokens = array("i")  # every example's real tokens, end to end
+    lengths, firsts, targets = [], [], []  # per example: tokens, segment-0 tokens, targets
+    positions, originals = array("i"), array("i")  # per target, example after example
     for idx, pair in enumerate(pairs):
         ids, first = _pack(pair, model, packing.max_len)
         candidates = [i for i, tok in enumerate(ids) if tok not in special_ids]
         mask_rng = np.random.default_rng((packing.rng_seed, 1, idx))
-        labels = _mask(ids, candidates, model, policy, mask_rng)
-        examples.append(_padded(ids, first, labels, pair[2], packing.max_len, model.pad_id))
-    return examples
+        selected, held = _mask(ids, candidates, model, policy, mask_rng)
+        tokens.extend(ids)
+        lengths.append(len(ids))
+        firsts.append(first)
+        targets.append(len(selected))
+        positions.extend(selected)
+        originals.extend(held)
 
-
-def _record_dtype(max_len: int) -> np.dtype:
-    """One record of an example file: a u32 payload length (10 * max_len + 1
-    bytes), then the payload's five fields."""
-    return np.dtype(
-        [
-            ("length", "<u4"),
-            ("input_ids", "<i4", (max_len,)),
-            ("segment_ids", "i1", (max_len,)),
-            ("attention_mask", "i1", (max_len,)),
-            ("mlm_labels", "<i4", (max_len,)),
-            ("nsp_label", "u1"),
-        ]
-    )
-
-
-_WRITE_CHUNK = 1024  # records staged per write, which bounds the writer's memory
+    record = _record_dtype(packing.max_len)
+    records = np.empty(len(pairs), dtype=record)
+    records["length"] = record.itemsize - 4
+    column = np.arange(packing.max_len)
+    real = column < np.array(lengths)[:, None]
+    input_ids = records["input_ids"]
+    input_ids[...] = model.pad_id
+    input_ids[real] = tokens  # row-major, so each example's tokens in turn
+    records["segment_ids"] = real & (column >= np.array(firsts)[:, None])
+    records["attention_mask"] = real
+    labels = records["mlm_labels"]
+    labels[...] = IGNORE_INDEX
+    labels[np.repeat(np.arange(len(pairs)), targets), positions] = originals
+    records["nsp_label"] = [pair[2] for pair in pairs]
+    return ExampleTable(records)
 
 
 def write_examples(examples: Sequence[PretrainExample], path: str | Path, vocab_size: int) -> int:
     """Binary example file: 16-byte header, then one `_record_dtype` record
-    per example."""
-    max_len = len(examples[0].input_ids) if examples else 0
-    record = _record_dtype(max_len)
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC + struct.pack("<III", _VERSION, max_len, vocab_size))
-        for start in range(0, len(examples), _WRITE_CHUNK):
-            chunk = examples[start : start + _WRITE_CHUNK]
-            for i, ex in enumerate(chunk, start):
-                if len(ex.input_ids) != max_len:
-                    raise DataError(
-                        f"record {i}: length {len(ex.input_ids)} differs from header {max_len}"
-                    )
-            rows = np.empty(len(chunk), dtype=record)
-            rows["length"] = record.itemsize - 4
-            for name in record.names[1:]:  # the example fields after the length
-                rows[name] = [getattr(ex, name) for ex in chunk]
-            fh.write(rows.tobytes())
-    return len(examples)
+    per example.
+
+    The bytes go to a temporary file beside ``path``, which then replaces
+    ``path``; a write that fails leaves any earlier file as it was.
+    """
+    table = ExampleTable.of(examples)
+    max_len = table.max_len if len(table) else 0
+    header = _MAGIC + struct.pack("<III", _VERSION, max_len, vocab_size)
+    path = Path(path)
+    temp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
+    try:
+        with open(temp, "xb") as fh:
+            fh.writelines((header, np.ascontiguousarray(table.records)))
+        os.replace(temp, path)
+    finally:
+        temp.unlink(missing_ok=True)  # gone already unless the write failed
+    return len(table)
 
 
 def _read_with_header(path: str | Path, size: int = -1) -> tuple[bytes, int, int]:
@@ -355,7 +448,7 @@ def read_examples_header(path: str | Path) -> tuple[int, int]:
     return _read_with_header(path, 16)[1:]
 
 
-def read_examples(path: str | Path) -> tuple[list[PretrainExample], int]:
+def read_examples(path: str | Path) -> tuple[ExampleTable, int]:
     """Read an example file back; returns (examples, vocab_size).
 
     Every value is range-checked against the header's vocabulary size, so
@@ -407,28 +500,17 @@ def read_examples(path: str | Path) -> tuple[list[PretrainExample], int]:
         bad = np.flatnonzero(bad_values.any(axis=1))
         if bad.size:
             raise DataError(f"{path}: record {int(bad[0])}: {what}")
-
-    # converted record by record: whole-file lists of Python ints would
-    # double the memory the examples themselves take
-    examples = [
-        PretrainExample(
-            tuple(row["input_ids"].tolist()),
-            tuple(row["segment_ids"].tolist()),
-            tuple(row["attention_mask"].tolist()),
-            tuple(row["mlm_labels"].tolist()),
-            int(row["nsp_label"]),
-        )
-        for row in records
-    ]
-    return examples, vocab_size
+    return ExampleTable(records), vocab_size
 
 
 def collate(examples: Sequence[PretrainExample]) -> dict[str, np.ndarray]:
-    """Stack examples into int64 arrays keyed by field name."""
+    """Int64 arrays keyed by field name, one row per example; a table's
+    columns are copied as they stand."""
+    records = ExampleTable.of(examples).records
     return {
-        "input_ids": np.array([ex.input_ids for ex in examples], dtype=np.int64),
-        "segment_ids": np.array([ex.segment_ids for ex in examples], dtype=np.int64),
-        "attention_mask": np.array([ex.attention_mask for ex in examples], dtype=np.int64),
-        "mlm_labels": np.array([ex.mlm_labels for ex in examples], dtype=np.int64),
-        "nsp_labels": np.array([ex.nsp_label for ex in examples], dtype=np.int64),
+        "input_ids": records["input_ids"].astype(np.int64),
+        "segment_ids": records["segment_ids"].astype(np.int64),
+        "attention_mask": records["attention_mask"].astype(np.int64),
+        "mlm_labels": records["mlm_labels"].astype(np.int64),
+        "nsp_labels": records["nsp_label"].astype(np.int64),
     }

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .model import ModelConfig, gradients, init_params, shape_audit
-from .pretrain_data import collate, read_examples
+from .pretrain_data import ExampleTable, collate, read_examples
 
 _MAGIC = b"FLCP"
 _VERSION = 1
@@ -331,12 +331,12 @@ class PretrainResult:
         return self.adam_state.step
 
 
-def _batch_for_step(examples, batch_size: int, seed: int, step: int):
+def _batch_for_step(examples: ExampleTable, batch_size: int, seed: int, step: int):
     # each step's batch is a pure function of (seed, step), which is what
     # makes an interrupted run resumable without replaying history
     rng = np.random.default_rng((seed, 2, step))
     picks = rng.integers(0, len(examples), batch_size)
-    return collate([examples[int(i)] for i in picks])
+    return collate(examples[picks])
 
 
 def pretrain(

@@ -11,6 +11,7 @@ from farsilm.pretrain_data import (
     IGNORE_INDEX,
     IS_NEXT,
     NOT_NEXT,
+    ExampleTable,
     MaskingPolicy,
     PackingConfig,
     PretrainExample,
@@ -22,6 +23,7 @@ from farsilm.pretrain_data import (
     read_examples,
     write_examples,
 )
+from farsilm.training import _batch_for_step
 from farsilm.wordpiece import CLS, MASK, PAD, SEP, SPECIAL_TOKENS, WordPieceModel
 from mutation import mutate, mutations
 
@@ -339,7 +341,7 @@ class TestPipelineAndFiles:
 
     def test_corrupted_record_named(self, tmp_path):
         packing = PackingConfig(max_len=16, rng_seed=7)
-        examples = build_pretrain_examples(DOCS, MODEL, packing) * 3
+        examples = list(build_pretrain_examples(DOCS, MODEL, packing)) * 3
         path = tmp_path / "ex.bin"
         write_examples(examples, path, vocab_size=len(MODEL.vocab))
         record_size = 4 + 10 * 16 + 1
@@ -442,11 +444,14 @@ def reference_write_examples(examples, path, vocab_size):
             fh.write(payload)
 
 
-def many_examples(max_len, count):
-    """``count`` examples cycled from a small corpus: enough to span
-    several of the writer's chunks."""
+def built_table(max_len=24):
     docs = [[sent(LETTERS[i : i + 3 + i % 4]) for i in range(j, j + 6)] for j in range(12)]
-    examples = build_pretrain_examples(docs, MODEL, PackingConfig(max_len=max_len, rng_seed=5))
+    return build_pretrain_examples(docs, MODEL, PackingConfig(max_len=max_len, rng_seed=5))
+
+
+def many_examples(max_len, count):
+    """A list of ``count`` examples cycled from a small corpus's table."""
+    examples = list(built_table(max_len))
     return (examples * (count // len(examples) + 1))[:count]
 
 
@@ -467,6 +472,96 @@ class TestWriterMatchesReference:
         examples = many_examples(16, 1030) + many_examples(20, 1)
         with pytest.raises(DataError, match="record 1030: length 20 differs from header 16"):
             write_examples(examples, tmp_path / "mixed.ptex", len(MODEL.vocab))
+
+
+class TestExampleTable:
+    def test_written_bytes_equal_reference(self, tmp_path):
+        table = built_table()
+        for part in (table, table[:0], table[::-3]):
+            write_examples(part, tmp_path / "got.ptex", len(MODEL.vocab))
+            reference_write_examples(list(part), tmp_path / "want.ptex", len(MODEL.vocab))
+            assert (tmp_path / "got.ptex").read_bytes() == (tmp_path / "want.ptex").read_bytes()
+
+    def test_read_back_equals_table_both_ways(self, tmp_path):
+        table = built_table()
+        write_examples(table, tmp_path / "ex.ptex", len(MODEL.vocab))
+        read, _ = read_examples(tmp_path / "ex.ptex")
+        assert isinstance(read, ExampleTable)
+        assert read == table and table == read
+        assert read == list(table) and list(table) == read
+        assert not read != table
+        assert read != table[1:] and table[1:] != read
+        assert read != list(table)[::-1]
+        assert read != "not examples" and read != [1] * len(read)
+
+    def test_slices_and_integer_arrays_give_equal_tables(self):
+        table = built_table()
+        examples = list(table)
+        picks = np.array([5, 0, 5, len(table) - 1, 2])
+        assert table[3:9] == examples[3:9]
+        assert table[::-2] == examples[::-2]
+        assert table[picks] == [examples[i] for i in picks]
+        assert isinstance(table[picks], ExampleTable)
+        assert table[-1] == examples[-1] and table[np.int64(4)] == examples[4]
+        with pytest.raises(IndexError):
+            table[len(table)]
+
+    def test_table_is_read_only(self):
+        table = built_table()
+        with pytest.raises(ValueError):
+            table.records["nsp_label"][0] = 1
+        with pytest.raises(ValueError):
+            table[2:4].records["input_ids"][0, 0] = 1
+
+    def test_collate_of_table_equals_collate_of_list(self):
+        table = built_table()
+        picks = np.random.default_rng(3).integers(0, len(table), 40)
+        got = collate(table[picks])
+        want = collate([table[int(i)] for i in picks])
+        assert got.keys() == want.keys()
+        for key in want:
+            assert got[key].dtype == want[key].dtype == np.int64, key
+            assert np.array_equal(got[key], want[key]), key
+
+    def test_batches_equal_list_collate(self):
+        """The batches pretrain() draws, against the per-example collate
+        of the same picks from a list."""
+        table = built_table()
+        examples = list(table)
+        for step in range(1, 21):
+            picks = np.random.default_rng((9, 2, step)).integers(0, len(examples), 8)
+            want = {
+                "input_ids": np.array([examples[i].input_ids for i in picks], dtype=np.int64),
+                "segment_ids": np.array([examples[i].segment_ids for i in picks], dtype=np.int64),
+                "attention_mask": np.array(
+                    [examples[i].attention_mask for i in picks], dtype=np.int64
+                ),
+                "mlm_labels": np.array([examples[i].mlm_labels for i in picks], dtype=np.int64),
+                "nsp_labels": np.array([examples[i].nsp_label for i in picks], dtype=np.int64),
+            }
+            got = _batch_for_step(table, 8, 9, step)
+            assert got.keys() == want.keys()
+            for key in want:
+                assert got[key].dtype == np.int64 and np.array_equal(got[key], want[key]), key
+
+    def test_failed_write_leaves_earlier_file(self, tmp_path):
+        """A write that fails partway, here at a file-size limit, leaves the
+        earlier file byte for byte and no temporary file behind."""
+        resource = pytest.importorskip("resource")
+        path = tmp_path / "ex.ptex"
+        write_examples(built_table(16), path, len(MODEL.vocab))
+        before = path.read_bytes()
+        assert list(tmp_path.iterdir()) == [path]
+        larger = many_examples(64, 2100)  # about 1.4 MB
+        soft, hard = resource.getrlimit(resource.RLIMIT_FSIZE)
+        resource.setrlimit(resource.RLIMIT_FSIZE, (100_000, hard))
+        try:
+            with pytest.raises(OSError):
+                write_examples(larger, path, len(MODEL.vocab))
+        finally:
+            resource.setrlimit(resource.RLIMIT_FSIZE, (soft, hard))
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
 
 
 class TestExampleFileMutation:
