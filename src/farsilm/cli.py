@@ -36,7 +36,7 @@ from .finetune import (
     write_labeled,
     write_tagged,
 )
-from .lineio import read_records, read_text, write_records
+from .lineio import atomic_open, read_records, read_text, write_records
 from .metrics import (
     accuracy,
     entity_f1,
@@ -100,7 +100,8 @@ def _note(message: str) -> None:
 
 def _write_text(path: str, text: str) -> None:
     try:
-        Path(path).write_text(text, encoding="utf-8", newline="\n")
+        with atomic_open(path) as handle:
+            handle.write(text)
     except OSError as exc:
         raise DataError(f"cannot write {path}: {exc}") from exc
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import wordpiece as wp
 from .errors import ConfigError, DataError
-from .lineio import read_records, read_text, write_records
+from .lineio import atomic_open, read_records, read_text, write_records
 from .metrics import accuracy, entity_f1
 from .model import ModelConfig, _encode, _softmax_xent_grad, _truncated_normal, backprop_encoder
 from .pretrain_data import IGNORE_INDEX
@@ -154,7 +154,7 @@ def load_tagged(path: str) -> list[TaggedSequence]:
 
 def write_tagged(path: str, sequences) -> int:
     count = 0
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+    with atomic_open(path) as handle:
         for seq in sequences:
             for token, tag in zip(seq.tokens, seq.tags):
                 handle.write(f"{token}\t{tag}\n")

@@ -3,15 +3,44 @@
 A line-record file is UTF-8 text with one JSON object per line. Writers
 always emit LF line endings and sorted keys so identical data produces
 byte-identical files.
+
+Every artifact writer goes through :func:`atomic_open`, so a write that
+fails leaves any earlier file at the target as it was. The loss trace,
+which a resumed run appends to, is the one file written in place.
 """
 
 from __future__ import annotations
 
 import json
+import os
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Iterable, Iterator
+from typing import IO, Any, Iterable, Iterator
 
 from .errors import DataError
+
+
+@contextmanager
+def atomic_open(path: str | Path, binary: bool = False) -> Iterator[IO]:
+    """A new file to write in place of ``path``: UTF-8 text with LF line
+    endings, or bytes with ``binary``.
+
+    The writes go to a temporary file beside ``path``, which replaces
+    ``path`` only once the block finishes; if the block raises, the
+    temporary file is removed and ``path`` is left as it was.
+    """
+    path = Path(path)
+    temp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
+    try:
+        if binary:
+            handle = open(temp, "xb")
+        else:
+            handle = open(temp, "x", encoding="utf-8", newline="\n")
+        with handle:
+            yield handle
+        os.replace(temp, path)
+    finally:
+        temp.unlink(missing_ok=True)  # gone already unless the write failed
 
 
 def read_text(path: str | Path) -> str:
@@ -51,9 +80,8 @@ def read_records(path: str | Path) -> Iterator[tuple[int, dict]]:
 
 def write_records(path: str | Path, records: Iterable[dict[str, Any]]) -> int:
     """Write records as one JSON object per line; returns the record count."""
-    path = Path(path)
     n = 0
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_open(path) as fh:
         for record in records:
             fh.write(json.dumps(record, ensure_ascii=False, sort_keys=True))
             fh.write("\n")

@@ -10,24 +10,26 @@ is the single example, as :func:`assemble_input` and
 returns it.
 
 Randomness discipline: pair building consumes one generator; each
-example's masking derives its own generator from (seed, example index),
-so files are byte-identical however the work is distributed.
+example's masking draws the stream of ``default_rng((seed, 1, index))``,
+so files are byte-identical however the work is distributed. One build
+derives all those starting states in one vectorized pass and re-seeds a
+single generator with each, instead of constructing one per example.
 """
 
 from __future__ import annotations
 
-import os
 import struct
 from array import array
 from bisect import bisect_left
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
 from .errors import ConfigError, DataError
+from .lineio import atomic_open
 from .wordpiece import CLS, MASK, SEP, WordPieceModel, encode
 
 IGNORE_INDEX = -100
@@ -356,6 +358,88 @@ def apply_mlm_mask(
     return replace(example, input_ids=tuple(ids), mlm_labels=tuple(labels))
 
 
+# NumPy's SeedSequence hash (bit_generator.pyx) and PCG64 seeding
+# (pcg64.h) constants, which fix the state default_rng(entropy) starts in
+_MASK32 = 0xFFFFFFFF
+_HASH_INIT_A, _HASH_MULT_A = 0x43B0D7E5, 0x931E8875
+_HASH_INIT_B, _HASH_MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+
+def _masking_states(seed: int, count: int, first: int = 0) -> Iterator[dict]:
+    """``default_rng((seed, 1, i)).bit_generator.state`` for each i in
+    [first, first + count), in order.
+
+    SeedSequence's hash runs once over uint32 columns, one row per index;
+    only the two 128-bit steps of PCG64's seeding run per index, as each
+    state is taken. An index of 2**32 or more spans two entropy words,
+    which this derivation does not model, so it raises instead.
+    """
+    if first < 0 or first + count > 1 << 32:
+        raise DataError(
+            f"masking generators exist for example indices below 2**32, "
+            f"not [{first}, {first + count})"
+        )
+    seed = int(seed)
+    # entropy words: the seed's, least significant first, then 1, then the index
+    words = [seed >> shift & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
+    entropy = [np.full(count, word, dtype=np.uint32) for word in words + [1]]
+    entropy.append(np.arange(first, first + count, dtype=np.uint64).astype(np.uint32))
+    entropy += [np.zeros(count, dtype=np.uint32)] * (_POOL_SIZE - len(entropy))
+
+    hashmix = _hasher(_HASH_INIT_A, _HASH_MULT_A)
+
+    def mix(x, y):
+        result = x * np.uint32(_MIX_MULT_L) - y * np.uint32(_MIX_MULT_R)
+        return result ^ result >> np.uint32(16)
+
+    pool = [hashmix(word) for word in entropy[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+
+    # generate_state(4, uint64): eight words cycling the pool, paired low
+    # word first into (seed high, seed low, sequence high, sequence low)
+    output = _hasher(_HASH_INIT_B, _HASH_MULT_B)
+    state_words = np.stack([output(pool[i % _POOL_SIZE]) for i in range(8)], axis=1)
+    seeds = state_words.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
+    return map(_pcg64_state, seeds)
+
+
+def _hasher(const: int, mult: int) -> Callable[[np.ndarray], np.ndarray]:
+    """SeedSequence's running hash over uint32 arrays: each call hashes
+    with the current constant, then steps it."""
+
+    def hash_words(value):
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * mult & _MASK32
+        value = value * np.uint32(const)
+        return value ^ value >> np.uint32(16)
+
+    return hash_words
+
+
+def _pcg64_state(seeds: np.ndarray) -> dict:
+    """PCG64's state after seeding with generate_state(4, uint64) = seeds."""
+    seed_hi, seed_lo, seq_hi, seq_lo = seeds.tolist()
+    inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _MASK128
+    state = ((inc + (seed_hi << 64 | seed_lo)) * _PCG_MULT + inc) & _MASK128
+    return {
+        "bit_generator": "PCG64",
+        "state": {"state": state, "inc": inc},
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+
+
 def build_pretrain_examples(
     documents: Sequence[Sequence[str]],
     model: WordPieceModel,
@@ -367,21 +451,23 @@ def build_pretrain_examples(
     Each example equals ``apply_mlm_mask(assemble_input(pair), ...)`` with
     the generator ``default_rng((rng_seed, 1, index))``; it is packed and
     masked in one pass, with candidates sought among its real tokens only,
-    since padding is never attended. The loop keeps only each example's
-    real tokens, how many are segment 0 and its MLM targets; the padded
-    columns are filled once, after the last example.
+    since padding is never attended. The pair generator, once pairing is
+    done, is re-seeded to each of those generators' starting states in
+    turn. The loop keeps only each example's real tokens, how many are
+    segment 0 and its MLM targets; the padded columns are filled once,
+    after the last example.
     """
-    pair_rng = np.random.default_rng((packing.rng_seed, 0))
-    pairs = build_nsp_pairs(documents, pair_rng)
+    rng = np.random.default_rng((packing.rng_seed, 0))
+    pairs = build_nsp_pairs(documents, rng)
     special_ids = model.special_ids
     tokens = array("i")  # every example's real tokens, end to end
     lengths, firsts, targets = [], [], []  # per example: tokens, segment-0 tokens, targets
     positions, originals = array("i"), array("i")  # per target, example after example
-    for idx, pair in enumerate(pairs):
+    for pair, state in zip(pairs, _masking_states(packing.rng_seed, len(pairs))):
         ids, first = _pack(pair, model, packing.max_len)
         candidates = [i for i, tok in enumerate(ids) if tok not in special_ids]
-        mask_rng = np.random.default_rng((packing.rng_seed, 1, idx))
-        selected, held = _mask(ids, candidates, model, policy, mask_rng)
+        rng.bit_generator.state = state
+        selected, held = _mask(ids, candidates, model, policy, rng)
         tokens.extend(ids)
         lengths.append(len(ids))
         firsts.append(first)
@@ -410,20 +496,13 @@ def write_examples(examples: Sequence[PretrainExample], path: str | Path, vocab_
     """Binary example file: 16-byte header, then one `_record_dtype` record
     per example.
 
-    The bytes go to a temporary file beside ``path``, which then replaces
-    ``path``; a write that fails leaves any earlier file as it was.
+    The write is atomic (:func:`~farsilm.lineio.atomic_open`).
     """
     table = ExampleTable.of(examples)
     max_len = table.max_len if len(table) else 0
     header = _MAGIC + struct.pack("<III", _VERSION, max_len, vocab_size)
-    path = Path(path)
-    temp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
-    try:
-        with open(temp, "xb") as fh:
-            fh.writelines((header, np.ascontiguousarray(table.records)))
-        os.replace(temp, path)
-    finally:
-        temp.unlink(missing_ok=True)  # gone already unless the write failed
+    with atomic_open(path, binary=True) as fh:
+        fh.writelines((header, np.ascontiguousarray(table.records)))
     return len(table)
 
 

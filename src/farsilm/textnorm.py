@@ -14,6 +14,7 @@ caller can audit it or pass its own rules to every step.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 
 from .errors import DataError
@@ -77,7 +78,8 @@ class NormalizationRules:
     is compiled there, and ``strip_marks`` is folded into the
     ``char_map`` translation table (a mark maps to nothing, and marks are
     removed from every mapped value), so one ``str.translate`` does
-    exactly "translate, then strip".
+    exactly "translate, then strip". One character class over the
+    table's keys tells whether a text holds anything to translate.
     """
 
     junk_patterns: tuple[tuple[str, str, str], ...]
@@ -103,9 +105,12 @@ class NormalizationRules:
         table: dict[int, str | None] = dict.fromkeys(self.strip_marks)
         for src, dst in self.char_map.items():
             table[src] = "".join(ch for ch in dst if ord(ch) not in self.strip_marks)
+        # a key that is no code point can never be met, so the class omits it
+        folded = "".join(re.escape(chr(c)) for c in sorted(table) if 0 <= c <= sys.maxunicode)
         # derived, not fields: set past the frozen dataclass's __setattr__
         object.__setattr__(self, "_compiled_junk", tuple(compiled))
         object.__setattr__(self, "_fold_table", table)
+        object.__setattr__(self, "_foldable", re.compile(f"[{folded}]") if folded else None)
 
 
 DEFAULT_RULES = NormalizationRules(
@@ -118,7 +123,6 @@ DEFAULT_RULES = NormalizationRules(
 _ZWNJ_RUN = re.compile(f"{ZWNJ}+")
 _ZWNJ_AFTER_SPACE = re.compile(f"(?:(?<=\\s)|^){ZWNJ}")
 _ZWNJ_BEFORE_SPACE = re.compile(f"{ZWNJ}(?=\\s|$)")
-_SPACES = re.compile(r"\s+")
 
 
 def clean_junk(text: str, rules: NormalizationRules = DEFAULT_RULES) -> str:
@@ -134,14 +138,16 @@ def standardize_chars(text: str, rules: NormalizationRules = DEFAULT_RULES) -> s
 
     ZWNJ runs collapse to one ZWNJ, and a ZWNJ touching whitespace or a
     string edge is dropped since it no longer joins anything. Whitespace
-    runs then become one space, and the ends are trimmed.
+    runs then become one space, and the ends are trimmed; ``str.split``
+    and ``re``'s ``\\s`` agree on what whitespace is.
     """
-    text = text.translate(rules._fold_table)
+    if rules._foldable and rules._foldable.search(text):
+        text = text.translate(rules._fold_table)
     if ZWNJ in text:
         text = _ZWNJ_RUN.sub(ZWNJ, text)
         text = _ZWNJ_AFTER_SPACE.sub("", text)
         text = _ZWNJ_BEFORE_SPACE.sub("", text)
-    return _SPACES.sub(" ", text).strip()
+    return " ".join(text.split())
 
 
 _MAX_PASSES = 16

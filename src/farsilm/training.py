@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError
+from .lineio import atomic_open
 from .model import ModelConfig, gradients, init_params, shape_audit
 from .pretrain_data import ExampleTable, collate, read_examples
 
@@ -157,7 +158,7 @@ def save_checkpoint(
     if head_kind is not None:
         header["head"] = {"kind": head_kind, "labels": list(head_labels or ())}
     blob = _json_bytes(header)
-    with open(path, "wb") as handle:
+    with atomic_open(path, binary=True) as handle:
         handle.write(_MAGIC)
         handle.write(struct.pack("<II", _VERSION, len(blob)))
         handle.write(blob)

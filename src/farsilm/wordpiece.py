@@ -27,7 +27,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .errors import ConfigError, DataError
-from .lineio import read_text
+from .lineio import atomic_open, read_text
 
 PAD, UNK, CLS, SEP, MASK = "[PAD]", "[UNK]", "[CLS]", "[SEP]", "[MASK]"
 SPECIAL_TOKENS = (PAD, UNK, CLS, SEP, MASK)
@@ -439,7 +439,7 @@ def decode(model: WordPieceModel, ids: Sequence[int]) -> str:
 
 def save_vocab(model: WordPieceModel, path: str | Path) -> None:
     """One token per line, line number = id, LF endings, UTF-8."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_open(path) as fh:
         for token in model.vocab:
             fh.write(token + "\n")
 

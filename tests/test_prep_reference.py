@@ -2,6 +2,7 @@
 held to their earlier implementations in ``prep_reference``: equal
 outputs, and equal generator state after every call that draws."""
 
+import sys
 from contextlib import contextmanager
 from unittest import mock
 
@@ -46,14 +47,17 @@ from farsilm.wordpiece import (
 )
 
 TATWEEL = "ـ"
-# every char_map key, every strip mark, ZWNJ and tatweel, whitespace of
-# several kinds, the boundary characters, digits that pass str.isdigit
-# without being decimal, abbreviations, letter-dot runs and junk
+# all 29 characters str.isspace accepts, \x1c-\x1f, \x85, U+2028 and U+2029 among them
+WHITESPACE = [chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace()]
+# every char_map key, every strip mark, ZWNJ and tatweel, every kind of
+# whitespace and runs of it, the boundary characters, digits that pass
+# str.isdigit without being decimal, abbreviations, letter-dot runs and junk
 PIECES = (
     [chr(c) for c in sorted(DEFAULT_RULES.char_map)]
     + [chr(c) for c in sorted(DEFAULT_RULES.strip_marks)]
     + [ZWNJ, ZWNJ * 2, TATWEEL]
-    + [" ", "  ", "\t", "\n", "\r", "\x0b", "\xa0", " ", "　"]
+    + WHITESPACE
+    + ["  ", "\t\n", " \u3000"]
     + sorted(BOUNDARY_CHARS)
     + ["²", "³", "①", "۵", "٣", "7"]
     + sorted(DEFAULT_ABBREVIATIONS)
@@ -97,6 +101,12 @@ CUSTOM_RULES = {
     "no-marks": NormalizationRules(
         junk_patterns=DEFAULT_RULES.junk_patterns,
         char_map=DEFAULT_RULES.char_map,
+        strip_marks=frozenset(),
+    ),
+    # nothing to fold at all
+    "nothing-to-fold": NormalizationRules(
+        junk_patterns=DEFAULT_RULES.junk_patterns,
+        char_map={},
         strip_marks=frozenset(),
     ),
 }
@@ -174,14 +184,34 @@ VOCAB = tuple(SPECIAL_TOKENS) + tuple(LETTERS) + ("##a", "##b")
 MODEL = WordPieceModel(vocab=VOCAB, token_to_id={t: i for i, t in enumerate(VOCAB)})
 
 
+class PCG64(np.random.PCG64):
+    """A PCG64 that notes the state it held each time it is re-seeded.
+
+    It keeps the name, since a PCG64 takes only states that name its class.
+    """
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.left = []
+
+    @property
+    def state(self):
+        return np.random.PCG64.state.__get__(self)
+
+    @state.setter
+    def state(self, value):
+        self.left.append(self.state)
+        np.random.PCG64.state.__set__(self, value)
+
+
 @contextmanager
 def generators_made():
-    """Every generator ``np.random.default_rng`` makes inside the block."""
+    """Every generator ``np.random.default_rng`` makes inside the block,
+    each over a logging :class:`PCG64`."""
     made = []
-    real = np.random.default_rng
 
-    def record(*args, **kwargs):
-        made.append(real(*args, **kwargs))
+    def record(seed):
+        made.append(np.random.Generator(PCG64(seed)))
         return made[-1]
 
     with mock.patch.object(np.random, "default_rng", record):
@@ -189,7 +219,10 @@ def generators_made():
 
 
 def _states(generators):
-    return [g.bit_generator.state for g in generators]
+    """The state each stream the generators served ended in: a stream ends
+    where its generator is re-seeded, and the last one where the block left
+    its generator."""
+    return [state for g in generators for state in g.bit_generator.left + [g.bit_generator.state]]
 
 
 def _composed(documents, model, packing, policy):

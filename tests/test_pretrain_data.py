@@ -1,3 +1,4 @@
+import hashlib
 import struct
 import time
 
@@ -18,13 +19,24 @@ from farsilm.pretrain_data import (
     apply_mlm_mask,
     assemble_input,
     build_nsp_pairs,
+    _masking_states,
     build_pretrain_examples,
     collate,
     read_examples,
     write_examples,
 )
+from farsilm.synthetic import generate_mlm_corpus
 from farsilm.training import _batch_for_step
-from farsilm.wordpiece import CLS, MASK, PAD, SEP, SPECIAL_TOKENS, WordPieceModel
+from farsilm.wordpiece import (
+    CLS,
+    MASK,
+    PAD,
+    SEP,
+    SPECIAL_TOKENS,
+    TokenizerTrainConfig,
+    WordPieceModel,
+    train_wordpiece,
+)
 from mutation import mutate, mutations
 
 
@@ -614,3 +626,54 @@ class TestExampleValidation:
                 mlm_labels=(IGNORE_INDEX,),
                 nsp_label=7,
             )
+
+
+class TestMaskingStates:
+    SEEDS = [0, 1, 611, 2**32 - 1, 2**32, 2**40 + 5, 2**64 + 3, 2**100 + 7]
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_equal_to_a_fresh_generator(self, seed):
+        got = list(_masking_states(seed, 5000))
+        for i, state in enumerate(got):
+            assert state == np.random.PCG64(np.random.SeedSequence((seed, 1, i))).state, i
+        (last,) = _masking_states(seed, 1, first=2**32 - 1)
+        assert last == np.random.PCG64(np.random.SeedSequence((seed, 1, 2**32 - 1))).state
+
+    def test_reseeded_generator_draws_as_a_fresh_one(self):
+        rng = np.random.default_rng(3)
+        rng.integers(0, 5)  # leaves half a 64-bit draw buffered
+        for i, state in enumerate(_masking_states(611, 20)):
+            rng.bit_generator.state = state
+            fresh = np.random.default_rng((611, 1, i))
+            for _ in range(3):
+                assert rng.integers(0, 1000) == fresh.integers(0, 1000)
+                assert rng.random() == fresh.random()
+
+    @pytest.mark.parametrize("first, count", [(2**32 - 1, 2), (2**32, 1), (-1, 1)])
+    def test_index_outside_one_entropy_word_raises(self, first, count):
+        with pytest.raises(DataError, match="below 2\\*\\*32"):
+            _masking_states(0, count, first=first)
+
+    def test_no_examples(self):
+        assert list(_masking_states(7, 0)) == []
+
+
+def test_acceptance_example_file_pinned(tmp_path):
+    """The example file of the 2000-step acceptance fixture's recipe, by
+    hash: a change in any draw, or in their order, moves it."""
+    docs = generate_mlm_corpus(seed=1, n_docs=900)
+    tokenizer = train_wordpiece(
+        [s for d in docs for s in d.sentences],
+        TokenizerTrainConfig(vocab_size=1000, min_frequency=3, alphabet_limit=1500),
+    )
+    examples = build_pretrain_examples(
+        [d.sentences for d in docs],
+        tokenizer,
+        PackingConfig(max_len=64, rng_seed=0),
+        MaskingPolicy(),
+    )
+    path = tmp_path / "examples.ptex"
+    write_examples(examples, path, len(tokenizer.vocab))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "1fcfdd5a84e78fb04184d798d9c26991ffe44ea3c1106cc7e21493923557f6a6"
+    )
