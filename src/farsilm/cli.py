@@ -56,7 +56,7 @@ from .pretrain_data import (
 )
 from .segmenter import SegmenterConfig, segment_by_notation, segment_true
 from .textnorm import normalize
-from .training import OptimizerConfig, load_checkpoint, pretrain
+from .training import OptimizerConfig, check_log_every, load_checkpoint, pretrain
 from .wordpiece import (
     TokenizerTrainConfig,
     encode,
@@ -211,8 +211,7 @@ def _build_pretrain(infile, vocab, out, max_len, seed) -> None:
 
 def _pretrain_configs(options: dict, steps, vocab_size, max_positions):
     """Model and optimizer configs from the pretraining options."""
-    if options["log_every"] < 1:
-        raise ConfigError(f"log_every must be at least 1, got {options['log_every']}")
+    check_log_every(options["log_every"])
     model_config = ModelConfig(
         **{key: options[key] for key in _SHAPE_KEYS},
         vocab_size=vocab_size,

@@ -6,7 +6,8 @@ byte-identical files.
 
 Every artifact writer goes through :func:`atomic_open`, so a write that
 fails leaves any earlier file at the target as it was. The loss trace,
-which a resumed run appends to, is the one file written in place.
+which a resumed run appends to, is rewritten whole: the earlier bytes,
+then the new rows.
 """
 
 from __future__ import annotations

@@ -237,10 +237,12 @@ class _Rows:
     Token-wise work runs on arrays of shape (N, K) holding the N attended
     rows in batch order; a batch without padding takes the same path with
     N = B * L. The attention core and the backward matrix products stay in
-    the padded layout. A batch with a single attended position in all
-    sends its projections to a matrix-vector kernel, so only there the
-    bits may differ from running every position; encoded inputs always
-    hold [CLS] and [SEP].
+    the padded layout, which gives the bits of running every position
+    for hidden sizes from 2 up. At hidden size 1 a row sum over an (N, 1)
+    array is pairwise, and N rows pair differently from B * L rows. A
+    batch with a single attended position in all sends its projections
+    to a matrix-vector kernel, so there too the bits may differ; encoded
+    inputs always hold [CLS] and [SEP].
     """
 
     def __init__(self, attn: np.ndarray):
@@ -303,8 +305,13 @@ def _encode(params, config, batch):
         qh = heads(_affine(x, params[p + "q_w"], params[p + "q_b"]))
         kh = heads(_affine(x, params[p + "k_w"], params[p + "k_b"]))
         vh = heads(_affine(x, params[p + "v_w"], params[p + "v_b"]))
-        scores = qh @ kh.transpose(0, 1, 3, 2) / np.sqrt(dh) + bias
-        probs = _softmax(scores)
+        # scaled, biased and soft-maxed in place: the steps of _softmax
+        probs = qh @ kh.transpose(0, 1, 3, 2)
+        probs /= np.sqrt(dh)
+        probs += bias
+        probs -= probs.max(-1, keepdims=True)
+        np.exp(probs, out=probs)
+        probs /= probs.sum(-1, keepdims=True)
         ctx = (probs @ vh).transpose(0, 2, 1, 3).reshape(bsz, length, config.hidden)
         attn_out = _affine(rows.gather(ctx), params[p + "o_w"], params[p + "o_b"])
         attn_out += x_in
@@ -459,13 +466,24 @@ def backprop_encoder(params, config: ModelConfig, cache, d_sequence, d_pooled, g
     exact zeros. BLAS may choose another kernel, and so another summation
     order, for another row count; the padded products give the same bits
     as an encoder that runs every position.
+
+    Four buffers, allocated once per call, hold the padded arrays. Two
+    zeroed (B * L, K) buffers, one hidden-wide and one FFN-wide, take the
+    token rows of each product's padded operands; only attended rows are
+    ever written, so the unattended rows stay exact zeros. Two (B, L, K)
+    buffers, again one of each width, receive each ``dy @ w.T`` before its
+    token rows are gathered. Each FFN product takes one operand of each
+    width, so the buffers are kept by role, not looked up by width: with
+    hidden equal to intermediate, a lookup by width would give both
+    operands one buffer.
     """
     rows = cache["rows"]
     bsz, length = rows.bsz, rows.length
+    hidden, inter = config.hidden, config.intermediate
     nh = config.heads
-    dh = config.hidden // nh
+    dh = hidden // nh
     if d_sequence is None:
-        dx = np.zeros((rows.flat.size, config.hidden))
+        dx = np.zeros((rows.flat.size, hidden))
     else:
         dx = rows.gather(d_sequence)
 
@@ -475,16 +493,26 @@ def backprop_encoder(params, config: ModelConfig, cache, d_sequence, d_pooled, g
         grads["pool_b"] += dpool_pre.sum(0)
         dx[rows.cls] += dpool_pre @ params["pool_w"].T
 
-    def padded_rows(tokens):
-        return rows.scatter(tokens).reshape(bsz * length, -1)
+    pad_hidden = np.zeros((bsz * length, hidden))
+    pad_ffn = np.zeros((bsz * length, inter))
+    out_hidden = np.empty((bsz, length, hidden))
+    out_ffn = np.empty((bsz, length, inter))
 
-    def dense_back(flat_x, dy, w_name, b_name):
+    def padded(buffer, tokens):
+        """buffer, (B * L, K), with the token rows written in place."""
+        buffer[rows.flat] = tokens
+        return buffer
+
+    def dense_back(flat_x, dy, w_name, b_name, out):
         """Weight and bias gradients of x @ w + b, for x as padded rows and
-        dy as a padded (B, L, N) array; returns dy @ w.T at the token rows."""
+        dy as a padded (B, L, N) array; returns dy @ w.T, formed in out."""
         flat_dy = dy.reshape(-1, dy.shape[-1])
         grads[w_name] += flat_x.T @ flat_dy
         grads[b_name] += flat_dy.sum(0)
-        return rows.gather(dy @ params[w_name].T)
+        return np.matmul(dy, params[w_name].T, out=out)
+
+    def merge(heads_grad):
+        return heads_grad.transpose(0, 2, 1, 3).reshape(bsz, length, hidden)
 
     for layer in reversed(range(config.layers)):
         p = f"layer{layer}."
@@ -493,47 +521,54 @@ def backprop_encoder(params, config: ModelConfig, cache, d_sequence, d_pooled, g
         dsum, dg, db = _layer_norm_back(dx, c["ffn_ln"])
         grads[p + "ffn_ln_g"] += dg
         grads[p + "ffn_ln_b"] += db
-        dact = dense_back(
-            padded_rows(c["ffn_act"]), rows.scatter(dsum), p + "ffn_w2", p + "ffn_b2")
+        dact = rows.gather(dense_back(
+            padded(pad_ffn, c["ffn_act"]), padded(pad_hidden, dsum).reshape(bsz, length, hidden),
+            p + "ffn_w2", p + "ffn_b2", out_ffn))
         dffn_pre = _gelu_back(dact, c["ffn_pre"], c["ffn_cdf"])
-        dx_attn = dense_back(
-            padded_rows(c["x_attn"]), rows.scatter(dffn_pre), p + "ffn_w1", p + "ffn_b1")
+        dx_attn = rows.gather(dense_back(
+            padded(pad_hidden, c["x_attn"]), padded(pad_ffn, dffn_pre).reshape(bsz, length, inter),
+            p + "ffn_w1", p + "ffn_b1", out_hidden))
         dx_attn += dsum
 
         dsum, dg, db = _layer_norm_back(dx_attn, c["attn_ln"])
         grads[p + "attn_ln_g"] += dg
         grads[p + "attn_ln_b"] += db
-        dattn_out = rows.scatter(dsum)
-        flat_dattn = dattn_out.reshape(-1, config.hidden)
-        grads[p + "o_w"] += c["ctx"].reshape(-1, config.hidden).T @ flat_dattn
-        grads[p + "o_b"] += flat_dattn.sum(0)
-        dctx = (dattn_out @ params[p + "o_w"].T).reshape(bsz, length, nh, dh)
-        dctx = dctx.transpose(0, 2, 1, 3)
+        dctx = dense_back(
+            c["ctx"].reshape(-1, hidden), padded(pad_hidden, dsum).reshape(bsz, length, hidden),
+            p + "o_w", p + "o_b", out_hidden)
+        dctx = dctx.reshape(bsz, length, nh, dh).transpose(0, 2, 1, 3)
 
         dprobs = dctx @ c["vh"].transpose(0, 1, 3, 2)
         dvh = c["probs"].transpose(0, 1, 3, 2) @ dctx
-        dscores = c["probs"] * (dprobs - (dprobs * c["probs"]).sum(-1, keepdims=True))
+        # probs * (dprobs - rowsum(dprobs * probs)) / sqrt(dh), in dprobs's buffer
+        dscores = dprobs
+        dscores -= (dprobs * c["probs"]).sum(-1, keepdims=True)
+        dscores *= c["probs"]
         dscores /= np.sqrt(dh)
         dqh = dscores @ c["kh"]
         dkh = dscores.transpose(0, 1, 3, 2) @ c["qh"]
 
-        def merge(heads_grad):
-            return heads_grad.transpose(0, 2, 1, 3).reshape(bsz, length, config.hidden)
-
-        # dsum + dq @ q_w.T + dk @ k_w.T + dv @ v_w.T, summed in that order
-        x_in = padded_rows(c["x_in"])
-        dx = dense_back(x_in, merge(dqh), p + "q_w", p + "q_b")
+        # dsum + dq @ q_w.T + dk @ k_w.T + dv @ v_w.T, summed in that order;
+        # dctx is spent, so out_hidden is free again
+        x_in = padded(pad_hidden, c["x_in"])
+        dx = rows.gather(dense_back(x_in, merge(dqh), p + "q_w", p + "q_b", out_hidden))
         dx += dsum
-        dx += dense_back(x_in, merge(dkh), p + "k_w", p + "k_b")
-        dx += dense_back(x_in, merge(dvh), p + "v_w", p + "v_b")
+        dx += rows.gather(dense_back(x_in, merge(dkh), p + "k_w", p + "k_b", out_hidden))
+        dx += rows.gather(dense_back(x_in, merge(dvh), p + "v_w", p + "v_b", out_hidden))
 
-    # embedding backward
+    # embedding backward: the sums np.add.at forms, added in its order
     demb, dg, db = _layer_norm_back(dx, cache["emb_ln"])
     grads["emb_ln_g"] += dg
     grads["emb_ln_b"] += db
     np.add.at(grads["tok_emb"], cache["ids"], demb)
-    np.add.at(grads["pos_emb"], rows.positions, demb)
-    np.add.at(grads["seg_emb"], cache["segs"], demb)
+    # a position occurs at most once in each batch row
+    bounds = np.append(rows.cls, rows.flat.size)
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        grads["pos_emb"][rows.positions[lo:hi]] += demb[lo:hi]
+    # a sequential sum; np.add.reduce would sum an (n, 1) array pairwise
+    for seg in range(TYPE_VOCAB):
+        terms = np.concatenate([grads["seg_emb"][seg:seg + 1], demb[cache["segs"] == seg]])
+        grads["seg_emb"][seg] = np.add.accumulate(terms)[-1]
 
 
 def finite_difference_check(

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .lineio import atomic_open
+from .lineio import atomic_open, read_text
 from .model import ModelConfig, gradients, init_params, shape_audit
 from .pretrain_data import ExampleTable, collate, read_examples
 
@@ -84,7 +84,13 @@ def adam_step(
     state: AdamState,
     config: OptimizerConfig,
 ) -> None:
-    """One bias-corrected Adam update, applied to params in place."""
+    """One bias-corrected Adam update, applied to params in place.
+
+    Each tensor's update runs in two scratch buffers sized to the largest
+    tensor, with the operations of ``m = b1*m + (1-b1)*g``,
+    ``v = b2*v + (1-b2)*g*g`` and ``p -= lr*(m/bc1) / (sqrt(v/bc2) + eps)``
+    in that order.
+    """
     state.step += 1
     t = state.step
     lr = config.learning_rate
@@ -92,15 +98,28 @@ def adam_step(
         lr *= min(1.0, t / config.warmup_steps)
     bc1 = 1.0 - config.beta1**t
     bc2 = 1.0 - config.beta2**t
+    size = max((p.size for p in params.values()), default=0)
+    scratch, denom = np.empty(size), np.empty(size)
     for name, p in params.items():
         g = grads[name]
         m = state.m[name]
         v = state.v[name]
+        step = scratch[: p.size].reshape(p.shape)
+        root = denom[: p.size].reshape(p.shape)
         m *= config.beta1
-        m += (1.0 - config.beta1) * g
+        np.multiply(g, 1.0 - config.beta1, out=step)
+        m += step
         v *= config.beta2
-        v += (1.0 - config.beta2) * g * g
-        p -= lr * (m / bc1) / (np.sqrt(v / bc2) + config.epsilon)
+        np.multiply(g, 1.0 - config.beta2, out=step)
+        step *= g
+        v += step
+        np.divide(m, bc1, out=step)
+        step *= lr
+        np.divide(v, bc2, out=root)
+        np.sqrt(root, out=root)
+        root += config.epsilon
+        step /= root
+        p -= step
 
 
 @dataclass(frozen=True)
@@ -302,11 +321,17 @@ def load_checkpoint(path: str) -> Checkpoint:
 
 
 def write_loss_trace(path: str, rows, append: bool = False) -> None:
-    """CSV of per-step losses with a step,mlm_loss,nsp_loss header."""
-    mode = "a" if append and os.path.exists(path) else "w"
-    with open(path, mode, newline="") as handle:
-        writer = csv.writer(handle)
-        if mode == "w":
+    """CSV of per-step losses with a step,mlm_loss,nsp_loss header.
+
+    With ``append`` and an existing trace, the rows follow its bytes. The
+    whole file is written atomically either way.
+    """
+    appending = append and os.path.exists(path)
+    earlier = read_text(path) if appending else ""
+    with atomic_open(path) as handle:
+        handle.write(earlier)
+        writer = csv.writer(handle)  # \r\n line ends, which the handle keeps
+        if not appending:
             writer.writerow(["step", "mlm_loss", "nsp_loss"])
         for step, mlm_loss, nsp_loss in rows:
             writer.writerow([step, f"{mlm_loss:.10f}", f"{nsp_loss:.10f}"])
@@ -340,6 +365,12 @@ def _batch_for_step(examples: ExampleTable, batch_size: int, seed: int, step: in
     return collate(examples[picks])
 
 
+def check_log_every(log_every: int) -> None:
+    """Raise ConfigError unless ``log_every`` is a step interval of 1 or more."""
+    if log_every < 1:
+        raise ConfigError(f"log_every must be at least 1, got {log_every}")
+
+
 def pretrain(
     examples_path: str,
     model_config: ModelConfig,
@@ -356,8 +387,10 @@ def pretrain(
     step and runs until opt_config.max_steps. With max_steps 0 the saved
     checkpoint holds the untouched initialization. A non-finite gradient
     ends the run with a DataError naming the step, before any update or
-    checkpoint write.
+    checkpoint write. A ``log_every`` below 1 is a ConfigError, raised
+    before the example file is read.
     """
+    check_log_every(log_every)
     examples, file_vocab = read_examples(examples_path)
     if file_vocab != model_config.vocab_size:
         raise ConfigError(

@@ -5,6 +5,9 @@ attended rows only, without the dropout it has since lost. The tests
 hold the unpadded encoder in ``farsilm.model`` to its output and
 gradient bytes. It keeps its own copies of the helpers, so that a change
 to a shared helper cannot move both sides at once.
+
+``reference_adam_step`` is the Adam update as it was before it ran in
+scratch buffers; ``farsilm.training.adam_step`` is held to its bytes.
 """
 
 import numpy as np
@@ -180,3 +183,23 @@ def padded_backprop(params, config, cache, d_sequence, d_pooled, grads):
     np.add.at(grads["tok_emb"], ids, demb)
     grads["pos_emb"][:length] += demb.sum(0)
     np.add.at(grads["seg_emb"], segs, demb)
+
+
+def reference_adam_step(params, grads, state, config):
+    """``adam_step`` with fresh temporaries for every operation."""
+    state.step += 1
+    t = state.step
+    lr = config.learning_rate
+    if config.warmup_steps > 0:
+        lr *= min(1.0, t / config.warmup_steps)
+    bc1 = 1.0 - config.beta1**t
+    bc2 = 1.0 - config.beta2**t
+    for name, p in params.items():
+        g = grads[name]
+        m = state.m[name]
+        v = state.v[name]
+        m *= config.beta1
+        m += (1.0 - config.beta1) * g
+        v *= config.beta2
+        v += (1.0 - config.beta2) * g * g
+        p -= lr * (m / bc1) / (np.sqrt(v / bc2) + config.epsilon)

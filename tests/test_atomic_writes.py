@@ -1,5 +1,6 @@
 """Every artifact writer replaces its target atomically: a write that fails
-partway leaves the earlier file byte for byte and no temporary file.
+partway leaves the earlier file byte for byte and no temporary file. That
+includes a loss trace that a resumed run appends to.
 ``write_examples`` has the same test in ``test_pretrain_data.py``."""
 
 import pytest
@@ -9,7 +10,7 @@ from farsilm.errors import DataError
 from farsilm.finetune import TaggedSequence, write_tagged
 from farsilm.lineio import atomic_open, write_records
 from farsilm.model import ModelConfig, init_params
-from farsilm.training import OptimizerConfig, init_adam_state, save_checkpoint
+from farsilm.training import OptimizerConfig, init_adam_state, save_checkpoint, write_loss_trace
 from farsilm.wordpiece import SPECIAL_TOKENS, WordPieceModel, save_vocab
 
 resource = pytest.importorskip("resource")
@@ -38,6 +39,10 @@ def tagged(count):
     return [TaggedSequence(("ketab", "khane"), ("B-LOC", "O"))] * count
 
 
+def trace_rows(count):
+    return [(step, 3.0 / step, 0.7) for step in range(1, count + 1)]
+
+
 # each writer with a small payload, then one far larger than LIMIT
 WRITERS = {
     "save_vocab": lambda path, n: save_vocab(vocab(n), path),
@@ -45,6 +50,10 @@ WRITERS = {
     "write_records": lambda path, n: write_records(path, records(n)),
     "write_tagged": lambda path, n: write_tagged(str(path), tagged(n)),
     "_write_text": lambda path, n: _write_text(str(path), "line\n" * n),
+    # a fresh trace replaces the earlier one; an appended one extends it
+    "write_loss_trace": lambda path, n: write_loss_trace(str(path), trace_rows(n)),
+    "write_loss_trace-append": lambda path, n: write_loss_trace(
+        str(path), trace_rows(n), append=True),
 }
 
 
@@ -84,3 +93,12 @@ def test_text_is_utf8_with_lf_endings(tmp_path):
     with atomic_open(path) as handle:
         handle.write("کتاب\nb\n")
     assert path.read_bytes() == "کتاب\nb\n".encode("utf-8")
+
+
+def test_appended_trace_holds_the_earlier_bytes(tmp_path):
+    path = tmp_path / "trace.csv"
+    write_loss_trace(str(path), trace_rows(2))
+    before = path.read_bytes()
+    write_loss_trace(str(path), [(3, 1.25, 0.5)], append=True)
+    assert path.read_bytes() == before + b"3,1.2500000000,0.5000000000\r\n"
+    assert before.startswith(b"step,mlm_loss,nsp_loss\r\n1,3.0000000000,0.7000000000\r\n")

@@ -473,15 +473,53 @@ def head_gradients(encode, backprop, params, cfg, batch, kind):
     return outputs, grads
 
 
+def assert_bytes_equal_padded_reference(base_params, cfg, bsz, length, layout, upstream,
+                                        param_noise, monkeypatch):
+    noise_rng = np.random.default_rng(7)
+    params = {
+        name: value + param_noise * noise_rng.normal(size=value.shape)
+        for name, value in base_params.items()
+    }
+    batch = grid_batch(bsz, length, layout)
+    attended = batch["attention_mask"] == 1
+    if upstream == "mlm+nsp":
+        outputs, _ = _encode(params, cfg, batch)
+        ref_outputs, _ = padded_encode(params, cfg, batch)
+        losses, grads = gradients(params, cfg, batch)
+        with monkeypatch.context() as patch:
+            patch.setattr(model_module, "_encode", padded_encode)
+            patch.setattr(model_module, "backprop_encoder", padded_backprop)
+            ref_losses, ref_grads = gradients(params, cfg, batch)
+        assert losses == ref_losses
+    else:
+        outputs, grads = head_gradients(
+            _encode, backprop_encoder, params, cfg, batch, upstream)
+        ref_outputs, ref_grads = head_gradients(
+            padded_encode, padded_backprop, params, cfg, batch, upstream)
+    assert set(grads) == set(ref_grads)
+    for name, ref in ref_grads.items():
+        assert grads[name].tobytes() == ref.tobytes(), name
+    for key in ("pooled", "nsp_logits"):
+        assert outputs[key].tobytes() == ref_outputs[key].tobytes(), key
+    sequence = outputs["sequence"]
+    assert sequence[attended].tobytes() == ref_outputs["sequence"][attended].tobytes()
+    assert np.all(sequence[~attended] == 0.0)
+
+
 class TestUnpaddedEncoder:
     """The encoder skips unattended rows; its outputs and gradients must be
-    the padded encoder's, byte for byte."""
+    the padded encoder's, byte for byte. This holds for hidden sizes from 2
+    up: at hidden 1 a row sum over an (N, 1) array is pairwise, and N
+    attended rows pair differently from B * L padded ones."""
 
-    params = init_params(
-        ModelConfig(layers=2, heads=2, hidden=64, intermediate=256, vocab_size=300,
-                    max_positions=64),
-        seed=31,
-    )
+    cfg = ModelConfig(layers=2, heads=2, hidden=64, intermediate=256, vocab_size=300,
+                      max_positions=64)
+    params = init_params(cfg, seed=31)
+    # the FFN products take one padded operand of each width; with equal
+    # widths a buffer shared by width would hold both
+    square_cfg = ModelConfig(layers=2, heads=2, hidden=64, intermediate=64, vocab_size=300,
+                             max_positions=64)
+    square_params = init_params(square_cfg, seed=31)
 
     @pytest.mark.parametrize("param_noise", _GRID_PARAM_NOISE)
     @pytest.mark.parametrize("upstream", _GRID_UPSTREAM)
@@ -490,36 +528,16 @@ class TestUnpaddedEncoder:
     @pytest.mark.parametrize("bsz", _GRID_B)
     def test_bytes_equal_padded_reference(self, bsz, length, layout, upstream, param_noise,
                                           monkeypatch):
-        cfg = ModelConfig(layers=2, heads=2, hidden=64, intermediate=256, vocab_size=300,
-                          max_positions=64)
-        noise_rng = np.random.default_rng(7)
-        params = {
-            name: value + param_noise * noise_rng.normal(size=value.shape)
-            for name, value in self.params.items()
-        }
-        batch = grid_batch(bsz, length, layout)
-        attended = batch["attention_mask"] == 1
-        if upstream == "mlm+nsp":
-            outputs, _ = _encode(params, cfg, batch)
-            ref_outputs, _ = padded_encode(params, cfg, batch)
-            losses, grads = gradients(params, cfg, batch)
-            monkeypatch.setattr(model_module, "_encode", padded_encode)
-            monkeypatch.setattr(model_module, "backprop_encoder", padded_backprop)
-            ref_losses, ref_grads = gradients(params, cfg, batch)
-            assert losses == ref_losses
-        else:
-            outputs, grads = head_gradients(
-                _encode, backprop_encoder, params, cfg, batch, upstream)
-            ref_outputs, ref_grads = head_gradients(
-                padded_encode, padded_backprop, params, cfg, batch, upstream)
-        assert set(grads) == set(ref_grads)
-        for name, ref in ref_grads.items():
-            assert grads[name].tobytes() == ref.tobytes(), name
-        for key in ("pooled", "nsp_logits"):
-            assert outputs[key].tobytes() == ref_outputs[key].tobytes(), key
-        sequence = outputs["sequence"]
-        assert sequence[attended].tobytes() == ref_outputs["sequence"][attended].tobytes()
-        assert np.all(sequence[~attended] == 0.0)
+        assert_bytes_equal_padded_reference(
+            self.params, self.cfg, bsz, length, layout, upstream, param_noise, monkeypatch)
+
+    @pytest.mark.parametrize("upstream", _GRID_UPSTREAM)
+    @pytest.mark.parametrize("layout", _GRID_LAYOUT)
+    @pytest.mark.parametrize("length", _GRID_L)
+    @pytest.mark.parametrize("bsz", _GRID_B)
+    def test_hidden_equal_to_intermediate(self, bsz, length, layout, upstream, monkeypatch):
+        assert_bytes_equal_padded_reference(
+            self.square_params, self.square_cfg, bsz, length, layout, upstream, 0.1, monkeypatch)
 
     def test_upstream_gradient_on_padding_is_ignored(self):
         cfg = desk_config(vocab_size=300, max_positions=64)

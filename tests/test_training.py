@@ -9,7 +9,7 @@ from hypothesis import given, settings
 
 from farsilm.errors import ConfigError, DataError
 from farsilm.finetune import load_head_model
-from farsilm.model import ModelConfig, init_params
+from farsilm.model import ModelConfig, desk_config, init_params
 from farsilm.pretrain_data import MaskingPolicy, PackingConfig, build_pretrain_examples, write_examples
 from farsilm import training
 from farsilm.training import (
@@ -25,6 +25,7 @@ from farsilm.training import (
 )
 from farsilm.wordpiece import TokenizerTrainConfig, train_wordpiece
 from mutation import mutate, mutations
+from padded_reference import reference_adam_step
 
 WORDS = ["ab", "abc", "bcd", "cab", "dab", "bad", "cad", "add", "dba", "cba"]
 
@@ -111,6 +112,34 @@ class TestAdam:
         config = OptimizerConfig(learning_rate=1e-4, warmup_steps=10)
         adam_step(params, {"w": np.array([0.5])}, state, config)
         assert abs(params["w"][0] - (1.0 - 1e-5)) < 1e-11
+
+    @pytest.mark.parametrize("warmup", [0, 10])
+    def test_bytes_equal_reference_adam(self, warmup):
+        # desk parameters plus a fine-tuning head: tensors from 2 to 64,000
+        # entries, so each one takes another slice of the scratch buffers
+        params = init_params(desk_config(vocab_size=1000), 3)
+        head_rng = np.random.default_rng(4)
+        params["head_w"] = head_rng.normal(0.0, 0.02, (64, 5))
+        params["head_b"] = np.zeros(5)
+        ref_params = {name: value.copy() for name, value in params.items()}
+        state, ref_state = init_adam_state(params), init_adam_state(ref_params)
+        config = OptimizerConfig(learning_rate=1e-3, warmup_steps=warmup)
+        rng = np.random.default_rng(5)
+        for step in range(25):
+            grads = {}
+            for i, (name, value) in enumerate(params.items()):
+                grad = rng.normal(0.0, 0.1, value.shape)
+                grad[rng.random(value.shape) < 0.3] = 0.0  # exact zeros in every tensor
+                if (i + step) % 7 == 0:
+                    grad[...] = 0.0  # and whole tensors of them
+                grads[name] = grad
+            adam_step(params, grads, state, config)
+            reference_adam_step(ref_params, grads, ref_state, config)
+        assert state.step == ref_state.step == 25
+        for name in params:
+            assert params[name].tobytes() == ref_params[name].tobytes(), name
+            assert state.m[name].tobytes() == ref_state.m[name].tobytes(), name
+            assert state.v[name].tobytes() == ref_state.v[name].tobytes(), name
 
     def test_config_validation(self):
         with pytest.raises(ConfigError, match="learning_rate"):
@@ -387,6 +416,16 @@ class TestPretrain:
                      1, str(ckpt), trace_path=str(trace))
         assert len(calls) == 3
         assert not ckpt.exists() and not trace.exists()
+
+    @pytest.mark.parametrize("log_every", [0, -3])
+    def test_log_every_below_one_fails_before_reading(self, example_file, tmp_path, log_every):
+        path, vocab = example_file
+        ckpt, trace = tmp_path / "never.ckpt", tmp_path / "never.csv"
+        for examples in (path, str(tmp_path / "missing.bin")):
+            with pytest.raises(ConfigError, match=f"log_every must be at least 1, got {log_every}"):
+                pretrain(examples, small_config(vocab), OptimizerConfig(batch_size=4, max_steps=3),
+                         1, str(ckpt), trace_path=str(trace), log=print, log_every=log_every)
+        assert list(tmp_path.iterdir()) == []
 
     def test_vocab_mismatch_fails_before_first_step(self, example_file, tmp_path):
         path, vocab = example_file
