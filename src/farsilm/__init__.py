@@ -40,7 +40,7 @@ from .pretrain_data import (
     write_examples,
 )
 from .segmenter import SegmenterConfig, Sentence, segment_by_notation, segment_true
-from .textnorm import NormalizationRules, clean_junk, normalize, standardize_chars
+from .textnorm import clean_junk, normalize, standardize_chars
 from .training import (
     Checkpoint,
     OptimizerConfig,
@@ -73,7 +73,6 @@ __all__ = [
     "LabeledText",
     "MaskingPolicy",
     "ModelConfig",
-    "NormalizationRules",
     "OptimizerConfig",
     "PackingConfig",
     "PretrainExample",

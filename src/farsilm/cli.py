@@ -106,6 +106,12 @@ def _write_text(path: str, text: str) -> None:
         raise DataError(f"cannot write {path}: {exc}") from exc
 
 
+def _check_seed(seed: int) -> None:
+    """Raise ConfigError unless ``seed`` is one NumPy's generators accept."""
+    if seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {seed}")
+
+
 def _load_sentences(path: str, format: str) -> list[str]:
     """Sentence list from plain text (one per line) or line-records.
 
@@ -449,6 +455,7 @@ def _cmd_run(args) -> None:
 
     # every key is read and checked before the first stage writes a file
     seed = number("seed", None)
+    _check_seed(seed)
     paths = {key: manifest.path(key) for key in _MANIFEST_PATHS}
     for target in paths.values():
         parent = Path(target).parent
@@ -612,6 +619,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "seed", None) is not None:  # each --seed flag
+            _check_seed(args.seed)
         args.handler(args)
     except (FarsilmError, OSError) as exc:
         print(f"farsilm {args.command}: {exc}", file=sys.stderr)

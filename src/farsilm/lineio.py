@@ -48,7 +48,7 @@ def read_text(path: str | Path) -> str:
     """A whole UTF-8 file as text.
 
     An unreadable file or invalid UTF-8 raises :class:`DataError`; the
-    latter names the byte offset of the first bad byte.
+    latter names the byte offset and line of the first bad byte.
     """
     try:
         raw = Path(path).read_bytes()
@@ -57,7 +57,8 @@ def read_text(path: str | Path) -> str:
     try:
         return raw.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise DataError(f"{path}: invalid UTF-8 at byte offset {exc.start}") from exc
+        line = raw.count(b"\n", 0, exc.start) + 1
+        raise DataError(f"{path}: invalid UTF-8 at byte offset {exc.start} (line {line})") from exc
 
 
 def read_records(path: str | Path) -> Iterator[tuple[int, dict]]:

@@ -119,22 +119,18 @@ def _parse_tag(tag: str, position: int) -> tuple[str, str | None]:
     raise DataError(f"invalid IOB tag {tag!r} at position {position}")
 
 
-def extract_entities(tags: Sequence[str], strict: bool = False) -> list[EntitySpan]:
+def extract_entities(tags: Sequence[str]) -> list[EntitySpan]:
     """Collect maximal entity spans from one IOB sequence, sorted by start.
 
-    Lenient by default: an I tag with no live same-category span opens a
-    new one. With ``strict=True`` such a tag is an error instead.
+    Lenient: an I tag with no live same-category span opens a new one.
     """
     spans: list[EntitySpan] = []
     open_cat: str | None = None
     open_start = 0
     for i, tag in enumerate(tags):
         kind, category = _parse_tag(tag, i)
-        continues = kind == "I" and category == open_cat
-        if continues:
+        if kind == "I" and category == open_cat:
             continue
-        if kind == "I" and strict:
-            raise DataError(f"tag {tag!r} at position {i} does not continue a {category} span")
         if open_cat is not None:
             spans.append(EntitySpan(open_cat, open_start, i - 1))
         open_cat = category
@@ -147,7 +143,6 @@ def extract_entities(tags: Sequence[str], strict: bool = False) -> list[EntitySp
 def entity_f1(
     gold_seqs: Sequence[Sequence[str]],
     pred_seqs: Sequence[Sequence[str]],
-    strict: bool = False,
 ) -> EntityScore:
     """Micro-averaged exact-match entity scoring across a corpus.
 
@@ -165,8 +160,8 @@ def entity_f1(
             raise DataError(
                 f"item {item}: gold has {len(gold_tags)} tags, predictions {len(pred_tags)}"
             )
-        gold_spans = set(extract_entities(gold_tags, strict=strict))
-        pred_spans = set(extract_entities(pred_tags, strict=strict))
+        gold_spans = set(extract_entities(gold_tags))
+        pred_spans = set(extract_entities(pred_tags))
         tp += len(gold_spans & pred_spans)
         fp += len(pred_spans - gold_spans)
         fn += len(gold_spans - pred_spans)
@@ -188,18 +183,30 @@ def entity_f1(
     return EntityScore(precision=precision, recall=recall, f1=f1, per_category=per_category)
 
 
+def _score_table(head: str, rows: list[tuple[str, ClassScore | EntityScore]]) -> list[str]:
+    """A header, a rule, and one aligned precision/recall/F1/support line
+    per (name, score); a score without a support leaves that column blank."""
+    width = max(len(head), *(len(name) for name, _ in rows))
+    lines = [f"{head:<{width}}  {'precision':>9}  {'recall':>9}  {'f1':>9}  {'support':>7}"]
+    lines.append("-" * len(lines[0]))
+    for name, s in rows:
+        lines.append(
+            f"{name:<{width}}  {s.precision:>9.4f}  {s.recall:>9.4f}  "
+            f"{s.f1:>9.4f}  {s.support if isinstance(s, ClassScore) else '':>7}"
+        )
+    return lines
+
+
+def _score_record(key: str, name: str, s: ClassScore | EntityScore) -> dict:
+    record = {key: name, "precision": s.precision, "recall": s.recall, "f1": s.f1}
+    if isinstance(s, ClassScore):
+        record["support"] = s.support
+    return record
+
+
 def format_eval_report(report: EvalReport) -> str:
     """Aligned UTF-8 table of an EvalReport, averaging note included."""
-    width = max(len("class"), *(len(c) for c in report.per_class))
-    lines = [
-        f"{'class':<{width}}  {'precision':>9}  {'recall':>9}  {'f1':>9}  {'support':>7}"
-    ]
-    lines.append("-" * len(lines[0]))
-    for cls, score in report.per_class.items():
-        lines.append(
-            f"{cls:<{width}}  {score.precision:>9.4f}  {score.recall:>9.4f}  "
-            f"{score.f1:>9.4f}  {score.support:>7}"
-        )
+    lines = _score_table("class", list(report.per_class.items()))
     lines.append("-" * len(lines[0]))
     lines.append(f"accuracy    {report.accuracy:.4f}")
     lines.append(f"macro f1    {report.macro_f1:.4f}")
@@ -210,16 +217,7 @@ def format_eval_report(report: EvalReport) -> str:
 
 def eval_report_records(report: EvalReport) -> list[dict]:
     """Line-record mirror of an EvalReport."""
-    records = [
-        {
-            "class": cls,
-            "precision": score.precision,
-            "recall": score.recall,
-            "f1": score.f1,
-            "support": score.support,
-        }
-        for cls, score in report.per_class.items()
-    ]
+    records = [_score_record("class", cls, s) for cls, s in report.per_class.items()]
     records.append(
         {
             "accuracy": report.accuracy,
@@ -233,41 +231,12 @@ def eval_report_records(report: EvalReport) -> list[dict]:
 
 def format_entity_score(score: EntityScore) -> str:
     """Aligned UTF-8 table of an EntityScore."""
-    width = max(len("category"), *(len(c) for c in score.per_category), len("ALL"))
-    lines = [
-        f"{'category':<{width}}  {'precision':>9}  {'recall':>9}  {'f1':>9}  {'support':>7}"
-    ]
-    lines.append("-" * len(lines[0]))
-    for category, s in score.per_category.items():
-        lines.append(
-            f"{category:<{width}}  {s.precision:>9.4f}  {s.recall:>9.4f}  "
-            f"{s.f1:>9.4f}  {s.support:>7}"
-        )
-    lines.append(
-        f"{'ALL':<{width}}  {score.precision:>9.4f}  {score.recall:>9.4f}  "
-        f"{score.f1:>9.4f}  {'':>7}"
-    )
+    lines = _score_table("category", [*score.per_category.items(), ("ALL", score)])
     lines.append("note: exact-match micro-averaged entity scoring")
     return "\n".join(lines) + "\n"
 
 
 def entity_score_records(score: EntityScore) -> list[dict]:
-    records = [
-        {
-            "category": category,
-            "precision": s.precision,
-            "recall": s.recall,
-            "f1": s.f1,
-            "support": s.support,
-        }
-        for category, s in score.per_category.items()
-    ]
-    records.append(
-        {
-            "category": "__all__",
-            "precision": score.precision,
-            "recall": score.recall,
-            "f1": score.f1,
-        }
-    )
-    return records
+    """Line-record mirror of an EntityScore; ``__all__`` is the micro average."""
+    items = [*score.per_category.items(), ("__all__", score)]
+    return [_score_record("category", name, s) for name, s in items]

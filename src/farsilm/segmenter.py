@@ -35,7 +35,6 @@ DEFAULT_ABBREVIATIONS = load_abbreviations(Path(__file__).parent / "data" / "abb
 
 @dataclass(frozen=True)
 class SegmenterConfig:
-    abbreviations: frozenset[str] = DEFAULT_ABBREVIATIONS
     min_tokens: int = 3
 
     def __post_init__(self):
@@ -87,11 +86,11 @@ def segment_by_notation(
     return _emit(_split_after(text, positions), doc_id)
 
 
-def _suppressed_positions(text: str, config: SegmenterConfig) -> set[int]:
-    """Every position inside an abbreviation or a letter-dot run, and
-    every dot or colon between two ``str.isdigit`` characters."""
+def _suppressed_positions(text: str) -> set[int]:
+    """Every position inside a lexicon abbreviation or a letter-dot run,
+    and every dot or colon between two ``str.isdigit`` characters."""
     suppressed: set[int] = set()
-    for abbr in config.abbreviations:
+    for abbr in DEFAULT_ABBREVIATIONS:
         if abbr not in text:  # the pattern below matches abbr literally
             continue
         for match in re.finditer(rf"(?<!\S){re.escape(abbr)}(?!\w)", text):
@@ -116,7 +115,7 @@ def segment_true(
     shorter than ``min_tokens`` merge into the sentence after them; a short
     leftover at the document end is kept only when it is the whole output.
     """
-    suppressed = _suppressed_positions(text, config)
+    suppressed = _suppressed_positions(text)
     positions = []
     for match in _BOUNDARY.finditer(text):
         i = match.start()

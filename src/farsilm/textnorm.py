@@ -7,21 +7,16 @@ canonical Persian letters, unifies digit families, strips diacritics,
 tidies ZWNJ and collapses whitespace. ZWNJ (U+200C) is deliberately kept
 inside words; deleting it would merge distinct Persian words.
 
-The rule inventory lives in a :class:`NormalizationRules` value, so a
-caller can audit it or pass its own rules to every step.
+The rules are one fixed inventory, compiled once at import;
+``DEFAULT_RULES`` lists them for audit.
 """
 
 from __future__ import annotations
 
 import re
-import sys
-from dataclasses import dataclass
-
-from .errors import DataError
+from typing import NamedTuple
 
 ZWNJ = "‌"
-
-JUNK_KINDS = ("control-char", "zero-width-junk", "emoji", "html-tag", "url", "email")
 
 # Tatweel and the Arabic diacritics are deleted by the character step, so
 # the URL and email rules match across them: a rule that matched only the
@@ -31,7 +26,7 @@ _M = f"[{_MARKS}]*"
 
 # Ordered so later, coarser patterns see text already freed of characters
 # that would split their matches (a zero-width char inside a URL, say).
-_DEFAULT_JUNK: tuple[tuple[str, str, str], ...] = (
+_JUNK: tuple[tuple[str, str, str], ...] = (
     # Control characters become a space, never the empty string: "a\tb"
     # must not collapse into a single word.
     ("control-char", r"[\x00-\x09\x0b-\x1f\x7f-\x9f]", " "),
@@ -59,65 +54,35 @@ _ARABIC_INDIC_DIGITS = "٠١٢٣٤٥٦٧٨٩"
 _ASCII_DIGITS = "0123456789"
 
 # Arabic diacritics: fathatan through sukun.
-_DEFAULT_STRIP_MARKS = frozenset(range(0x064B, 0x0652 + 1))
+_STRIP_MARKS = frozenset(range(0x064B, 0x0652 + 1))
 
 
-def _default_char_map() -> dict[int, str]:
-    table = {ord(src): dst for src, dst in _VARIANT_FOLDS.items()}
-    for other in (_ARABIC_INDIC_DIGITS, _ASCII_DIGITS):
-        for src, dst in zip(other, _PERSIAN_DIGITS):
-            table[ord(src)] = dst
-    return table
-
-
-@dataclass(frozen=True)
-class NormalizationRules:
-    """The complete, ordered rule inventory for one normalization profile.
-
-    The rules are read once, when the value is built: each junk pattern
-    is compiled there, and ``strip_marks`` is folded into the
-    ``char_map`` translation table (a mark maps to nothing, and marks are
-    removed from every mapped value), so one ``str.translate`` does
-    exactly "translate, then strip". One character class over the
-    table's keys tells whether a text holds anything to translate.
-    """
+class _RuleInventory(NamedTuple):
+    """The built-in rules, kept readable so they can be audited."""
 
     junk_patterns: tuple[tuple[str, str, str], ...]
     char_map: dict[int, str]
     strip_marks: frozenset[int]
 
-    def __post_init__(self):
-        compiled = []
-        for kind, pattern, replacement in self.junk_patterns:
-            if kind not in JUNK_KINDS:
-                raise DataError(f"unknown junk rule kind {kind!r}")
-            try:
-                compiled.append((re.compile(pattern), replacement))
-            except re.error as exc:
-                raise DataError(f"junk rule {kind!r} has a bad pattern: {exc}") from exc
-        for src, dst in self.char_map.items():
-            for ch in dst:
-                if ord(ch) in self.char_map:
-                    raise DataError(
-                        f"char_map is not closed: U+{src:04X} maps into mapped "
-                        f"codepoint U+{ord(ch):04X}"
-                    )
-        table: dict[int, str | None] = dict.fromkeys(self.strip_marks)
-        for src, dst in self.char_map.items():
-            table[src] = "".join(ch for ch in dst if ord(ch) not in self.strip_marks)
-        # a key that is no code point can never be met, so the class omits it
-        folded = "".join(re.escape(chr(c)) for c in sorted(table) if 0 <= c <= sys.maxunicode)
-        # derived, not fields: set past the frozen dataclass's __setattr__
-        object.__setattr__(self, "_compiled_junk", tuple(compiled))
-        object.__setattr__(self, "_fold_table", table)
-        object.__setattr__(self, "_foldable", re.compile(f"[{folded}]") if folded else None)
 
-
-DEFAULT_RULES = NormalizationRules(
-    junk_patterns=_DEFAULT_JUNK,
-    char_map=_default_char_map(),
-    strip_marks=_DEFAULT_STRIP_MARKS,
+DEFAULT_RULES = _RuleInventory(
+    junk_patterns=_JUNK,
+    char_map={
+        **{ord(src): dst for src, dst in _VARIANT_FOLDS.items()},
+        **{ord(src): dst for src, dst in zip(_ARABIC_INDIC_DIGITS, _PERSIAN_DIGITS)},
+        **{ord(src): dst for src, dst in zip(_ASCII_DIGITS, _PERSIAN_DIGITS)},
+    },
+    strip_marks=_STRIP_MARKS,
 )
+
+# The rules as they run: each junk pattern compiled once, and one
+# translation table that does "fold, then strip" in a single
+# ``str.translate`` (a mark maps to nothing; the tests check that the map
+# is closed and that no mapped value holds a mark). One character class
+# over the table's keys tells whether a text holds anything to translate.
+_COMPILED_JUNK = tuple((re.compile(pattern), replacement) for _, pattern, replacement in _JUNK)
+_FOLD_TABLE: dict[int, str | None] = {**dict.fromkeys(_STRIP_MARKS), **DEFAULT_RULES.char_map}
+_FOLDABLE = re.compile("[" + "".join(re.escape(chr(c)) for c in sorted(_FOLD_TABLE)) + "]")
 
 
 _ZWNJ_RUN = re.compile(f"{ZWNJ}+")
@@ -125,15 +90,15 @@ _ZWNJ_AFTER_SPACE = re.compile(f"(?:(?<=\\s)|^){ZWNJ}")
 _ZWNJ_BEFORE_SPACE = re.compile(f"{ZWNJ}(?=\\s|$)")
 
 
-def clean_junk(text: str, rules: NormalizationRules = DEFAULT_RULES) -> str:
+def clean_junk(text: str) -> str:
     """Remove trivial and junk content: markup, URLs, emails, control
     characters, emoji and zero-width characters other than ZWNJ."""
-    for pattern, replacement in rules._compiled_junk:
+    for pattern, replacement in _COMPILED_JUNK:
         text = pattern.sub(replacement, text)
     return text
 
 
-def standardize_chars(text: str, rules: NormalizationRules = DEFAULT_RULES) -> str:
+def standardize_chars(text: str) -> str:
     """Fold character variants, strip diacritics and tidy spacing.
 
     ZWNJ runs collapse to one ZWNJ, and a ZWNJ touching whitespace or a
@@ -141,8 +106,8 @@ def standardize_chars(text: str, rules: NormalizationRules = DEFAULT_RULES) -> s
     runs then become one space, and the ends are trimmed; ``str.split``
     and ``re``'s ``\\s`` agree on what whitespace is.
     """
-    if rules._foldable and rules._foldable.search(text):
-        text = text.translate(rules._fold_table)
+    if _FOLDABLE.search(text):
+        text = text.translate(_FOLD_TABLE)
     if ZWNJ in text:
         text = _ZWNJ_RUN.sub(ZWNJ, text)
         text = _ZWNJ_AFTER_SPACE.sub("", text)
@@ -153,7 +118,7 @@ def standardize_chars(text: str, rules: NormalizationRules = DEFAULT_RULES) -> s
 _MAX_PASSES = 16
 
 
-def normalize(text: str, rules: NormalizationRules = DEFAULT_RULES) -> str:
+def normalize(text: str) -> str:
     """Run both steps until the text stops changing.
 
     One pass is `standardize_chars(clean_junk(text))`. Stripping marks or
@@ -163,7 +128,7 @@ def normalize(text: str, rules: NormalizationRules = DEFAULT_RULES) -> str:
     """
     prev = text
     for _ in range(_MAX_PASSES):
-        cur = standardize_chars(clean_junk(prev, rules), rules)
+        cur = standardize_chars(clean_junk(prev))
         if cur == prev:
             return cur
         prev = cur

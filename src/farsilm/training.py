@@ -338,12 +338,19 @@ def write_loss_trace(path: str, rows, append: bool = False) -> None:
 
 
 def read_loss_trace(path: str) -> list[tuple[int, float, float]]:
-    with open(path, newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header != ["step", "mlm_loss", "nsp_loss"]:
-            raise DataError(f"{path} is not a loss trace")
-        return [(int(r[0]), float(r[1]), float(r[2])) for r in reader]
+    """The (step, mlm_loss, nsp_loss) rows of a trace; a file or a line
+    that does not hold one is a DataError that names it."""
+    lines = read_text(path).splitlines()
+    if lines[:1] != ["step,mlm_loss,nsp_loss"]:
+        raise DataError(f"{path} is not a loss trace")
+    rows = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        try:
+            step, mlm_loss, nsp_loss = line.split(",")
+            rows.append((int(step), float(mlm_loss), float(nsp_loss)))
+        except ValueError:
+            raise DataError(f"{path}: line {lineno} is not a step,mlm_loss,nsp_loss row") from None
+    return rows
 
 
 @dataclass(frozen=True)
@@ -388,7 +395,9 @@ def pretrain(
     checkpoint holds the untouched initialization. A non-finite gradient
     ends the run with a DataError naming the step, before any update or
     checkpoint write. A ``log_every`` below 1 is a ConfigError, raised
-    before the example file is read.
+    before the example file is read. A resumed run appends to the trace
+    at ``trace_path``; one that is not a loss trace is a DataError, raised
+    before the first step.
     """
     check_log_every(log_every)
     examples, file_vocab = read_examples(examples_path)
@@ -410,6 +419,8 @@ def pretrain(
             raise ConfigError("checkpoint optimizer settings do not match")
         params = checkpoint.params
         state = checkpoint.adam_state
+        if trace_path is not None and os.path.exists(trace_path):
+            read_loss_trace(trace_path)  # the rows will be appended to it
     else:
         params = init_params(model_config, seed)
         state = init_adam_state(params)

@@ -24,13 +24,19 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import ClassVar, Iterable, Sequence
 
 from .errors import ConfigError, DataError
 from .lineio import atomic_open, read_text
 
+# BERT's vocabulary format: the special tokens open every vocabulary in
+# this order, so [PAD] is id 0, and a piece that continues a word carries
+# the prefix. A vocabulary file holds tokens only and relies on both.
 PAD, UNK, CLS, SEP, MASK = "[PAD]", "[UNK]", "[CLS]", "[SEP]", "[MASK]"
 SPECIAL_TOKENS = (PAD, UNK, CLS, SEP, MASK)
+CONTINUATION_PREFIX = "##"
+# a longer word encodes to [UNK] without a search
+MAX_WORD_CHARS = 100
 
 
 @dataclass(frozen=True)
@@ -38,26 +44,20 @@ class TokenizerTrainConfig:
     vocab_size: int = 100_000
     min_frequency: int = 3
     alphabet_limit: int = 1_500
-    special_tokens: tuple[str, ...] = SPECIAL_TOKENS
-    continuation_prefix: str = "##"
-    max_word_chars: int = 100
+    # the format's constants, readable from any config
+    special_tokens: ClassVar[tuple[str, ...]] = SPECIAL_TOKENS
+    continuation_prefix: ClassVar[str] = CONTINUATION_PREFIX
 
     def __post_init__(self):
-        if len(set(self.special_tokens)) != len(self.special_tokens):
-            raise ConfigError("special_tokens must be pairwise distinct")
-        if self.vocab_size < len(self.special_tokens) + 1:
+        if self.vocab_size < len(SPECIAL_TOKENS) + 1:
             raise ConfigError(
                 f"vocab_size {self.vocab_size} leaves no room beyond "
-                f"{len(self.special_tokens)} special tokens"
+                f"{len(SPECIAL_TOKENS)} special tokens"
             )
-        if PAD in self.special_tokens and self.special_tokens[0] != PAD:
-            raise ConfigError(f"{PAD} must be the first special token so it gets id 0")
         if self.min_frequency < 1:
             raise ConfigError(f"min_frequency must be at least 1, got {self.min_frequency}")
         if self.alphabet_limit < 1:
             raise ConfigError(f"alphabet_limit must be at least 1, got {self.alphabet_limit}")
-        if not self.continuation_prefix:
-            raise ConfigError("continuation_prefix must be nonempty")
 
 
 @dataclass(frozen=True)
@@ -72,9 +72,8 @@ class WordPieceModel:
     )
 
     def __post_init__(self):
-        specials = self.config.special_tokens
-        if tuple(self.vocab[: len(specials)]) != specials:
-            raise DataError("vocab must start with the special tokens in configured order")
+        if tuple(self.vocab[: len(SPECIAL_TOKENS)]) != SPECIAL_TOKENS:
+            raise DataError(f"vocab must start with the special tokens {' '.join(SPECIAL_TOKENS)}")
         if len(self.vocab) > self.config.vocab_size:
             raise DataError(
                 f"vocab holds {len(self.vocab)} tokens, above the cap {self.config.vocab_size}"
@@ -92,7 +91,7 @@ class WordPieceModel:
 
     @cached_property
     def special_ids(self) -> frozenset[int]:
-        return frozenset(self.token_to_id[t] for t in self.config.special_tokens)
+        return frozenset(self.token_to_id[t] for t in SPECIAL_TOKENS)
 
     @cached_property
     def non_special_ids(self) -> tuple[int, ...]:
@@ -125,12 +124,12 @@ def pretokenize(text: str) -> list[str]:
     return words
 
 
-def _strip_prefix(piece: str, prefix: str) -> str:
-    return piece[len(prefix) :] if piece.startswith(prefix) else piece
+def _strip_prefix(piece: str) -> str:
+    return piece[len(CONTINUATION_PREFIX) :] if piece.startswith(CONTINUATION_PREFIX) else piece
 
 
-def _decompose(word: str, prefix: str) -> tuple[str, ...]:
-    return tuple(ch if i == 0 else prefix + ch for i, ch in enumerate(word))
+def _decompose(word: str) -> tuple[str, ...]:
+    return tuple(ch if i == 0 else CONTINUATION_PREFIX + ch for i, ch in enumerate(word))
 
 
 def _word_counts(sentences: Iterable[str]) -> Counter[str]:
@@ -171,32 +170,31 @@ def train_wordpiece(
     ranked = sorted(char_freq.items(), key=lambda item: (-item[1], ord(item[0])))
     alphabet = {ch for ch, _ in ranked[: config.alphabet_limit]}
 
-    prefix = config.continuation_prefix
     words: Counter[tuple[str, ...]] = Counter()
     initial_chars: set[str] = set()
     continuation_chars: set[str] = set()
     for word, freq in word_freq.items():
         if any(ch not in alphabet for ch in word):
             continue
-        words[_decompose(word, prefix)] += freq
+        words[_decompose(word)] += freq
         initial_chars.add(word[0])
         continuation_chars.update(word[1:])
 
     seed_pieces = [ch for ch, _ in ranked[: config.alphabet_limit] if ch in initial_chars]
     seed_pieces += [
-        prefix + ch for ch, _ in ranked[: config.alphabet_limit] if ch in continuation_chars
+        CONTINUATION_PREFIX + ch for ch, _ in ranked[: config.alphabet_limit] if ch in continuation_chars
     ]
-    needed = len(config.special_tokens) + len(seed_pieces)
+    needed = len(SPECIAL_TOKENS) + len(seed_pieces)
     if config.vocab_size < needed:
         raise ConfigError(
-            f"vocab_size {config.vocab_size} cannot hold {len(config.special_tokens)} "
+            f"vocab_size {config.vocab_size} cannot hold {len(SPECIAL_TOKENS)} "
             f"special tokens plus {len(seed_pieces)} alphabet pieces; "
             f"short by {needed - config.vocab_size}"
         )
 
-    vocab: list[str] = list(config.special_tokens) + seed_pieces
+    vocab: list[str] = list(SPECIAL_TOKENS) + seed_pieces
     in_vocab = set(vocab)
-    merges = _MergeCounts(words, config.min_frequency, prefix)
+    merges = _MergeCounts(words, config.min_frequency)
     while len(vocab) < config.vocab_size:
         best = merges.best()
         if best is None:
@@ -225,9 +223,8 @@ class _MergeCounts:
     made stale by a later change are skipped when they surface.
     """
 
-    def __init__(self, words: Counter[tuple[str, ...]], min_frequency: int, prefix: str):
+    def __init__(self, words: Counter[tuple[str, ...]], min_frequency: int):
         self.min_frequency = min_frequency
-        self.prefix = prefix
         # first-seen order; the order ties are broken in (see ``best``)
         self.words = list(words)
         self.freqs = list(words.values())
@@ -255,8 +252,8 @@ class _MergeCounts:
             return None
         a, b = pair
         score = freq / (self.piece_freq[a] * self.piece_freq[b])
-        merged = a + _strip_prefix(b, self.prefix)
-        return (-score, -freq, _strip_prefix(merged, self.prefix), merged, a, b)
+        merged = a + _strip_prefix(b)
+        return (-score, -freq, _strip_prefix(merged), merged, a, b)
 
     def _push(self, pairs: Iterable[Pair]) -> None:
         for pair in pairs:
@@ -304,7 +301,7 @@ class _MergeCounts:
 
     def merge(self, a: str, b: str) -> str:
         """Merge every occurrence of (a, b); returns the merged piece."""
-        merged = a + _strip_prefix(b, self.prefix)
+        merged = a + _strip_prefix(b)
         piece_delta: Counter[str] = Counter()
         pair_delta: Counter[Pair] = Counter()
         for w in list(self.pair_words[(a, b)]):
@@ -366,10 +363,8 @@ def _apply_merge(
 
 
 def _encode_word(model: WordPieceModel, word: str) -> list[int]:
-    config = model.config
-    if len(word) > config.max_word_chars:
+    if len(word) > MAX_WORD_CHARS:
         return [model.unk_id]
-    prefix = config.continuation_prefix
     ids = []
     start = 0
     while start < len(word):
@@ -378,7 +373,7 @@ def _encode_word(model: WordPieceModel, word: str) -> list[int]:
         while end > start:
             piece = word[start:end]
             if start > 0:
-                piece = prefix + piece
+                piece = CONTINUATION_PREFIX + piece
             if piece in model.token_to_id:
                 found = piece
                 break
@@ -393,7 +388,7 @@ def _encode_word(model: WordPieceModel, word: str) -> list[int]:
 def encode(model: WordPieceModel, text: str) -> list[int]:
     """Tokenize to ids: whitespace words, greedy longest-match pieces.
 
-    A word with no matching piece, or longer than max_word_chars, becomes
+    A word with no matching piece, or longer than MAX_WORD_CHARS, becomes
     a single [UNK]. Each whitespace-separated chunk is encoded once per
     model and then read from the model's memo, so a call costs one dict
     lookup per chunk it has seen before.
@@ -418,22 +413,20 @@ def decode(model: WordPieceModel, ids: Sequence[int]) -> str:
 
     Special tokens vanish except [UNK], which renders as itself.
     """
-    specials = set(model.config.special_tokens)
-    prefix = model.config.continuation_prefix
     words: list[str] = []
     for raw in ids:
         i = int(raw)
         if not 0 <= i < len(model.vocab):
             raise DataError(f"token id {i} out of range for vocab of {len(model.vocab)}")
         token = model.vocab[i]
-        if token in specials:
+        if token in SPECIAL_TOKENS:
             if token == UNK:
                 words.append(token)
             continue
-        if token.startswith(prefix) and words:
-            words[-1] += token[len(prefix) :]
+        if token.startswith(CONTINUATION_PREFIX) and words:
+            words[-1] += token[len(CONTINUATION_PREFIX) :]
         else:
-            words.append(_strip_prefix(token, prefix))
+            words.append(_strip_prefix(token))
     return " ".join(words)
 
 

@@ -20,7 +20,7 @@ import numpy as np
 
 from farsilm.errors import DataError
 from farsilm.pretrain_data import IGNORE_INDEX, PretrainExample, build_nsp_pairs
-from farsilm.segmenter import BOUNDARY_CHARS, Sentence
+from farsilm.segmenter import BOUNDARY_CHARS, DEFAULT_ABBREVIATIONS, Sentence
 from farsilm.textnorm import ZWNJ
 from farsilm.wordpiece import CLS, MASK, SEP, encode
 
@@ -82,9 +82,9 @@ def segment_by_notation(text, config, doc_id=""):
     return _emit(_split_after(text, positions), doc_id)
 
 
-def suppressed_positions(text, config):
+def suppressed_positions(text):
     suppressed = set()
-    for abbr in config.abbreviations:
+    for abbr in DEFAULT_ABBREVIATIONS:
         for match in re.finditer(rf"(?<!\S){re.escape(abbr)}(?!\w)", text):
             suppressed.update(range(match.start(), match.end()))
     for match in _LETTER_RUN.finditer(text):
@@ -97,7 +97,7 @@ def suppressed_positions(text, config):
 
 
 def segment_true(text, config, doc_id=""):
-    suppressed = suppressed_positions(text, config)
+    suppressed = suppressed_positions(text)
     positions = []
     for i, ch in enumerate(text):
         if ch not in BOUNDARY_CHARS or i in suppressed:

@@ -87,6 +87,29 @@ class TestExitCodes:
                      "--seed", "5", "--steps", "2"]) == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gen-synthetic", "mlm-corpus", "--out", "{out}"],
+            ["build-pretrain", "--in", "{seg}", "--vocab", "{vocab}", "--out", "{out}"],
+            ["pretrain", "--examples", "{examples}", "--out", "{out}", "--steps", "1"],
+            ["finetune-cls", "--checkpoint", "{checkpoint}", "--vocab", "{vocab}",
+             "--train", "{cls}", "--dev", "{cls}", "--out", "{out}"],
+            ["finetune-ner", "--checkpoint", "{checkpoint}", "--vocab", "{vocab}",
+             "--train", "{ner}", "--dev", "{ner}", "--out", "{out}"],
+        ],
+        ids=["gen-synthetic", "build-pretrain", "pretrain", "finetune-cls", "finetune-ner"],
+    )
+    def test_negative_seed_is_config_error(self, pipeline, tmp_path, capsys, argv):
+        data = {task: tmp_path / f"{task}.data" for task in ("cls", "ner")}
+        for task, path in data.items():
+            assert main(["gen-synthetic", task, "--seed", "3", "--count", "8",
+                         "--out", str(path)]) == 0
+        names = {**pipeline, **data, "out": tmp_path / "out"}
+        assert main([arg.format(**names) for arg in argv] + ["--seed", "-1"]) == 2
+        assert "seed must be a non-negative integer, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_help_exits_zero(self):
         with pytest.raises(SystemExit) as info:
             main(["pretrain", "--help"])
@@ -254,6 +277,14 @@ class TestManifestRun:
         manifest = tmp_path / "m.txt"
         manifest.write_text("docs = 5\ncorpus = c.jsonl\n", encoding="utf-8")
         assert main(["run", "--manifest", str(manifest)]) == 2
+
+    def test_negative_seed_fails_before_the_first_stage(self, tmp_path, capsys):
+        manifest = self._write(tmp_path / "m.txt")
+        manifest.write_text(manifest.read_text(encoding="utf-8").replace("seed = 21", "seed = -1"),
+                            encoding="utf-8")
+        assert main(["run", "--manifest", str(manifest)]) == 2
+        assert "seed must be a non-negative integer, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "corpus.jsonl").exists()
 
     def test_malformed_line_is_config_error(self, tmp_path):
         manifest = tmp_path / "m.txt"

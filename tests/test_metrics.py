@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from farsilm.errors import DataError
 from farsilm.metrics import (
+    AVERAGING_NOTE,
     EntitySpan,
     accuracy,
     entity_f1,
@@ -156,13 +157,6 @@ class TestExtractEntities:
             with pytest.raises(DataError, match="invalid IOB tag"):
                 extract_entities(["O", bad])
 
-    def test_strict_mode_rejects_orphan_i(self):
-        with pytest.raises(DataError, match="does not continue"):
-            extract_entities(["O", "I-LOC"], strict=True)
-        with pytest.raises(DataError, match="does not continue"):
-            extract_entities(["B-PER", "I-LOC"], strict=True)
-        assert extract_entities(["B-LOC", "I-LOC"], strict=True) == [EntitySpan("LOC", 0, 1)]
-
     def test_span_bounds_validated(self):
         with pytest.raises(DataError, match="start <= end"):
             EntitySpan("LOC", 2, 1)
@@ -254,3 +248,56 @@ class TestRendering:
         records = entity_score_records(score)
         assert records[-1]["category"] == "__all__"
         assert records[-1]["f1"] == 1.0
+
+    def test_tables_and_records_are_pinned(self):
+        # the text and records the two renderers wrote before they shared a helper
+        report = f1_report(
+            ["pos", "neg", "pos", "neutral-long"],
+            ["pos", "pos", "neg", "neutral-long"],
+            ["pos", "neg", "neutral-long", "x"],
+        )
+        assert format_eval_report(report).splitlines() == [
+            "class         precision     recall         f1  support",
+            "------------------------------------------------------",
+            "pos              0.5000     0.5000     0.5000        2",
+            "neg              0.0000     0.0000     0.0000        1",
+            "neutral-long     1.0000     1.0000     1.0000        1",
+            "x                0.0000     0.0000     0.0000        0",
+            "------------------------------------------------------",
+            "accuracy    0.5000",
+            "macro f1    0.3750",
+            "weighted f1 0.5000",
+            f"note: {AVERAGING_NOTE}",
+        ]
+        assert eval_report_records(report)[:-1] == [
+            {"class": "pos", "precision": 0.5, "recall": 0.5, "f1": 0.5, "support": 2},
+            {"class": "neg", "precision": 0.0, "recall": 0.0, "f1": 0.0, "support": 1},
+            {"class": "neutral-long", "precision": 1.0, "recall": 1.0, "f1": 1.0, "support": 1},
+            {"class": "x", "precision": 0.0, "recall": 0.0, "f1": 0.0, "support": 0},
+        ]
+        score = entity_f1(
+            [["B-PER", "I-PER", "O", "B-LOC"], ["B-ORGANIZATION", "O"]],
+            [["B-PER", "O", "O", "B-LOC"], ["B-ORGANIZATION", "B-LOC"]],
+        )
+        assert format_entity_score(score).splitlines() == [
+            "category      precision     recall         f1  support",
+            "------------------------------------------------------",
+            "LOC              0.5000     1.0000     0.6667        1",
+            "ORGANIZATION     1.0000     1.0000     1.0000        1",
+            "PER              0.0000     0.0000     0.0000        1",
+            "ALL              0.5000     0.6667     0.5714         ",
+            "note: exact-match micro-averaged entity scoring",
+        ]
+        assert entity_score_records(score) == [
+            {"category": "LOC", "precision": 0.5, "recall": 1.0, "f1": 2 / 3, "support": 1},
+            {"category": "ORGANIZATION", "precision": 1.0, "recall": 1.0, "f1": 1.0, "support": 1},
+            {"category": "PER", "precision": 0.0, "recall": 0.0, "f1": 0.0, "support": 1},
+            {"category": "__all__", "precision": 0.5, "recall": 2 / 3, "f1": 0.5714285714285715},
+        ]
+        empty = entity_f1([["O"]], [["O"]])
+        assert format_entity_score(empty).splitlines()[2] == (
+            "ALL          1.0000     1.0000     1.0000         "
+        )
+        assert entity_score_records(empty) == [
+            {"category": "__all__", "precision": 1.0, "recall": 1.0, "f1": 1.0}
+        ]

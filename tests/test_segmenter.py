@@ -12,7 +12,7 @@ from farsilm.segmenter import (
     segment_true,
 )
 
-LOOSE = SegmenterConfig(min_tokens=1, abbreviations=frozenset())
+LOOSE = SegmenterConfig(min_tokens=1)
 
 
 def texts_of(sentences):
@@ -43,8 +43,7 @@ class TestSegmentByNotation:
 
 class TestSegmentTrue:
     def test_abbreviation_dot_not_boundary(self):
-        config = SegmenterConfig(abbreviations=frozenset({"ق.م."}))
-        got = segment_true("ق.م. سال ۵۰ شروع شد.", config)
+        got = segment_true("ق.م. سال ۵۰ شروع شد.")
         assert texts_of(got) == ["ق.م. سال ۵۰ شروع شد."]
 
     def test_decimal_dot_not_boundary(self):
@@ -62,7 +61,7 @@ class TestSegmentTrue:
         assert texts_of(segment_true(text, LOOSE)) == texts_of(segment_by_notation(text))
 
     def test_short_fragments_merge_forward(self):
-        config = SegmenterConfig(min_tokens=3, abbreviations=frozenset())
+        config = SegmenterConfig(min_tokens=3)
         got = segment_true("بله. او به خانه رفت و خوابید.", config)
         assert texts_of(got) == ["بله. او به خانه رفت و خوابید."]
 
@@ -77,8 +76,7 @@ class TestSegmentTrue:
         assert texts_of(segment_true("نسبت ۱:۲ است", config)) == ["نسبت ۱:۲ است"]
 
     def test_single_letter_run_not_boundary(self):
-        config = SegmenterConfig(min_tokens=1, abbreviations=frozenset())
-        got = segment_true("او در ع.ج.م زندگی کرد", config)
+        got = segment_true("او در ع.ج.م زندگی کرد", LOOSE)
         assert texts_of(got) == ["او در ع.ج.م زندگی کرد"]
 
     def test_latin_decimal(self):
@@ -163,12 +161,11 @@ class TestProperties:
     @settings(max_examples=200)
     def test_true_equals_notation_on_plain_input(self, text):
         # scope: no abbreviations, no digit-adjacent dots, no colons
-        config = SegmenterConfig(min_tokens=1, abbreviations=frozenset())
         if any(tok.count(".") > 1 for tok in text.split()):
             return
         if "۳.۵" in text or ":" in text or "ق.م." in text:
             return
-        assert texts_of(segment_true(text, config)) == texts_of(segment_by_notation(text))
+        assert texts_of(segment_true(text, LOOSE)) == texts_of(segment_by_notation(text))
 
     @given(doc_texts)
     @settings(max_examples=200)

@@ -187,7 +187,9 @@ class TestNer:
         for seq in generate_ner(1, 200):
             assert len(seq.tokens) == len(seq.tags)
             assert set(seq.tags) <= inventory
-            extract_entities(list(seq.tags), strict=True)
+            for prev, tag in zip(("O",) + tuple(seq.tags), seq.tags):
+                if tag.startswith("I-"):
+                    assert prev in ("B" + tag[1:], tag), seq.tags
 
     def test_entities_come_from_the_dictionaries(self):
         entries = {("PER", (n,)) for n in PERSON_NAMES}

@@ -4,11 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from farsilm.errors import DataError
 from farsilm.textnorm import (
     DEFAULT_RULES,
     ZWNJ,
-    NormalizationRules,
     clean_junk,
     normalize,
     standardize_chars,
@@ -176,37 +174,19 @@ class TestNormalize:
 
 
 class TestRulesValidation:
+    """The built-in rules hold the conditions a single ``str.translate``
+    needs to do "fold, then strip"."""
+
     def test_char_map_must_be_closed(self):
-        with pytest.raises(DataError, match="not closed"):
-            NormalizationRules(
-                junk_patterns=(),
-                char_map={ord("a"): "b", ord("b"): "c"},
-                strip_marks=frozenset(),
-            )
+        for src, dst in DEFAULT_RULES.char_map.items():
+            assert not any(ord(ch) in DEFAULT_RULES.char_map for ch in dst), hex(src)
 
-    def test_bad_pattern_rejected(self):
-        with pytest.raises(DataError, match="bad pattern"):
-            NormalizationRules(
-                junk_patterns=(("url", "(", ""),),
-                char_map={},
-                strip_marks=frozenset(),
-            )
-
-    def test_unknown_junk_kind_rejected(self):
-        with pytest.raises(DataError, match="unknown junk rule kind"):
-            NormalizationRules(
-                junk_patterns=(("sparkles", ".", ""),),
-                char_map={},
-                strip_marks=frozenset(),
-            )
+    def test_no_mark_in_a_mapped_value(self):
+        for src, dst in DEFAULT_RULES.char_map.items():
+            assert not any(ord(ch) in DEFAULT_RULES.strip_marks for ch in dst), hex(src)
+        assert not set(DEFAULT_RULES.char_map) & DEFAULT_RULES.strip_marks
 
     def test_default_char_map_twice_equals_once(self):
         text = "عليكتاب١٢3" * 3
         once = text.translate(DEFAULT_RULES.char_map)
         assert once.translate(DEFAULT_RULES.char_map) == once
-
-    def test_custom_rules_change_behavior(self):
-        rules = NormalizationRules(
-            junk_patterns=(), char_map={ord("x"): "y"}, strip_marks=frozenset()
-        )
-        assert normalize("xx <b>", rules) == "yy <b>"

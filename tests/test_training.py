@@ -353,6 +353,23 @@ class TestLossTrace:
         with pytest.raises(DataError, match="loss trace"):
             read_loss_trace(str(path))
 
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            (b"2,4.5,0.69\r\n3,four,0.68\r\n", "line 3 is not a step,mlm_loss,nsp_loss row"),
+            (b"2,4.5\r\n", "line 2 is not a step,mlm_loss,nsp_loss row"),
+            (b"2,4.5,0.69,1\r\n", "line 2 is not a step,mlm_loss,nsp_loss row"),
+            (b"2,4.5,0.69\r\n3,4.0,0.\xff\r\n", "invalid UTF-8 at byte offset 44 \\(line 3\\)"),
+        ],
+        ids=["non-numeric", "short-row", "long-row", "bad-utf8"],
+    )
+    def test_bad_row_names_path_and_line(self, tmp_path, body, message):
+        path = tmp_path / "trace.csv"
+        path.write_bytes(b"step,mlm_loss,nsp_loss\r\n" + body)
+        with pytest.raises(DataError, match=message) as info:
+            read_loss_trace(str(path))
+        assert str(path) in str(info.value)
+
 
 class TestPretrain:
     def test_zero_steps_equals_initialization(self, example_file, tmp_path):
@@ -385,6 +402,19 @@ class TestPretrain:
         assert read_loss_trace(str(tmp_path / "split.csv")) == read_loss_trace(
             str(tmp_path / "solid.csv")
         )
+
+    def test_resume_onto_a_foreign_trace_fails_before_the_first_step(self, example_file, tmp_path):
+        path, vocab = example_file
+        config = small_config(vocab)
+        ckpt, trace = tmp_path / "r.ckpt", tmp_path / "r.csv"
+        pretrain(path, config, OptimizerConfig(batch_size=4, max_steps=2), 3, str(ckpt))
+        before = ckpt.read_bytes()
+        trace.write_text("notes, not a trace\n")
+        with pytest.raises(DataError, match="is not a loss trace"):
+            pretrain(path, config, OptimizerConfig(batch_size=4, max_steps=4), 3, str(ckpt),
+                     trace_path=str(trace))
+        assert ckpt.read_bytes() == before
+        assert trace.read_text() == "notes, not a trace\n"
 
     def test_trace_covers_consecutive_steps(self, example_file, tmp_path):
         path, vocab = example_file

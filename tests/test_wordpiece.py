@@ -1,4 +1,6 @@
+import tempfile
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -8,7 +10,9 @@ from farsilm.errors import ConfigError, DataError
 from farsilm.pretrain_data import PackingConfig, assemble_input
 from farsilm.wordpiece import (
     CLS,
+    CONTINUATION_PREFIX,
     MASK,
+    MAX_WORD_CHARS,
     PAD,
     SEP,
     SPECIAL_TOKENS,
@@ -66,13 +70,13 @@ def reference_train(sentences, config):
     ranked = sorted(char_freq.items(), key=lambda item: (-item[1], ord(item[0])))
     alphabet = {ch for ch, _ in ranked[: config.alphabet_limit]}
 
-    prefix = config.continuation_prefix
+    prefix = CONTINUATION_PREFIX
     words = Counter()
     initial_chars, continuation_chars = set(), set()
     for word, freq in word_freq.items():
         if any(ch not in alphabet for ch in word):
             continue
-        words[_decompose(word, prefix)] += freq
+        words[_decompose(word)] += freq
         initial_chars.add(word[0])
         continuation_chars.update(word[1:])
 
@@ -80,15 +84,15 @@ def reference_train(sentences, config):
     seed_pieces += [
         prefix + ch for ch, _ in ranked[: config.alphabet_limit] if ch in continuation_chars
     ]
-    needed = len(config.special_tokens) + len(seed_pieces)
+    needed = len(SPECIAL_TOKENS) + len(seed_pieces)
     if config.vocab_size < needed:
         raise ConfigError(
-            f"vocab_size {config.vocab_size} cannot hold {len(config.special_tokens)} "
+            f"vocab_size {config.vocab_size} cannot hold {len(SPECIAL_TOKENS)} "
             f"special tokens plus {len(seed_pieces)} alphabet pieces; "
             f"short by {needed - config.vocab_size}"
         )
 
-    vocab = list(config.special_tokens) + seed_pieces
+    vocab = list(SPECIAL_TOKENS) + seed_pieces
     in_vocab = set(vocab)
     while len(vocab) < config.vocab_size:
         piece_freq, pair_freq = Counter(), Counter()
@@ -106,11 +110,11 @@ def reference_train(sentences, config):
         def rank(item):
             (a, b), freq = item
             score = freq / (piece_freq[a] * piece_freq[b])
-            merged = a + _strip_prefix(b, prefix)
-            return (-score, -freq, _strip_prefix(merged, prefix), merged)
+            merged = a + _strip_prefix(b)
+            return (-score, -freq, _strip_prefix(merged), merged)
 
         (best_a, best_b), _ = min(eligible, key=rank)
-        merged = best_a + _strip_prefix(best_b, prefix)
+        merged = best_a + _strip_prefix(best_b)
         if merged not in in_vocab:
             vocab.append(merged)
             in_vocab.add(merged)
@@ -136,25 +140,16 @@ training_corpora = st.lists(
 
 
 class TestTrainingMatchesRecount:
-    @given(
-        training_corpora,
-        st.integers(6, 60),
-        st.integers(1, 4),
-        st.integers(1, 5),
-        st.sampled_from(["##", "@"]),
-    )
-    @example(["ab ab ab"], 100, 3, 1500, "##")  # pair exactly at min_frequency
-    @example(["ab ab"], 100, 3, 1500, "##")  # pair one below it
-    @example(["aaab"] * 3, 12, 1, 1500, "##")  # score and frequency ties
-    @example(["ab ba ab ba"], 100, 1, 1500, "##")  # ties down to the merged string
-    @example(["  "], 10, 1, 5, "##")  # empty corpus
+    @given(training_corpora, st.integers(6, 60), st.integers(1, 4), st.integers(1, 5))
+    @example(["ab ab ab"], 100, 3, 1500)  # pair exactly at min_frequency
+    @example(["ab ab"], 100, 3, 1500)  # pair one below it
+    @example(["aaab"] * 3, 12, 1, 1500)  # score and frequency ties
+    @example(["ab ba ab ba"], 100, 1, 1500)  # ties down to the merged string
+    @example(["  "], 10, 1, 5)  # empty corpus
     @settings(max_examples=400, derandomize=True, deadline=None)
-    def test_same_vocab(self, sentences, vocab_size, min_frequency, alphabet_limit, prefix):
+    def test_same_vocab(self, sentences, vocab_size, min_frequency, alphabet_limit):
         config = TokenizerTrainConfig(
-            vocab_size=vocab_size,
-            min_frequency=min_frequency,
-            alphabet_limit=alphabet_limit,
-            continuation_prefix=prefix,
+            vocab_size=vocab_size, min_frequency=min_frequency, alphabet_limit=alphabet_limit
         )
         got = training_outcome(train_wordpiece, sentences, config)
         if isinstance(got, WordPieceModel):
@@ -171,7 +166,7 @@ class TestTrainingMatchesRecount:
     def test_equal_rank_goes_to_first_seen_pair(self, words, expected):
         # both pairs merge to "abc" with frequency 2 and score 2/(2*2);
         # a full recount lists pairs in first-seen word order
-        assert _MergeCounts(Counter(words), 1, "##").best() == expected
+        assert _MergeCounts(Counter(words), 1).best() == expected
 
 
 class TestTraining:
@@ -304,13 +299,10 @@ class TestEncode:
         assert encode(model, "") == []
 
     def test_word_over_max_chars_is_unk(self):
-        config = TokenizerTrainConfig(max_word_chars=5)
-        vocab = tuple(SPECIAL_TOKENS) + ("a", "##a")
-        model = WordPieceModel(
-            vocab=vocab, token_to_id={t: i for i, t in enumerate(vocab)}, config=config
-        )
-        assert encode_to_pieces(model, "aaaaa") == ["a"] + ["##a"] * 4
-        assert encode_to_pieces(model, "aaaaaa") == [UNK]
+        model = model_from(["a", "##a"])
+        longest = "a" * MAX_WORD_CHARS
+        assert encode_to_pieces(model, longest) == ["a"] + ["##a"] * (MAX_WORD_CHARS - 1)
+        assert encode_to_pieces(model, longest + "a") == [UNK]
 
     def test_missing_continuation_form_falls_back_to_unk(self):
         model = model_from(["x"])
@@ -385,13 +377,17 @@ class TestRoundTripProperty:
 
 
 class TestConfigValidation:
-    def test_duplicate_specials_rejected(self):
-        with pytest.raises(ConfigError, match="distinct"):
-            TokenizerTrainConfig(special_tokens=(PAD, UNK, UNK))
+    def test_duplicate_specials_rejected(self, tmp_path):
+        path = tmp_path / "vocab.txt"
+        path.write_text("\n".join(SPECIAL_TOKENS + ("a", UNK)) + "\n", encoding="utf-8")
+        with pytest.raises(DataError, match="duplicate"):
+            load_vocab(path)
 
     def test_pad_must_lead(self):
-        with pytest.raises(ConfigError, match="id 0"):
-            TokenizerTrainConfig(special_tokens=(UNK, PAD))
+        assert SPECIAL_TOKENS[0] == PAD and model_from(["a"]).pad_id == 0
+        swapped = (UNK, PAD) + SPECIAL_TOKENS[2:]
+        with pytest.raises(DataError, match="special tokens"):
+            WordPieceModel(vocab=swapped, token_to_id={t: i for i, t in enumerate(swapped)})
 
     def test_vocab_size_must_exceed_specials(self):
         with pytest.raises(ConfigError, match="vocab_size"):
@@ -432,3 +428,28 @@ class TestVocabFile:
         path.write_text("\n".join(SPECIAL_TOKENS + ("a", "a")) + "\n", encoding="utf-8")
         with pytest.raises(DataError, match="duplicate"):
             load_vocab(path)
+
+    @given(
+        st.lists(
+            st.lists(st.text("abcd.؟سلم\u200c", min_size=1, max_size=6), min_size=1, max_size=6)
+            .map(" ".join),
+            min_size=1,
+            max_size=8,
+        ),
+        st.integers(30, 80),
+        st.integers(1, 3),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_file_alone_reproduces_the_model(self, sentences, vocab_size, min_frequency):
+        model = train_wordpiece(
+            sentences, TokenizerTrainConfig(vocab_size=vocab_size, min_frequency=min_frequency)
+        )
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "vocab.txt"
+            save_vocab(model, path)
+            loaded = load_vocab(path)
+        assert loaded.vocab == model.vocab
+        for sentence in sentences:
+            ids = encode(model, sentence)
+            assert encode(loaded, sentence) == ids
+            assert decode(loaded, ids) == decode(model, ids)
