@@ -16,36 +16,13 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
 
 from . import synthetic
 from .corpus import corpus_stats, format_stats_table, load_documents, stats_records
-from .errors import ConfigError, DataError, FarsilmError
-from .finetune import (
-    FinetuneConfig,
-    check_capacity,
-    finetune_sequence,
-    finetune_tokens,
-    load_head_model,
-    load_labeled,
-    load_tagged,
-    predict,
-    save_head_model,
-    write_labeled,
-    write_tagged,
-)
+from .errors import ConfigError, DataError, FarsilmError, check_seed
+from .finetune import TASKS, FinetuneConfig, Task, load_head_model, predict, save_head_model
 from .lineio import atomic_open, read_records, read_text, write_records
-from .metrics import (
-    accuracy,
-    entity_f1,
-    entity_score_records,
-    eval_report_records,
-    f1_report,
-    format_entity_score,
-    format_eval_report,
-)
 from .model import ModelConfig, desk_config
 from .pretrain_data import (
     MaskingPolicy,
@@ -106,12 +83,6 @@ def _write_text(path: str, text: str) -> None:
         raise DataError(f"cannot write {path}: {exc}") from exc
 
 
-def _check_seed(seed: int) -> None:
-    """Raise ConfigError unless ``seed`` is one NumPy's generators accept."""
-    if seed < 0:
-        raise ConfigError(f"seed must be a non-negative integer, got {seed}")
-
-
 def _load_sentences(path: str, format: str) -> list[str]:
     """Sentence list from plain text (one per line) or line-records.
 
@@ -163,11 +134,11 @@ def _gen_synthetic(
         _note(f"wrote {len(records)} documents at {out}")
     elif task == "cls":
         items = synthetic.generate_classification(seed=seed, count=count, n_classes=classes)
-        write_labeled(out, items)
+        TASKS[task].write(out, items)
         _note(f"wrote {len(items)} labeled texts at {out}")
     else:
         items = synthetic.generate_ner(seed=seed, count=count)
-        write_tagged(out, items)
+        TASKS[task].write(out, items)
         _note(f"wrote {len(items)} tagged sequences at {out}")
 
 
@@ -249,72 +220,33 @@ def _pretrain(examples, out, trace, seed, steps, max_positions, options: dict) -
     _note(f"checkpoint at step {result.step} written to {out}")
 
 
-def _cls_report(items, pred, labels):
-    gold = [item.label for item in items]
-    report = f1_report(gold, pred, labels)
-    score = accuracy(gold, pred)
-    return eval_report_records(report), f"accuracy {score:.4f}\n{format_eval_report(report)}", score
-
-
-def _ner_report(items, pred, labels):
-    score = entity_f1([list(item.tags) for item in items], pred)
-    return entity_score_records(score), format_entity_score(score), score.f1
-
-
-@dataclass(frozen=True)
-class _Task:
-    """How one fine-tuning task reads, trains on and scores its items."""
-
-    load: Callable
-    finetune: Callable
-    kind: str  # the head kind fine-tuning writes
-    score_name: str
-    inputs: Callable  # item -> model input
-    labels: Callable  # item -> the labels it uses
-    report: Callable  # (items, predicted, labels) -> (records, table, score)
-
-
-_TASKS = {
-    "cls": _Task(
-        load_labeled, finetune_sequence, "classifier", "accuracy",
-        inputs=lambda item: item.text,
-        labels=lambda item: (item.label,),
-        report=_cls_report,
-    ),
-    "ner": _Task(
-        load_tagged, finetune_tokens, "tagger", "entity F1",
-        inputs=lambda item: list(item.tokens),
-        labels=lambda item: item.tags,
-        report=_ner_report,
-    ),
-}
-
-
-def _finetune(task, checkpoint, vocab, train, dev, out, labels, options: dict) -> None:
+def _finetune(task: Task, checkpoint, vocab, train, dev, out, labels, options: dict) -> None:
     """Fine-tune a head; ``labels`` None takes the inventory from the data."""
-    spec = _TASKS[task]
     checkpoint = load_checkpoint(checkpoint)
     tokenizer = load_vocab(vocab)
-    train_items = spec.load(train)
-    dev_items = spec.load(dev)
+    train_items = task.load(train)
+    dev_items = task.load(dev)
     if labels is None:
-        labels = tuple(sorted({x for item in train_items + dev_items for x in spec.labels(item)}))
+        labels = tuple(sorted({x for item in train_items + dev_items for x in task.labels(item)}))
     config = FinetuneConfig(label_inventory=labels, **options)
-    outcome = spec.finetune(checkpoint, tokenizer, train_items, dev_items, config)
+    outcome = task.finetune(checkpoint, tokenizer, train_items, dev_items, config)
     for epoch, score in enumerate(outcome.dev_trace, start=1):
-        _note(f"epoch {epoch}: dev {spec.score_name} {score:.4f}")
+        _note(f"epoch {epoch}: dev {task.score_name} {score:.4f}")
     save_head_model(out, outcome.model)
     _note(f"{outcome.model.kind} with labels {labels} written to {out}")
 
 
-def _evaluate(task, model_path, vocab, infile):
+def _evaluate(task: Task, model_path, vocab, infile):
     """(report records, printable table, headline score) for a head on a file."""
-    spec = _TASKS[task]
     model = load_head_model(model_path)
+    if model.kind != task.head_kind:
+        raise DataError(
+            f"{model_path} holds a {model.kind} head; eval-{task.name} needs a {task.head_kind}"
+        )
     tokenizer = load_vocab(vocab)
-    items = spec.load(infile)
-    pred = predict(model, tokenizer, [spec.inputs(item) for item in items])
-    return spec.report(items, pred, model.labels)
+    items = task.load(infile)
+    pred = predict(model, tokenizer, [task.inputs(item) for item in items])
+    return task.report(items, pred, model.labels)
 
 
 # --- subcommands without a manifest counterpart ---
@@ -346,7 +278,7 @@ def _cmd_encode(args) -> None:
     _note(f"encoded {len(records)} lines into {args.out}")
 
 
-def _cmd_eval(task, args) -> None:
+def _cmd_eval(task: Task, args) -> None:
     records, table, _ = _evaluate(task, args.model, args.vocab, args.infile)
     print(table)
     if args.out:
@@ -409,17 +341,18 @@ class _Manifest:
             raise ConfigError(f"manifest has unknown keys {unread}")
 
 
-def _finetune_stages(manifest: _Manifest, task: str, seed: int, capacity: int):
+def _finetune_stages(manifest: _Manifest, task: Task, seed: int, capacity: int):
     """Read and check a task's manifest keys. Returns its two stages: one
     writes the synthetic data and checks that every item fits ``capacity``
     positions, before pretraining; the other fine-tunes and reports."""
+    name = task.name
     train, dev, model, report = (
-        manifest.path(f"{task}_{key}") for key in ("train", "dev", "model", "report")
+        manifest.path(f"{name}_{key}") for key in ("train", "dev", "model", "report")
     )
     # 300 items here, where gen-synthetic's --count defaults to 200
-    count = manifest.number(f"{task}_count", 300)
+    count = manifest.number(f"{name}_count", 300)
     dev_count = max(2, count // 4)
-    if task == "cls":
+    if name == "cls":
         classes = manifest.number("cls_classes", _SYNTHETIC_OPTIONS["classes"])
         labels = synthetic.classification_labels(classes)
         for items in (count, dev_count):
@@ -427,24 +360,24 @@ def _finetune_stages(manifest: _Manifest, task: str, seed: int, capacity: int):
     else:
         classes, labels = _SYNTHETIC_OPTIONS["classes"], synthetic.ner_tag_inventory()
     options = {
-        key: seed if key == "seed" else manifest.number(f"{task}_{key}", default)
+        key: seed if key == "seed" else manifest.number(f"{name}_{key}", default)
         for key, default in _FINETUNE_OPTIONS.items()
     }
     FinetuneConfig(label_inventory=labels, **options)
-    spec = _TASKS[task]
 
     def write_data(vocab):
-        _gen_synthetic(task, train, seed, count=count, classes=classes)
-        _gen_synthetic(task, dev, seed + 1, count=dev_count, classes=classes)
+        _gen_synthetic(name, train, seed, count=count, classes=classes)
+        _gen_synthetic(name, dev, seed + 1, count=dev_count, classes=classes)
         tokenizer = load_vocab(vocab)
         for path in (train, dev):
-            check_capacity(spec.kind, [spec.inputs(item) for item in spec.load(path)], tokenizer, capacity)
+            # the DataError fine-tuning would raise on an item that does not fit
+            task.encode([task.inputs(item) for item in task.load(path)], tokenizer, capacity)
 
     def run(checkpoint, vocab):
         _finetune(task, checkpoint, vocab, train, dev, model, labels, options)
         records, _, score = _evaluate(task, model, vocab, dev)
         write_records(report, records)
-        _note(f"{task}: dev {spec.score_name} {score:.4f}, report at {report}")
+        _note(f"{name}: dev {task.score_name} {score:.4f}, report at {report}")
 
     return write_data, run
 
@@ -455,7 +388,7 @@ def _cmd_run(args) -> None:
 
     # every key is read and checked before the first stage writes a file
     seed = number("seed", None)
-    _check_seed(seed)
+    check_seed(seed)
     paths = {key: manifest.path(key) for key in _MANIFEST_PATHS}
     for target in paths.values():
         parent = Path(target).parent
@@ -474,7 +407,8 @@ def _cmd_run(args) -> None:
     max_len = number("max_len", 64)
     PackingConfig(max_len=max_len, rng_seed=seed)
     finetune_stages = [
-        _finetune_stages(manifest, task, seed, max_len) for task in _TASKS if manifest.has(f"{task}_model")
+        _finetune_stages(manifest, task, seed, max_len)
+        for task in TASKS.values() if manifest.has(f"{task.name}_model")
     ]
     trace = manifest.path("trace") if manifest.has("trace") else None
     steps = number("steps", 100)
@@ -578,8 +512,9 @@ def build_parser() -> _Parser:
     p.set_defaults(handler=lambda a: _pretrain(
         a.examples, a.out, a.trace, a.seed, a.steps, a.max_positions, _options(a, _PRETRAIN_OPTIONS)))
 
-    for task, spec in _TASKS.items():
-        p = sub.add_parser(f"finetune-{task}", help=f"fine-tune a head, tracking dev {spec.score_name}")
+    for task in TASKS.values():
+        p = sub.add_parser(
+            f"finetune-{task.name}", help=f"fine-tune a head, tracking dev {task.score_name}")
         p.add_argument("--checkpoint", required=True)
         p.add_argument("--vocab", required=True)
         p.add_argument("--train", required=True)
@@ -592,8 +527,8 @@ def build_parser() -> _Parser:
             tuple(x.strip() for x in a.labels.split(",") if x.strip()) if a.labels else None,
             _options(a, _FINETUNE_OPTIONS)))
 
-    for task in _TASKS:
-        p = sub.add_parser(f"eval-{task}", help="score predictions against gold labels")
+    for task in TASKS.values():
+        p = sub.add_parser(f"eval-{task.name}", help="score predictions against gold labels")
         p.add_argument("--model", required=True, help="head model path")
         p.add_argument("--vocab", required=True)
         _add_io(p, out_required=False)
@@ -620,7 +555,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         if getattr(args, "seed", None) is not None:  # each --seed flag
-            _check_seed(args.seed)
+            check_seed(args.seed)
         args.handler(args)
     except (FarsilmError, OSError) as exc:
         print(f"farsilm {args.command}: {exc}", file=sys.stderr)

@@ -1,4 +1,4 @@
-"""Exception types shared across the pipeline.
+"""Exception types shared across the pipeline, and the one seed rule.
 
 The CLI maps these onto exit codes: usage problems exit 1, anything raised
 as a :class:`DataError` or :class:`ConfigError` exits 2.
@@ -15,3 +15,9 @@ class DataError(FarsilmError):
 
 class ConfigError(FarsilmError):
     """Invalid configuration values or incompatible component settings."""
+
+
+def check_seed(seed: int) -> None:
+    """Raise ConfigError unless ``seed`` is one NumPy's generators accept."""
+    if seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {seed}")

@@ -9,20 +9,35 @@ Subword alignment for tagging follows the first-piece rule: when a word
 splits into several pieces, only the first piece carries the word's tag
 and the continuations are ignored by the loss. Predictions are read back
 from first-piece positions, so tag sequences always line up with words.
+
+``TASKS`` is the one home of what differs between the two tasks: their
+data files, what the model reads from an item, its labels and the report
+that scores predictions. The training loop, prediction and the CLI's
+``finetune-*``/``eval-*`` subcommands all read it.
 """
 
 from __future__ import annotations
 
 import io
-import re
 from dataclasses import dataclass
+from operator import attrgetter
+from typing import Callable
 
 import numpy as np
 
 from . import wordpiece as wp
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, check_seed
 from .lineio import atomic_open, read_records, read_text, write_records
-from .metrics import accuracy, entity_f1
+from .metrics import (
+    _parse_tag,
+    accuracy,
+    entity_f1,
+    entity_score_records,
+    eval_report_records,
+    f1_report,
+    format_entity_score,
+    format_eval_report,
+)
 from .model import ModelConfig, _encode, _softmax_xent_grad, _truncated_normal, backprop_encoder
 from .pretrain_data import IGNORE_INDEX
 from .training import (
@@ -34,8 +49,6 @@ from .training import (
     load_checkpoint,
     save_checkpoint,
 )
-
-_TAG_SHAPE = re.compile(r"^[BI][-_]\S+$")
 
 # inputs per forward pass in predict and in the per-epoch dev scoring
 PREDICT_BATCH = 32
@@ -94,6 +107,7 @@ class FinetuneConfig:
             raise ConfigError("learning_rate must be positive")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be at least 1")
+        check_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -187,16 +201,18 @@ def _pad_batch(rows: list[list[int]], pad_id: int):
     }
 
 
-def _encode_texts(texts, tokenizer, capacity: int) -> list[list[int]]:
-    """[CLS] pieces [SEP] per text, truncated to the model's capacity."""
+def _encode_texts(texts, tokenizer, capacity: int):
+    """[CLS] pieces [SEP] per text, truncated to the model's capacity; no
+    first-piece positions (None)."""
     cls_id = tokenizer.token_to_id[wp.CLS]
     sep_id = tokenizer.token_to_id[wp.SEP]
     budget = capacity - 2
-    return [[cls_id] + wp.encode(tokenizer, text)[:budget] + [sep_id] for text in texts]
+    return [[cls_id] + wp.encode(tokenizer, text)[:budget] + [sep_id] for text in texts], None
 
 
 def _encode_token_rows(token_seqs, tokenizer, capacity: int):
-    """Piece rows for word sequences plus each word's first-piece position."""
+    """Piece rows for word sequences plus each word's first-piece position;
+    a sequence longer than the model's capacity is a DataError."""
     cls_id = tokenizer.token_to_id[wp.CLS]
     sep_id = tokenizer.token_to_id[wp.SEP]
     rows = []
@@ -218,70 +234,96 @@ def _encode_token_rows(token_seqs, tokenizer, capacity: int):
     return rows, firsts
 
 
-# the encoder output each head reads
-_HEAD_INPUT = {"classifier": "pooled", "tagger": "sequence"}
+def _one_label(item: LabeledText) -> tuple[str]:
+    return (item.label,)
 
 
-def _encode_inputs(kind: str, inputs, tokenizer, capacity: int):
-    """Piece rows for a head's inputs, plus first-piece positions for a
-    tagger (None for a classifier). ``capacity`` is the model's
-    max_positions: a classifier truncates to it, a tagger input longer
-    than it is a DataError."""
-    if kind == "classifier":
-        return _encode_texts(inputs, tokenizer, capacity), None
-    if kind == "tagger":
-        return _encode_token_rows(inputs, tokenizer, capacity)
-    raise ConfigError(f"unknown head kind {kind!r}")
+def _cls_report(items, predicted, labels):
+    gold = [item.label for item in items]
+    report = f1_report(gold, predicted, labels)
+    score = accuracy(gold, predicted)
+    return eval_report_records(report), f"accuracy {score:.4f}\n{format_eval_report(report)}", score
 
 
-def check_capacity(kind: str, inputs, tokenizer: wp.WordPieceModel, capacity: int) -> None:
-    """Raise the DataError fine-tuning or predict would raise on these
-    inputs for a model of ``capacity`` positions, before any model exists."""
-    _encode_inputs(kind, list(inputs), tokenizer, capacity)
+def _ner_report(items, predicted, labels):
+    score = entity_f1([list(item.tags) for item in items], predicted)
+    return entity_score_records(score), format_entity_score(score), score.f1
 
 
-def _label_ids(items, label_to_id, where: str):
-    for item in items:
-        if item.label not in label_to_id:
-            raise DataError(f"label {item.label!r} is not in the label inventory")
-    return [label_to_id[item.label] for item in items]
+@dataclass(frozen=True)
+class Task:
+    """What one fine-tuning task does differently; the loop is shared."""
+
+    name: str  # the CLI's finetune-<name>/eval-<name> and manifest <name>_* keys
+    head_kind: str  # what a head model file records
+    source: str  # the encoder output the head reads: "pooled" or "sequence"
+    score_name: str
+    load: Callable  # path -> items
+    write: Callable  # (path, items) -> item count
+    encode: Callable  # (inputs, tokenizer, capacity) -> (piece rows, first pieces or None)
+    inputs: Callable  # item -> model input
+    labels: Callable  # item -> its labels, one per item or one per word
+    report: Callable  # (items, predicted, labels) -> (records, table, headline score)
+
+    def finetune(self, checkpoint: Checkpoint, tokenizer: wp.WordPieceModel, train, dev,
+                 config: FinetuneConfig) -> FinetuneOutcome:
+        """Fine-tune the encoder and this task's head together; ``dev_trace``
+        holds the report's headline score on ``dev`` after each epoch."""
+        return _finetune(self, checkpoint, tokenizer, train, dev, config)
 
 
-def _tag_ids(sequences, label_to_id, where: str):
+TASKS = {
+    "cls": Task(
+        "cls", "classifier", "pooled", "accuracy", load_labeled, write_labeled, _encode_texts,
+        inputs=attrgetter("text"), labels=_one_label, report=_cls_report,
+    ),
+    "ner": Task(
+        "ner", "tagger", "sequence", "entity F1", load_tagged, write_tagged, _encode_token_rows,
+        inputs=attrgetter("tokens"), labels=attrgetter("tags"), report=_ner_report,
+    ),
+}
+
+
+# the task of each head kind a model file may record
+_BY_HEAD_KIND = {task.head_kind: task for task in TASKS.values()}
+
+
+def _label_ids(task: Task, items, label_to_id, where: str) -> list[list[int]]:
+    """The ids of each item's labels. A tagger's labels must be IOB tags,
+    by the rule the entity metrics parse them with."""
+    noun = "tag" if task.source == "sequence" else "label"
     all_ids = []
-    for i, seq in enumerate(sequences):
+    for i, item in enumerate(items):
         ids = []
-        for j, tag in enumerate(seq.tags):
-            if tag != "O" and not _TAG_SHAPE.match(tag):
-                raise DataError(
-                    f"malformed tag {tag!r} in {where} sequence {i} at position {j}"
-                )
-            if tag not in label_to_id:
-                raise DataError(f"tag {tag!r} is not in the label inventory")
-            ids.append(label_to_id[tag])
+        for j, label in enumerate(task.labels(item)):
+            if noun == "tag":
+                try:
+                    _parse_tag(label, j)
+                except DataError:
+                    raise DataError(
+                        f"malformed tag {label!r} in {where} sequence {i} at position {j}"
+                    ) from None
+            if label not in label_to_id:
+                raise DataError(f"{noun} {label!r} is not in the label inventory")
+            ids.append(label_to_id[label])
         all_ids.append(ids)
     return all_ids
 
 
-def _finetune(kind, checkpoint, tokenizer, train, dev, config, inputs, targets, score):
-    """The fine-tuning loop both heads share.
-
-    ``inputs(items)`` gives the texts or word sequences to encode,
-    ``targets(items, label_to_id, where)`` their label ids (one per item,
-    or one per word), and ``score(items, predicted)`` the dev score
-    recorded after each epoch. Rows are encoded once, before training.
-    """
+def _finetune(task: Task, checkpoint, tokenizer, train, dev, config) -> FinetuneOutcome:
+    """The fine-tuning loop every task shares. Rows are encoded once, before
+    training."""
     mcfg = checkpoint.model_config
     _check_tokenizer(tokenizer, mcfg)
     if not train:
         raise DataError("training set is empty")
     label_to_id = {label: i for i, label in enumerate(config.label_inventory)}
-    train_ids = targets(train, label_to_id, "train")
-    targets(dev, label_to_id, "dev")
-    rows, firsts = _encode_inputs(kind, inputs(train), tokenizer, mcfg.max_positions)
-    dev_rows = _encode_inputs(kind, inputs(dev), tokenizer, mcfg.max_positions)
+    train_ids = _label_ids(task, train, label_to_id, "train")
+    _label_ids(task, dev, label_to_id, "dev")
+    rows, firsts = task.encode([task.inputs(item) for item in train], tokenizer, mcfg.max_positions)
+    dev_rows = task.encode([task.inputs(item) for item in dev], tokenizer, mcfg.max_positions)
     if firsts is None:
-        gold_rows = np.array(train_ids)
+        gold_rows = np.array(train_ids)[:, 0]  # each item's one label
     else:
         # word tags sit on first pieces; every other position is ignored
         gold_rows = [[IGNORE_INDEX] * len(row) for row in rows]
@@ -301,7 +343,7 @@ def _finetune(kind, checkpoint, tokenizer, train, dev, config, inputs, targets, 
         batch_size=config.batch_size,
         max_steps=max(1, config.epochs * steps_per_epoch),
     )
-    source = _HEAD_INPUT[kind]
+    source = task.source
     trace = []
     for epoch in range(config.epochs):
         order = np.random.default_rng((config.seed, 5, epoch)).permutation(len(train))
@@ -327,10 +369,12 @@ def _finetune(kind, checkpoint, tokenizer, train, dev, config, inputs, targets, 
             backprop_encoder(full, mcfg, cache, d_sequence, d_pooled, grads)
             adam_step(full, grads, state, opt)
         if dev:
-            model = _assemble(kind, mcfg, full, config.label_inventory)
-            trace.append(score(dev, _predict_rows(model, *dev_rows, tokenizer.pad_id)))
+            model = _assemble(task.head_kind, mcfg, full, config.label_inventory)
+            predicted = _predict_rows(task, model, *dev_rows, tokenizer.pad_id)
+            _, _, score = task.report(dev, predicted, config.label_inventory)
+            trace.append(score)
 
-    model = _assemble(kind, mcfg, full, config.label_inventory)
+    model = _assemble(task.head_kind, mcfg, full, config.label_inventory)
     return FinetuneOutcome(model=model, dev_trace=tuple(trace))
 
 
@@ -346,12 +390,7 @@ def finetune_sequence(
     Every encoder weight updates alongside the head. Returns the model and
     the dev accuracy measured after each epoch.
     """
-    return _finetune(
-        "classifier", checkpoint, tokenizer, train, dev, config,
-        inputs=lambda items: [item.text for item in items],
-        targets=_label_ids,
-        score=lambda items, predicted: accuracy([item.label for item in items], predicted),
-    )
+    return TASKS["cls"].finetune(checkpoint, tokenizer, train, dev, config)
 
 
 def finetune_tokens(
@@ -366,12 +405,7 @@ def finetune_tokens(
     Word tags sit on first pieces only; continuation pieces are ignored by
     the loss. Returns the model and dev entity F1 after each epoch.
     """
-    return _finetune(
-        "tagger", checkpoint, tokenizer, train, dev, config,
-        inputs=lambda items: [item.tokens for item in items],
-        targets=_tag_ids,
-        score=lambda items, predicted: entity_f1([list(s.tags) for s in items], predicted).f1,
-    )
+    return TASKS["ner"].finetune(checkpoint, tokenizer, train, dev, config)
 
 
 def _assemble(kind, mcfg, full, labels) -> HeadModel:
@@ -386,12 +420,12 @@ def _assemble(kind, mcfg, full, labels) -> HeadModel:
     )
 
 
-def _predict_rows(model: HeadModel, rows, firsts, pad_id: int):
+def _predict_rows(task: Task, model: HeadModel, rows, firsts, pad_id: int):
     results = []
     for start in range(0, len(rows), PREDICT_BATCH):
         batch = _pad_batch(rows[start : start + PREDICT_BATCH], pad_id)
         outputs, _ = _encode(model.params, model.model_config, batch)
-        picks = (outputs[_HEAD_INPUT[model.kind]] @ model.head_w + model.head_b).argmax(-1)
+        picks = (outputs[task.source] @ model.head_w + model.head_b).argmax(-1)
         if firsts is None:
             results.extend(model.labels[int(pick)] for pick in picks)
         else:
@@ -403,10 +437,11 @@ def _predict_rows(model: HeadModel, rows, firsts, pad_id: int):
 def predict(model: HeadModel, tokenizer: wp.WordPieceModel, inputs):
     """Argmax predictions: label strings for classifiers, tag rows for taggers."""
     _check_tokenizer(tokenizer, model.model_config)
-    rows, firsts = _encode_inputs(
-        model.kind, list(inputs), tokenizer, model.model_config.max_positions
-    )
-    return _predict_rows(model, rows, firsts, tokenizer.pad_id)
+    if model.kind not in _BY_HEAD_KIND:
+        raise ConfigError(f"unknown head kind {model.kind!r}")
+    task = _BY_HEAD_KIND[model.kind]
+    rows, firsts = task.encode(list(inputs), tokenizer, model.model_config.max_positions)
+    return _predict_rows(task, model, rows, firsts, tokenizer.pad_id)
 
 
 def save_head_model(path: str, model: HeadModel) -> None:
@@ -427,7 +462,7 @@ def load_head_model(path: str) -> HeadModel:
     checkpoint = load_checkpoint(path)
     if checkpoint.head_kind is None or checkpoint.head_params is None:
         raise DataError(f"{path} holds no fine-tuned head")
-    if checkpoint.head_kind not in _HEAD_INPUT:
+    if checkpoint.head_kind not in _BY_HEAD_KIND:
         raise DataError(f"{path}: unknown head kind {checkpoint.head_kind!r}")
     labels = tuple(checkpoint.head_labels or ())
     head = checkpoint.head_params

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, check_seed
 from .pretrain_data import IGNORE_INDEX
 
 LN_EPS = 1e-12
@@ -108,6 +108,7 @@ def _truncated_normal(rng: np.random.Generator, shape, std: float) -> np.ndarray
 
 def init_params(config: ModelConfig, seed: int) -> dict[str, np.ndarray]:
     """Truncated-normal weights, zero biases, unit layer-norm gains."""
+    check_seed(seed)
     rng = np.random.default_rng(seed)
     params: dict[str, np.ndarray] = {}
     for name, shape in _param_shapes(config).items():

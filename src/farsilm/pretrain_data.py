@@ -24,11 +24,11 @@ from bisect import bisect_left
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Callable, Iterator
+from typing import Callable, ClassVar, Iterator
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, check_seed
 from .lineio import atomic_open
 from .wordpiece import CLS, MASK, SEP, WordPieceModel, encode
 
@@ -42,22 +42,14 @@ _VERSION = 1
 
 @dataclass(frozen=True)
 class MaskingPolicy:
-    select_fraction: float = 0.15
-    mask_prob: float = 0.80
-    random_prob: float = 0.10
-    keep_prob: float = 0.10
+    """BERT's masking recipe, fixed: 15% of the candidates are selected,
+    and a selected token becomes [MASK] (80%), a random token (10%) or
+    stays (10%)."""
 
-    def __post_init__(self):
-        if not 0.0 < self.select_fraction < 1.0:
-            raise ConfigError(f"select_fraction must lie in (0,1), got {self.select_fraction}")
-        total = self.mask_prob + self.random_prob + self.keep_prob
-        # 0.8+0.1+0.1 is not exactly 1.0 in binary floating point, so
-        # "exactly" is enforced at the tightest float64-representable slack
-        if abs(total - 1.0) > 1e-12:
-            raise ConfigError(f"mask/random/keep probabilities sum to {total}, not 1")
-        for name in ("mask_prob", "random_prob", "keep_prob"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be nonnegative")
+    select_fraction: ClassVar[float] = 0.15
+    mask_prob: ClassVar[float] = 0.80
+    random_prob: ClassVar[float] = 0.10
+    keep_prob: ClassVar[float] = 0.10
 
 
 @dataclass(frozen=True)
@@ -68,6 +60,7 @@ class PackingConfig:
     def __post_init__(self):
         if self.max_len < 8:
             raise ConfigError(f"max_len must be at least 8, got {self.max_len}")
+        check_seed(self.rng_seed)
 
 
 @dataclass(frozen=True)
@@ -320,11 +313,13 @@ def _mask(
 
     non_special = model.non_special_ids
     mask_id = model.token_to_id[MASK]
+    # a class attribute read through an instance costs three times a local
+    mask_below, random_below = policy.mask_prob, policy.mask_prob + policy.random_prob
     for pos in selected:
         u = rng.random()
-        if u < policy.mask_prob:
+        if u < mask_below:
             ids[pos] = mask_id
-        elif u < policy.mask_prob + policy.random_prob:
+        elif u < random_below:
             ids[pos] = non_special[int(rng.integers(0, len(non_special)))]
         # else: keep the original token
     return selected, originals

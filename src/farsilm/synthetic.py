@@ -29,7 +29,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, check_seed
 from .finetune import LabeledText, TaggedSequence
 from .textnorm import ZWNJ
 
@@ -192,6 +192,7 @@ def generate_mlm_corpus(seed: int, n_docs: int) -> list[SyntheticDocument]:
     per sentence, the lexical-cohesion cue that makes next-sentence pairs
     recognizable even after masking hides individual copies.
     """
+    check_seed(seed)
     if n_docs < 1:
         raise ConfigError("n_docs must be at least 1")
     themes = theme_words()
@@ -235,6 +236,7 @@ def generate_round_trip_sentences(seed: int, count: int) -> list[str]:
     Punctuation appears as standalone tokens because decoding joins pieces
     with single spaces; these strings are exact decode(encode(s)) targets.
     """
+    check_seed(seed)
     if count < 1:
         raise ConfigError("count must be at least 1")
     rng = np.random.default_rng((seed, 1))
@@ -266,6 +268,7 @@ def check_class_count(count: int, n_classes: int) -> None:
 
 def generate_classification(seed: int, count: int, n_classes: int = 2) -> list[LabeledText]:
     """Texts whose class is fully determined by a planted marker word."""
+    check_seed(seed)
     labels = classification_labels(n_classes)
     check_class_count(count, n_classes)
     rng = np.random.default_rng((seed, 2))
@@ -285,6 +288,7 @@ def ner_tag_inventory() -> tuple[str, ...]:
 
 def generate_ner(seed: int, count: int) -> list[TaggedSequence]:
     """Word sequences with dictionary entities and gold IOB tags."""
+    check_seed(seed)
     if count < 1:
         raise ConfigError("count must be at least 1")
     rng = np.random.default_rng((seed, 3))

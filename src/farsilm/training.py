@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, check_seed
 from .lineio import atomic_open, read_text
 from .model import ModelConfig, gradients, init_params, shape_audit
 from .pretrain_data import ExampleTable, collate, read_examples
@@ -394,11 +394,13 @@ def pretrain(
     step and runs until opt_config.max_steps. With max_steps 0 the saved
     checkpoint holds the untouched initialization. A non-finite gradient
     ends the run with a DataError naming the step, before any update or
-    checkpoint write. A ``log_every`` below 1 is a ConfigError, raised
-    before the example file is read. A resumed run appends to the trace
-    at ``trace_path``; one that is not a loss trace is a DataError, raised
-    before the first step.
+    checkpoint write. A negative ``seed`` or a ``log_every`` below 1 is a
+    ConfigError, raised before the example file is read. A resumed run
+    appends to the trace at ``trace_path``; one that is not a loss trace,
+    or whose last step (0 for a header alone) is not the checkpoint's, is
+    a DataError, raised before the first step.
     """
+    check_seed(seed)
     check_log_every(log_every)
     examples, file_vocab = read_examples(examples_path)
     if file_vocab != model_config.vocab_size:
@@ -420,7 +422,12 @@ def pretrain(
         params = checkpoint.params
         state = checkpoint.adam_state
         if trace_path is not None and os.path.exists(trace_path):
-            read_loss_trace(trace_path)  # the rows will be appended to it
+            rows = read_loss_trace(trace_path)  # the new rows will follow these
+            last = rows[-1][0] if rows else 0
+            if last != state.step:
+                raise DataError(
+                    f"{trace_path} ends at step {last}, but the checkpoint is at step {state.step}"
+                )
     else:
         params = init_params(model_config, seed)
         state = init_adam_state(params)

@@ -7,11 +7,13 @@ from pathlib import Path
 
 import pytest
 
-from farsilm.cli import main
+from farsilm.cli import _evaluate, build_parser, main
+from farsilm.finetune import TASKS, FinetuneConfig, save_head_model
 from farsilm.lineio import read_records
 from farsilm.pretrain_data import read_examples
 from farsilm.synthetic import classification_labels, ner_tag_inventory
 from farsilm.training import load_checkpoint
+from farsilm.wordpiece import load_vocab
 
 
 @pytest.fixture(scope="module")
@@ -225,6 +227,52 @@ class TestFinetuneAndEval:
         assert main(["eval-ner", "--model", str(head), "--vocab", str(pipeline["vocab"]),
                      "--in", str(dev)]) == 0
         assert "entity scoring" in capsys.readouterr().out
+
+
+class TestTaskTable:
+    def test_each_task_has_one_finetune_and_one_eval_subcommand(self):
+        parser = build_parser()
+        (subcommands,) = [a.choices for a in parser._actions if hasattr(a, "add_parser")]
+        for verb in ("finetune", "eval"):
+            named = sorted(c for c in subcommands if c.startswith(f"{verb}-"))
+            assert named == sorted(f"{verb}-{name}" for name in TASKS)
+        assert all(task.name == name for name, task in TASKS.items())
+
+    # settings that leave each head with a dev score strictly between 0 and
+    # 1 (0.96 and 0.21 at one BLAS thread), so the comparison is not 0 == 0
+    @pytest.mark.parametrize(
+        "name, count, learning_rate, batch_size",
+        [("cls", 64, 2e-3, 8), ("ner", 96, 5e-3, 16)],
+    )
+    def test_last_dev_score_is_the_eval_headline(
+        self, pipeline, tmp_path, name, count, learning_rate, batch_size
+    ):
+        task = TASKS[name]
+        train, dev, head = tmp_path / "train", tmp_path / "dev", tmp_path / "head.flcp"
+        assert main(["gen-synthetic", name, "--seed", "7", "--count", str(count),
+                     "--out", str(train)]) == 0
+        assert main(["gen-synthetic", name, "--seed", "8", "--count", "24",
+                     "--out", str(dev)]) == 0
+        train_items, dev_items = task.load(str(train)), task.load(str(dev))
+        labels = sorted({x for item in train_items + dev_items for x in task.labels(item)})
+        config = FinetuneConfig(labels, epochs=4, learning_rate=learning_rate,
+                                batch_size=batch_size, seed=2)
+        outcome = task.finetune(load_checkpoint(str(pipeline["checkpoint"])),
+                                load_vocab(str(pipeline["vocab"])), train_items, dev_items, config)
+        save_head_model(str(head), outcome.model)
+        _, _, headline = _evaluate(task, str(head), str(pipeline["vocab"]), str(dev))
+        assert outcome.dev_trace[-1] == headline
+
+    def test_eval_of_the_other_task_s_head_is_a_data_error(self, pipeline, tmp_path, capsys):
+        data, head = tmp_path / "cls.jsonl", tmp_path / "cls.flcp"
+        assert main(["gen-synthetic", "cls", "--seed", "3", "--count", "8",
+                     "--out", str(data)]) == 0
+        assert main(["finetune-cls", "--checkpoint", str(pipeline["checkpoint"]),
+                     "--vocab", str(pipeline["vocab"]), "--train", str(data), "--dev", str(data),
+                     "--out", str(head), "--epochs", "0", "--seed", "1"]) == 0
+        assert main(["eval-ner", "--model", str(head), "--vocab", str(pipeline["vocab"]),
+                     "--in", str(data)]) == 2
+        assert "holds a classifier head; eval-ner needs a tagger" in capsys.readouterr().err
 
 
 class TestGenSynthetic:

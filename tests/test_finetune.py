@@ -29,6 +29,7 @@ from farsilm.finetune import (
     write_labeled,
     write_tagged,
 )
+from farsilm.metrics import entity_f1
 from farsilm.model import ModelConfig, _encode, backprop_encoder, forward, init_params
 from farsilm.training import Checkpoint, OptimizerConfig, init_adam_state, save_checkpoint
 from farsilm.wordpiece import TokenizerTrainConfig, train_wordpiece
@@ -207,6 +208,25 @@ class TestErrors:
             finetune_tokens(checkpoint, tokenizer, seqs, [],
                             FinetuneConfig(("O", "B-LOC"), epochs=1))
 
+    # "B-LOC\t" cannot come from a tagged file, whose columns are tab-split
+    @pytest.mark.parametrize("tag", ["B-A B", "B-X\xa0", "B-LOC\t"])
+    def test_fine_tuning_accepts_the_tags_entity_scoring_accepts(self, setup, tag):
+        tokenizer, _, checkpoint = setup
+        seqs = [TaggedSequence(("ab", "cab"), (tag, "O"))]
+        assert entity_f1([list(s.tags) for s in seqs], [[tag, "O"]]).f1 == 1.0
+        out = finetune_tokens(checkpoint, tokenizer, seqs, seqs,
+                              FinetuneConfig(("O", tag), epochs=1))
+        assert len(out.dev_trace) == 1
+
+    @pytest.mark.parametrize("tag", ["Z-LOC", "B-", "BLOC", "b-LOC", ""])
+    def test_both_surfaces_reject_a_tag_that_is_not_iob(self, setup, tag):
+        tokenizer, _, checkpoint = setup
+        with pytest.raises(DataError, match="invalid IOB tag"):
+            entity_f1([[tag]], [["O"]])
+        seqs = [TaggedSequence(("ab",), (tag,))]
+        with pytest.raises(DataError, match="malformed tag .* in train sequence 0 at position 0"):
+            finetune_tokens(checkpoint, tokenizer, seqs, [], FinetuneConfig(("O", tag), epochs=1))
+
     def test_tokenizer_vocab_mismatch(self, setup):
         tokenizer, _, checkpoint = setup
         other = ModelConfig(layers=1, heads=2, hidden=32, intermediate=64,
@@ -338,8 +358,8 @@ class TestHeadGradients:
         full = dict({k: v.copy() for k, v in checkpoint.params.items()})
         full["head_w"] = rng.normal(0, 0.05, (config.hidden, 2))
         full["head_b"] = np.zeros(2)
-        batch = _pad_batch(_encode_texts(["ab zz abc", "cab dab"], tokenizer, config.max_positions),
-                           tokenizer.pad_id)
+        rows, _ = _encode_texts(["ab zz abc", "cab dab"], tokenizer, config.max_positions)
+        batch = _pad_batch(rows, tokenizer.pad_id)
         gold = np.array([0, 1])
 
         outputs, cache = _encode(full, config, batch)

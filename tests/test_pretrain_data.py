@@ -306,12 +306,12 @@ class TestApplyMlmMask:
         b = apply_mlm_mask(base, MODEL, MaskingPolicy(), np.random.default_rng(42))
         assert a == b
 
-    def test_policy_validation(self):
-        with pytest.raises(ConfigError, match="sum"):
-            MaskingPolicy(mask_prob=0.8, random_prob=0.2, keep_prob=0.1)
-        with pytest.raises(ConfigError, match="select_fraction"):
-            MaskingPolicy(select_fraction=0.0)
-        MaskingPolicy()  # the defaults are exactly representable enough
+    def test_the_recipe_is_fixed(self):
+        policy = MaskingPolicy()
+        assert (policy.select_fraction, policy.mask_prob, policy.random_prob,
+                policy.keep_prob) == (0.15, 0.80, 0.10, 0.10)
+        with pytest.raises(TypeError):
+            MaskingPolicy(select_fraction=0.5)
 
 
 DOCS = [

@@ -416,6 +416,37 @@ class TestPretrain:
         assert ckpt.read_bytes() == before
         assert trace.read_text() == "notes, not a trace\n"
 
+    def test_resume_onto_a_trace_of_another_step_fails_before_the_first_step(
+        self, example_file, tmp_path
+    ):
+        path, vocab = example_file
+        config = small_config(vocab)
+        ckpt, trace = tmp_path / "r.ckpt", tmp_path / "r.csv"
+        pretrain(path, config, OptimizerConfig(batch_size=4, max_steps=2), 3, str(ckpt),
+                 trace_path=str(trace))
+        short = trace.read_bytes()
+        pretrain(path, config, OptimizerConfig(batch_size=4, max_steps=5), 3, str(ckpt))
+        before = ckpt.read_bytes()
+        with pytest.raises(DataError, match="ends at step 2, but the checkpoint is at step 5"):
+            pretrain(path, config, OptimizerConfig(batch_size=4, max_steps=8), 3, str(ckpt),
+                     trace_path=str(trace))
+        assert ckpt.read_bytes() == before
+        assert trace.read_bytes() == short
+
+    def test_a_header_only_trace_ends_at_step_zero(self, example_file, tmp_path):
+        path, vocab = example_file
+        config = small_config(vocab)
+        ckpt, trace = tmp_path / "h.ckpt", tmp_path / "h.csv"
+        write_loss_trace(str(trace), [])
+        pretrain(path, config, OptimizerConfig(batch_size=4, max_steps=0), 3, str(ckpt))
+        pretrain(path, config, OptimizerConfig(batch_size=4, max_steps=2), 3, str(ckpt),
+                 trace_path=str(trace))
+        assert [row[0] for row in read_loss_trace(str(trace))] == [1, 2]
+        write_loss_trace(str(trace), [])
+        with pytest.raises(DataError, match="ends at step 0, but the checkpoint is at step 2"):
+            pretrain(path, config, OptimizerConfig(batch_size=4, max_steps=3), 3, str(ckpt),
+                     trace_path=str(trace))
+
     def test_trace_covers_consecutive_steps(self, example_file, tmp_path):
         path, vocab = example_file
         result = pretrain(
