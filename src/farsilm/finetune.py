@@ -85,6 +85,10 @@ class TaggedSequence:
         for token in self.tokens:
             if not token or any(ch.isspace() for ch in token):
                 raise DataError(f"token {token!r} is empty or holds whitespace")
+        # a tagged file's columns are tab-split lines
+        for tag in self.tags:
+            if not tag or any(ch in tag for ch in "\t\n\r"):
+                raise DataError(f"tag {tag!r} is empty or holds a tab or a line break")
 
 
 @dataclass(frozen=True)
@@ -271,6 +275,12 @@ class Task:
         holds the report's headline score on ``dev`` after each epoch."""
         return _finetune(self, checkpoint, tokenizer, train, dev, config)
 
+    def reads(self, batch):
+        """The final states this task's head reads, as ``_encode`` takes
+        them: [CLS] alone for the pooled vector, every attended row (None)
+        for a tagger."""
+        return np.zeros(batch["input_ids"].shape, bool) if self.source == "pooled" else None
+
 
 TASKS = {
     "cls": Task(
@@ -355,7 +365,7 @@ def _finetune(task: Task, checkpoint, tokenizer, train, dev, config) -> Finetune
             else:
                 gold = _pad([gold_rows[i] for i in picks], IGNORE_INDEX)
 
-            outputs, cache = _encode(full, mcfg, batch)
+            outputs, cache = _encode(full, mcfg, batch, task.reads(batch))
             features = outputs[source]
             logits = features @ full["head_w"] + full["head_b"]
             dlogits = _softmax_xent_grad(logits, gold)
@@ -424,7 +434,7 @@ def _predict_rows(task: Task, model: HeadModel, rows, firsts, pad_id: int):
     results = []
     for start in range(0, len(rows), PREDICT_BATCH):
         batch = _pad_batch(rows[start : start + PREDICT_BATCH], pad_id)
-        outputs, _ = _encode(model.params, model.model_config, batch)
+        outputs, _ = _encode(model.params, model.model_config, batch, task.reads(batch))
         picks = (outputs[task.source] @ model.head_w + model.head_b).argmax(-1)
         if firsts is None:
             results.extend(model.labels[int(pick)] for pick in picks)

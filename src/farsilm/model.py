@@ -233,25 +233,39 @@ def _validate_batch(config: ModelConfig, batch: dict[str, np.ndarray]) -> None:
 
 
 class _Rows:
-    """The attended positions of a (B, L) batch.
+    """A set of positions of a (B, L) batch: the attended ones, where every
+    layer but the last runs its token-wise work, or the subset of them
+    whose final hidden states a head reads, where the last layer runs it.
 
-    Token-wise work runs on arrays of shape (N, K) holding the N attended
-    rows in batch order; a batch without padding takes the same path with
+    Token-wise work runs on arrays of shape (N, K) holding the N rows in
+    batch order; a batch without padding takes the same path with
     N = B * L. The attention core and the backward matrix products stay in
     the padded layout, which gives the bits of running every position
     for hidden sizes from 2 up. At hidden size 1 a row sum over an (N, 1)
     array is pairwise, and N rows pair differently from B * L rows. A
-    batch with a single attended position in all sends its projections
-    to a matrix-vector kernel, so there too the bits may differ; encoded
-    inputs always hold [CLS] and [SEP].
+    projection of a single row goes to a matrix-vector kernel, whose bits
+    differ from the matrix product's, so a subset holds at least two rows
+    when its parent does; encoded inputs always hold [CLS] and [SEP].
+    ``keep`` indexes the set's rows within its parent's token rows.
     """
 
-    def __init__(self, attn: np.ndarray):
-        self.bsz, self.length = attn.shape
-        self.flat = np.flatnonzero(attn)
-        self.positions = self.flat % self.length
+    def __init__(self, shape, flat, keep=slice(None)):
+        self.bsz, self.length = shape
+        self.flat = flat
+        self.keep = keep
+        self.positions = flat % self.length
         # _validate_batch guarantees each row attends its position 0
-        self.cls = np.searchsorted(self.flat, np.arange(self.bsz) * self.length)
+        self.cls = np.searchsorted(flat, np.arange(self.bsz) * self.length)
+
+    def subset(self, reads: np.ndarray) -> "_Rows":
+        """The rows where the (B, L) mask ``reads`` holds, every [CLS] row,
+        and the first two rows if that leaves one."""
+        picked = reads.reshape(-1)[self.flat]
+        picked[self.cls] = True
+        if picked.sum() < 2:
+            picked[:2] = True
+        keep = np.flatnonzero(picked)
+        return _Rows((self.bsz, self.length), self.flat[keep], keep)
 
     def gather(self, padded: np.ndarray) -> np.ndarray:
         """Token rows of a (B, L, ...) array."""
@@ -271,7 +285,7 @@ def _affine(x, w, b):
     return out
 
 
-def _encode(params, config, batch):
+def _encode(params, config, batch, reads=None):
     """Run the encoder and the NSP head; returns (outputs, cache).
 
     outputs holds nsp_logits, pooled and sequence; cache holds every
@@ -279,9 +293,17 @@ def _encode(params, config, batch):
     here: callers apply :func:`_mlm_head` to whichever rows they score.
     Unattended positions are skipped: ``sequence`` holds exact zeros
     there, and nothing at an attended position depends on them.
+
+    ``reads``, a (B, L) boolean mask, names the positions whose final
+    states the caller reads besides [CLS]; None reads every attended one.
+    The last layer runs its token-wise work on those rows only (see
+    :meth:`_Rows.subset`), and ``sequence`` is exactly zero at the others.
+    Its keys and values still cover every attended row, which the read
+    queries attend to.
     """
     _validate_batch(config, batch)
-    rows = _Rows(batch["attention_mask"])
+    rows = _Rows(batch["attention_mask"].shape, np.flatnonzero(batch["attention_mask"]))
+    read = rows if reads is None else rows.subset(reads)
     ids = rows.gather(batch["input_ids"])
     segs = rows.gather(batch["segment_ids"])
     bsz, length = rows.bsz, rows.length
@@ -296,16 +318,18 @@ def _encode(params, config, batch):
     # exact zero weight, which is what makes padding invariance exact
     bias = (1.0 - batch["attention_mask"][:, None, None, :]) * _MASK_BIAS
 
-    def heads(tokens):
-        return rows.scatter(tokens).reshape(bsz, length, nh, dh).transpose(0, 2, 1, 3)
+    def heads(row_set, tokens):
+        return row_set.scatter(tokens).reshape(bsz, length, nh, dh).transpose(0, 2, 1, 3)
 
     layer_caches = []
     for layer in range(config.layers):
         p = f"layer{layer}."
+        # the rows this layer's output keeps: the read ones in the last layer
+        out = read if layer == config.layers - 1 else rows
         x_in = x
-        qh = heads(_affine(x, params[p + "q_w"], params[p + "q_b"]))
-        kh = heads(_affine(x, params[p + "k_w"], params[p + "k_b"]))
-        vh = heads(_affine(x, params[p + "v_w"], params[p + "v_b"]))
+        qh = heads(out, _affine(x[out.keep], params[p + "q_w"], params[p + "q_b"]))
+        kh = heads(rows, _affine(x, params[p + "k_w"], params[p + "k_b"]))
+        vh = heads(rows, _affine(x, params[p + "v_w"], params[p + "v_b"]))
         # scaled, biased and soft-maxed in place: the steps of _softmax
         probs = qh @ kh.transpose(0, 1, 3, 2)
         probs /= np.sqrt(dh)
@@ -314,8 +338,8 @@ def _encode(params, config, batch):
         np.exp(probs, out=probs)
         probs /= probs.sum(-1, keepdims=True)
         ctx = (probs @ vh).transpose(0, 2, 1, 3).reshape(bsz, length, config.hidden)
-        attn_out = _affine(rows.gather(ctx), params[p + "o_w"], params[p + "o_b"])
-        attn_out += x_in
+        attn_out = _affine(out.gather(ctx), params[p + "o_w"], params[p + "o_b"])
+        attn_out += x_in[out.keep]
         x_attn, attn_ln_cache = _layer_norm(
             attn_out, params[p + "attn_ln_g"], params[p + "attn_ln_b"]
         )
@@ -329,20 +353,20 @@ def _encode(params, config, batch):
         )
         layer_caches.append(
             dict(
-                x_in=x_in, qh=qh, kh=kh, vh=vh, probs=probs, ctx=ctx,
+                out=out, x_in=x_in, qh=qh, kh=kh, vh=vh, probs=probs, ctx=ctx,
                 attn_ln=attn_ln_cache, x_attn=x_attn, ffn_pre=ffn_pre,
                 ffn_cdf=ffn_cdf, ffn_act=ffn_act, ffn_ln=ffn_ln_cache,
             )
         )
 
-    cls_state = x[rows.cls]
+    cls_state = x[read.cls]
     pool_pre = cls_state @ params["pool_w"] + params["pool_b"]
     pooled = np.tanh(pool_pre)
     nsp_logits = pooled @ params["nsp_w"] + params["nsp_b"]
 
-    outputs = {"nsp_logits": nsp_logits, "pooled": pooled, "sequence": rows.scatter(x)}
+    outputs = {"nsp_logits": nsp_logits, "pooled": pooled, "sequence": read.scatter(x)}
     cache = dict(
-        rows=rows, ids=ids, segs=segs, emb_ln=emb_ln_cache,
+        rows=rows, read=read, ids=ids, segs=segs, emb_ln=emb_ln_cache,
         layers=layer_caches, cls_state=cls_state, pooled=pooled,
     )
     return outputs, cache
@@ -411,12 +435,12 @@ def compute_losses(outputs, batch) -> dict:
 def gradients(params, config: ModelConfig, batch):
     """Losses plus analytic gradients of the total loss for every parameter.
 
-    Only labelled positions are scored, so the MLM head runs on just the
-    rows of the final hidden states that carry a label.
+    Only labelled positions are scored, so the last encoder layer and the
+    MLM head run on just the rows that carry a label (and [CLS]).
     """
-    outputs, cache = _encode(params, config, batch)
     labels = batch["mlm_labels"]
     selected = labels != IGNORE_INDEX
+    outputs, cache = _encode(params, config, batch, selected)
     gold = labels[selected]
     sequence = outputs["sequence"]
     mlm_logits, (x_sel, mlm_pre, mlm_cdf, mlm_tr, mlm_ln) = _mlm_head(params, sequence[selected])
@@ -459,49 +483,54 @@ def backprop_encoder(params, config: ModelConfig, cache, d_sequence, d_pooled, g
     hidden states and on the pooled [CLS] vector; either may be None.
 
     This is the shared backward half used by the pretraining heads and by
-    the fine-tuning heads; grads is mutated in place. ``d_sequence`` at
-    unattended positions is ignored, as those outputs are constant zeros.
+    the fine-tuning heads; grads is mutated in place. ``d_sequence`` is
+    read at the positions ``_encode`` was told are read (every attended
+    one by default) and ignored elsewhere, as the outputs there are
+    constant zeros.
 
-    Token-wise work runs on the attended rows, but every matrix product
-    runs on padded (B, L, K) operands whose unattended gradient rows are
-    exact zeros. BLAS may choose another kernel, and so another summation
-    order, for another row count; the padded products give the same bits
-    as an encoder that runs every position.
+    Token-wise work runs on each layer's rows: the read rows in the last
+    layer, the attended rows below it. Every matrix product runs on padded
+    (B, L, K) operands whose other gradient rows are exact zeros. BLAS may
+    choose another kernel, and so another summation order, for another
+    row count; the padded products give the same bits as an encoder that
+    runs every position. Compact ``dy @ w.T`` products on the read rows
+    would not: at the fine-tuning shapes L = 5 and L = 18 they change bits.
 
     Four buffers, allocated once per call, hold the padded arrays. Two
     zeroed (B * L, K) buffers, one hidden-wide and one FFN-wide, take the
     token rows of each product's padded operands; only attended rows are
-    ever written, so the unattended rows stay exact zeros. Two (B, L, K)
-    buffers, again one of each width, receive each ``dy @ w.T`` before its
-    token rows are gathered. Each FFN product takes one operand of each
-    width, so the buffers are kept by role, not looked up by width: with
-    hidden equal to intermediate, a lookup by width would give both
-    operands one buffer.
+    ever written, so the unattended rows stay exact zeros. The last layer
+    runs first and writes only its read rows until its input ``x_in``,
+    so the unread rows are zeros there too. Two (B, L, K) buffers, again
+    one of each width, receive each ``dy @ w.T`` before its token rows are
+    gathered. Each FFN product takes one operand of each width, so the
+    buffers are kept by role, not looked up by width: with hidden equal to
+    intermediate, a lookup by width would give both operands one buffer.
     """
-    rows = cache["rows"]
+    rows, read = cache["rows"], cache["read"]
     bsz, length = rows.bsz, rows.length
     hidden, inter = config.hidden, config.intermediate
     nh = config.heads
     dh = hidden // nh
     if d_sequence is None:
-        dx = np.zeros((rows.flat.size, hidden))
+        dx = np.zeros((read.flat.size, hidden))
     else:
-        dx = rows.gather(d_sequence)
+        dx = read.gather(d_sequence)
 
     if d_pooled is not None:
         dpool_pre = d_pooled * (1.0 - cache["pooled"] ** 2)
         grads["pool_w"] += cache["cls_state"].T @ dpool_pre
         grads["pool_b"] += dpool_pre.sum(0)
-        dx[rows.cls] += dpool_pre @ params["pool_w"].T
+        dx[read.cls] += dpool_pre @ params["pool_w"].T
 
     pad_hidden = np.zeros((bsz * length, hidden))
     pad_ffn = np.zeros((bsz * length, inter))
     out_hidden = np.empty((bsz, length, hidden))
     out_ffn = np.empty((bsz, length, inter))
 
-    def padded(buffer, tokens):
+    def padded(buffer, row_set, tokens):
         """buffer, (B * L, K), with the token rows written in place."""
-        buffer[rows.flat] = tokens
+        buffer[row_set.flat] = tokens
         return buffer
 
     def dense_back(flat_x, dy, w_name, b_name, out):
@@ -518,16 +547,19 @@ def backprop_encoder(params, config: ModelConfig, cache, d_sequence, d_pooled, g
     for layer in reversed(range(config.layers)):
         p = f"layer{layer}."
         c = cache["layers"][layer]
+        out = c["out"]
 
         dsum, dg, db = _layer_norm_back(dx, c["ffn_ln"])
         grads[p + "ffn_ln_g"] += dg
         grads[p + "ffn_ln_b"] += db
-        dact = rows.gather(dense_back(
-            padded(pad_ffn, c["ffn_act"]), padded(pad_hidden, dsum).reshape(bsz, length, hidden),
+        dact = out.gather(dense_back(
+            padded(pad_ffn, out, c["ffn_act"]),
+            padded(pad_hidden, out, dsum).reshape(bsz, length, hidden),
             p + "ffn_w2", p + "ffn_b2", out_ffn))
         dffn_pre = _gelu_back(dact, c["ffn_pre"], c["ffn_cdf"])
-        dx_attn = rows.gather(dense_back(
-            padded(pad_hidden, c["x_attn"]), padded(pad_ffn, dffn_pre).reshape(bsz, length, inter),
+        dx_attn = out.gather(dense_back(
+            padded(pad_hidden, out, c["x_attn"]),
+            padded(pad_ffn, out, dffn_pre).reshape(bsz, length, inter),
             p + "ffn_w1", p + "ffn_b1", out_hidden))
         dx_attn += dsum
 
@@ -535,7 +567,7 @@ def backprop_encoder(params, config: ModelConfig, cache, d_sequence, d_pooled, g
         grads[p + "attn_ln_g"] += dg
         grads[p + "attn_ln_b"] += db
         dctx = dense_back(
-            c["ctx"].reshape(-1, hidden), padded(pad_hidden, dsum).reshape(bsz, length, hidden),
+            c["ctx"].reshape(-1, hidden), padded(pad_hidden, out, dsum).reshape(bsz, length, hidden),
             p + "o_w", p + "o_b", out_hidden)
         dctx = dctx.reshape(bsz, length, nh, dh).transpose(0, 2, 1, 3)
 
@@ -551,9 +583,9 @@ def backprop_encoder(params, config: ModelConfig, cache, d_sequence, d_pooled, g
 
         # dsum + dq @ q_w.T + dk @ k_w.T + dv @ v_w.T, summed in that order;
         # dctx is spent, so out_hidden is free again
-        x_in = padded(pad_hidden, c["x_in"])
+        x_in = padded(pad_hidden, rows, c["x_in"])
         dx = rows.gather(dense_back(x_in, merge(dqh), p + "q_w", p + "q_b", out_hidden))
-        dx += dsum
+        dx[out.keep] += dsum
         dx += rows.gather(dense_back(x_in, merge(dkh), p + "k_w", p + "k_b", out_hidden))
         dx += rows.gather(dense_back(x_in, merge(dvh), p + "v_w", p + "v_b", out_hidden))
 

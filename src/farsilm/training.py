@@ -398,7 +398,8 @@ def pretrain(
     ConfigError, raised before the example file is read. A resumed run
     appends to the trace at ``trace_path``; one that is not a loss trace,
     or whose last step (0 for a header alone) is not the checkpoint's, is
-    a DataError, raised before the first step.
+    a DataError, raised before the first step. So is a missing trace when
+    the checkpoint is past step 0.
     """
     check_seed(seed)
     check_log_every(log_every)
@@ -428,6 +429,11 @@ def pretrain(
                 raise DataError(
                     f"{trace_path} ends at step {last}, but the checkpoint is at step {state.step}"
                 )
+        elif trace_path is not None and state.step > 0:
+            raise DataError(
+                f"{trace_path} does not exist, but the checkpoint is at step {state.step}: "
+                "a resumed run appends to its earlier trace"
+            )
     else:
         params = init_params(model_config, seed)
         state = init_adam_state(params)

@@ -48,8 +48,9 @@ def _gelu_back(dy, x, cdf):
     return dy * (cdf + x * phi)
 
 
-def padded_encode(params, config, batch):
-    """``_encode`` with every position in the (B, L) layout."""
+def padded_encode(params, config, batch, reads=None):
+    """``_encode`` with every position in the (B, L) layout. Every position
+    runs through the last layer too, so ``reads`` is accepted and ignored."""
     _validate_batch(config, batch)
     ids = batch["input_ids"]
     segs = batch["segment_ids"]

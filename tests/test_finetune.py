@@ -6,6 +6,7 @@ gradient tests.
 """
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -94,6 +95,11 @@ class TestTypes:
         with pytest.raises(DataError, match="whitespace"):
             TaggedSequence(("a b",), ("O",))
 
+    @pytest.mark.parametrize("tag", ["", "B-LOC\t", "B-X\nO", "B-X\rO"])
+    def test_a_tag_its_file_cannot_hold_is_rejected(self, tag):
+        with pytest.raises(DataError, match=re.escape(f"tag {tag!r} is empty or holds a tab")):
+            TaggedSequence(("a",), (tag,))
+
     def test_empty_sequence_rejected(self):
         with pytest.raises(DataError, match="at least one"):
             TaggedSequence((), ())
@@ -127,6 +133,14 @@ class TestDataFiles:
             TaggedSequence(("خانه",), ("O",)),
         ]
         assert write_tagged(path, seqs) == 2
+        assert load_tagged(path) == seqs
+
+    def test_the_tags_entity_scoring_accepts_write_and_load_back(self, tmp_path):
+        path = str(tmp_path / "ner.tsv")
+        tags = ("O", "B-LOC", "I_LOC", "B-A B", "B-X\xa0", "I-x-y")
+        seqs = [TaggedSequence(tuple("abcdef"), tags)]
+        assert entity_f1([list(tags)], [list(tags)]).f1 == 1.0
+        write_tagged(path, seqs)
         assert load_tagged(path) == seqs
 
     def test_tagged_malformed_line(self, tmp_path):
@@ -208,8 +222,7 @@ class TestErrors:
             finetune_tokens(checkpoint, tokenizer, seqs, [],
                             FinetuneConfig(("O", "B-LOC"), epochs=1))
 
-    # "B-LOC\t" cannot come from a tagged file, whose columns are tab-split
-    @pytest.mark.parametrize("tag", ["B-A B", "B-X\xa0", "B-LOC\t"])
+    @pytest.mark.parametrize("tag", ["B-A B", "B-X\xa0"])
     def test_fine_tuning_accepts_the_tags_entity_scoring_accepts(self, setup, tag):
         tokenizer, _, checkpoint = setup
         seqs = [TaggedSequence(("ab", "cab"), (tag, "O"))]
@@ -218,7 +231,7 @@ class TestErrors:
                               FinetuneConfig(("O", tag), epochs=1))
         assert len(out.dev_trace) == 1
 
-    @pytest.mark.parametrize("tag", ["Z-LOC", "B-", "BLOC", "b-LOC", ""])
+    @pytest.mark.parametrize("tag", ["Z-LOC", "B-", "BLOC", "b-LOC"])
     def test_both_surfaces_reject_a_tag_that_is_not_iob(self, setup, tag):
         tokenizer, _, checkpoint = setup
         with pytest.raises(DataError, match="invalid IOB tag"):

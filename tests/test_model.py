@@ -11,6 +11,7 @@ from scipy.special import ndtr
 
 from farsilm import model as model_module
 from farsilm.errors import ConfigError, DataError
+from farsilm.finetune import TASKS
 from farsilm.model import (
     ModelConfig,
     _encode,
@@ -414,9 +415,11 @@ class TestMaskedPositionHead:
 # tagger on every position, pretraining's MLM plus NSP), and parameters as
 # initialised or with N(0, 0.1) noise added to every entry.
 # 16 x 18 is the fine-tuning shape where a compact dY @ W.T takes another
-# BLAS kernel than the padded product. Fresh parameters have unit layer-norm
-# gains and zero biases, where a reordered multiply or add cannot show; the
-# noisy ones make every gain and bias take part in the arithmetic.
+# BLAS kernel than the padded product. The classifier reads [CLS] alone, so
+# its last layer runs on one row per batch row: the (1, L) classifier cases
+# are the ones that exercise the two-row floor. Fresh parameters have unit
+# layer-norm gains and zero biases, where a reordered multiply or add cannot
+# show; the noisy ones make every gain and bias take part in the arithmetic.
 _GRID_B = (1, 3, 16, 32)
 _GRID_L = (5, 18, 64)
 _GRID_LAYOUT = ("full", "ragged")
@@ -446,12 +449,14 @@ def grid_batch(bsz, length, layout, vocab=300):
 
 def head_gradients(encode, backprop, params, cfg, batch, kind):
     """One fine-tuning step's outputs and gradients for a classifier or a
-    tagger head, computed as ``finetune`` computes them."""
+    tagger head, computed as ``finetune`` computes them, with the reads of
+    the task's head."""
     head_rng = np.random.default_rng(99)
     head_w = head_rng.normal(0.0, 0.02, (cfg.hidden, 3))
     head_b = head_rng.normal(0.0, 0.02, 3)
-    outputs, cache = encode(params, cfg, batch)
-    features = outputs["pooled" if kind == "classifier" else "sequence"]
+    task = TASKS["cls" if kind == "classifier" else "ner"]
+    outputs, cache = encode(params, cfg, batch, task.reads(batch))
+    features = outputs[task.source]
     logits = features @ head_w + head_b
     if kind == "classifier":
         gold = np.arange(len(logits)) % 3
@@ -481,9 +486,9 @@ def assert_bytes_equal_padded_reference(base_params, cfg, bsz, length, layout, u
         for name, value in base_params.items()
     }
     batch = grid_batch(bsz, length, layout)
-    attended = batch["attention_mask"] == 1
+    labelled = batch["mlm_labels"] != -100
     if upstream == "mlm+nsp":
-        outputs, _ = _encode(params, cfg, batch)
+        outputs, _ = _encode(params, cfg, batch, labelled)
         ref_outputs, _ = padded_encode(params, cfg, batch)
         losses, grads = gradients(params, cfg, batch)
         with monkeypatch.context() as patch:
@@ -501,9 +506,17 @@ def assert_bytes_equal_padded_reference(base_params, cfg, bsz, length, layout, u
         assert grads[name].tobytes() == ref.tobytes(), name
     for key in ("pooled", "nsp_logits"):
         assert outputs[key].tobytes() == ref_outputs[key].tobytes(), key
+    # the rows the last layer ran on: what the head reads, with [CLS], and
+    # the next row when that leaves one
+    cls = np.zeros_like(labelled)
+    cls[:, 0] = True
+    read = {"classifier": cls, "tagger": batch["attention_mask"] == 1,
+            "mlm+nsp": cls | labelled}[upstream]
+    if read.sum() < 2:
+        read[0, 1] = True
     sequence = outputs["sequence"]
-    assert sequence[attended].tobytes() == ref_outputs["sequence"][attended].tobytes()
-    assert np.all(sequence[~attended] == 0.0)
+    assert sequence[read].tobytes() == ref_outputs["sequence"][read].tobytes()
+    assert np.all(sequence[~read] == 0.0)
 
 
 class TestUnpaddedEncoder:
@@ -538,6 +551,12 @@ class TestUnpaddedEncoder:
     def test_hidden_equal_to_intermediate(self, bsz, length, layout, upstream, monkeypatch):
         assert_bytes_equal_padded_reference(
             self.square_params, self.square_cfg, bsz, length, layout, upstream, 0.1, monkeypatch)
+
+    def test_a_classifier_batch_of_one_runs_two_rows(self):
+        batch = grid_batch(1, 18, "ragged")
+        _, cache = _encode(self.params, self.cfg, batch, TASKS["cls"].reads(batch))
+        assert cache["read"].flat.tolist() == [0, 1]
+        assert cache["layers"][-1]["x_attn"].shape == (2, self.cfg.hidden)
 
     def test_upstream_gradient_on_padding_is_ignored(self):
         cfg = desk_config(vocab_size=300, max_positions=64)

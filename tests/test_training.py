@@ -1,6 +1,8 @@
 """Optimizer, checkpoint container, and pretraining loop tests."""
 
+import dataclasses
 import json
+import re
 import struct
 
 import numpy as np
@@ -11,6 +13,7 @@ from farsilm.errors import ConfigError, DataError
 from farsilm.finetune import load_head_model
 from farsilm.model import ModelConfig, desk_config, init_params
 from farsilm.pretrain_data import MaskingPolicy, PackingConfig, build_pretrain_examples, write_examples
+from farsilm import model as model_module
 from farsilm import training
 from farsilm.training import (
     AdamState,
@@ -25,7 +28,7 @@ from farsilm.training import (
 )
 from farsilm.wordpiece import TokenizerTrainConfig, train_wordpiece
 from mutation import mutate, mutations
-from padded_reference import reference_adam_step
+from padded_reference import padded_backprop, padded_encode, reference_adam_step
 
 WORDS = ["ab", "abc", "bcd", "cab", "dab", "bad", "cad", "add", "dba", "cba"]
 
@@ -433,6 +436,19 @@ class TestPretrain:
         assert ckpt.read_bytes() == before
         assert trace.read_bytes() == short
 
+    def test_resume_past_step_zero_needs_the_earlier_trace(self, example_file, tmp_path):
+        path, vocab = example_file
+        config = small_config(vocab)
+        ckpt, trace = tmp_path / "m.ckpt", tmp_path / "m.csv"
+        pretrain(path, config, OptimizerConfig(batch_size=4, max_steps=3), 3, str(ckpt))
+        before = ckpt.read_bytes()
+        with pytest.raises(DataError, match=rf"{re.escape(str(trace))} does not exist, but the "
+                                            "checkpoint is at step 3"):
+            pretrain(path, config, OptimizerConfig(batch_size=4, max_steps=5), 3, str(ckpt),
+                     trace_path=str(trace))
+        assert ckpt.read_bytes() == before
+        assert not trace.exists()
+
     def test_a_header_only_trace_ends_at_step_zero(self, example_file, tmp_path):
         path, vocab = example_file
         config = small_config(vocab)
@@ -446,6 +462,25 @@ class TestPretrain:
         with pytest.raises(DataError, match="ends at step 0, but the checkpoint is at step 2"):
             pretrain(path, config, OptimizerConfig(batch_size=4, max_steps=3), 3, str(ckpt),
                      trace_path=str(trace))
+
+    @pytest.mark.parametrize("layers", [1, 2])
+    def test_twenty_steps_equal_the_padded_encoders_bytes(
+        self, example_file, tmp_path, monkeypatch, layers
+    ):
+        # the grid holds one step to the padded encoder; this holds a run,
+        # where each step starts from parameters the pruned steps made
+        path, vocab = example_file
+        config = dataclasses.replace(small_config(vocab), layers=layers)
+        opt = OptimizerConfig(batch_size=8, max_steps=20)
+        pretrain(path, config, opt, 11, str(tmp_path / "real.ckpt"),
+                 trace_path=str(tmp_path / "real.csv"))
+        with monkeypatch.context() as patch:
+            patch.setattr(model_module, "_encode", padded_encode)
+            patch.setattr(model_module, "backprop_encoder", padded_backprop)
+            pretrain(path, config, opt, 11, str(tmp_path / "ref.ckpt"),
+                     trace_path=str(tmp_path / "ref.csv"))
+        for name in ("ckpt", "csv"):
+            assert (tmp_path / f"real.{name}").read_bytes() == (tmp_path / f"ref.{name}").read_bytes()
 
     def test_trace_covers_consecutive_steps(self, example_file, tmp_path):
         path, vocab = example_file
