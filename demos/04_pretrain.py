@@ -11,7 +11,7 @@ from farsilm.synthetic import generate_mlm_corpus
 from farsilm.wordpiece import TokenizerTrainConfig, save_vocab, train_wordpiece
 from farsilm.pretrain_data import MaskingPolicy, PackingConfig, build_pretrain_examples, write_examples
 from farsilm.model import ModelConfig, param_count
-from farsilm.training import OptimizerConfig, load_checkpoint, pretrain, read_loss_trace
+from farsilm.training import OptimizerConfig, pretrain, read_loss_trace
 
 work = Path(tempfile.mkdtemp(prefix="farsilm-demo-"))
 print("artifacts in", work)
@@ -48,13 +48,15 @@ rows = read_loss_trace(work / "trace.csv")
 print(f"\nMLM loss first step {rows[0][1]:.3f} -> last step {rows[-1][1]:.3f}")
 
 # Resumption is exact: training is a pure function of (seed, step), so asking
-# for 100 more steps continues as if the run had never stopped.
+# for 100 more steps continues as if the run had never stopped. The checkpoint
+# holds the seed and every step's losses, and the trace is written whole from
+# it, so it holds all 300 rows.
 more = OptimizerConfig(learning_rate=1e-3, batch_size=32, max_steps=300, warmup_steps=20)
-pretrain(
+checkpoint = pretrain(
     str(work / "examples.ptex"), model_config, more, seed=7,
     checkpoint_path=str(work / "model.flcp"),
     trace_path=str(work / "trace.csv"),
 )
-checkpoint = load_checkpoint(str(work / "model.flcp"))
 rows = read_loss_trace(work / "trace.csv")
 print(f"resumed to step {checkpoint.step}; trace now has {len(rows)} rows")
+assert [row[0] for row in rows] == list(range(1, checkpoint.step + 1))

@@ -5,9 +5,9 @@ always emit LF line endings and sorted keys so identical data produces
 byte-identical files.
 
 Every artifact writer goes through :func:`atomic_open`, so a write that
-fails leaves any earlier file at the target as it was. The loss trace,
-which a resumed run appends to, is rewritten whole: the earlier bytes,
-then the new rows.
+fails leaves any earlier file at the target as it was. No file is
+appended to: the loss trace too is written whole, from the loss history
+its checkpoint holds.
 """
 
 from __future__ import annotations

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import struct
 from array import array
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -125,12 +125,15 @@ def build_nsp_pairs(
             width = end - start
             outside = before + len(same) - after
             size = n - width - outside
+            # the k-th free index (from 0) is k plus the count of excluded
+            # indices below it; for the e-th excluded index x, x - e counts
+            # the free ones below x and never decreases, so bisection finds
+            # that count as the number of e with x - e <= k
             if size > 0:
                 k = int(rng.integers(0, size))
-                j = k + _excluded_at_or_below(
-                    k,
-                    lambda e: same[e] if e < before else same[e - before + after] - width,
-                    outside,
+                j = k + bisect_right(
+                    range(outside), k,
+                    key=lambda e: (same[e] if e < before else same[e - before + after] - width) - e,
                 )
                 if j >= start:
                     j += width
@@ -139,27 +142,9 @@ def build_nsp_pairs(
                 if size == 0:
                     raise DataError("no negative candidate distinct from the true next sentence")
                 k = int(rng.integers(0, size))
-                j = k + _excluded_at_or_below(k, same.__getitem__, len(same))
+                j = k + bisect_right(range(len(same)), k, key=lambda e: same[e] - e)
             pairs.append((first, flat[j], NOT_NEXT))
     return pairs
-
-
-def _excluded_at_or_below(k: int, excluded: Callable[[int], int], count: int) -> int:
-    """How many of ``count`` excluded indices, ascending as ``excluded(e)``
-    for e in [0, count), precede the k-th (from 0) index not excluded.
-
-    ``excluded(e) - e`` counts the free indices below ``excluded(e)`` and
-    never decreases, so the answer, the first e where it exceeds k, is
-    found by bisection.
-    """
-    lo, hi = 0, count
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if excluded(mid) - mid <= k:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
 
 
 def _pack(pair: tuple[str, str, int], model: WordPieceModel, max_len: int) -> tuple[list[int], int]:

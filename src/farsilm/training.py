@@ -7,7 +7,10 @@ byte-identical files, which the reproducibility checks rely on.
 
 The pretraining loop draws each step's batch independently from the
 example file with a counter-based seed, so a run resumed from step 100
-replays exactly the batches an uninterrupted run would have seen.
+replays exactly the batches an uninterrupted run would have seen. Its
+checkpoint also holds the seed and every step's losses, so one file
+holds the whole run: the loss trace is written whole from it at the end
+of each run, and a resume can neither drop nor repeat a row.
 """
 
 from __future__ import annotations
@@ -30,7 +33,8 @@ from .pretrain_data import ExampleTable, collate, read_examples
 
 _MAGIC = b"FLCP"
 _VERSION = 1
-_TENSOR_GROUPS = ("param:", "adam_m:", "adam_v:", "head:")  # tensor name prefixes
+_TENSOR_GROUPS = ("param:", "adam_m:", "adam_v:", "head:", "loss:")  # tensor name prefixes
+_LOSSES = ("mlm_loss", "nsp_loss")
 _NUMERIC_DTYPE = re.compile(r"[<>|][biuf][0-9]{1,2}")
 
 
@@ -131,10 +135,20 @@ class Checkpoint:
     head_kind: str | None = None
     head_labels: tuple[str, ...] | None = None
     head_params: dict[str, np.ndarray] | None = None
+    # pretrain() records its seed and the float64 mlm_loss and nsp_loss of steps 1..step
+    seed: int | None = None
+    losses: dict[str, np.ndarray] | None = None
 
     @property
     def step(self) -> int:
         return self.adam_state.step
+
+    @property
+    def trace(self) -> tuple[tuple[int, float, float], ...]:
+        """The (step, mlm_loss, nsp_loss) rows of the loss history; none without one."""
+        if self.losses is None:
+            return ()
+        return tuple(zip(range(1, self.step + 1), *(self.losses[n].tolist() for n in _LOSSES)))
 
 
 def _json_bytes(obj) -> bytes:
@@ -150,6 +164,8 @@ def save_checkpoint(
     head_kind: str | None = None,
     head_labels=None,
     head_params: dict[str, np.ndarray] | None = None,
+    seed: int | None = None,
+    losses: dict[str, np.ndarray] | None = None,
 ) -> None:
     tensors: dict[str, np.ndarray] = {}
     for name, value in params.items():
@@ -160,6 +176,8 @@ def save_checkpoint(
         tensors["adam_v:" + name] = value
     for name, value in (head_params or {}).items():
         tensors["head:" + name] = value
+    for name, value in (losses or {}).items():
+        tensors["loss:" + name] = value
     order = sorted(tensors)
     header = {
         "model_config": dataclasses.asdict(model_config),
@@ -176,6 +194,8 @@ def save_checkpoint(
     }
     if head_kind is not None:
         header["head"] = {"kind": head_kind, "labels": list(head_labels or ())}
+    if seed is not None:
+        header["seed"] = seed
     blob = _json_bytes(header)
     with atomic_open(path, binary=True) as handle:
         handle.write(_MAGIC)
@@ -250,15 +270,18 @@ def load_checkpoint(path: str) -> Checkpoint:
         raise DataError(f"checkpoint {path} has a malformed header: {exc}") from exc
     if not isinstance(header, dict):
         raise DataError(f"checkpoint {path} header is not a record")
-    for key in ("model_config", "opt_config", "step", "tensors"):
+    required = ("model_config", "opt_config", "step", "tensors")
+    for key in required:
         if key not in header:
             raise DataError(f"checkpoint {path} header lacks {key!r}")
-    unknown = sorted(set(header) - {"model_config", "opt_config", "step", "tensors", "head"})
+    unknown = sorted(set(header) - {*required, "head", "seed"})
     if unknown:
         raise DataError(f"checkpoint {path} header has unknown keys {unknown}")
+    for key in ("step", "seed"):
+        value = header.get(key, 0)
+        if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+            raise DataError(f"checkpoint {path} has a bad {key} {value!r}")
     step = header["step"]
-    if isinstance(step, bool) or not isinstance(step, int) or step < 0:
-        raise DataError(f"checkpoint {path} has a bad step {step!r}")
     if not isinstance(header["tensors"], list):
         raise DataError(f"checkpoint {path}: tensors is not a list")
     head = header.get("head")
@@ -309,6 +332,13 @@ def load_checkpoint(path: str) -> Checkpoint:
     head_params = group("head:")
     if bool(head_params) != (head is not None):
         raise DataError(f"checkpoint {path}: head tensors and head record disagree")
+    # a loss history is absent, or holds one float64 row per step
+    losses = group("loss:")
+    if losses and (
+        set(losses) != set(_LOSSES)
+        or any(value.shape != (step,) or value.dtype != np.float64 for value in losses.values())
+    ):
+        raise DataError(f"checkpoint {path}: the loss history does not hold {step} steps")
     return Checkpoint(
         model_config,
         opt_config,
@@ -317,24 +347,18 @@ def load_checkpoint(path: str) -> Checkpoint:
         head_kind=head["kind"] if head else None,
         head_labels=tuple(head["labels"]) if head else None,
         head_params=head_params or None,
+        seed=header.get("seed"),
+        losses=losses or None,
     )
 
 
-def write_loss_trace(path: str, rows, append: bool = False) -> None:
-    """CSV of per-step losses with a step,mlm_loss,nsp_loss header.
-
-    With ``append`` and an existing trace, the rows follow its bytes. The
-    whole file is written atomically either way.
-    """
-    appending = append and os.path.exists(path)
-    earlier = read_text(path) if appending else ""
+def write_loss_trace(path: str, rows) -> None:
+    """CSV of per-step losses with a step,mlm_loss,nsp_loss header, written
+    whole and atomically."""
     with atomic_open(path) as handle:
-        handle.write(earlier)
         writer = csv.writer(handle)  # \r\n line ends, which the handle keeps
-        if not appending:
-            writer.writerow(["step", "mlm_loss", "nsp_loss"])
-        for step, mlm_loss, nsp_loss in rows:
-            writer.writerow([step, f"{mlm_loss:.10f}", f"{nsp_loss:.10f}"])
+        writer.writerow(["step", "mlm_loss", "nsp_loss"])
+        writer.writerows((step, f"{mlm:.10f}", f"{nsp:.10f}") for step, mlm, nsp in rows)
 
 
 def read_loss_trace(path: str) -> list[tuple[int, float, float]]:
@@ -351,17 +375,6 @@ def read_loss_trace(path: str) -> list[tuple[int, float, float]]:
         except ValueError:
             raise DataError(f"{path}: line {lineno} is not a step,mlm_loss,nsp_loss row") from None
     return rows
-
-
-@dataclass(frozen=True)
-class PretrainResult:
-    params: dict[str, np.ndarray]
-    adam_state: AdamState
-    trace: tuple[tuple[int, float, float], ...]
-
-    @property
-    def step(self) -> int:
-        return self.adam_state.step
 
 
 def _batch_for_step(examples: ExampleTable, batch_size: int, seed: int, step: int):
@@ -387,19 +400,20 @@ def pretrain(
     trace_path: str | None = None,
     log=None,
     log_every: int = 100,
-) -> PretrainResult:
-    """Run MLM+NSP pretraining and leave a checkpoint at checkpoint_path.
+) -> Checkpoint:
+    """Run MLM+NSP pretraining; returns the checkpoint it leaves at
+    checkpoint_path, which records the seed and every step's losses.
 
     If the checkpoint already exists, training resumes from its recorded
     step and runs until opt_config.max_steps. With max_steps 0 the saved
-    checkpoint holds the untouched initialization. A non-finite gradient
-    ends the run with a DataError naming the step, before any update or
-    checkpoint write. A negative ``seed`` or a ``log_every`` below 1 is a
-    ConfigError, raised before the example file is read. A resumed run
-    appends to the trace at ``trace_path``; one that is not a loss trace,
-    or whose last step (0 for a header alone) is not the checkpoint's, is
-    a DataError, raised before the first step. So is a missing trace when
-    the checkpoint is past step 0.
+    checkpoint holds the untouched initialization. At the end of the run
+    the whole loss history is written to ``trace_path``. A non-finite
+    gradient ends the run with a DataError naming the step, before any
+    update or write. A negative ``seed`` or a ``log_every`` below 1 is a
+    ConfigError, raised before the example file is read. Resuming with
+    another model config, optimizer setting or seed is a ConfigError, and
+    resuming a checkpoint without a loss history is a DataError; both are
+    raised before the first step.
     """
     check_seed(seed)
     check_log_every(log_every)
@@ -412,33 +426,25 @@ def pretrain(
     if not examples:
         raise DataError(f"{examples_path} holds no examples")
 
-    resumed = os.path.exists(checkpoint_path)
-    if resumed:
+    if os.path.exists(checkpoint_path):
         checkpoint = load_checkpoint(checkpoint_path)
         if checkpoint.model_config != model_config:
             raise ConfigError("checkpoint model config does not match")
         stored = dataclasses.replace(checkpoint.opt_config, max_steps=opt_config.max_steps)
         if stored != opt_config:
             raise ConfigError("checkpoint optimizer settings do not match")
-        params = checkpoint.params
-        state = checkpoint.adam_state
-        if trace_path is not None and os.path.exists(trace_path):
-            rows = read_loss_trace(trace_path)  # the new rows will follow these
-            last = rows[-1][0] if rows else 0
-            if last != state.step:
-                raise DataError(
-                    f"{trace_path} ends at step {last}, but the checkpoint is at step {state.step}"
-                )
-        elif trace_path is not None and state.step > 0:
-            raise DataError(
-                f"{trace_path} does not exist, but the checkpoint is at step {state.step}: "
-                "a resumed run appends to its earlier trace"
+        if checkpoint.losses is None:
+            raise DataError(f"checkpoint {checkpoint_path} holds no loss history to resume")
+        if checkpoint.seed != seed:
+            raise ConfigError(
+                f"checkpoint {checkpoint_path} was trained with seed {checkpoint.seed}, not {seed}"
             )
+        params, state, trace = checkpoint.params, checkpoint.adam_state, list(checkpoint.trace)
     else:
         params = init_params(model_config, seed)
         state = init_adam_state(params)
+        trace = []
 
-    trace: list[tuple[int, float, float]] = []
     while state.step < opt_config.max_steps:
         step = state.step + 1
         batch = _batch_for_step(examples, opt_config.batch_size, seed, step)
@@ -456,7 +462,11 @@ def pretrain(
                 f"mlm {losses['mlm_loss']:.4f} nsp {losses['nsp_loss']:.4f}"
             )
 
-    save_checkpoint(checkpoint_path, model_config, opt_config, params, state)
+    history = {name: np.array([row[i] for row in trace]) for i, name in enumerate(_LOSSES, 1)}
+    run = Checkpoint(model_config, opt_config, params, state, seed=seed, losses=history)
+    save_checkpoint(
+        checkpoint_path, model_config, opt_config, params, state, seed=seed, losses=history
+    )
     if trace_path is not None:
-        write_loss_trace(trace_path, trace, append=resumed)
-    return PretrainResult(params=params, adam_state=state, trace=tuple(trace))
+        write_loss_trace(trace_path, run.trace)
+    return run

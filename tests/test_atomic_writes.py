@@ -1,6 +1,5 @@
 """Every artifact writer replaces its target atomically: a write that fails
-partway leaves the earlier file byte for byte and no temporary file. That
-includes a loss trace that a resumed run appends to.
+partway leaves the earlier file byte for byte and no temporary file.
 ``write_examples`` has the same test in ``test_pretrain_data.py``."""
 
 import pytest
@@ -50,10 +49,7 @@ WRITERS = {
     "write_records": lambda path, n: write_records(path, records(n)),
     "write_tagged": lambda path, n: write_tagged(str(path), tagged(n)),
     "_write_text": lambda path, n: _write_text(str(path), "line\n" * n),
-    # a fresh trace replaces the earlier one; an appended one extends it
     "write_loss_trace": lambda path, n: write_loss_trace(str(path), trace_rows(n)),
-    "write_loss_trace-append": lambda path, n: write_loss_trace(
-        str(path), trace_rows(n), append=True),
 }
 
 
@@ -94,11 +90,3 @@ def test_text_is_utf8_with_lf_endings(tmp_path):
         handle.write("کتاب\nb\n")
     assert path.read_bytes() == "کتاب\nb\n".encode("utf-8")
 
-
-def test_appended_trace_holds_the_earlier_bytes(tmp_path):
-    path = tmp_path / "trace.csv"
-    write_loss_trace(str(path), trace_rows(2))
-    before = path.read_bytes()
-    write_loss_trace(str(path), [(3, 1.25, 0.5)], append=True)
-    assert path.read_bytes() == before + b"3,1.2500000000,0.5000000000\r\n"
-    assert before.startswith(b"step,mlm_loss,nsp_loss\r\n1,3.0000000000,0.7000000000\r\n")

@@ -12,7 +12,13 @@ from hypothesis import given, settings
 from farsilm.errors import ConfigError, DataError
 from farsilm.finetune import load_head_model
 from farsilm.model import ModelConfig, desk_config, init_params
-from farsilm.pretrain_data import MaskingPolicy, PackingConfig, build_pretrain_examples, write_examples
+from farsilm.pretrain_data import (
+    MaskingPolicy,
+    PackingConfig,
+    PretrainExample,
+    build_pretrain_examples,
+    write_examples,
+)
 from farsilm import model as model_module
 from farsilm import training
 from farsilm.training import (
@@ -179,6 +185,30 @@ class TestCheckpoint:
         assert all(np.array_equal(loaded.params[k], self.params[k]) for k in self.params)
         assert all(np.array_equal(loaded.adam_state.m[k], self.state.m[k]) for k in self.state.m)
         assert all(np.array_equal(loaded.adam_state.v[k], self.state.v[k]) for k in self.state.v)
+        assert loaded.seed is None and loaded.losses is None and loaded.trace == ()
+
+    def test_round_trip_of_the_seed_and_the_loss_history(self, tmp_path):
+        path = str(tmp_path / "model.ckpt")
+        losses = {"mlm_loss": np.linspace(5.0, 4.0, 7), "nsp_loss": np.full(7, 0.69)}
+        save_checkpoint(path, self.config, self.opt, self.params, self.state, seed=11,
+                        losses=losses)
+        loaded = load_checkpoint(path)
+        assert loaded.seed == 11
+        assert loaded.trace == tuple(
+            zip(range(1, 8), losses["mlm_loss"].tolist(), losses["nsp_loss"].tolist()))
+
+    @pytest.mark.parametrize(
+        "losses",
+        [{"mlm_loss": np.zeros(6), "nsp_loss": np.zeros(6)},
+         {"mlm_loss": np.zeros(7)},
+         {"mlm_loss": np.zeros(7), "nsp_loss": np.zeros(7, dtype=np.float32)}],
+        ids=["short", "one-loss", "float32"],
+    )
+    def test_rejects_a_loss_history_of_another_shape(self, tmp_path, losses):
+        path = str(tmp_path / "model.ckpt")
+        save_checkpoint(path, self.config, self.opt, self.params, self.state, losses=losses)
+        with pytest.raises(DataError, match="the loss history does not hold 7 steps"):
+            load_checkpoint(path)
 
     def test_double_save_is_byte_identical(self, tmp_path):
         a = tmp_path / "a.ckpt"
@@ -256,6 +286,8 @@ class TestCheckpoint:
             (lambda h: h["model_config"].update(layers=2.5), "model_config.layers"),
             (lambda h: h["opt_config"].update(learning_rate="fast"), "opt_config.learning_rate"),
             (lambda h: h.update(step="7"), "bad step"),
+            (lambda h: h.update(seed=-1), "bad seed -1"),
+            (lambda h: h.update(seed=True), "bad seed True"),
         ],
     )
     def test_rejects_bad_config_record(self, tmp_path, edit, match):
@@ -289,8 +321,9 @@ def _split_checkpoint(data):
 
 
 def _valid_checkpoints(tmp_path):
-    """A pretraining checkpoint with Adam moments and a fine-tuned one with
-    a head record and head tensors, small enough to mutate quickly."""
+    """A pretraining checkpoint with Adam moments, a fine-tuned one with a
+    head record and head tensors, and one that pretrain() wrote, with a
+    seed and a loss history, all small enough to mutate quickly."""
     config = ModelConfig(
         layers=1, heads=1, hidden=4, intermediate=4, vocab_size=8, max_positions=8
     )
@@ -305,11 +338,34 @@ def _valid_checkpoints(tmp_path):
         str(tuned), config, opt, params, AdamState(m={}, v={}, step=0),
         head_kind="classifier", head_labels=("neg", "pos"), head_params=head,
     )
-    return pretrained.read_bytes(), tuned.read_bytes()
+    examples, run = tmp_path / "examples.ptex", tmp_path / "run.flcp"
+    write_examples([
+        PretrainExample((2, 5, 4, 3, 6, 7, 3, 0), (0, 0, 0, 0, 1, 1, 1, 0),
+                        (1, 1, 1, 1, 1, 1, 1, 0), (-100, 6, -100, -100, -100, 5, -100, -100), nsp)
+        for nsp in (0, 1)
+    ], examples, 8)
+    pretrain(str(examples), config, OptimizerConfig(batch_size=2, max_steps=3), 5, str(run))
+    return pretrained.read_bytes(), tuned.read_bytes(), run.read_bytes()
+
+
+def _rejected_or_read_faithfully(path, mutated):
+    path.write_bytes(mutated)
+    try:
+        got = load_checkpoint(str(path))
+        if got.head_kind is not None:
+            load_head_model(str(path))
+    except DataError:
+        return
+    save_checkpoint(
+        str(path), got.model_config, got.opt_config, got.params, got.adam_state,
+        head_kind=got.head_kind, head_labels=got.head_labels,
+        head_params=got.head_params, seed=got.seed, losses=got.losses,
+    )
+    assert _split_checkpoint(path.read_bytes()) == _split_checkpoint(mutated)
 
 
 class TestCheckpointMutation:
-    @pytest.mark.parametrize("which", [0, 1], ids=["pretrained", "tuned"])
+    @pytest.mark.parametrize("which", [0, 1, 2], ids=["pretrained", "tuned", "pretrain-run"])
     def test_mutated_file_is_rejected_or_read_faithfully(self, which, tmp_path_factory):
         """Neither format carries a checksum, so a flipped value byte can
         make another valid file; what must hold is that the reader either
@@ -322,33 +378,39 @@ class TestCheckpointMutation:
         @given(mutations(len(data), header_end))
         @settings(max_examples=300, derandomize=True, deadline=None)
         def check(mutation):
-            path = work / "mutated.flcp"
-            mutated = mutate(data, mutation)
-            path.write_bytes(mutated)
-            try:
-                got = load_checkpoint(str(path))
-                if got.head_kind is not None:
-                    load_head_model(str(path))
-            except DataError:
-                return
-            save_checkpoint(
-                str(path), got.model_config, got.opt_config, got.params, got.adam_state,
-                head_kind=got.head_kind, head_labels=got.head_labels,
-                head_params=got.head_params,
-            )
-            assert _split_checkpoint(path.read_bytes()) == _split_checkpoint(mutated)
+            _rejected_or_read_faithfully(work / "mutated.flcp", mutate(data, mutation))
 
         check()
 
+    def test_every_flip_of_the_seed_and_the_loss_history(self, tmp_path):
+        """Every byte value at each byte of the header's seed entry, and
+        every one-bit flip in the loss tensors."""
+        data = _valid_checkpoints(tmp_path)[2]
+        _, header, tail = _split_checkpoint(data)
+        seed_at = data.index(b'"seed":5')
+        flips = [(at, value) for at in range(seed_at, seed_at + 8) for value in range(1, 256)]
+        offset = len(data) - len(tail)
+        for entry in header["tensors"]:  # all float64
+            nbytes = 8 * int(np.prod(entry["shape"]))
+            if entry["name"].startswith("loss:"):
+                flips += [(at, 1 << b) for at in range(offset, offset + nbytes) for b in range(8)]
+            offset += nbytes
+        assert len(flips) == 8 * 255 + 2 * 3 * 8 * 8
+        for at, value in flips:
+            mutated = bytearray(data)
+            mutated[at] ^= value
+            _rejected_or_read_faithfully(tmp_path / "mutated.flcp", bytes(mutated))
+
 
 class TestLossTrace:
-    def test_round_trip_and_append(self, tmp_path):
-        path = str(tmp_path / "trace.csv")
-        write_loss_trace(path, [(1, 5.0, 0.7), (2, 4.5, 0.69)])
-        write_loss_trace(path, [(3, 4.0, 0.68)], append=True)
-        rows = read_loss_trace(path)
-        assert [r[0] for r in rows] == [1, 2, 3]
-        assert rows[2][1] == pytest.approx(4.0)
+    def test_round_trip(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        write_loss_trace(str(path), [(1, 5.0, 0.7), (2, 4.5, 0.69)])
+        assert path.read_bytes() == (
+            b"step,mlm_loss,nsp_loss\r\n"
+            b"1,5.0000000000,0.7000000000\r\n2,4.5000000000,0.6900000000\r\n"
+        )
+        assert read_loss_trace(str(path)) == [(1, 5.0, 0.7), (2, 4.5, 0.69)]
 
     def test_rejects_foreign_csv(self, tmp_path):
         path = tmp_path / "other.csv"
@@ -381,9 +443,11 @@ class TestPretrain:
         ckpt = str(tmp_path / "init.ckpt")
         result = pretrain(path, config, OptimizerConfig(max_steps=0, batch_size=4), 11, ckpt)
         fresh = init_params(config, 11)
-        assert result.step == 0
+        assert result.step == 0 and result.trace == ()
         assert all(np.array_equal(result.params[k], fresh[k]) for k in fresh)
         assert load_checkpoint(ckpt).step == 0
+        assert {name: len(value) for name, value in load_checkpoint(ckpt).losses.items()} == {
+            "mlm_loss": 0, "nsp_loss": 0}
 
     def test_resume_matches_uninterrupted_run(self, example_file, tmp_path):
         path, vocab = example_file
@@ -406,62 +470,65 @@ class TestPretrain:
             str(tmp_path / "solid.csv")
         )
 
-    def test_resume_onto_a_foreign_trace_fails_before_the_first_step(self, example_file, tmp_path):
+    def test_a_failed_trace_write_resumes_to_the_uninterrupted_bytes(self, example_file, tmp_path):
+        # the checkpoint is saved before the trace is written, and it holds
+        # the whole history, so a rerun writes out what the failed write lost
         path, vocab = example_file
         config = small_config(vocab)
-        ckpt, trace = tmp_path / "r.ckpt", tmp_path / "r.csv"
-        pretrain(path, config, OptimizerConfig(batch_size=4, max_steps=2), 3, str(ckpt))
-        before = ckpt.read_bytes()
-        trace.write_text("notes, not a trace\n")
-        with pytest.raises(DataError, match="is not a loss trace"):
-            pretrain(path, config, OptimizerConfig(batch_size=4, max_steps=4), 3, str(ckpt),
+        solid = tmp_path / "solid"
+        solid.mkdir()
+        for steps in (3, 5):
+            pretrain(path, config, OptimizerConfig(batch_size=4, max_steps=steps), 3,
+                     str(solid / f"{steps}.ckpt"), trace_path=str(solid / f"{steps}.csv"))
+        ckpt, trace = tmp_path / "m.ckpt", tmp_path / "later" / "m.csv"
+        with pytest.raises(FileNotFoundError):
+            pretrain(path, config, OptimizerConfig(batch_size=4, max_steps=3), 3, str(ckpt),
                      trace_path=str(trace))
-        assert ckpt.read_bytes() == before
-        assert trace.read_text() == "notes, not a trace\n"
+        trace.parent.mkdir()
+        for steps in (3, 5):
+            pretrain(path, config, OptimizerConfig(batch_size=4, max_steps=steps), 3, str(ckpt),
+                     trace_path=str(trace))
+            assert ckpt.read_bytes() == (solid / f"{steps}.ckpt").read_bytes()
+            assert trace.read_bytes() == (solid / f"{steps}.csv").read_bytes()
 
-    def test_resume_onto_a_trace_of_another_step_fails_before_the_first_step(
+    def test_a_resume_with_a_trace_writes_every_step(self, example_file, tmp_path):
+        path, vocab = example_file
+        config = small_config(vocab)
+        opt = OptimizerConfig(batch_size=4, max_steps=4)
+        full = pretrain(path, config, opt, 3, str(tmp_path / "full.ckpt"),
+                        trace_path=str(tmp_path / "full.csv"))
+        ckpt, trace = tmp_path / "m.ckpt", tmp_path / "m.csv"
+        pretrain(path, config, OptimizerConfig(batch_size=4, max_steps=2), 3, str(ckpt))
+        resumed = pretrain(path, config, opt, 3, str(ckpt), trace_path=str(trace))
+        assert [row[0] for row in read_loss_trace(str(trace))] == [1, 2, 3, 4]
+        assert trace.read_bytes() == (tmp_path / "full.csv").read_bytes()
+        assert resumed.trace == full.trace == load_checkpoint(str(ckpt)).trace
+
+    def test_resume_without_a_loss_history_fails_before_the_first_step(
         self, example_file, tmp_path
     ):
         path, vocab = example_file
         config = small_config(vocab)
-        ckpt, trace = tmp_path / "r.ckpt", tmp_path / "r.csv"
-        pretrain(path, config, OptimizerConfig(batch_size=4, max_steps=2), 3, str(ckpt),
-                 trace_path=str(trace))
-        short = trace.read_bytes()
-        pretrain(path, config, OptimizerConfig(batch_size=4, max_steps=5), 3, str(ckpt))
+        opt = OptimizerConfig(batch_size=4, max_steps=2)
+        ckpt, trace = tmp_path / "bare.ckpt", tmp_path / "bare.csv"
+        run = pretrain(path, config, opt, 3, str(ckpt))
+        save_checkpoint(str(ckpt), config, opt, run.params, run.adam_state)
         before = ckpt.read_bytes()
-        with pytest.raises(DataError, match="ends at step 2, but the checkpoint is at step 5"):
-            pretrain(path, config, OptimizerConfig(batch_size=4, max_steps=8), 3, str(ckpt),
-                     trace_path=str(trace))
-        assert ckpt.read_bytes() == before
-        assert trace.read_bytes() == short
-
-    def test_resume_past_step_zero_needs_the_earlier_trace(self, example_file, tmp_path):
-        path, vocab = example_file
-        config = small_config(vocab)
-        ckpt, trace = tmp_path / "m.ckpt", tmp_path / "m.csv"
-        pretrain(path, config, OptimizerConfig(batch_size=4, max_steps=3), 3, str(ckpt))
-        before = ckpt.read_bytes()
-        with pytest.raises(DataError, match=rf"{re.escape(str(trace))} does not exist, but the "
-                                            "checkpoint is at step 3"):
-            pretrain(path, config, OptimizerConfig(batch_size=4, max_steps=5), 3, str(ckpt),
+        with pytest.raises(DataError, match=rf"{re.escape(str(ckpt))} holds no loss history"):
+            pretrain(path, config, OptimizerConfig(batch_size=4, max_steps=4), 3, str(ckpt),
                      trace_path=str(trace))
         assert ckpt.read_bytes() == before
         assert not trace.exists()
 
-    def test_a_header_only_trace_ends_at_step_zero(self, example_file, tmp_path):
+    def test_resume_with_another_seed_fails_before_the_first_step(self, example_file, tmp_path):
         path, vocab = example_file
         config = small_config(vocab)
-        ckpt, trace = tmp_path / "h.ckpt", tmp_path / "h.csv"
-        write_loss_trace(str(trace), [])
-        pretrain(path, config, OptimizerConfig(batch_size=4, max_steps=0), 3, str(ckpt))
-        pretrain(path, config, OptimizerConfig(batch_size=4, max_steps=2), 3, str(ckpt),
-                 trace_path=str(trace))
-        assert [row[0] for row in read_loss_trace(str(trace))] == [1, 2]
-        write_loss_trace(str(trace), [])
-        with pytest.raises(DataError, match="ends at step 0, but the checkpoint is at step 2"):
-            pretrain(path, config, OptimizerConfig(batch_size=4, max_steps=3), 3, str(ckpt),
-                     trace_path=str(trace))
+        ckpt = tmp_path / "s.ckpt"
+        pretrain(path, config, OptimizerConfig(batch_size=4, max_steps=2), 3, str(ckpt))
+        before = ckpt.read_bytes()
+        with pytest.raises(ConfigError, match="trained with seed 3, not 99"):
+            pretrain(path, config, OptimizerConfig(batch_size=4, max_steps=4), 99, str(ckpt))
+        assert ckpt.read_bytes() == before
 
     @pytest.mark.parametrize("layers", [1, 2])
     def test_twenty_steps_equal_the_padded_encoders_bytes(
