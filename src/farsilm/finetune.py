@@ -45,6 +45,7 @@ from .training import (
     Checkpoint,
     OptimizerConfig,
     adam_step,
+    check_finite_gradients,
     init_adam_state,
     load_checkpoint,
     save_checkpoint,
@@ -322,7 +323,8 @@ def _label_ids(task: Task, items, label_to_id, where: str) -> list[list[int]]:
 
 def _finetune(task: Task, checkpoint, tokenizer, train, dev, config) -> FinetuneOutcome:
     """The fine-tuning loop every task shares. Rows are encoded once, before
-    training."""
+    training. A non-finite gradient is a DataError naming the epoch, the
+    step and the tensor, raised before that step's update."""
     mcfg = checkpoint.model_config
     _check_tokenizer(tokenizer, mcfg)
     if not train:
@@ -377,6 +379,7 @@ def _finetune(task: Task, checkpoint, tokenizer, train, dev, config) -> Finetune
             dfeatures = dlogits @ full["head_w"].T
             d_sequence, d_pooled = (None, dfeatures) if source == "pooled" else (dfeatures, None)
             backprop_encoder(full, mcfg, cache, d_sequence, d_pooled, grads)
+            check_finite_gradients(grads, f"epoch {epoch + 1} step {state.step + 1}")
             adam_step(full, grads, state, opt)
         if dev:
             model = _assemble(task.head_kind, mcfg, full, config.label_inventory)

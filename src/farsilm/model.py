@@ -277,6 +277,10 @@ class _Rows:
         padded[self.flat] = tokens
         return padded.reshape(self.bsz, self.length, -1)
 
+    def heads(self, tokens: np.ndarray, nh: int) -> np.ndarray:
+        """The scattered token rows split into nh heads: (B, nh, L, K / nh)."""
+        return self.scatter(tokens).reshape(self.bsz, self.length, nh, -1).transpose(0, 2, 1, 3)
+
 
 def _affine(x, w, b):
     """x @ w + b, adding the bias in place."""
@@ -288,9 +292,11 @@ def _affine(x, w, b):
 def _encode(params, config, batch, reads=None):
     """Run the encoder and the NSP head; returns (outputs, cache).
 
-    outputs holds nsp_logits, pooled and sequence; cache holds every
-    intermediate :func:`backprop_encoder` needs. The MLM head is not run
-    here: callers apply :func:`_mlm_head` to whichever rows they score.
+    outputs holds nsp_logits, pooled and sequence; cache holds what
+    :func:`backprop_encoder` reads but the GELU output and the padded head
+    layouts of queries, keys, values and context, which it forms again by
+    the operations that formed them here. The MLM head is not run here:
+    callers apply :func:`_mlm_head` to whichever rows they score.
     Unattended positions are skipped: ``sequence`` holds exact zeros
     there, and nothing at an attended position depends on them.
 
@@ -318,27 +324,24 @@ def _encode(params, config, batch, reads=None):
     # exact zero weight, which is what makes padding invariance exact
     bias = (1.0 - batch["attention_mask"][:, None, None, :]) * _MASK_BIAS
 
-    def heads(row_set, tokens):
-        return row_set.scatter(tokens).reshape(bsz, length, nh, dh).transpose(0, 2, 1, 3)
-
     layer_caches = []
     for layer in range(config.layers):
         p = f"layer{layer}."
         # the rows this layer's output keeps: the read ones in the last layer
         out = read if layer == config.layers - 1 else rows
         x_in = x
-        qh = heads(out, _affine(x[out.keep], params[p + "q_w"], params[p + "q_b"]))
-        kh = heads(rows, _affine(x, params[p + "k_w"], params[p + "k_b"]))
-        vh = heads(rows, _affine(x, params[p + "v_w"], params[p + "v_b"]))
+        q = _affine(x[out.keep], params[p + "q_w"], params[p + "q_b"])
+        k = _affine(x, params[p + "k_w"], params[p + "k_b"])
+        v = _affine(x, params[p + "v_w"], params[p + "v_b"])
         # scaled, biased and soft-maxed in place: the steps of _softmax
-        probs = qh @ kh.transpose(0, 1, 3, 2)
+        probs = out.heads(q, nh) @ rows.heads(k, nh).transpose(0, 1, 3, 2)
         probs /= np.sqrt(dh)
         probs += bias
         probs -= probs.max(-1, keepdims=True)
         np.exp(probs, out=probs)
         probs /= probs.sum(-1, keepdims=True)
-        ctx = (probs @ vh).transpose(0, 2, 1, 3).reshape(bsz, length, config.hidden)
-        attn_out = _affine(out.gather(ctx), params[p + "o_w"], params[p + "o_b"])
+        ctx = out.gather((probs @ rows.heads(v, nh)).swapaxes(1, 2).reshape(bsz, length, -1))
+        attn_out = _affine(ctx, params[p + "o_w"], params[p + "o_b"])
         attn_out += x_in[out.keep]
         x_attn, attn_ln_cache = _layer_norm(
             attn_out, params[p + "attn_ln_g"], params[p + "attn_ln_b"]
@@ -353,9 +356,9 @@ def _encode(params, config, batch, reads=None):
         )
         layer_caches.append(
             dict(
-                out=out, x_in=x_in, qh=qh, kh=kh, vh=vh, probs=probs, ctx=ctx,
+                out=out, x_in=x_in, q=q, k=k, v=v, probs=probs, ctx=ctx,
                 attn_ln=attn_ln_cache, x_attn=x_attn, ffn_pre=ffn_pre,
-                ffn_cdf=ffn_cdf, ffn_act=ffn_act, ffn_ln=ffn_ln_cache,
+                ffn_cdf=ffn_cdf, ffn_ln=ffn_ln_cache,
             )
         )
 
@@ -444,17 +447,19 @@ def gradients(params, config: ModelConfig, batch):
     gold = labels[selected]
     sequence = outputs["sequence"]
     mlm_logits, (x_sel, mlm_pre, mlm_cdf, mlm_tr, mlm_ln) = _mlm_head(params, sequence[selected])
-    nsp_labels = batch["nsp_labels"]
-    losses, mlm_logp = _losses(mlm_logits, gold, outputs["nsp_logits"], nsp_labels)
+    nsp_logits, nsp_labels = outputs["nsp_logits"], batch["nsp_labels"]
+    losses, mlm_logp = _losses(mlm_logits, gold, nsp_logits, nsp_labels)
     if not np.isfinite(losses["total"]):
         raise DataError(f"non-finite loss {losses['total']}; aborting backward pass")
+    # the heads' arrays are dropped at their last use, before the encoder's backward pass
+    del outputs, sequence, mlm_logits
 
     grads = {name: np.zeros_like(value) for name, value in params.items()}
 
     # MLM head backward over the labelled rows; with none, every MLM
     # gradient stays exactly zero
     n_sel = len(gold)
-    dlogits = np.exp(mlm_logp)
+    dlogits = np.exp(mlm_logp, out=mlm_logp)
     dlogits[np.arange(n_sel), gold] -= 1.0
     dlogits /= max(n_sel, 1)
     grads["tok_emb"] += dlogits.T @ mlm_tr
@@ -465,11 +470,12 @@ def gradients(params, config: ModelConfig, batch):
     dpre = _gelu_back(dact, mlm_pre, mlm_cdf)
     grads["mlm_w"] += x_sel.T @ dpre
     grads["mlm_b"] += dpre.sum(0)
-    dx = np.zeros_like(sequence)
+    dx = np.zeros(selected.shape + (config.hidden,))
     dx[selected] = dpre @ params["mlm_w"].T
+    del mlm_logp, dlogits, dact, dpre, x_sel, mlm_pre, mlm_cdf, mlm_tr, mlm_ln
 
     # NSP head backward
-    dnsp = _softmax_xent_grad(outputs["nsp_logits"], nsp_labels)
+    dnsp = _softmax_xent_grad(nsp_logits, nsp_labels)
     grads["nsp_w"] += cache["pooled"].T @ dnsp
     grads["nsp_b"] += dnsp.sum(0)
     dpooled = dnsp @ params["nsp_w"].T
@@ -490,24 +496,24 @@ def backprop_encoder(params, config: ModelConfig, cache, d_sequence, d_pooled, g
 
     Token-wise work runs on each layer's rows: the read rows in the last
     layer, the attended rows below it. Every matrix product runs on padded
-    (B, L, K) operands whose other gradient rows are exact zeros. BLAS may
+    (B * L, K) operands whose other gradient rows are exact zeros. BLAS may
     choose another kernel, and so another summation order, for another
     row count; the padded products give the same bits as an encoder that
     runs every position. Compact ``dy @ w.T`` products on the read rows
     would not: at the fine-tuning shapes L = 5 and L = 18 they change bits.
 
-    Four buffers, allocated once per call, hold the padded arrays. Two
-    zeroed (B * L, K) buffers, one hidden-wide and one FFN-wide, take the
-    token rows of each product's padded operands; only attended rows are
-    ever written, so the unattended rows stay exact zeros. The last layer
-    runs first and writes only its read rows until its input ``x_in``,
-    so the unread rows are zeros there too. Two (B, L, K) buffers, again
-    one of each width, receive each ``dy @ w.T`` before its token rows are
-    gathered. Each FFN product takes one operand of each width, so the
-    buffers are kept by role, not looked up by width: with hidden equal to
-    intermediate, a lookup by width would give both operands one buffer.
+    The padded operands go into zeroed (B * L, K) buffers, one hidden-wide
+    for the call and one FFN-wide per layer, and only token rows are ever
+    written; the last layer runs first and writes only its read rows until
+    its input ``x_in``. Each padded ``dy @ w.T`` lives only until its token
+    rows are gathered. The pass consumes ``cache``, taking each array out
+    at its last use, so it holds the layers below and one layer's working
+    set; a second call on the same cache is a RuntimeError.
     """
-    rows, read = cache["rows"], cache["read"]
+    rows, read, layers = cache["rows"], cache["read"], cache["layers"]
+    if len(layers) != config.layers:
+        raise RuntimeError("this encoder cache was consumed by an earlier backprop_encoder "
+                           "call; encode the batch again for another backward pass")
     bsz, length = rows.bsz, rows.length
     hidden, inter = config.hidden, config.intermediate
     nh = config.heads
@@ -524,70 +530,68 @@ def backprop_encoder(params, config: ModelConfig, cache, d_sequence, d_pooled, g
         dx[read.cls] += dpool_pre @ params["pool_w"].T
 
     pad_hidden = np.zeros((bsz * length, hidden))
-    pad_ffn = np.zeros((bsz * length, inter))
-    out_hidden = np.empty((bsz, length, hidden))
-    out_ffn = np.empty((bsz, length, inter))
 
     def padded(buffer, row_set, tokens):
         """buffer, (B * L, K), with the token rows written in place."""
         buffer[row_set.flat] = tokens
         return buffer
 
-    def dense_back(flat_x, dy, w_name, b_name, out):
-        """Weight and bias gradients of x @ w + b, for x as padded rows and
-        dy as a padded (B, L, N) array; returns dy @ w.T, formed in out."""
-        flat_dy = dy.reshape(-1, dy.shape[-1])
+    def dense_back(flat_x, flat_dy, w_name, b_name):
+        """Weight and bias gradients of x @ w + b, for x and dy as padded
+        (B * L, K) rows; returns dy @ w.T as a (B, L, N) array."""
         grads[w_name] += flat_x.T @ flat_dy
         grads[b_name] += flat_dy.sum(0)
-        return np.matmul(dy, params[w_name].T, out=out)
+        # one product per batch row, as the padded encoder forms it
+        return flat_dy.reshape(bsz, length, -1) @ params[w_name].T
 
     def merge(heads_grad):
-        return heads_grad.transpose(0, 2, 1, 3).reshape(bsz, length, hidden)
+        return heads_grad.transpose(0, 2, 1, 3).reshape(-1, hidden)
 
     for layer in reversed(range(config.layers)):
         p = f"layer{layer}."
-        c = cache["layers"][layer]
+        c = layers.pop()  # each array is taken out of c at its last use
         out = c["out"]
 
-        dsum, dg, db = _layer_norm_back(dx, c["ffn_ln"])
+        dsum, dg, db = _layer_norm_back(dx, c.pop("ffn_ln"))
         grads[p + "ffn_ln_g"] += dg
         grads[p + "ffn_ln_b"] += db
-        dact = out.gather(dense_back(
-            padded(pad_ffn, out, c["ffn_act"]),
-            padded(pad_hidden, out, dsum).reshape(bsz, length, hidden),
-            p + "ffn_w2", p + "ffn_b2", out_ffn))
-        dffn_pre = _gelu_back(dact, c["ffn_pre"], c["ffn_cdf"])
-        dx_attn = out.gather(dense_back(
-            padded(pad_hidden, out, c["x_attn"]),
-            padded(pad_ffn, out, dffn_pre).reshape(bsz, length, inter),
-            p + "ffn_w1", p + "ffn_b1", out_hidden))
+        pad_ffn = np.zeros((bsz * length, inter))
+        # GELU's output, formed again as _gelu forms it
+        dact = out.gather(dense_back(padded(pad_ffn, out, c["ffn_pre"] * c["ffn_cdf"]),
+                                     padded(pad_hidden, out, dsum), p + "ffn_w2", p + "ffn_b2"))
+        padded(pad_ffn, out, _gelu_back(dact, c.pop("ffn_pre"), c.pop("ffn_cdf")))
+        dx_attn = out.gather(dense_back(padded(pad_hidden, out, c.pop("x_attn")), pad_ffn,
+                                        p + "ffn_w1", p + "ffn_b1"))
+        del dact, pad_ffn
         dx_attn += dsum
 
-        dsum, dg, db = _layer_norm_back(dx_attn, c["attn_ln"])
+        dsum, dg, db = _layer_norm_back(dx_attn, c.pop("attn_ln"))
         grads[p + "attn_ln_g"] += dg
         grads[p + "attn_ln_b"] += db
-        dctx = dense_back(
-            c["ctx"].reshape(-1, hidden), padded(pad_hidden, out, dsum).reshape(bsz, length, hidden),
-            p + "o_w", p + "o_b", out_hidden)
+        dctx = dense_back(out.scatter(c.pop("ctx")).reshape(-1, hidden),
+                          padded(pad_hidden, out, dsum), p + "o_w", p + "o_b")
         dctx = dctx.reshape(bsz, length, nh, dh).transpose(0, 2, 1, 3)
 
-        dprobs = dctx @ c["vh"].transpose(0, 1, 3, 2)
-        dvh = c["probs"].transpose(0, 1, 3, 2) @ dctx
+        probs = c.pop("probs")
+        dprobs = dctx @ rows.heads(c.pop("v"), nh).transpose(0, 1, 3, 2)
+        dvh = probs.transpose(0, 1, 3, 2) @ dctx
         # probs * (dprobs - rowsum(dprobs * probs)) / sqrt(dh), in dprobs's buffer
         dscores = dprobs
-        dscores -= (dprobs * c["probs"]).sum(-1, keepdims=True)
-        dscores *= c["probs"]
+        dscores -= (dprobs * probs).sum(-1, keepdims=True)
+        dscores *= probs
         dscores /= np.sqrt(dh)
-        dqh = dscores @ c["kh"]
-        dkh = dscores.transpose(0, 1, 3, 2) @ c["qh"]
+        del probs, dprobs, dctx
+        dqh = dscores @ rows.heads(c.pop("k"), nh)
+        dkh = dscores.transpose(0, 1, 3, 2) @ out.heads(c.pop("q"), nh)
+        del dscores
 
-        # dsum + dq @ q_w.T + dk @ k_w.T + dv @ v_w.T, summed in that order;
-        # dctx is spent, so out_hidden is free again
-        x_in = padded(pad_hidden, rows, c["x_in"])
-        dx = rows.gather(dense_back(x_in, merge(dqh), p + "q_w", p + "q_b", out_hidden))
+        # dsum + dq @ q_w.T + dk @ k_w.T + dv @ v_w.T, summed in that order
+        x_in = padded(pad_hidden, rows, c.pop("x_in"))
+        dx = rows.gather(dense_back(x_in, merge(dqh), p + "q_w", p + "q_b"))
         dx[out.keep] += dsum
-        dx += rows.gather(dense_back(x_in, merge(dkh), p + "k_w", p + "k_b", out_hidden))
-        dx += rows.gather(dense_back(x_in, merge(dvh), p + "v_w", p + "v_b", out_hidden))
+        dx += rows.gather(dense_back(x_in, merge(dkh), p + "k_w", p + "k_b"))
+        dx += rows.gather(dense_back(x_in, merge(dvh), p + "v_w", p + "v_b"))
+        del dqh, dkh, dvh
 
     # embedding backward: the sums np.add.at forms, added in its order
     demb, dg, db = _layer_norm_back(dx, cache["emb_ln"])

@@ -151,6 +151,16 @@ class Checkpoint:
         return tuple(zip(range(1, self.step + 1), *(self.losses[n].tolist() for n in _LOSSES)))
 
 
+def _check_history(losses: dict[str, np.ndarray], step: int, path: str) -> None:
+    """A loss history, for the writer and the reader alike, is absent (empty)
+    or holds one float64 row per step for exactly the losses in _LOSSES."""
+    if losses and (
+        set(losses) != set(_LOSSES)
+        or any(value.shape != (step,) or value.dtype != np.float64 for value in losses.values())
+    ):
+        raise DataError(f"checkpoint {path}: the loss history does not hold {step} steps")
+
+
 def _json_bytes(obj) -> bytes:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
@@ -167,6 +177,8 @@ def save_checkpoint(
     seed: int | None = None,
     losses: dict[str, np.ndarray] | None = None,
 ) -> None:
+    """Write a checkpoint; a malformed loss history is a DataError, raised before writing."""
+    _check_history(losses or {}, state.step, path)
     tensors: dict[str, np.ndarray] = {}
     for name, value in params.items():
         tensors["param:" + name] = value
@@ -332,13 +344,8 @@ def load_checkpoint(path: str) -> Checkpoint:
     head_params = group("head:")
     if bool(head_params) != (head is not None):
         raise DataError(f"checkpoint {path}: head tensors and head record disagree")
-    # a loss history is absent, or holds one float64 row per step
     losses = group("loss:")
-    if losses and (
-        set(losses) != set(_LOSSES)
-        or any(value.shape != (step,) or value.dtype != np.float64 for value in losses.values())
-    ):
-        raise DataError(f"checkpoint {path}: the loss history does not hold {step} steps")
+    _check_history(losses, step, path)
     return Checkpoint(
         model_config,
         opt_config,
@@ -383,6 +390,14 @@ def _batch_for_step(examples: ExampleTable, batch_size: int, seed: int, step: in
     rng = np.random.default_rng((seed, 2, step))
     picks = rng.integers(0, len(examples), batch_size)
     return collate(examples[picks])
+
+
+def check_finite_gradients(grads: dict[str, np.ndarray], where: str) -> None:
+    """Raise DataError naming ``where`` and the first gradient that holds a
+    non-finite value; the training loops call it before each update."""
+    for name, grad in grads.items():
+        if not np.isfinite(grad).all():
+            raise DataError(f"{where}: gradient of {name} is not finite; no checkpoint written")
 
 
 def check_log_every(log_every: int) -> None:
@@ -449,11 +464,7 @@ def pretrain(
         step = state.step + 1
         batch = _batch_for_step(examples, opt_config.batch_size, seed, step)
         losses, grads = gradients(params, model_config, batch)
-        for name, grad in grads.items():
-            if not np.isfinite(grad).all():
-                raise DataError(
-                    f"step {step}: gradient of {name} is not finite; no checkpoint written"
-                )
+        check_finite_gradients(grads, f"step {step}")
         adam_step(params, grads, state, opt_config)
         trace.append((step, losses["mlm_loss"], losses["nsp_loss"]))
         if log is not None and (step % log_every == 0 or step == opt_config.max_steps):

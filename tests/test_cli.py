@@ -5,8 +5,10 @@ import json
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from farsilm import finetune as finetune_module
 from farsilm.cli import _evaluate, build_parser, main
 from farsilm.finetune import TASKS, FinetuneConfig, save_head_model
 from farsilm.lineio import read_records
@@ -111,6 +113,25 @@ class TestExitCodes:
         assert main([arg.format(**names) for arg in argv] + ["--seed", "-1"]) == 2
         assert "seed must be a non-negative integer, got -1" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("task", ["cls", "ner"])
+    def test_non_finite_fine_tuning_gradient_is_two(
+        self, pipeline, tmp_path, capsys, monkeypatch, task
+    ):
+        def poisoned(*args):
+            real_backprop(*args)
+            args[-1]["head_w"][0, 0] = np.inf
+
+        real_backprop = finetune_module.backprop_encoder
+        monkeypatch.setattr(finetune_module, "backprop_encoder", poisoned)
+        data, out = tmp_path / f"{task}.data", tmp_path / "out"
+        assert main(["gen-synthetic", task, "--seed", "3", "--count", "8",
+                     "--out", str(data)]) == 0
+        assert main([f"finetune-{task}", "--checkpoint", str(pipeline["checkpoint"]),
+                     "--vocab", str(pipeline["vocab"]), "--train", str(data),
+                     "--dev", str(data), "--out", str(out)]) == 2
+        assert "epoch 1 step 1: gradient of head_w is not finite" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_help_exits_zero(self):
         with pytest.raises(SystemExit) as info:

@@ -11,6 +11,7 @@ import re
 import numpy as np
 import pytest
 
+from farsilm import finetune as finetune_module
 from farsilm.errors import ConfigError, DataError
 from farsilm.finetune import (
     FinetuneConfig,
@@ -249,6 +250,33 @@ class TestErrors:
         with pytest.raises(ConfigError, match="vocabulary"):
             finetune_sequence(bad, tokenizer, make_cls(4, 0), [],
                               FinetuneConfig(("pos", "neg"), epochs=1))
+
+    @pytest.mark.parametrize("kind", ["cls", "ner"])
+    def test_non_finite_gradient_aborts_before_the_update(self, setup, monkeypatch, kind):
+        tokenizer, _, checkpoint = setup
+        calls, updates = [], []
+
+        def poisoned(*args):
+            real_backprop(*args)
+            calls.append(1)
+            if len(calls) == 3:
+                args[-1]["layer0.ffn_w1"][2, 5] = np.nan
+
+        def counted(*args):
+            updates.append(1)
+            real_adam(*args)
+
+        real_backprop, real_adam = finetune_module.backprop_encoder, finetune_module.adam_step
+        monkeypatch.setattr(finetune_module, "backprop_encoder", poisoned)
+        monkeypatch.setattr(finetune_module, "adam_step", counted)
+        train, run, labels = {
+            "cls": (make_cls(8, 1), finetune_sequence, ("pos", "neg")),
+            "ner": (make_ner(8, 1), finetune_tokens, ("O", "B-PER", "I-PER")),
+        }[kind]
+        # four items a batch: epoch 1 takes steps 1 and 2, epoch 2 steps 3 and 4
+        with pytest.raises(DataError, match="epoch 2 step 3: gradient of layer0.ffn_w1 is not"):
+            run(checkpoint, tokenizer, train, [], FinetuneConfig(labels, epochs=2, batch_size=4))
+        assert len(calls) == 3 and len(updates) == 2
 
 
 class TestTraining:

@@ -561,17 +561,27 @@ class TestUnpaddedEncoder:
     def test_upstream_gradient_on_padding_is_ignored(self):
         cfg = desk_config(vocab_size=300, max_positions=64)
         batch = grid_batch(3, 18, "ragged")
-        _, cache = _encode(self.params, cfg, batch)
         upstream = np.random.default_rng(4).normal(size=(3, 18, 64))
         noisy = upstream.copy()
         clean = upstream * batch["attention_mask"][..., None]
         results = []
         for d_sequence in (clean, noisy):
+            # the backward pass consumes its cache, so each one encodes afresh
+            _, cache = _encode(self.params, cfg, batch)
             grads = {name: np.zeros_like(value) for name, value in self.params.items()}
             backprop_encoder(self.params, cfg, cache, d_sequence, None, grads)
             results.append(grads)
         for name in results[0]:
             assert results[0][name].tobytes() == results[1][name].tobytes(), name
+
+    def test_a_consumed_cache_is_refused(self):
+        batch = grid_batch(3, 18, "ragged")
+        _, cache = _encode(self.params, self.cfg, batch)
+        d_pooled = np.ones((3, self.cfg.hidden))
+        grads = {name: np.zeros_like(value) for name, value in self.params.items()}
+        backprop_encoder(self.params, self.cfg, cache, None, d_pooled, grads)
+        with pytest.raises(RuntimeError, match="consumed by an earlier backprop_encoder call"):
+            backprop_encoder(self.params, self.cfg, cache, None, d_pooled, grads)
 
 
 class TestBatchGuards:

@@ -2,8 +2,10 @@
 
 import dataclasses
 import json
+import math
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from hypothesis import given, settings
 
 from farsilm.errors import ConfigError, DataError
 from farsilm.finetune import load_head_model
-from farsilm.model import ModelConfig, desk_config, init_params
+from farsilm.model import ModelConfig, desk_config, gradients, init_params
 from farsilm.pretrain_data import (
     MaskingPolicy,
     PackingConfig,
@@ -166,6 +168,17 @@ class TestAdam:
         assert config.warmup_steps == 0
 
 
+# loss histories the checkpoint reader rejects, for a checkpoint at step 7
+_BAD_HISTORIES = pytest.mark.parametrize(
+    "losses",
+    [{"mlm_loss": np.zeros(6), "nsp_loss": np.zeros(6)},
+     {"mlm_loss": np.zeros(7)},
+     {"mlm_loss": np.zeros(7), "nsp_loss": np.zeros(7, dtype=np.float32)},
+     {"mlm_loss": np.zeros(7), "nsp_loss": np.zeros(7), "sop_loss": np.zeros(7)}],
+    ids=["short", "one-loss", "float32", "extra-loss"],
+)
+
+
 class TestCheckpoint:
     def setup_method(self):
         self.config = small_config(vocab_size=40)
@@ -197,18 +210,51 @@ class TestCheckpoint:
         assert loaded.trace == tuple(
             zip(range(1, 8), losses["mlm_loss"].tolist(), losses["nsp_loss"].tolist()))
 
-    @pytest.mark.parametrize(
-        "losses",
-        [{"mlm_loss": np.zeros(6), "nsp_loss": np.zeros(6)},
-         {"mlm_loss": np.zeros(7)},
-         {"mlm_loss": np.zeros(7), "nsp_loss": np.zeros(7, dtype=np.float32)}],
-        ids=["short", "one-loss", "float32"],
-    )
+    def _with_history(self, tmp_path, losses):
+        """A file holding ``losses`` as its loss history, built without the
+        writer, which refuses a bad one: the loss tensors are spliced into a
+        plain checkpoint's header and bytes where the writer puts them."""
+        plain = tmp_path / "plain.ckpt"
+        save_checkpoint(str(plain), self.config, self.opt, self.params, self.state)
+        prefix, header, tail = _split_checkpoint(plain.read_bytes())
+        entries = header["tensors"]
+        # "loss:" sorts after the moments and before the parameters
+        at = next(i for i, entry in enumerate(entries) if entry["name"].startswith("param:"))
+        offset = sum(8 * math.prod(entry["shape"]) for entry in entries[:at])  # all float64
+        header["tensors"] = entries[:at] + [
+            {"name": "loss:" + name, "shape": list(value.shape), "dtype": value.dtype.str}
+            for name, value in sorted(losses.items())
+        ] + entries[at:]
+        blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+        history = b"".join(value.tobytes() for _, value in sorted(losses.items()))
+        path = tmp_path / "history.ckpt"
+        path.write_bytes(
+            prefix + struct.pack("<I", len(blob)) + blob + tail[:offset] + history + tail[offset:]
+        )
+        return path
+
+    def test_spliced_history_is_the_writer_s_bytes(self, tmp_path):
+        losses = {"mlm_loss": np.linspace(5.0, 4.0, 7), "nsp_loss": np.full(7, 0.69)}
+        written = tmp_path / "written.ckpt"
+        save_checkpoint(str(written), self.config, self.opt, self.params, self.state,
+                        losses=losses)
+        assert self._with_history(tmp_path, losses).read_bytes() == written.read_bytes()
+
+    @_BAD_HISTORIES
     def test_rejects_a_loss_history_of_another_shape(self, tmp_path, losses):
-        path = str(tmp_path / "model.ckpt")
-        save_checkpoint(path, self.config, self.opt, self.params, self.state, losses=losses)
         with pytest.raises(DataError, match="the loss history does not hold 7 steps"):
-            load_checkpoint(path)
+            load_checkpoint(str(self._with_history(tmp_path, losses)))
+
+    @_BAD_HISTORIES
+    def test_writer_refuses_a_loss_history_the_reader_rejects(self, tmp_path, losses):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(str(path), self.config, self.opt, self.params, self.state)
+        before = path.read_bytes()
+        with pytest.raises(DataError, match="the loss history does not hold 7 steps"):
+            save_checkpoint(str(path), self.config, self.opt, self.params, self.state,
+                            losses=losses)
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]
 
     def test_double_save_is_byte_identical(self, tmp_path):
         a = tmp_path / "a.ckpt"
@@ -623,3 +669,48 @@ class TestPretrain:
         first = np.mean([r[1] + r[2] for r in result.trace[:10]])
         last = np.mean([r[1] + r[2] for r in result.trace[-10:]])
         assert last < first
+
+
+class TestStepMemory:
+    """One pretraining step holds the encoder's forward cache and one
+    layer's backward working set at a time, not every array it makes."""
+
+    def test_traced_high_water_of_one_step(self):
+        # acceptance shapes: the desk encoder at V = 1000, B = 32, L = 64, with
+        # ragged rows and about 15% of each row's inner positions labelled
+        config = desk_config(vocab_size=1000)
+        params = init_params(config, seed=0)
+        state = init_adam_state(params)
+        opt = OptimizerConfig(learning_rate=1e-3)
+        rng = np.random.default_rng(0)
+        bsz, length = 32, 64
+        lengths = rng.integers(8, length + 1, bsz)
+        pos = np.arange(length)
+        attn = (pos < lengths[:, None]).astype(np.int64)
+        inner = (pos > 0) & (pos < lengths[:, None] - 1)
+        picked = inner & (rng.random((bsz, length)) < 0.15)
+        batch = dict(
+            input_ids=rng.integers(5, 1000, (bsz, length)) * attn,
+            segment_ids=((pos >= lengths[:, None] // 2) * attn).astype(np.int64),
+            attention_mask=attn,
+            mlm_labels=np.where(picked, rng.integers(5, 1000, (bsz, length)), -100),
+            nsp_labels=rng.integers(0, 2, bsz),
+        )
+
+        def step():
+            _, grads = gradients(params, config, batch)
+            adam_step(params, grads, state, opt)
+
+        step()  # first calls fill the interpreter's and NumPy's caches
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            step()
+            high_water = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        # tracemalloc counts every NumPy buffer, so the reading does not
+        # depend on the host: 59,728,480 bytes when the backward pass held
+        # every layer's cache and the heads' arrays to its end, 30,592,496
+        # bytes with each array dropped after its last use
+        assert high_water <= 0.75 * 59_728_480
