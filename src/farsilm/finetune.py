@@ -9,6 +9,9 @@ Subword alignment for tagging follows the first-piece rule: when a word
 splits into several pieces, only the first piece carries the word's tag
 and the continuations are ignored by the loss. Predictions are read back
 from first-piece positions, so tag sequences always line up with words.
+The encoder's last layer runs only on the rows a head reads: [CLS] for
+the classifier, [CLS] and each word's first piece for the tagger, in
+training, in the per-epoch dev scoring and in prediction alike.
 
 ``TASKS`` is the one home of what differs between the two tasks: their
 data files, what the model reads from an item, its labels and the report
@@ -38,7 +41,14 @@ from .metrics import (
     format_entity_score,
     format_eval_report,
 )
-from .model import ModelConfig, _encode, _softmax_xent_grad, _truncated_normal, backprop_encoder
+from .model import (
+    ModelConfig,
+    _encode,
+    _softmax_xent_grad,
+    _truncated_normal,
+    backprop_encoder,
+    zero_gradients,
+)
 from .pretrain_data import IGNORE_INDEX
 from .training import (
     AdamState,
@@ -261,7 +271,7 @@ class Task:
 
     name: str  # the CLI's finetune-<name>/eval-<name> and manifest <name>_* keys
     head_kind: str  # what a head model file records
-    source: str  # the encoder output the head reads: "pooled" or "sequence"
+    source: str  # the encoder output the head reads: "pooled", or "sequence" at first pieces
     score_name: str
     load: Callable  # path -> items
     write: Callable  # (path, items) -> item count
@@ -276,11 +286,16 @@ class Task:
         holds the report's headline score on ``dev`` after each epoch."""
         return _finetune(self, checkpoint, tokenizer, train, dev, config)
 
-    def reads(self, batch):
-        """The final states this task's head reads, as ``_encode`` takes
-        them: [CLS] alone for the pooled vector, every attended row (None)
-        for a tagger."""
-        return np.zeros(batch["input_ids"].shape, bool) if self.source == "pooled" else None
+    def reads(self, batch, firsts):
+        """The final states this task's head reads besides [CLS], as
+        ``_encode`` takes them: none for the pooled vector, each word's
+        first piece for a tagger. ``firsts`` holds the first-piece
+        positions of each batch row, or None for a classifier."""
+        reads = np.zeros(batch["input_ids"].shape, bool)
+        if self.source == "sequence":
+            for row, first in enumerate(firsts):
+                reads[row, first] = True
+        return reads
 
 
 TASKS = {
@@ -363,16 +378,17 @@ def _finetune(task: Task, checkpoint, tokenizer, train, dev, config) -> Finetune
             picks = order[start : start + config.batch_size]
             batch = _pad_batch([rows[i] for i in picks], tokenizer.pad_id)
             if firsts is None:
-                gold = gold_rows[picks]
+                gold, batch_firsts = gold_rows[picks], None
             else:
                 gold = _pad([gold_rows[i] for i in picks], IGNORE_INDEX)
+                batch_firsts = [firsts[i] for i in picks]
 
-            outputs, cache = _encode(full, mcfg, batch, task.reads(batch))
+            outputs, cache = _encode(full, mcfg, batch, task.reads(batch, batch_firsts))
             features = outputs[source]
             logits = features @ full["head_w"] + full["head_b"]
             dlogits = _softmax_xent_grad(logits, gold)
 
-            grads = {name: np.zeros_like(value) for name, value in full.items()}
+            grads = zero_gradients(full)
             flat_dlogits = dlogits.reshape(-1, n_labels)
             grads["head_w"] += features.reshape(-1, mcfg.hidden).T @ flat_dlogits
             grads["head_b"] += flat_dlogits.sum(0)
@@ -437,12 +453,14 @@ def _predict_rows(task: Task, model: HeadModel, rows, firsts, pad_id: int):
     results = []
     for start in range(0, len(rows), PREDICT_BATCH):
         batch = _pad_batch(rows[start : start + PREDICT_BATCH], pad_id)
-        outputs, _ = _encode(model.params, model.model_config, batch, task.reads(batch))
+        batch_firsts = None if firsts is None else firsts[start : start + PREDICT_BATCH]
+        outputs, _ = _encode(model.params, model.model_config, batch,
+                             task.reads(batch, batch_firsts), backward=False)
         picks = (outputs[task.source] @ model.head_w + model.head_b).argmax(-1)
         if firsts is None:
             results.extend(model.labels[int(pick)] for pick in picks)
         else:
-            for row, first in zip(picks, firsts[start : start + PREDICT_BATCH]):
+            for row, first in zip(picks, batch_firsts):
                 results.append([model.labels[int(row[pos])] for pos in first])
     return results
 

@@ -289,7 +289,7 @@ def _affine(x, w, b):
     return out
 
 
-def _encode(params, config, batch, reads=None):
+def _encode(params, config, batch, reads=None, backward=True):
     """Run the encoder and the NSP head; returns (outputs, cache).
 
     outputs holds nsp_logits, pooled and sequence; cache holds what
@@ -301,11 +301,17 @@ def _encode(params, config, batch, reads=None):
     there, and nothing at an attended position depends on them.
 
     ``reads``, a (B, L) boolean mask, names the positions whose final
-    states the caller reads besides [CLS]; None reads every attended one.
+    states the caller reads besides [CLS]: the labelled rows in
+    pretraining, none for the classifier, each word's first piece for
+    the tagger; None reads every attended one, as :func:`forward` does.
     The last layer runs its token-wise work on those rows only (see
     :meth:`_Rows.subset`), and ``sequence`` is exactly zero at the others.
     Its keys and values still cover every attended row, which the read
     queries attend to.
+
+    With ``backward`` False no backward pass follows: the cache holds only
+    the row sets, and each layer's arrays are freed as the next layer
+    runs. The outputs are the same bytes either way.
     """
     _validate_batch(config, batch)
     rows = _Rows(batch["attention_mask"].shape, np.flatnonzero(batch["attention_mask"]))
@@ -354,13 +360,12 @@ def _encode(params, config, batch, reads=None):
         x, ffn_ln_cache = _layer_norm(
             ffn_out, params[p + "ffn_ln_g"], params[p + "ffn_ln_b"]
         )
-        layer_caches.append(
-            dict(
+        if backward:
+            layer_caches.append(dict(
                 out=out, x_in=x_in, q=q, k=k, v=v, probs=probs, ctx=ctx,
                 attn_ln=attn_ln_cache, x_attn=x_attn, ffn_pre=ffn_pre,
                 ffn_cdf=ffn_cdf, ffn_ln=ffn_ln_cache,
-            )
-        )
+            ))
 
     cls_state = x[read.cls]
     pool_pre = cls_state @ params["pool_w"] + params["pool_b"]
@@ -368,10 +373,10 @@ def _encode(params, config, batch, reads=None):
     nsp_logits = pooled @ params["nsp_w"] + params["nsp_b"]
 
     outputs = {"nsp_logits": nsp_logits, "pooled": pooled, "sequence": read.scatter(x)}
-    cache = dict(
-        rows=rows, read=read, ids=ids, segs=segs, emb_ln=emb_ln_cache,
-        layers=layer_caches, cls_state=cls_state, pooled=pooled,
-    )
+    cache = dict(rows=rows, read=read)
+    if backward:
+        cache.update(ids=ids, segs=segs, emb_ln=emb_ln_cache, layers=layer_caches,
+                     cls_state=cls_state, pooled=pooled)
     return outputs, cache
 
 
@@ -389,7 +394,7 @@ def forward(params, config: ModelConfig, batch):
     """Encoder outputs for one batch: mlm_logits, nsp_logits, pooled,
     sequence. The MLM head runs on the attended positions only, so
     ``sequence`` and ``mlm_logits`` are exactly zero at the others."""
-    outputs, cache = _encode(params, config, batch)
+    outputs, cache = _encode(params, config, batch, backward=False)
     rows = cache["rows"]
     logits, _ = _mlm_head(params, rows.gather(outputs["sequence"]))
     outputs["mlm_logits"] = rows.scatter(logits)
@@ -435,6 +440,20 @@ def compute_losses(outputs, batch) -> dict:
     return losses
 
 
+def zero_gradients(params):
+    """Zeroed arrays shaped and typed like ``params``, in the same order:
+    views into one buffer per dtype, so a step allocates and zeroes its
+    gradients in one call for a model of one dtype."""
+    grads = {}
+    for dtype in {value.dtype for value in params.values()}:
+        names = [name for name, value in params.items() if value.dtype == dtype]
+        sizes = [params[name].size for name in names]
+        views = np.split(np.zeros(sum(sizes), dtype), np.cumsum(sizes)[:-1])
+        for name, view in zip(names, views):
+            grads[name] = view.reshape(params[name].shape)
+    return {name: grads[name] for name in params}
+
+
 def gradients(params, config: ModelConfig, batch):
     """Losses plus analytic gradients of the total loss for every parameter.
 
@@ -454,7 +473,7 @@ def gradients(params, config: ModelConfig, batch):
     # the heads' arrays are dropped at their last use, before the encoder's backward pass
     del outputs, sequence, mlm_logits
 
-    grads = {name: np.zeros_like(value) for name, value in params.items()}
+    grads = zero_gradients(params)
 
     # MLM head backward over the labelled rows; with none, every MLM
     # gradient stays exactly zero
@@ -510,10 +529,11 @@ def backprop_encoder(params, config: ModelConfig, cache, d_sequence, d_pooled, g
     at its last use, so it holds the layers below and one layer's working
     set; a second call on the same cache is a RuntimeError.
     """
-    rows, read, layers = cache["rows"], cache["read"], cache["layers"]
+    rows, read, layers = cache["rows"], cache["read"], cache.get("layers", [])
     if len(layers) != config.layers:
         raise RuntimeError("this encoder cache was consumed by an earlier backprop_encoder "
-                           "call; encode the batch again for another backward pass")
+                           "call or built for no backward pass; encode the batch again "
+                           "for another backward pass")
     bsz, length = rows.bsz, rows.length
     hidden, inter = config.hidden, config.intermediate
     nh = config.heads

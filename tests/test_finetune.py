@@ -12,8 +12,10 @@ import numpy as np
 import pytest
 
 from farsilm import finetune as finetune_module
+from farsilm import wordpiece as wp
 from farsilm.errors import ConfigError, DataError
 from farsilm.finetune import (
+    TASKS,
     FinetuneConfig,
     HeadModel,
     LabeledText,
@@ -84,6 +86,19 @@ def make_ner(n, seed):
             words[k] = "yy"
             tags[k] = "B-PER"
         seqs.append(TaggedSequence(tuple(words), tuple(tags)))
+    return seqs
+
+
+def make_split_ner(n, seed):
+    """Tagged sequences of compound words such as "yyab" that split into
+    several pieces; a word holding "yy" is a person."""
+    rng = np.random.default_rng(seed)
+    parts = WORDS + ["yy"]
+    seqs = []
+    for _ in range(n):
+        words = ["".join(parts[int(i)] for i in rng.integers(0, 11, int(rng.integers(1, 3))))
+                 for _ in range(4)]
+        seqs.append(TaggedSequence(tuple(words), tuple("B-PER" if "yy" in w else "O" for w in words)))
     return seqs
 
 
@@ -361,6 +376,66 @@ class TestPredict:
             predict(broken, tokenizer, ["ab"])
 
 
+class TestTaggerReads:
+    """The tagger's last encoder layer runs only on [CLS] and the first
+    pieces it scores, with the bytes of a run over every attended row."""
+
+    def _run(self, setup, path):
+        tokenizer, _, checkpoint = setup
+        out = finetune_tokens(
+            checkpoint, tokenizer, make_split_ner(24, 5), make_split_ner(12, 6),
+            FinetuneConfig(("O", "B-PER", "I-PER"), epochs=4, learning_rate=5e-3,
+                           batch_size=8, seed=1),
+        )
+        save_head_model(str(path), out.model)
+        inputs = [seq.tokens for seq in make_split_ner(40, 7)]
+        return path.read_bytes(), out.dev_trace, predict(out.model, tokenizer, inputs)
+
+    def test_first_piece_reads_give_the_bytes_of_every_row_reads(self, setup, tmp_path,
+                                                                  monkeypatch):
+        tokenizer, config, _ = setup
+        rows, firsts = _encode_token_rows(
+            [seq.tokens for seq in make_split_ner(24, 5)], tokenizer, config.max_positions)
+        assert any(len(row) - 2 > len(first) for row, first in zip(rows, firsts))
+        row_counts = []
+
+        def counted(*args, **kwargs):
+            outputs, cache = real_encode(*args, **kwargs)
+            row_counts.append((cache["read"].flat.size, cache["rows"].flat.size))
+            return outputs, cache
+
+        real_encode = finetune_module._encode
+        with monkeypatch.context() as patch:
+            patch.setattr(finetune_module, "_encode", counted)
+            first_pieces = self._run(setup, tmp_path / "first.flcp")
+        assert all(read < attended for read, attended in row_counts)
+        with monkeypatch.context() as patch:
+            patch.setattr(finetune_module.Task, "reads", lambda self, batch, firsts: None)
+            every_row = self._run(setup, tmp_path / "every.flcp")
+        assert first_pieces == every_row
+        assert first_pieces[1][-1] > 0.5  # the head learned to find entities
+
+    def test_a_lone_one_piece_word_runs_two_rows(self, setup, monkeypatch):
+        tokenizer, _, checkpoint = setup
+        model = finetune_tokens(checkpoint, tokenizer, make_ner(8, 1), [],
+                                FinetuneConfig(("O", "B-PER", "I-PER"), epochs=1)).model
+        assert len(wp.encode(tokenizer, "ab")) == 1
+        seen = []
+
+        def recorded(*args, **kwargs):
+            outputs, cache = real_encode(*args, **kwargs)
+            seen.append((cache["read"].flat.tolist(), outputs["sequence"]))
+            return outputs, cache
+
+        real_encode = finetune_module._encode
+        monkeypatch.setattr(finetune_module, "_encode", recorded)
+        tags = predict(model, tokenizer, [("ab",)])
+        [(read, sequence)] = seen
+        assert read == [0, 1]  # [CLS] and the word, not [SEP]
+        assert np.flatnonzero(np.abs(sequence[0]).sum(-1)).tolist() == [0, 1]
+        assert len(tags) == 1 and len(tags[0]) == 1 and tags[0][0] in model.labels
+
+
 class TestHeadCheckpoints:
     def test_round_trip_preserves_predictions(self, setup, tmp_path):
         tokenizer, _, checkpoint = setup
@@ -458,7 +533,7 @@ class TestHeadGradients:
             sel = np.where(aligned != IGNORE_INDEX)
             return -logp[sel[0], sel[1], aligned[sel]].mean()
 
-        outputs, cache = _encode(full, config, batch)
+        outputs, cache = _encode(full, config, batch, TASKS["ner"].reads(batch, firsts))
         sequence = outputs["sequence"]
         logits = sequence @ full["head_w"] + full["head_b"]
         selected = aligned != IGNORE_INDEX

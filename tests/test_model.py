@@ -27,6 +27,7 @@ from farsilm.model import (
     init_params,
     param_count,
     shape_audit,
+    zero_gradients,
 )
 from padded_reference import padded_backprop, padded_encode
 
@@ -275,6 +276,20 @@ class TestGradients:
         _, b = gradients(self.params, self.cfg, self.batch)
         assert all(np.array_equal(a[k], b[k]) for k in a)
 
+    def test_zero_gradients_are_disjoint_views_of_one_buffer_per_dtype(self):
+        params = dict(self.params, extra=np.ones((2, 3), np.float32))
+        grads = zero_gradients(params)
+        assert list(grads) == list(params)
+        for name, value in params.items():
+            assert grads[name].shape == value.shape and grads[name].dtype == value.dtype
+            assert not grads[name].any()
+        buffer = grads["tok_emb"].base
+        assert all(grads[name].base is buffer for name in self.params)
+        assert buffer.size == sum(value.size for value in self.params.values())
+        assert grads["extra"].base is not buffer
+        grads["layer0.q_w"] += 1.0
+        assert sum(int(g.sum()) for g in grads.values()) == self.params["layer0.q_w"].size
+
     def test_unused_position_rows_have_exactly_zero_gradient(self):
         _, grads = gradients(self.params, self.cfg, self.batch)
         length = self.batch["input_ids"].shape[1]
@@ -450,20 +465,23 @@ def grid_batch(bsz, length, layout, vocab=300):
 def head_gradients(encode, backprop, params, cfg, batch, kind):
     """One fine-tuning step's outputs and gradients for a classifier or a
     tagger head, computed as ``finetune`` computes them, with the reads of
-    the task's head."""
+    the task's head: [CLS] for the classifier, [CLS] and the labelled rows,
+    standing for first pieces, for the tagger."""
     head_rng = np.random.default_rng(99)
     head_w = head_rng.normal(0.0, 0.02, (cfg.hidden, 3))
     head_b = head_rng.normal(0.0, 0.02, 3)
-    task = TASKS["cls" if kind == "classifier" else "ner"]
-    outputs, cache = encode(params, cfg, batch, task.reads(batch))
-    features = outputs[task.source]
-    logits = features @ head_w + head_b
     if kind == "classifier":
-        gold = np.arange(len(logits)) % 3
-        selected = np.ones(len(logits), dtype=bool)
+        task, firsts = TASKS["cls"], None
+        gold = np.arange(len(batch["input_ids"])) % 3
+        selected = np.ones(len(gold), dtype=bool)
     else:
+        task = TASKS["ner"]
         gold = batch["input_ids"] % 3
         selected = batch["mlm_labels"] != -100
+        firsts = [np.flatnonzero(row) for row in selected]
+    outputs, cache = encode(params, cfg, batch, task.reads(batch, firsts))
+    features = outputs[task.source]
+    logits = features @ head_w + head_b
     dlogits = _softmax(logits) * selected[..., None]
     picked = np.nonzero(selected)
     dlogits[picked + (gold[picked],)] -= 1.0
@@ -510,8 +528,7 @@ def assert_bytes_equal_padded_reference(base_params, cfg, bsz, length, layout, u
     # the next row when that leaves one
     cls = np.zeros_like(labelled)
     cls[:, 0] = True
-    read = {"classifier": cls, "tagger": batch["attention_mask"] == 1,
-            "mlm+nsp": cls | labelled}[upstream]
+    read = {"classifier": cls, "tagger": cls | labelled, "mlm+nsp": cls | labelled}[upstream]
     if read.sum() < 2:
         read[0, 1] = True
     sequence = outputs["sequence"]
@@ -554,7 +571,7 @@ class TestUnpaddedEncoder:
 
     def test_a_classifier_batch_of_one_runs_two_rows(self):
         batch = grid_batch(1, 18, "ragged")
-        _, cache = _encode(self.params, self.cfg, batch, TASKS["cls"].reads(batch))
+        _, cache = _encode(self.params, self.cfg, batch, TASKS["cls"].reads(batch, None))
         assert cache["read"].flat.tolist() == [0, 1]
         assert cache["layers"][-1]["x_attn"].shape == (2, self.cfg.hidden)
 
@@ -582,6 +599,17 @@ class TestUnpaddedEncoder:
         backprop_encoder(self.params, self.cfg, cache, None, d_pooled, grads)
         with pytest.raises(RuntimeError, match="consumed by an earlier backprop_encoder call"):
             backprop_encoder(self.params, self.cfg, cache, None, d_pooled, grads)
+
+    def test_a_cache_built_for_no_backward_pass_is_refused(self):
+        batch = grid_batch(3, 18, "ragged")
+        outputs, cache = _encode(self.params, self.cfg, batch, backward=False)
+        assert set(cache) == {"rows", "read"}
+        recorded, _ = _encode(self.params, self.cfg, batch)
+        for key, value in recorded.items():
+            assert outputs[key].tobytes() == value.tobytes(), key
+        grads = {name: np.zeros_like(value) for name, value in self.params.items()}
+        with pytest.raises(RuntimeError, match="built for no backward pass"):
+            backprop_encoder(self.params, self.cfg, cache, None, np.ones((3, 64)), grads)
 
 
 class TestBatchGuards:

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 
 from farsilm.errors import ConfigError, DataError
 from farsilm.finetune import load_head_model
-from farsilm.model import ModelConfig, desk_config, gradients, init_params
+from farsilm.model import ModelConfig, _encode, _mlm_head, desk_config, forward, gradients, init_params
 from farsilm.pretrain_data import (
     MaskingPolicy,
     PackingConfig,
@@ -671,17 +671,35 @@ class TestPretrain:
         assert last < first
 
 
+def _traced_high_water(call):
+    """Bytes that ``call``'s second run holds at its peak beyond what was
+    live before it; the first run fills the interpreter's and NumPy's caches."""
+    call()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
 class TestStepMemory:
     """One pretraining step holds the encoder's forward cache and one
-    layer's backward working set at a time, not every array it makes."""
+    layer's backward working set at a time, not every array it makes; an
+    inference pass holds no backward cache at all."""
 
-    def test_traced_high_water_of_one_step(self):
+    # tracemalloc counts every NumPy buffer, so a reading does not depend on
+    # the host: 59,728,480 bytes for a step whose backward pass held every
+    # layer's cache and the heads' arrays to its end, 30,592,496 bytes with
+    # each array dropped after its last use
+    BOUND = 0.75 * 59_728_480
+
+    def _acceptance_batch(self):
         # acceptance shapes: the desk encoder at V = 1000, B = 32, L = 64, with
         # ragged rows and about 15% of each row's inner positions labelled
         config = desk_config(vocab_size=1000)
         params = init_params(config, seed=0)
-        state = init_adam_state(params)
-        opt = OptimizerConfig(learning_rate=1e-3)
         rng = np.random.default_rng(0)
         bsz, length = 32, 64
         lengths = rng.integers(8, length + 1, bsz)
@@ -696,21 +714,31 @@ class TestStepMemory:
             mlm_labels=np.where(picked, rng.integers(5, 1000, (bsz, length)), -100),
             nsp_labels=rng.integers(0, 2, bsz),
         )
+        return config, params, batch
+
+    def test_traced_high_water_of_one_step(self):
+        config, params, batch = self._acceptance_batch()
+        state = init_adam_state(params)
+        opt = OptimizerConfig(learning_rate=1e-3)
 
         def step():
             _, grads = gradients(params, config, batch)
             adam_step(params, grads, state, opt)
 
-        step()  # first calls fill the interpreter's and NumPy's caches
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            step()
-            high_water = tracemalloc.get_traced_memory()[1] - base
-        finally:
-            tracemalloc.stop()
-        # tracemalloc counts every NumPy buffer, so the reading does not
-        # depend on the host: 59,728,480 bytes when the backward pass held
-        # every layer's cache and the heads' arrays to its end, 30,592,496
-        # bytes with each array dropped after its last use
-        assert high_water <= 0.75 * 59_728_480
+        assert _traced_high_water(step) <= self.BOUND
+
+    def test_forward_keeps_no_backward_cache(self):
+        config, params, batch = self._acceptance_batch()
+        # 54,769,160 bytes when forward() built and dropped the encoder's
+        # backward cache, 30,177,224 without it
+        assert _traced_high_water(lambda: forward(params, config, batch)) <= self.BOUND
+        # the same bytes as an encode that records the cache, with the MLM
+        # head on every attended row
+        expected, cache = _encode(params, config, batch)
+        rows = cache["rows"]
+        logits, _ = _mlm_head(params, rows.gather(expected["sequence"]))
+        expected["mlm_logits"] = rows.scatter(logits)
+        outputs = forward(params, config, batch)
+        assert set(outputs) == set(expected)
+        for key, value in expected.items():
+            assert outputs[key].tobytes() == value.tobytes(), key
