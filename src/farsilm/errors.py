@@ -1,8 +1,11 @@
-"""Exception types shared across the pipeline, and the one seed rule.
+"""Exception types shared across the pipeline, and the value rules that
+configs share: one for seeds, one for rates.
 
 The CLI maps these onto exit codes: usage problems exit 1, anything raised
 as a :class:`DataError` or :class:`ConfigError` exits 2.
 """
+
+import math
 
 
 class FarsilmError(Exception):
@@ -21,3 +24,10 @@ def check_seed(seed: int) -> None:
     """Raise ConfigError unless ``seed`` is one NumPy's generators accept."""
     if seed < 0:
         raise ConfigError(f"seed must be a non-negative integer, got {seed}")
+
+
+def check_positive(name: str, value: float) -> None:
+    """Raise ConfigError naming ``name`` unless ``value`` is finite and
+    positive; NaN and infinity pass every ``<= 0`` test."""
+    if not (math.isfinite(value) and value > 0):
+        raise ConfigError(f"{name} must be a finite positive number, got {value}")

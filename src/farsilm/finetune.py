@@ -29,7 +29,7 @@ from typing import Callable
 import numpy as np
 
 from . import wordpiece as wp
-from .errors import ConfigError, DataError, check_seed
+from .errors import ConfigError, DataError, check_positive, check_seed
 from .lineio import atomic_open, read_records, read_text, write_records
 from .metrics import (
     _parse_tag,
@@ -118,8 +118,7 @@ class FinetuneConfig:
             raise ConfigError("label inventory holds duplicates")
         if self.epochs < 0:
             raise ConfigError("epochs cannot be negative")
-        if self.learning_rate <= 0:
-            raise ConfigError("learning_rate must be positive")
+        check_positive("learning_rate", self.learning_rate)
         if self.batch_size < 1:
             raise ConfigError("batch_size must be at least 1")
         check_seed(self.seed)

@@ -239,13 +239,14 @@ class _Rows:
 
     Token-wise work runs on arrays of shape (N, K) holding the N rows in
     batch order; a batch without padding takes the same path with
-    N = B * L. The attention core and the backward matrix products stay in
-    the padded layout, which gives the bits of running every position
-    for hidden sizes from 2 up. At hidden size 1 a row sum over an (N, 1)
-    array is pairwise, and N rows pair differently from B * L rows. A
-    projection of a single row goes to a matrix-vector kernel, whose bits
-    differ from the matrix product's, so a subset holds at least two rows
-    when its parent does; encoded inputs always hold [CLS] and [SEP].
+    N = B * L. The attention softmax and its backward run on (N, nh, L)
+    query rows too. Every matrix product stays in the padded layout, which
+    gives the bits of running every position for hidden sizes from 2 up.
+    At hidden size 1 a row sum over an (N, 1) array is pairwise, and N
+    rows pair differently from B * L rows. A projection of a single row
+    goes to a matrix-vector kernel, whose bits differ from the matrix
+    product's, so a subset holds at least two rows when its parent does;
+    encoded inputs always hold [CLS] and [SEP].
     ``keep`` indexes the set's rows within its parent's token rows.
     """
 
@@ -254,6 +255,7 @@ class _Rows:
         self.flat = flat
         self.keep = keep
         self.positions = flat % self.length
+        self.seqs = flat // self.length
         # _validate_batch guarantees each row attends its position 0
         self.cls = np.searchsorted(flat, np.arange(self.bsz) * self.length)
 
@@ -281,6 +283,17 @@ class _Rows:
         """The scattered token rows split into nh heads: (B, nh, L, K / nh)."""
         return self.scatter(tokens).reshape(self.bsz, self.length, nh, -1).transpose(0, 2, 1, 3)
 
+    def gather_heads(self, padded: np.ndarray) -> np.ndarray:
+        """Query rows of a (B, nh, L, K) array: (N, nh, K)."""
+        return padded[self.seqs, :, self.positions]
+
+    def scatter_heads(self, rows: np.ndarray) -> np.ndarray:
+        """(B, nh, L, K) view with the (N, nh, K) query rows in place and
+        zeros elsewhere; its last axis is contiguous, as a product reads it."""
+        padded = np.zeros((self.bsz * self.length,) + rows.shape[1:])
+        padded[self.flat] = rows
+        return padded.reshape((self.bsz, self.length) + rows.shape[1:]).swapaxes(1, 2)
+
 
 def _affine(x, w, b):
     """x @ w + b, adding the bias in place."""
@@ -294,10 +307,13 @@ def _encode(params, config, batch, reads=None, backward=True):
 
     outputs holds nsp_logits, pooled and sequence; cache holds what
     :func:`backprop_encoder` reads but the GELU output and the padded head
-    layouts of queries, keys, values and context, which it forms again by
-    the operations that formed them here. The MLM head is not run here:
-    callers apply :func:`_mlm_head` to whichever rows they score.
-    Unattended positions are skipped: ``sequence`` holds exact zeros
+    layouts of queries, keys, values, context and attention probabilities,
+    which it forms again by the operations that formed them here. Both
+    attention products stay padded, (B, nh, L, L); the softmax runs on the
+    query rows the layer keeps, which the cache holds as (N, nh, L). An
+    unkept query row is exactly zero in the padded probabilities. The MLM
+    head is not run here: callers apply :func:`_mlm_head` to whichever
+    rows they score. Unattended positions are skipped: ``sequence`` holds exact zeros
     there, and nothing at an attended position depends on them.
 
     ``reads``, a (B, L) boolean mask, names the positions whose final
@@ -310,15 +326,14 @@ def _encode(params, config, batch, reads=None, backward=True):
     queries attend to.
 
     With ``backward`` False no backward pass follows: the cache holds only
-    the row sets, and each layer's arrays are freed as the next layer
-    runs. The outputs are the same bytes either way.
+    the row sets, and each layer's arrays but its output are freed as the
+    layer ends. The outputs are the same bytes either way.
     """
     _validate_batch(config, batch)
     rows = _Rows(batch["attention_mask"].shape, np.flatnonzero(batch["attention_mask"]))
     read = rows if reads is None else rows.subset(reads)
     ids = rows.gather(batch["input_ids"])
     segs = rows.gather(batch["segment_ids"])
-    bsz, length = rows.bsz, rows.length
     nh = config.heads
     dh = config.hidden // nh
 
@@ -328,7 +343,7 @@ def _encode(params, config, batch, reads=None, backward=True):
 
     # keys with attention 0 get a huge negative bias; exp underflows to an
     # exact zero weight, which is what makes padding invariance exact
-    bias = (1.0 - batch["attention_mask"][:, None, None, :]) * _MASK_BIAS
+    bias = ((1.0 - batch["attention_mask"]) * _MASK_BIAS)[:, None, :]
 
     layer_caches = []
     for layer in range(config.layers):
@@ -339,14 +354,15 @@ def _encode(params, config, batch, reads=None, backward=True):
         q = _affine(x[out.keep], params[p + "q_w"], params[p + "q_b"])
         k = _affine(x, params[p + "k_w"], params[p + "k_b"])
         v = _affine(x, params[p + "v_w"], params[p + "v_b"])
-        # scaled, biased and soft-maxed in place: the steps of _softmax
-        probs = out.heads(q, nh) @ rows.heads(k, nh).transpose(0, 1, 3, 2)
+        # the kept query rows of the padded scores, scaled, biased and
+        # soft-maxed in place: the steps of _softmax
+        probs = out.gather_heads(out.heads(q, nh) @ rows.heads(k, nh).transpose(0, 1, 3, 2))
         probs /= np.sqrt(dh)
-        probs += bias
+        probs += bias[out.seqs]
         probs -= probs.max(-1, keepdims=True)
         np.exp(probs, out=probs)
         probs /= probs.sum(-1, keepdims=True)
-        ctx = out.gather((probs @ rows.heads(v, nh)).swapaxes(1, 2).reshape(bsz, length, -1))
+        ctx = out.gather_heads(out.scatter_heads(probs) @ rows.heads(v, nh)).reshape(len(q), -1)
         attn_out = _affine(ctx, params[p + "o_w"], params[p + "o_b"])
         attn_out += x_in[out.keep]
         x_attn, attn_ln_cache = _layer_norm(
@@ -366,6 +382,10 @@ def _encode(params, config, batch, reads=None, backward=True):
                 attn_ln=attn_ln_cache, x_attn=x_attn, ffn_pre=ffn_pre,
                 ffn_cdf=ffn_cdf, ffn_ln=ffn_ln_cache,
             ))
+        else:
+            # nothing this layer made but x outlives it
+            del (x_in, q, k, v, probs, ctx, attn_out, x_attn, attn_ln_cache, ffn_pre, ffn_act,
+                 ffn_cdf, ffn_out, ffn_ln_cache)
 
     cls_state = x[read.cls]
     pool_pre = cls_state @ params["pool_w"] + params["pool_b"]
@@ -514,12 +534,17 @@ def backprop_encoder(params, config: ModelConfig, cache, d_sequence, d_pooled, g
     constant zeros.
 
     Token-wise work runs on each layer's rows: the read rows in the last
-    layer, the attended rows below it. Every matrix product runs on padded
-    (B * L, K) operands whose other gradient rows are exact zeros. BLAS may
-    choose another kernel, and so another summation order, for another
-    row count; the padded products give the same bits as an encoder that
-    runs every position. Compact ``dy @ w.T`` products on the read rows
-    would not: at the fine-tuning shapes L = 5 and L = 18 they change bits.
+    layer, the attended rows below it. So does the softmax backward, on
+    the (N, nh, L) query rows gathered from the padded ``dctx @ V.T``; its
+    result and the cached probabilities go into zeroed (B, nh, L, L)
+    views for the key, query and value products; the gradient of an
+    unkept query row is an exact zero row of ``dctx``, so only zeros meet
+    it. Every matrix product runs on padded (B * L, K) operands whose
+    other gradient rows are exact zeros. BLAS may choose another kernel,
+    and so another summation order, for another row count; the padded
+    products give the same bits as an encoder that runs every position.
+    Compact ``dy @ w.T`` products on the read rows would not: at the
+    fine-tuning shapes L = 5 and L = 18 they change bits.
 
     The padded operands go into zeroed (B * L, K) buffers, one hidden-wide
     for the call and one FFN-wide per layer, and only token rows are ever
@@ -593,13 +618,14 @@ def backprop_encoder(params, config: ModelConfig, cache, d_sequence, d_pooled, g
         dctx = dctx.reshape(bsz, length, nh, dh).transpose(0, 2, 1, 3)
 
         probs = c.pop("probs")
-        dprobs = dctx @ rows.heads(c.pop("v"), nh).transpose(0, 1, 3, 2)
-        dvh = probs.transpose(0, 1, 3, 2) @ dctx
+        dprobs = out.gather_heads(dctx @ rows.heads(c.pop("v"), nh).transpose(0, 1, 3, 2))
+        dvh = out.scatter_heads(probs).transpose(0, 1, 3, 2) @ dctx
         # probs * (dprobs - rowsum(dprobs * probs)) / sqrt(dh), in dprobs's buffer
         dscores = dprobs
         dscores -= (dprobs * probs).sum(-1, keepdims=True)
         dscores *= probs
         dscores /= np.sqrt(dh)
+        dscores = out.scatter_heads(dscores)
         del probs, dprobs, dctx
         dqh = dscores @ rows.heads(c.pop("k"), nh)
         dkh = dscores.transpose(0, 1, 3, 2) @ out.heads(c.pop("q"), nh)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DataError, check_seed
+from .errors import ConfigError, DataError, check_positive, check_seed
 from .lineio import atomic_open, read_text
 from .model import ModelConfig, gradients, init_params, shape_audit
 from .pretrain_data import ExampleTable, collate, read_examples
@@ -51,14 +51,12 @@ class OptimizerConfig:
     warmup_steps: int = 0
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ConfigError("learning_rate must be positive")
+        check_positive("learning_rate", self.learning_rate)
         for name in ("beta1", "beta2"):
             value = getattr(self, name)
             if not 0.0 <= value < 1.0:
                 raise ConfigError(f"{name} must lie in [0,1), got {value}")
-        if self.epsilon <= 0:
-            raise ConfigError("epsilon must be positive")
+        check_positive("epsilon", self.epsilon)
         if self.batch_size < 1:
             raise ConfigError("batch_size must be at least 1")
         if self.max_steps < 0 or self.warmup_steps < 0:
@@ -177,8 +175,14 @@ def save_checkpoint(
     seed: int | None = None,
     losses: dict[str, np.ndarray] | None = None,
 ) -> None:
-    """Write a checkpoint; a malformed loss history is a DataError, raised before writing."""
+    """Write a checkpoint. What the readers reject is a DataError, raised
+    before the file is opened: a malformed loss history, or a non-finite
+    parameter or head tensor."""
     _check_history(losses or {}, state.step, path)
+    for group, named in (("parameter", params), ("head tensor", head_params or {})):
+        for name, value in named.items():
+            if not np.isfinite(value).all():
+                raise DataError(f"checkpoint {path}: {group} {name} contains non-finite values")
     tensors: dict[str, np.ndarray] = {}
     for name, value in params.items():
         tensors["param:" + name] = value

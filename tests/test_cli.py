@@ -114,6 +114,28 @@ class TestExitCodes:
         assert "seed must be a non-negative integer, got -1" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["pretrain", "--examples", "{examples}", "--out", "{out}", "--steps", "1"],
+            ["finetune-cls", "--checkpoint", "{checkpoint}", "--vocab", "{vocab}",
+             "--train", "{cls}", "--dev", "{cls}", "--out", "{out}"],
+        ],
+        ids=["pretrain", "finetune-cls"],
+    )
+    @pytest.mark.parametrize("rate", ["inf", "nan"])
+    def test_non_finite_learning_rate_is_config_error(self, pipeline, tmp_path, capsys, argv,
+                                                      rate):
+        data = tmp_path / "cls.data"
+        assert main(["gen-synthetic", "cls", "--seed", "3", "--count", "8",
+                     "--out", str(data)]) == 0
+        names = {**pipeline, "cls": data, "out": tmp_path / "out"}
+        assert main([arg.format(**names) for arg in argv]
+                    + ["--seed", "1", "--learning-rate", rate]) == 2
+        assert (f"learning_rate must be a finite positive number, got {rate}"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("task", ["cls", "ner"])
     def test_non_finite_fine_tuning_gradient_is_two(
         self, pipeline, tmp_path, capsys, monkeypatch, task
@@ -365,6 +387,7 @@ class TestManifestRun:
         [
             ("beta1 = 1.5", r"beta1 must lie in \[0,1\), got 1.5"),
             ("learning_rate = fast", "manifest key learning_rate is not a number: 'fast'"),
+            ("learning_rate = nan", "learning_rate must be a finite positive number, got nan"),
             ("heads = 3", "hidden 64 is not divisible by heads 3"),
             ("heads = 0", "heads must be positive"),
             ("cls_classes = 1\n" + _CLS_PATHS, "classification needs at least 2 classes"),
@@ -378,8 +401,8 @@ class TestManifestRun:
             ("dropout = 0.1", r"manifest has unknown keys \['dropout'\]"),
             ("cls_epochs = 1", r"manifest has unknown keys \['cls_epochs'\]"),
         ],
-        ids=["beta1", "learning_rate", "heads-3", "heads-0", "cls_classes", "cls_count-dev",
-             "log_every", "stepz", "dropout", "cls_epochs-without-cls_model"],
+        ids=["beta1", "learning_rate", "learning_rate-nan", "heads-3", "heads-0", "cls_classes",
+             "cls_count-dev", "log_every", "stepz", "dropout", "cls_epochs-without-cls_model"],
     )
     def test_bad_key_fails_before_the_first_stage(self, tmp_path, capsys, line, message):
         assert main(["run", "--manifest", str(self._write(tmp_path / "m.txt", line + "\n"))]) == 2

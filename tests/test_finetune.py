@@ -128,6 +128,11 @@ class TestTypes:
         with pytest.raises(ConfigError, match="nonempty"):
             FinetuneConfig(())
 
+    @pytest.mark.parametrize("rate", [0.0, float("inf"), float("nan")])
+    def test_config_rejects_a_rate_that_is_not_finite_and_positive(self, rate):
+        with pytest.raises(ConfigError, match="learning_rate must be a finite positive number"):
+            FinetuneConfig(("a",), learning_rate=rate)
+
 
 class TestDataFiles:
     def test_labeled_round_trip(self, tmp_path):

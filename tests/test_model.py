@@ -176,11 +176,23 @@ class TestForward:
         assert np.abs(out1["mlm_logits"][:, :7] - out2["mlm_logits"][:, :7]).max() < 1e-9
 
     def test_attention_rows_are_normalized(self):
-        batch = make_batch(self.rng, 300, pad_from=8)
-        _, cache = _encode(self.params, self.cfg, batch)
-        for layer_cache in cache["layers"]:
-            sums = layer_cache["probs"].sum(-1)
-            assert np.abs(sums - 1.0).max() < 1e-6
+        batch = make_batch(self.rng, 300, bsz=3, length=12, pad_from=8)
+        batch["attention_mask"][1, 5:] = 0
+        _, cache = _encode(self.params, self.cfg, batch, batch["mlm_labels"] != -100)
+        rows, read, layers = cache["rows"], cache["read"], cache["layers"]
+        # the softmax ran on each layer's kept query rows only: the attended
+        # rows below the last layer, the read ones ([CLS] and the labelled)
+        # in it
+        assert read.flat.size == 9 < rows.flat.size == 21
+        for layer, layer_cache in enumerate(layers):
+            out = read if layer == len(layers) - 1 else rows
+            assert layer_cache["out"] is out
+            probs = layer_cache["probs"]
+            assert probs.shape == (out.flat.size, self.cfg.heads, 12)
+            assert np.abs(probs.sum(-1) - 1.0).max() < 1e-6
+            unattended = batch["attention_mask"][out.seqs] == 0
+            assert np.all(probs.transpose(0, 2, 1)[unattended] == 0.0)
+            assert np.all(probs.transpose(0, 2, 1)[~unattended] > 0.0)
 
     def test_id_out_of_range(self):
         batch = make_batch(self.rng, 300)
