@@ -4,7 +4,9 @@ A fixed artificial lexicon of consonant-vowel syllable words stands in
 for real text: word frequencies follow a Zipf curve, every document sticks
 to one of sixteen topics, and topic words pull fixed partner words behind
 them. Those regularities are what make the masking and next-sentence
-objectives learnable at desk scale.
+objectives learnable at desk scale. A word is drawn by bisecting one
+``rng.random()`` into a cumulative weight table kept as a Python list,
+which picks the word ``np.searchsorted`` would pick on the same floats.
 
 Each document also carries a theme word, planted three times in every
 sentence, from a reserved vocabulary that ordinary word draws cannot
@@ -24,6 +26,7 @@ alphabet, so they can never collide with ordinary lexicon words.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -110,33 +113,46 @@ def theme_words() -> tuple[str, ...]:
     return tuple(a + b for a in firsts for b in seconds)
 
 
+def _cumulative(weights) -> list[float]:
+    """Cumulative weights scaled to end at 1.0, as a list of floats.
+
+    ``bisect_right`` of one ``rng.random()`` into the list picks the index
+    that ``np.searchsorted(..., side="right")`` picks on the array, without
+    a NumPy call per draw.
+    """
+    cum = np.cumsum(weights)
+    return (cum / cum[-1]).tolist()
+
+
+# entities per tagging item: 0, 1 or 2 with chances 0.2, 0.55 and 0.25. This
+# is the table rng.choice([0, 1, 2], p=...) builds on every call, so a draw
+# from it is that call's draw, and uses the same one double
+_ENTITY_COUNT_CDF = _cumulative([0.2, 0.55, 0.25])
+
+
 @lru_cache(maxsize=1)
 def _tables():
+    """The lexicon, the shared words' cumulative weights, each topic's
+    members and cumulative weights, and each topic word's partner. Shared
+    word i is lexicon word i."""
     words = lexicon()
     ranks = np.arange(len(words))
     weights = 1.0 / (ranks + 2.0)
 
-    shared = list(range(_SHARED_WORDS))
-    shared_cum = np.cumsum(weights[shared])
-    shared_cum /= shared_cum[-1]
+    shared_cum = _cumulative(weights[:_SHARED_WORDS])
 
     topic_members = []
     topic_cums = []
     for topic in range(_TOPICS):
         members = [i for i in range(_SHARED_WORDS, len(words)) if i % _TOPICS == topic]
-        cum = np.cumsum(weights[members])
-        topic_cums.append(cum / cum[-1])
+        topic_cums.append(_cumulative(weights[members]))
         topic_members.append(members)
 
     partner = {}
     for members in topic_members:
         for pos, index in enumerate(members):
             partner[index] = members[(pos + 1) % len(members)]
-    return words, shared, shared_cum, topic_members, topic_cums, partner
-
-
-def _pick(rng, cum, items):
-    return items[int(np.searchsorted(cum, rng.random(), side="right"))]
+    return words, shared_cum, topic_members, topic_cums, partner
 
 
 def _proper_pool():
@@ -147,16 +163,18 @@ def _proper_pool():
 
 
 def _sentence_words(rng, topic: int, length: int, inject_proper: bool) -> list[str]:
-    words, shared, shared_cum, members, cums, partner = _tables()
+    words, shared_cum, members, cums, partner = _tables()
+    topic_members, topic_cum = members[topic], cums[topic]
+    random = rng.random
     out: list[int] = []
     while len(out) < length:
-        if rng.random() < _TOPIC_FRACTION:
-            index = _pick(rng, cums[topic], members[topic])
+        if random() < _TOPIC_FRACTION:
+            index = topic_members[bisect_right(topic_cum, random())]
             out.append(index)
-            if len(out) < length and rng.random() < _PARTNER_PROB:
+            if len(out) < length and random() < _PARTNER_PROB:
                 out.append(partner[index])
         else:
-            out.append(_pick(rng, shared_cum, shared))
+            out.append(bisect_right(shared_cum, random()))
     picked = [words[i] for i in out[:length]]
     if inject_proper and rng.random() < 0.08:
         pool = _proper_pool()
@@ -302,7 +320,7 @@ def generate_ner(seed: int, count: int) -> list[TaggedSequence]:
         topic = int(rng.integers(0, _TOPICS))
         words = _sentence_words(rng, topic, int(rng.integers(5, 10)), inject_proper=False)
         tags = ["O"] * len(words)
-        n_entities = int(rng.choice([0, 1, 2], p=[0.2, 0.55, 0.25]))
+        n_entities = bisect_right(_ENTITY_COUNT_CDF, rng.random())
         for _ in range(n_entities):
             category, entries = pools[int(rng.integers(0, len(pools)))]
             entry = entries[int(rng.integers(0, len(entries)))]

@@ -10,19 +10,23 @@ example file with a counter-based seed, so a run resumed from step 100
 replays exactly the batches an uninterrupted run would have seen. Its
 checkpoint also holds the seed and every step's losses, so one file
 holds the whole run: the loss trace is written whole from it at the end
-of each run, and a resume can neither drop nor repeat a row.
+of each run, and a resume can neither drop nor repeat a row. It also
+holds the example file's sha256, so a resume onto another example file,
+whose token ids may index another vocabulary, is refused.
 """
 
 from __future__ import annotations
 
 import csv
 import dataclasses
+import hashlib
 import json
 import math
 import os
 import re
 import struct
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -36,6 +40,7 @@ _VERSION = 1
 _TENSOR_GROUPS = ("param:", "adam_m:", "adam_v:", "head:", "loss:")  # tensor name prefixes
 _LOSSES = ("mlm_loss", "nsp_loss")
 _NUMERIC_DTYPE = re.compile(r"[<>|][biuf][0-9]{1,2}")
+_SHA256 = re.compile(r"[0-9a-f]{64}")
 
 
 @dataclass(frozen=True)
@@ -133,9 +138,11 @@ class Checkpoint:
     head_kind: str | None = None
     head_labels: tuple[str, ...] | None = None
     head_params: dict[str, np.ndarray] | None = None
-    # pretrain() records its seed and the float64 mlm_loss and nsp_loss of steps 1..step
+    # pretrain() records its seed, the float64 mlm_loss and nsp_loss of
+    # steps 1..step, and the sha256 of the example file it trained on
     seed: int | None = None
     losses: dict[str, np.ndarray] | None = None
+    examples_sha256: str | None = None
 
     @property
     def step(self) -> int:
@@ -159,6 +166,14 @@ def _check_history(losses: dict[str, np.ndarray], step: int, path: str) -> None:
         raise DataError(f"checkpoint {path}: the loss history does not hold {step} steps")
 
 
+def _check_digest(digest, path: str) -> None:
+    if not (isinstance(digest, str) and _SHA256.fullmatch(digest)):
+        raise DataError(
+            f"checkpoint {path} has a bad examples_sha256 {digest!r}; "
+            "expected 64 lowercase hex digits"
+        )
+
+
 def _json_bytes(obj) -> bytes:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
@@ -174,11 +189,14 @@ def save_checkpoint(
     head_params: dict[str, np.ndarray] | None = None,
     seed: int | None = None,
     losses: dict[str, np.ndarray] | None = None,
+    examples_sha256: str | None = None,
 ) -> None:
     """Write a checkpoint. What the readers reject is a DataError, raised
-    before the file is opened: a malformed loss history, or a non-finite
-    parameter or head tensor."""
+    before the file is opened: a malformed loss history or example-file
+    digest, or a non-finite parameter or head tensor."""
     _check_history(losses or {}, state.step, path)
+    if examples_sha256 is not None:
+        _check_digest(examples_sha256, path)
     for group, named in (("parameter", params), ("head tensor", head_params or {})):
         for name, value in named.items():
             if not np.isfinite(value).all():
@@ -212,6 +230,8 @@ def save_checkpoint(
         header["head"] = {"kind": head_kind, "labels": list(head_labels or ())}
     if seed is not None:
         header["seed"] = seed
+    if examples_sha256 is not None:
+        header["examples_sha256"] = examples_sha256
     blob = _json_bytes(header)
     with atomic_open(path, binary=True) as handle:
         handle.write(_MAGIC)
@@ -290,13 +310,15 @@ def load_checkpoint(path: str) -> Checkpoint:
     for key in required:
         if key not in header:
             raise DataError(f"checkpoint {path} header lacks {key!r}")
-    unknown = sorted(set(header) - {*required, "head", "seed"})
+    unknown = sorted(set(header) - {*required, "head", "seed", "examples_sha256"})
     if unknown:
         raise DataError(f"checkpoint {path} header has unknown keys {unknown}")
     for key in ("step", "seed"):
         value = header.get(key, 0)
         if isinstance(value, bool) or not isinstance(value, int) or value < 0:
             raise DataError(f"checkpoint {path} has a bad {key} {value!r}")
+    if "examples_sha256" in header:
+        _check_digest(header["examples_sha256"], path)
     step = header["step"]
     if not isinstance(header["tensors"], list):
         raise DataError(f"checkpoint {path}: tensors is not a list")
@@ -360,6 +382,7 @@ def load_checkpoint(path: str) -> Checkpoint:
         head_params=head_params or None,
         seed=header.get("seed"),
         losses=losses or None,
+        examples_sha256=header.get("examples_sha256"),
     )
 
 
@@ -429,14 +452,17 @@ def pretrain(
     the whole loss history is written to ``trace_path``. A non-finite
     gradient ends the run with a DataError naming the step, before any
     update or write. A negative ``seed`` or a ``log_every`` below 1 is a
-    ConfigError, raised before the example file is read. Resuming with
-    another model config, optimizer setting or seed is a ConfigError, and
-    resuming a checkpoint without a loss history is a DataError; both are
-    raised before the first step.
+    ConfigError, raised before the example file is read. Resuming onto an
+    example file of another sha256 than the checkpoint records, or with
+    another model config, optimizer setting or seed, is a ConfigError, and
+    resuming a checkpoint without a loss history is a DataError; all are
+    raised before the first step and leave the checkpoint as it was. A
+    checkpoint that records no example-file digest resumes on any file.
     """
     check_seed(seed)
     check_log_every(log_every)
     examples, file_vocab = read_examples(examples_path)
+    digest = hashlib.sha256(Path(examples_path).read_bytes()).hexdigest()
     if file_vocab != model_config.vocab_size:
         raise ConfigError(
             f"example file was built for vocab size {file_vocab}, "
@@ -447,6 +473,12 @@ def pretrain(
 
     if os.path.exists(checkpoint_path):
         checkpoint = load_checkpoint(checkpoint_path)
+        if checkpoint.examples_sha256 not in (None, digest):
+            raise ConfigError(
+                f"checkpoint {checkpoint_path} was trained on an example file of sha256 "
+                f"{checkpoint.examples_sha256}, but {examples_path} has sha256 {digest}; "
+                f"remove {checkpoint_path} to train on this file"
+            )
         if checkpoint.model_config != model_config:
             raise ConfigError("checkpoint model config does not match")
         stored = dataclasses.replace(checkpoint.opt_config, max_steps=opt_config.max_steps)
@@ -478,9 +510,13 @@ def pretrain(
             )
 
     history = {name: np.array([row[i] for row in trace]) for i, name in enumerate(_LOSSES, 1)}
-    run = Checkpoint(model_config, opt_config, params, state, seed=seed, losses=history)
+    run = Checkpoint(
+        model_config, opt_config, params, state, seed=seed, losses=history,
+        examples_sha256=digest,
+    )
     save_checkpoint(
-        checkpoint_path, model_config, opt_config, params, state, seed=seed, losses=history
+        checkpoint_path, model_config, opt_config, params, state, seed=seed, losses=history,
+        examples_sha256=digest,
     )
     if trace_path is not None:
         write_loss_trace(trace_path, run.trace)

@@ -12,8 +12,10 @@ by where the pair first occurs in the corpus.
 Cost per call: training counts pieces and pairs once, O(characters of
 the distinct words); each merge then rewrites only the words holding the
 merged pair and re-ranks, at O(log pairs) each, only the pairs whose
-counts it changed. ``encode`` pretokenizes and matches a whitespace
-chunk the first time a model sees it; later it costs one dict lookup.
+counts it changed. A pair's merged-piece names, the tie-break keys of
+its rank, are built once per pair and then read from a memo. ``encode``
+pretokenizes and matches a whitespace chunk the first time a model sees
+it; later it costs one dict lookup.
 """
 
 from __future__ import annotations
@@ -241,6 +243,9 @@ class _MergeCounts:
         for a, b in self.pair_freq:
             self.piece_pairs[a].add((a, b))
             self.piece_pairs[b].add((a, b))
+        # each pair's merged piece, with and without the prefix stripped:
+        # built once per pair, not at every ranking of it
+        self.names: dict[Pair, tuple[str, str]] = {}
         self.heap: list[tuple] = []
         self._push(self.pair_freq)
 
@@ -252,8 +257,11 @@ class _MergeCounts:
             return None
         a, b = pair
         score = freq / (self.piece_freq[a] * self.piece_freq[b])
-        merged = a + _strip_prefix(b)
-        return (-score, -freq, _strip_prefix(merged), merged, a, b)
+        names = self.names.get(pair)
+        if names is None:
+            merged = a + _strip_prefix(b)
+            names = self.names[pair] = (_strip_prefix(merged), merged)
+        return (-score, -freq, *names, a, b)
 
     def _push(self, pairs: Iterable[Pair]) -> None:
         for pair in pairs:
@@ -438,10 +446,15 @@ def save_vocab(model: WordPieceModel, path: str | Path) -> None:
 
 
 def load_vocab(
-    path: str | Path, config: TokenizerTrainConfig = TokenizerTrainConfig()
+    path: str | Path, config: TokenizerTrainConfig | None = None
 ) -> WordPieceModel:
+    """Read a vocabulary file. Without a config, the cap is the training
+    default or the file's size, whichever is larger, so any file the
+    trainer writes loads."""
     vocab = tuple(read_text(path).splitlines())
     if len(set(vocab)) != len(vocab):
         raise DataError(f"{path}: vocab file contains duplicate tokens")
+    if config is None:
+        config = TokenizerTrainConfig(vocab_size=max(len(vocab), TokenizerTrainConfig.vocab_size))
     token_to_id = {tok: i for i, tok in enumerate(vocab)}
     return WordPieceModel(vocab=vocab, token_to_id=token_to_id, config=config)

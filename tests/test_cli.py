@@ -364,6 +364,23 @@ class TestManifestRun:
             assert filecmp.cmp(tmp_path / "one" / name, tmp_path / "two" / name,
                                shallow=False), name
 
+    def test_rerun_on_changed_data_stops_at_pretraining(self, tmp_path, capsys):
+        # a rerun in the same directory rebuilds the vocabulary and the
+        # examples; the checkpoint trained on the old examples is not resumed
+        manifest = tmp_path / "m.txt"
+        settings = ("seed = 21\nvocab_size = 400\nmax_len = 48\nsteps = 20\n"
+                    "corpus = corpus.jsonl\nnormalized = norm.jsonl\nsegments = seg.jsonl\n"
+                    "vocab = vocab.txt\nexamples = ex.ptex\ncheckpoint = ck.flcp\n")
+        manifest.write_text(settings + "docs = 120\n", encoding="utf-8")
+        assert main(["run", "--manifest", str(manifest)]) == 0
+        checkpoint = tmp_path / "ck.flcp"
+        before = checkpoint.read_bytes()
+        manifest.write_text(settings + "docs = 60\n", encoding="utf-8")
+        capsys.readouterr()
+        assert main(["run", "--manifest", str(manifest)]) == 2
+        assert f"remove {checkpoint} to train on this file" in capsys.readouterr().err
+        assert checkpoint.read_bytes() == before
+
     def test_missing_seed_is_config_error(self, tmp_path):
         manifest = tmp_path / "m.txt"
         manifest.write_text("docs = 5\ncorpus = c.jsonl\n", encoding="utf-8")

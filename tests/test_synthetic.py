@@ -1,7 +1,12 @@
-"""Generator tests: construction guarantees, determinism, and pipeline fit."""
+"""Generator tests: construction guarantees, determinism, pinned bytes,
+and pipeline fit."""
 
+import hashlib
+import json
 import re
+from bisect import bisect_right
 
+import numpy as np
 import pytest
 
 from farsilm.errors import ConfigError
@@ -22,6 +27,7 @@ from farsilm.synthetic import (
     ner_tag_inventory,
     theme_words,
 )
+from farsilm.synthetic import _ENTITY_COUNT_CDF, _SHARED_WORDS, _TOPICS, _tables
 from farsilm.textnorm import ZWNJ, normalize
 from farsilm.wordpiece import TokenizerTrainConfig, decode, encode, train_wordpiece
 
@@ -218,3 +224,103 @@ class TestNer:
     def test_rejects_zero_count(self):
         with pytest.raises(ConfigError):
             generate_ner(1, 0)
+
+
+def _digest(rows) -> str:
+    blob = json.dumps(rows, ensure_ascii=False, separators=(",", ":")).encode("utf-8")
+    return hashlib.sha256(blob).hexdigest()
+
+
+def _proper_words() -> set[str]:
+    words = set(PERSON_NAMES) | set(PLACE_NAMES) | set(CLASS_MARKERS)
+    for entry in ORG_NAMES:
+        words |= set(entry)
+    return words
+
+
+class TestPinnedBytes:
+    """Generator output by hash: a change in any draw, or in their order,
+    moves it. The sizes are large enough that every entity count and the
+    proper-noun injection occur."""
+
+    @pytest.mark.parametrize("seed, n_classes, digest", [
+        (4, 2, "d8d3423549e98784d210591c05fd03b211b8cc7795f7c8fa3a073b15364b786b"),
+        (11, 8, "b257fffa7a1d7aac92f88a4e4ae39b7e18f77e78d859ef3fed36845c40f12b01"),
+    ])
+    def test_classification(self, seed, n_classes, digest):
+        items = generate_classification(seed, 240, n_classes)
+        assert _digest([[item.text, item.label] for item in items]) == digest
+
+    @pytest.mark.parametrize("seed, digest", [
+        (4, "86b84a90b39d24d6c9da77944208c0b33cb94c1ffe59d78edaa3b62e062a599e"),
+        (11, "2104c0adcf6306e00fa03a27bf361b59bb046ceaa1844e9276edaa77af07f8cb"),
+    ])
+    def test_ner(self, seed, digest):
+        sequences = generate_ner(seed, 300)
+        counts = {sum(tag.startswith("B-") for tag in seq.tags) for seq in sequences}
+        assert counts == {0, 1, 2}
+        assert _digest([[list(seq.tokens), list(seq.tags)] for seq in sequences]) == digest
+
+    @pytest.mark.parametrize("seed, digest", [
+        (4, "c2d5d74bd7e7025502d75b79ed640357067cf8e933e5aa974fc8d6b83b00ba20"),
+        (11, "308650d47c8221164e44c385b200085805934ca9172bfb63d0f43a3640506e23"),
+    ])
+    def test_round_trip_sentences(self, seed, digest):
+        assert _digest(generate_round_trip_sentences(seed, 300)) == digest
+
+    @pytest.mark.parametrize("seed, digest", [
+        (4, "dcf7707dc3425ee393ea55f6a57a482875da56db29680c2b26a5ef74dcbf2579"),
+        (11, "e0c606d9b3cd01b86947710217b77b83388021c743ed8f567fc736fed0722abe"),
+    ])
+    def test_mlm_corpus(self, seed, digest):
+        docs = generate_mlm_corpus(seed, 150)
+        proper = _proper_words()
+        injected = [
+            word for doc in docs for sentence in doc.sentences
+            for word in sentence.split() if word.rstrip("".join(BOUNDARIES)) in proper
+        ]
+        assert injected
+        rows = [
+            [doc.doc_id, doc.topic, list(doc.sentences), doc.has_abbreviation, doc.has_decimal]
+            for doc in docs
+        ]
+        assert _digest(rows) == digest
+
+
+def _numpy_tables():
+    """The cumulative word tables as NumPy arrays, built as the generator
+    built them when it drew with np.searchsorted."""
+    weights = 1.0 / (np.arange(len(lexicon())) + 2.0)
+    shared = np.cumsum(weights[:_SHARED_WORDS])
+    shared /= shared[-1]
+    topics = []
+    for topic in range(_TOPICS):
+        members = [i for i in range(_SHARED_WORDS, len(weights)) if i % _TOPICS == topic]
+        cum = np.cumsum(weights[members])
+        topics.append(cum / cum[-1])
+    return [shared] + topics
+
+
+class TestSamplerEquivalence:
+    """A word draw bisects one rng.random() into a list table; it must pick
+    what np.searchsorted(..., side="right") picks on the array table."""
+
+    def test_list_tables_hold_the_array_tables_floats(self):
+        _, shared_cum, _, topic_cums, _ = _tables()
+        for got, want in zip([shared_cum] + list(topic_cums), _numpy_tables(), strict=True):
+            assert isinstance(got, list)
+            assert np.array_equal(np.array(got), want)
+
+    def test_bisect_matches_searchsorted_at_the_edges(self):
+        _, shared_cum, _, topic_cums, _ = _tables()
+        largest_below_one = float(np.nextafter(1.0, 0.0))
+        for table, array in zip([shared_cum] + list(topic_cums), _numpy_tables(), strict=True):
+            for u in [0.0, largest_below_one, *table]:
+                assert bisect_right(table, u) == int(np.searchsorted(array, u, side="right"))
+
+    def test_entity_count_draw_matches_rng_choice(self):
+        ours, theirs = np.random.default_rng(19), np.random.default_rng(19)
+        for _ in range(10_000):
+            got = bisect_right(_ENTITY_COUNT_CDF, ours.random())
+            assert got == int(theirs.choice([0, 1, 2], p=[0.2, 0.55, 0.25]))
+        assert ours.bit_generator.state == theirs.bit_generator.state

@@ -1,11 +1,13 @@
 """Optimizer, checkpoint container, and pretraining loop tests."""
 
 import dataclasses
+import hashlib
 import json
 import math
 import re
 import struct
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from farsilm.pretrain_data import (
     PackingConfig,
     PretrainExample,
     build_pretrain_examples,
+    read_examples,
     write_examples,
 )
 from farsilm import model as model_module
@@ -213,6 +216,25 @@ class TestCheckpoint:
         assert loaded.seed == 11
         assert loaded.trace == tuple(
             zip(range(1, 8), losses["mlm_loss"].tolist(), losses["nsp_loss"].tolist()))
+
+    def test_round_trip_of_the_example_file_digest(self, tmp_path):
+        path = str(tmp_path / "model.ckpt")
+        digest = hashlib.sha256(b"examples").hexdigest()
+        save_checkpoint(path, self.config, self.opt, self.params, self.state,
+                        examples_sha256=digest)
+        assert load_checkpoint(path).examples_sha256 == digest
+
+    @pytest.mark.parametrize("digest", ["A" * 64, "a" * 63, "a" * 65, "g" * 64, 7, None])
+    def test_rejects_a_bad_example_file_digest(self, tmp_path, digest):
+        path = self._rewritten(tmp_path, lambda h: h.update(examples_sha256=digest))
+        with pytest.raises(DataError, match="bad examples_sha256"):
+            load_checkpoint(path)
+
+    def test_writer_refuses_a_digest_the_reader_rejects(self, tmp_path):
+        with pytest.raises(DataError, match="bad examples_sha256 'abc'"):
+            save_checkpoint(str(tmp_path / "model.ckpt"), self.config, self.opt, self.params,
+                            self.state, examples_sha256="abc")
+        assert list(tmp_path.iterdir()) == []
 
     def _with_history(self, tmp_path, losses):
         """A file holding ``losses`` as its loss history, built without the
@@ -423,6 +445,7 @@ def _rejected_or_read_faithfully(path, mutated):
         str(path), got.model_config, got.opt_config, got.params, got.adam_state,
         head_kind=got.head_kind, head_labels=got.head_labels,
         head_params=got.head_params, seed=got.seed, losses=got.losses,
+        examples_sha256=got.examples_sha256,
     )
     assert _split_checkpoint(path.read_bytes()) == _split_checkpoint(mutated)
 
@@ -592,6 +615,50 @@ class TestPretrain:
         with pytest.raises(ConfigError, match="trained with seed 3, not 99"):
             pretrain(path, config, OptimizerConfig(batch_size=4, max_steps=4), 99, str(ckpt))
         assert ckpt.read_bytes() == before
+
+    def test_checkpoint_records_the_example_file_digest(self, example_file, tmp_path):
+        path, vocab = example_file
+        ckpt = tmp_path / "d.ckpt"
+        run = pretrain(path, small_config(vocab), OptimizerConfig(batch_size=4, max_steps=1), 3,
+                       str(ckpt))
+        digest = hashlib.sha256(Path(path).read_bytes()).hexdigest()
+        assert run.examples_sha256 == load_checkpoint(str(ckpt)).examples_sha256 == digest
+
+    def test_resume_onto_another_example_file_fails_before_the_first_step(
+        self, example_file, tmp_path
+    ):
+        path, vocab = example_file
+        config = small_config(vocab)
+        examples, _ = read_examples(path)
+        other = tmp_path / "other.bin"
+        write_examples(examples[: len(examples) // 2], str(other), vocab)
+        ckpt, trace = tmp_path / "m.ckpt", tmp_path / "m.csv"
+        pretrain(path, config, OptimizerConfig(batch_size=4, max_steps=2), 3, str(ckpt))
+        before = ckpt.read_bytes()
+        with pytest.raises(ConfigError) as info:
+            pretrain(str(other), config, OptimizerConfig(batch_size=4, max_steps=4), 3, str(ckpt),
+                     trace_path=str(trace))
+        message = str(info.value)
+        assert hashlib.sha256(Path(path).read_bytes()).hexdigest() in message
+        assert hashlib.sha256(other.read_bytes()).hexdigest() in message
+        assert f"remove {ckpt} " in message
+        assert ckpt.read_bytes() == before
+        assert not trace.exists()
+
+    def test_a_checkpoint_without_an_example_file_digest_still_resumes(
+        self, example_file, tmp_path
+    ):
+        path, vocab = example_file
+        config = small_config(vocab)
+        opt = OptimizerConfig(batch_size=4, max_steps=4)
+        pretrain(path, config, opt, 3, str(tmp_path / "full.ckpt"))
+        ckpt = tmp_path / "m.ckpt"
+        half = pretrain(path, config, OptimizerConfig(batch_size=4, max_steps=2), 3, str(ckpt))
+        save_checkpoint(str(ckpt), config, half.opt_config, half.params, half.adam_state,
+                        seed=3, losses=half.losses)
+        assert load_checkpoint(str(ckpt)).examples_sha256 is None
+        pretrain(path, config, opt, 3, str(ckpt))
+        assert ckpt.read_bytes() == (tmp_path / "full.ckpt").read_bytes()
 
     @pytest.mark.parametrize("layers", [1, 2])
     def test_twenty_steps_equal_the_padded_encoders_bytes(

@@ -1,3 +1,4 @@
+import hashlib
 import tempfile
 from collections import Counter
 from pathlib import Path
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from farsilm.errors import ConfigError, DataError
 from farsilm.pretrain_data import PackingConfig, assemble_input
+from farsilm.synthetic import generate_mlm_corpus
 from farsilm.wordpiece import (
     CLS,
     CONTINUATION_PREFIX,
@@ -184,6 +186,18 @@ class TestTraining:
             "a", "##a", "##b",
             "aa", "aaa", "aaab",
         ]
+
+    def test_vocabulary_pinned(self):
+        """A trained vocabulary by hash: a change in any merge, or in their
+        order, moves it."""
+        docs = generate_mlm_corpus(7, 300)
+        model = train_wordpiece(
+            [s for d in docs for s in d.sentences],
+            TokenizerTrainConfig(vocab_size=800, min_frequency=2),
+        )
+        assert hashlib.sha256("\n".join(model.vocab).encode("utf-8")).hexdigest() == (
+            "0591864dc43745476356942f14cd21851a4a100b4be1772cb051baa9ba12af3d"
+        )
 
     def test_no_frequent_pair_keeps_alphabet_only(self):
         config = TokenizerTrainConfig(vocab_size=100, min_frequency=3)
@@ -422,6 +436,18 @@ class TestVocabFile:
         path = tmp_path / "vocab.txt"
         save_vocab(model, path)
         assert b"\r" not in path.read_bytes()
+
+    def test_a_vocabulary_above_the_default_cap_loads(self, tmp_path):
+        cap = TokenizerTrainConfig.vocab_size
+        tokens = [f"t{i}" for i in range(cap + 1)]
+        config = TokenizerTrainConfig(vocab_size=cap + 6)
+        vocab = SPECIAL_TOKENS + tuple(tokens)
+        model = WordPieceModel(vocab, {t: i for i, t in enumerate(vocab)}, config)
+        path = tmp_path / "vocab.txt"
+        save_vocab(model, path)
+        loaded = load_vocab(path)
+        assert len(loaded.vocab) == cap + 6
+        assert loaded.vocab == model.vocab
 
     def test_duplicate_lines_rejected(self, tmp_path):
         path = tmp_path / "vocab.txt"
