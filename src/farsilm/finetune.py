@@ -94,7 +94,9 @@ class TaggedSequence:
         if not self.tokens:
             raise DataError("tagged sequence must hold at least one token")
         for token in self.tokens:
-            if not token or any(ch.isspace() for ch in token):
+            # split() cuts at exactly the characters isspace() names, and
+            # leaves nothing of an empty token
+            if token.split() != [token]:
                 raise DataError(f"token {token!r} is empty or holds whitespace")
         # a tagged file's columns are tab-split lines
         for tag in self.tags:
@@ -134,6 +136,9 @@ class HeadModel:
     head_w: np.ndarray
     head_b: np.ndarray
     labels: tuple[str, ...]
+    # sha256 of the vocabulary file it was fine-tuned with; None in head
+    # files written before heads recorded it
+    vocab_sha256: str | None = None
 
 
 @dataclass(frozen=True)
@@ -191,11 +196,19 @@ def write_tagged(path: str, sequences) -> int:
     return count
 
 
-def _check_tokenizer(tokenizer: wp.WordPieceModel, config: ModelConfig) -> None:
+def _check_tokenizer(tokenizer: wp.WordPieceModel, config: ModelConfig,
+                     vocab_sha256: str | None = None) -> None:
+    """The tokenizer must fit the model: its size always, and its digest
+    when the model records the one it was fine-tuned with."""
     if len(tokenizer.vocab) != config.vocab_size:
         raise ConfigError(
             f"tokenizer vocabulary holds {len(tokenizer.vocab)} entries, "
             f"model expects {config.vocab_size}"
+        )
+    if vocab_sha256 not in (None, tokenizer.vocab_sha256):
+        raise ConfigError(
+            f"the model was fine-tuned with a vocabulary of sha256 {vocab_sha256}, "
+            f"but this vocabulary has sha256 {tokenizer.vocab_sha256}"
         )
 
 
@@ -397,12 +410,12 @@ def _finetune(task: Task, checkpoint, tokenizer, train, dev, config) -> Finetune
             check_finite_gradients(grads, f"epoch {epoch + 1} step {state.step + 1}")
             adam_step(full, grads, state, opt)
         if dev:
-            model = _assemble(task.head_kind, mcfg, full, config.label_inventory)
+            model = _assemble(task.head_kind, mcfg, full, config.label_inventory, tokenizer)
             predicted = _predict_rows(task, model, *dev_rows, tokenizer.pad_id)
             _, _, score = task.report(dev, predicted, config.label_inventory)
             trace.append(score)
 
-    model = _assemble(task.head_kind, mcfg, full, config.label_inventory)
+    model = _assemble(task.head_kind, mcfg, full, config.label_inventory, tokenizer)
     return FinetuneOutcome(model=model, dev_trace=tuple(trace))
 
 
@@ -436,7 +449,7 @@ def finetune_tokens(
     return TASKS["ner"].finetune(checkpoint, tokenizer, train, dev, config)
 
 
-def _assemble(kind, mcfg, full, labels) -> HeadModel:
+def _assemble(kind, mcfg, full, labels, tokenizer) -> HeadModel:
     params = {k: v.copy() for k, v in full.items() if k not in ("head_w", "head_b")}
     return HeadModel(
         kind=kind,
@@ -445,6 +458,7 @@ def _assemble(kind, mcfg, full, labels) -> HeadModel:
         head_w=full["head_w"].copy(),
         head_b=full["head_b"].copy(),
         labels=tuple(labels),
+        vocab_sha256=tokenizer.vocab_sha256,
     )
 
 
@@ -465,8 +479,10 @@ def _predict_rows(task: Task, model: HeadModel, rows, firsts, pad_id: int):
 
 
 def predict(model: HeadModel, tokenizer: wp.WordPieceModel, inputs):
-    """Argmax predictions: label strings for classifiers, tag rows for taggers."""
-    _check_tokenizer(tokenizer, model.model_config)
+    """Argmax predictions: label strings for classifiers, tag rows for taggers.
+    A tokenizer of another size, or of another sha256 than the model
+    records, is a ConfigError, raised before any input is encoded."""
+    _check_tokenizer(tokenizer, model.model_config, model.vocab_sha256)
     if model.kind not in _BY_HEAD_KIND:
         raise ConfigError(f"unknown head kind {model.kind!r}")
     task = _BY_HEAD_KIND[model.kind]
@@ -485,6 +501,7 @@ def save_head_model(path: str, model: HeadModel) -> None:
         head_kind=model.kind,
         head_labels=model.labels,
         head_params={"w": model.head_w, "b": model.head_b},
+        vocab_sha256=model.vocab_sha256,
     )
 
 
@@ -514,4 +531,5 @@ def load_head_model(path: str) -> HeadModel:
         head_w=head["w"],
         head_b=head["b"],
         labels=labels,
+        vocab_sha256=checkpoint.vocab_sha256,
     )

@@ -240,13 +240,16 @@ class _Rows:
     Token-wise work runs on arrays of shape (N, K) holding the N rows in
     batch order; a batch without padding takes the same path with
     N = B * L. The attention softmax and its backward run on (N, nh, L)
-    query rows too. Every matrix product stays in the padded layout, which
-    gives the bits of running every position for hidden sizes from 2 up.
-    At hidden size 1 a row sum over an (N, 1) array is pairwise, and N
-    rows pair differently from B * L rows. A projection of a single row
-    goes to a matrix-vector kernel, whose bits differ from the matrix
-    product's, so a subset holds at least two rows when its parent does;
-    encoded inputs always hold [CLS] and [SEP].
+    query rows too. The attention products and the backward pass's
+    weight-gradient products stay in the padded layout; its data-gradient
+    products ``dy @ w.T`` run on the token rows packed into blocks of L
+    rows, one (L, K) product per block as the padded layout has one per
+    batch row. Both give the bits of running every position for hidden
+    sizes from 2 up. At hidden size 1 a row sum over an (N, 1) array is
+    pairwise, and N rows pair differently from B * L rows. A projection
+    of a single row goes to a matrix-vector kernel, whose bits differ from
+    the matrix product's, so a subset holds at least two rows when its
+    parent does; encoded inputs always hold [CLS] and [SEP].
     ``keep`` indexes the set's rows within its parent's token rows.
     """
 
@@ -539,18 +542,24 @@ def backprop_encoder(params, config: ModelConfig, cache, d_sequence, d_pooled, g
     result and the cached probabilities go into zeroed (B, nh, L, L)
     views for the key, query and value products; the gradient of an
     unkept query row is an exact zero row of ``dctx``, so only zeros meet
-    it. Every matrix product runs on padded (B * L, K) operands whose
-    other gradient rows are exact zeros. BLAS may choose another kernel,
-    and so another summation order, for another row count; the padded
-    products give the same bits as an encoder that runs every position.
-    Compact ``dy @ w.T`` products on the read rows would not: at the
-    fine-tuning shapes L = 5 and L = 18 they change bits.
+    it. Each weight-gradient product ``x.T @ dy`` runs on padded
+    (B * L, K) operands whose other gradient rows are exact zeros; each
+    bias gradient sums the token rows. Each data-gradient product
+    ``dy @ w.T`` runs only on the N rows that carry gradient: the read
+    rows for the last layer's FFN, output and query weights, the attended
+    rows otherwise. They are packed into a zeroed (ceil(N / L) * L, K)
+    buffer and multiplied one (L, K) block at a time. BLAS may choose
+    another kernel, and so another summation order, for another shape;
+    as every product keeps the shape the padded encoder gives it, the
+    gradients are the bits of an encoder that runs every position. One
+    (N, K) product would not be: at the fine-tuning shapes L = 5 and
+    L = 18 it changes bits, and so does a weight-gradient product that
+    sums over the token rows alone.
 
     The padded operands go into zeroed (B * L, K) buffers, one hidden-wide
     for the call and one FFN-wide per layer, and only token rows are ever
     written; the last layer runs first and writes only its read rows until
-    its input ``x_in``. Each padded ``dy @ w.T`` lives only until its token
-    rows are gathered. The pass consumes ``cache``, taking each array out
+    its input ``x_in``. The pass consumes ``cache``, taking each array out
     at its last use, so it holds the layers below and one layer's working
     set; a second call on the same cache is a RuntimeError.
     """
@@ -581,16 +590,24 @@ def backprop_encoder(params, config: ModelConfig, cache, d_sequence, d_pooled, g
         buffer[row_set.flat] = tokens
         return buffer
 
-    def dense_back(flat_x, flat_dy, w_name, b_name):
-        """Weight and bias gradients of x @ w + b, for x and dy as padded
-        (B * L, K) rows; returns dy @ w.T as a (B, L, N) array."""
+    def dense_back(flat_x, flat_dy, dy, w_name, b_name):
+        """Gradients of x @ w + b for x and dy as padded (B * L, K) rows,
+        with dy's (N, K) token rows: the weight's over the padded rows, the
+        bias's over the token rows. Returns dy @ w.T for the token rows."""
         grads[w_name] += flat_x.T @ flat_dy
-        grads[b_name] += flat_dy.sum(0)
-        # one product per batch row, as the padded encoder forms it
-        return flat_dy.reshape(bsz, length, -1) @ params[w_name].T
+        grads[b_name] += dy.sum(0)
+        # one (L, K) product per block of L token rows, the shape the padded
+        # encoder gives each batch row
+        n, width = dy.shape
+        blocks = np.zeros((-(-n // length), length, width))
+        blocks.reshape(-1, width)[:n] = dy
+        return np.matmul(blocks, params[w_name].T).reshape(-1, len(params[w_name]))[:n]
 
-    def merge(heads_grad):
-        return heads_grad.transpose(0, 2, 1, 3).reshape(-1, hidden)
+    def heads_back(flat_x, dheads, row_set, w_name, b_name):
+        """dense_back for dy given as (B, nh, L, K / nh) heads, nonzero on
+        ``row_set`` only."""
+        flat_dy = dheads.transpose(0, 2, 1, 3).reshape(-1, hidden)
+        return dense_back(flat_x, flat_dy, flat_dy[row_set.flat], w_name, b_name)
 
     for layer in reversed(range(config.layers)):
         p = f"layer{layer}."
@@ -602,20 +619,20 @@ def backprop_encoder(params, config: ModelConfig, cache, d_sequence, d_pooled, g
         grads[p + "ffn_ln_b"] += db
         pad_ffn = np.zeros((bsz * length, inter))
         # GELU's output, formed again as _gelu forms it
-        dact = out.gather(dense_back(padded(pad_ffn, out, c["ffn_pre"] * c["ffn_cdf"]),
-                                     padded(pad_hidden, out, dsum), p + "ffn_w2", p + "ffn_b2"))
-        padded(pad_ffn, out, _gelu_back(dact, c.pop("ffn_pre"), c.pop("ffn_cdf")))
-        dx_attn = out.gather(dense_back(padded(pad_hidden, out, c.pop("x_attn")), pad_ffn,
-                                        p + "ffn_w1", p + "ffn_b1"))
-        del dact, pad_ffn
+        dact = dense_back(padded(pad_ffn, out, c["ffn_pre"] * c["ffn_cdf"]),
+                          padded(pad_hidden, out, dsum), dsum, p + "ffn_w2", p + "ffn_b2")
+        dpre = _gelu_back(dact, c.pop("ffn_pre"), c.pop("ffn_cdf"))
+        dx_attn = dense_back(padded(pad_hidden, out, c.pop("x_attn")), padded(pad_ffn, out, dpre),
+                             dpre, p + "ffn_w1", p + "ffn_b1")
+        del dact, dpre, pad_ffn
         dx_attn += dsum
 
         dsum, dg, db = _layer_norm_back(dx_attn, c.pop("attn_ln"))
         grads[p + "attn_ln_g"] += dg
         grads[p + "attn_ln_b"] += db
         dctx = dense_back(out.scatter(c.pop("ctx")).reshape(-1, hidden),
-                          padded(pad_hidden, out, dsum), p + "o_w", p + "o_b")
-        dctx = dctx.reshape(bsz, length, nh, dh).transpose(0, 2, 1, 3)
+                          padded(pad_hidden, out, dsum), dsum, p + "o_w", p + "o_b")
+        dctx = out.scatter(dctx).reshape(bsz, length, nh, dh).transpose(0, 2, 1, 3)
 
         probs = c.pop("probs")
         dprobs = out.gather_heads(dctx @ rows.heads(c.pop("v"), nh).transpose(0, 1, 3, 2))
@@ -631,12 +648,14 @@ def backprop_encoder(params, config: ModelConfig, cache, d_sequence, d_pooled, g
         dkh = dscores.transpose(0, 1, 3, 2) @ out.heads(c.pop("q"), nh)
         del dscores
 
-        # dsum + dq @ q_w.T + dk @ k_w.T + dv @ v_w.T, summed in that order
+        # dsum + dq @ q_w.T + dk @ k_w.T + dv @ v_w.T, summed in that order;
+        # dq is zero off the kept query rows
         x_in = padded(pad_hidden, rows, c.pop("x_in"))
-        dx = rows.gather(dense_back(x_in, merge(dqh), p + "q_w", p + "q_b"))
+        dx = np.zeros((rows.flat.size, hidden))
+        dx[out.keep] = heads_back(x_in, dqh, out, p + "q_w", p + "q_b")
         dx[out.keep] += dsum
-        dx += rows.gather(dense_back(x_in, merge(dkh), p + "k_w", p + "k_b"))
-        dx += rows.gather(dense_back(x_in, merge(dvh), p + "v_w", p + "v_b"))
+        dx += heads_back(x_in, dkh, rows, p + "k_w", p + "k_b")
+        dx += heads_back(x_in, dvh, rows, p + "v_w", p + "v_b")
         del dqh, dkh, dvh
 
     # embedding backward: the sums np.add.at forms, added in its order

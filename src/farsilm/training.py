@@ -12,7 +12,8 @@ checkpoint also holds the seed and every step's losses, so one file
 holds the whole run: the loss trace is written whole from it at the end
 of each run, and a resume can neither drop nor repeat a row. It also
 holds the example file's sha256, so a resume onto another example file,
-whose token ids may index another vocabulary, is refused.
+whose token ids may index another vocabulary, is refused. A fine-tuned
+head file holds its vocabulary's sha256 the same way.
 """
 
 from __future__ import annotations
@@ -143,6 +144,8 @@ class Checkpoint:
     seed: int | None = None
     losses: dict[str, np.ndarray] | None = None
     examples_sha256: str | None = None
+    # a fine-tuned head records the sha256 of its vocabulary file
+    vocab_sha256: str | None = None
 
     @property
     def step(self) -> int:
@@ -166,11 +169,13 @@ def _check_history(losses: dict[str, np.ndarray], step: int, path: str) -> None:
         raise DataError(f"checkpoint {path}: the loss history does not hold {step} steps")
 
 
-def _check_digest(digest, path: str) -> None:
+_DIGESTS = ("examples_sha256", "vocab_sha256")  # optional header keys
+
+
+def _check_digest(key: str, digest, path: str) -> None:
     if not (isinstance(digest, str) and _SHA256.fullmatch(digest)):
         raise DataError(
-            f"checkpoint {path} has a bad examples_sha256 {digest!r}; "
-            "expected 64 lowercase hex digits"
+            f"checkpoint {path} has a bad {key} {digest!r}; expected 64 lowercase hex digits"
         )
 
 
@@ -190,13 +195,16 @@ def save_checkpoint(
     seed: int | None = None,
     losses: dict[str, np.ndarray] | None = None,
     examples_sha256: str | None = None,
+    vocab_sha256: str | None = None,
 ) -> None:
     """Write a checkpoint. What the readers reject is a DataError, raised
-    before the file is opened: a malformed loss history or example-file
-    digest, or a non-finite parameter or head tensor."""
+    before the file is opened: a malformed loss history, example-file or
+    vocabulary digest, or a non-finite parameter or head tensor."""
     _check_history(losses or {}, state.step, path)
-    if examples_sha256 is not None:
-        _check_digest(examples_sha256, path)
+    digests = {"examples_sha256": examples_sha256, "vocab_sha256": vocab_sha256}
+    digests = {key: digest for key, digest in digests.items() if digest is not None}
+    for key, digest in digests.items():
+        _check_digest(key, digest, path)
     for group, named in (("parameter", params), ("head tensor", head_params or {})):
         for name, value in named.items():
             if not np.isfinite(value).all():
@@ -230,8 +238,7 @@ def save_checkpoint(
         header["head"] = {"kind": head_kind, "labels": list(head_labels or ())}
     if seed is not None:
         header["seed"] = seed
-    if examples_sha256 is not None:
-        header["examples_sha256"] = examples_sha256
+    header.update(digests)
     blob = _json_bytes(header)
     with atomic_open(path, binary=True) as handle:
         handle.write(_MAGIC)
@@ -310,15 +317,16 @@ def load_checkpoint(path: str) -> Checkpoint:
     for key in required:
         if key not in header:
             raise DataError(f"checkpoint {path} header lacks {key!r}")
-    unknown = sorted(set(header) - {*required, "head", "seed", "examples_sha256"})
+    unknown = sorted(set(header) - {*required, "head", "seed", *_DIGESTS})
     if unknown:
         raise DataError(f"checkpoint {path} header has unknown keys {unknown}")
     for key in ("step", "seed"):
         value = header.get(key, 0)
         if isinstance(value, bool) or not isinstance(value, int) or value < 0:
             raise DataError(f"checkpoint {path} has a bad {key} {value!r}")
-    if "examples_sha256" in header:
-        _check_digest(header["examples_sha256"], path)
+    for key in _DIGESTS:
+        if key in header:
+            _check_digest(key, header[key], path)
     step = header["step"]
     if not isinstance(header["tensors"], list):
         raise DataError(f"checkpoint {path}: tensors is not a list")
@@ -383,6 +391,7 @@ def load_checkpoint(path: str) -> Checkpoint:
         seed=header.get("seed"),
         losses=losses or None,
         examples_sha256=header.get("examples_sha256"),
+        vocab_sha256=header.get("vocab_sha256"),
     )
 
 

@@ -20,6 +20,7 @@ it; later it costs one dict lookup.
 
 from __future__ import annotations
 
+import hashlib
 import heapq
 import unicodedata
 from collections import Counter, defaultdict
@@ -94,6 +95,11 @@ class WordPieceModel:
     @cached_property
     def special_ids(self) -> frozenset[int]:
         return frozenset(self.token_to_id[t] for t in SPECIAL_TOKENS)
+
+    @cached_property
+    def vocab_sha256(self) -> str:
+        """sha256 of the file :func:`save_vocab` writes for this vocabulary."""
+        return hashlib.sha256(_vocab_text(self.vocab).encode("utf-8")).hexdigest()
 
     @cached_property
     def non_special_ids(self) -> tuple[int, ...]:
@@ -438,11 +444,14 @@ def decode(model: WordPieceModel, ids: Sequence[int]) -> str:
     return " ".join(words)
 
 
+def _vocab_text(vocab: Sequence[str]) -> str:
+    return "".join(token + "\n" for token in vocab)
+
+
 def save_vocab(model: WordPieceModel, path: str | Path) -> None:
     """One token per line, line number = id, LF endings, UTF-8."""
     with atomic_open(path) as fh:
-        for token in model.vocab:
-            fh.write(token + "\n")
+        fh.write(_vocab_text(model.vocab))
 
 
 def load_vocab(

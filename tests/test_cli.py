@@ -1,6 +1,7 @@
 """Command-line surface tests: exit codes, formats, and determinism."""
 
 import filecmp
+import hashlib
 import json
 import re
 from pathlib import Path
@@ -254,6 +255,27 @@ class TestFinetuneAndEval:
         out = capsys.readouterr().out
         assert "accuracy" in out and "macro f1" in out
         assert any(r.get("class") == "class0" for _, r in read_records(report))
+
+    def test_eval_with_another_vocabulary_of_the_same_size_exits_two(self, pipeline, tmp_path,
+                                                                     capsys):
+        data = tmp_path / "cls.jsonl"
+        head = tmp_path / "cls.flcp"
+        assert main(["gen-synthetic", "cls", "--seed", "7", "--count", "8",
+                     "--out", str(data)]) == 0
+        assert main(["finetune-cls", "--checkpoint", str(pipeline["checkpoint"]),
+                     "--vocab", str(pipeline["vocab"]), "--train", str(data),
+                     "--dev", str(data), "--out", str(head), "--epochs", "1"]) == 0
+        # the same tokens with the last two swapped: the same size, another file
+        tokens = pipeline["vocab"].read_text(encoding="utf-8").splitlines()
+        tokens[-2:] = tokens[:-3:-1]
+        other = tmp_path / "other.txt"
+        other.write_text("".join(token + "\n" for token in tokens), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["eval-cls", "--model", str(head), "--vocab", str(other),
+                     "--in", str(data)]) == 2
+        err = capsys.readouterr().err
+        for path in (pipeline["vocab"], other):
+            assert hashlib.sha256(path.read_bytes()).hexdigest() in err
 
     def test_tagger_round_trip(self, pipeline, tmp_path, capsys):
         train = tmp_path / "train.conll"

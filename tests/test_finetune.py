@@ -6,7 +6,10 @@ gradient tests.
 """
 
 import dataclasses
+import hashlib
+import json
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -110,6 +113,16 @@ class TestTypes:
     def test_tokens_cannot_hold_whitespace(self):
         with pytest.raises(DataError, match="whitespace"):
             TaggedSequence(("a b",), ("O",))
+
+    def test_a_token_is_refused_exactly_when_a_character_of_it_is_whitespace(self):
+        # every code point but the surrogates, wedged between two letters
+        chars = [chr(c) for c in range(0x110000) if not 0xD800 <= c <= 0xDFFF]
+        spaces = [ch for ch in chars if ch.isspace()]
+        words = tuple(f"a{ch}b" for ch in chars if not ch.isspace())
+        TaggedSequence(words, ("O",) * len(words))
+        for token in ["", *(f"a{ch}b" for ch in spaces)]:
+            with pytest.raises(DataError, match="empty or holds whitespace"):
+                TaggedSequence((token,), ("O",))
 
     @pytest.mark.parametrize("tag", ["", "B-LOC\t", "B-X\nO", "B-X\rO"])
     def test_a_tag_its_file_cannot_hold_is_rejected(self, tag):
@@ -441,6 +454,12 @@ class TestTaggerReads:
         assert len(tags) == 1 and len(tags[0]) == 1 and tags[0][0] in model.labels
 
 
+def _split_header(data):
+    """A checkpoint file's JSON header and the tensor bytes after it."""
+    (size,) = struct.unpack("<I", data[8:12])
+    return json.loads(data[12 : 12 + size]), data[12 + size :]
+
+
 class TestHeadCheckpoints:
     def test_round_trip_preserves_predictions(self, setup, tmp_path):
         tokenizer, _, checkpoint = setup
@@ -453,6 +472,76 @@ class TestHeadCheckpoints:
         assert loaded.labels == ("pos", "neg")
         texts = [item.text for item in make_cls(10, 7)]
         assert predict(loaded, tokenizer, texts) == predict(out.model, tokenizer, texts)
+
+    def _classifier(self, setup):
+        tokenizer, _, checkpoint = setup
+        return finetune_sequence(checkpoint, tokenizer, make_cls(8, 1), [],
+                                 FinetuneConfig(("pos", "neg"), epochs=1)).model
+
+    @staticmethod
+    def _same_size_vocabulary(tokenizer):
+        """The tokenizer's vocabulary with two ordinary tokens swapped."""
+        vocab = list(tokenizer.vocab)
+        i, j = tokenizer.non_special_ids[:2]
+        vocab[i], vocab[j] = vocab[j], vocab[i]
+        return wp.WordPieceModel(tuple(vocab), {tok: k for k, tok in enumerate(vocab)},
+                                 tokenizer.config)
+
+    def test_a_head_records_the_digest_of_its_vocabulary_file(self, setup, tmp_path):
+        tokenizer = setup[0]
+        model = self._classifier(setup)
+        wp.save_vocab(tokenizer, tmp_path / "vocab.txt")
+        digest = hashlib.sha256((tmp_path / "vocab.txt").read_bytes()).hexdigest()
+        assert model.vocab_sha256 == tokenizer.vocab_sha256 == digest
+        save_head_model(str(tmp_path / "cls.flcp"), model)
+        assert load_head_model(str(tmp_path / "cls.flcp")).vocab_sha256 == digest
+
+    def test_predict_with_another_vocabulary_of_the_same_size_is_refused(self, setup,
+                                                                         monkeypatch):
+        tokenizer = setup[0]
+        model = self._classifier(setup)
+        other = self._same_size_vocabulary(tokenizer)
+        assert len(other.vocab) == len(tokenizer.vocab)
+        monkeypatch.setattr(wp, "encode", lambda *args: pytest.fail("an input was encoded"))
+        with pytest.raises(ConfigError) as info:
+            predict(model, other, ["ab abc"])
+        assert tokenizer.vocab_sha256 in str(info.value)
+        assert other.vocab_sha256 in str(info.value)
+
+    def test_a_head_file_without_the_digest_loads_and_predicts(self, setup, tmp_path):
+        legacy = dataclasses.replace(self._classifier(setup), vocab_sha256=None)
+        path = str(tmp_path / "legacy.flcp")
+        save_head_model(path, legacy)
+        loaded = load_head_model(path)
+        assert loaded.vocab_sha256 is None
+        other = self._same_size_vocabulary(setup[0])
+        assert predict(loaded, other, ["ab abc"]) == predict(legacy, other, ["ab abc"])
+
+    def test_the_digest_moves_head_file_bytes_by_its_header_key_only(self, setup, tmp_path):
+        model = self._classifier(setup)
+        files = {}
+        for name, digest in (("with", model.vocab_sha256), ("without", None)):
+            path = tmp_path / f"{name}.flcp"
+            save_head_model(str(path), dataclasses.replace(model, vocab_sha256=digest))
+            files[name] = _split_header(path.read_bytes())
+        header, payload = files["with"]
+        assert header.pop("vocab_sha256") == model.vocab_sha256
+        assert (header, payload) == files["without"]
+
+    @pytest.mark.parametrize("digest", ["A" * 64, "0" * 63, 7])
+    def test_a_bad_digest_is_refused_on_save_and_load(self, setup, tmp_path, digest):
+        model = self._classifier(setup)
+        path = tmp_path / "cls.flcp"
+        with pytest.raises(DataError, match="bad vocab_sha256"):
+            save_head_model(str(path), dataclasses.replace(model, vocab_sha256=digest))
+        assert not path.exists()
+        save_head_model(str(path), model)
+        header, payload = _split_header(path.read_bytes())
+        header["vocab_sha256"] = digest
+        blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+        path.write_bytes(path.read_bytes()[:8] + struct.pack("<I", len(blob)) + blob + payload)
+        with pytest.raises(DataError, match="bad vocab_sha256"):
+            load_head_model(str(path))
 
     def test_headless_checkpoint_rejected(self, setup, tmp_path):
         tokenizer, config, checkpoint = setup

@@ -442,13 +442,15 @@ class TestMaskedPositionHead:
 # tagger on every position, pretraining's MLM plus NSP), and parameters as
 # initialised or with N(0, 0.1) noise added to every entry.
 # 16 x 18 is the fine-tuning shape where a compact dY @ W.T takes another
-# BLAS kernel than the padded product. The classifier reads [CLS] alone, so
-# its last layer runs on one row per batch row: the (1, L) classifier cases
-# are the ones that exercise the two-row floor. Fresh parameters have unit
+# BLAS kernel than the padded product; at L = 32 one did for B = 1 and 2.
+# The backward pass packs the token rows into blocks of L rows, so each
+# data-gradient product keeps the padded (L, K) shape. The classifier reads
+# [CLS] alone, so its last layer runs on one row per batch row: the (1, L)
+# classifier cases are the ones that exercise the two-row floor. Fresh parameters have unit
 # layer-norm gains and zero biases, where a reordered multiply or add cannot
 # show; the noisy ones make every gain and bias take part in the arithmetic.
 _GRID_B = (1, 3, 16, 32)
-_GRID_L = (5, 18, 64)
+_GRID_L = (5, 18, 32, 64)
 _GRID_LAYOUT = ("full", "ragged")
 _GRID_UPSTREAM = ("classifier", "tagger", "mlm+nsp")
 _GRID_PARAM_NOISE = (0.0, 0.1)

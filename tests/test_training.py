@@ -777,7 +777,8 @@ class TestStepMemory:
     # the host: 59,728,480 bytes for a step whose backward pass held every
     # layer's cache and the heads' arrays to its end, 30,592,496 bytes with
     # each array dropped after its last use, 27,861,363 with the attention
-    # probabilities cached as the kept query rows only
+    # probabilities cached as the kept query rows only, 25,301,603 with each
+    # dy @ w.T formed on packed token rows instead of padded (B, L, K) ones
     BOUND = 0.75 * 59_728_480
 
     def _acceptance_batch(self):
@@ -801,7 +802,7 @@ class TestStepMemory:
         )
         return config, params, batch
 
-    def test_traced_high_water_of_one_step(self):
+    def _step_high_water(self):
         config, params, batch = self._acceptance_batch()
         state = init_adam_state(params)
         opt = OptimizerConfig(learning_rate=1e-3)
@@ -810,7 +811,40 @@ class TestStepMemory:
             _, grads = gradients(params, config, batch)
             adam_step(params, grads, state, opt)
 
-        assert _traced_high_water(step) <= self.BOUND
+        return _traced_high_water(step)
+
+    def test_traced_high_water_of_one_step(self):
+        assert self._step_high_water() <= self.BOUND
+
+    def test_backward_holds_no_padded_data_gradient(self):
+        # the step's reading while every dy @ w.T ran on padded (B, L, K) rows
+        assert self._step_high_water() <= 0.95 * 27_861_363
+
+    def test_data_gradient_products_run_on_packed_blocks(self, monkeypatch):
+        config, params, batch = self._acceptance_batch()
+        shapes = []
+        real_matmul = np.matmul
+
+        def matmul(a, b):
+            shapes.append((a.shape, b.shape))
+            return real_matmul(a, b)
+
+        monkeypatch.setattr(np, "matmul", matmul)
+        gradients(params, config, batch)
+        monkeypatch.undo()
+
+        length, h, i = 64, config.hidden, config.intermediate
+        attn = batch["attention_mask"].astype(bool)
+        read = (batch["mlm_labels"] != -100) | (np.arange(length) == 0)
+        attended = -(-int(attn.sum()) // length)
+        reads = -(-int(read.sum()) // length)
+        # 1,202 attended and 215 read rows, where the padded batch has 32 rows of 64
+        assert (attended, reads) == (19, 4)
+        # the last layer's backward pass runs first: ffn_w2, ffn_w1, o_w,
+        # q_w on the read rows, k_w and v_w on the attended ones
+        widths = [(h, i), (i, h), (h, h), (h, h), (h, h), (h, h)]
+        blocks = [reads] * 4 + [attended] * 2 + [attended] * 6
+        assert shapes == [((n, length, k), (k, m)) for n, (k, m) in zip(blocks, widths * 2)]
 
     def test_an_encode_without_backward_frees_each_layer_as_it_ends(self):
         config, params, batch = self._acceptance_batch()
