@@ -46,6 +46,7 @@ from .model import (
     _encode,
     _softmax_xent_grad,
     _truncated_normal,
+    _xty,
     backprop_encoder,
     zero_gradients,
 )
@@ -402,7 +403,8 @@ def _finetune(task: Task, checkpoint, tokenizer, train, dev, config) -> Finetune
 
             grads = zero_gradients(full)
             flat_dlogits = dlogits.reshape(-1, n_labels)
-            grads["head_w"] += features.reshape(-1, mcfg.hidden).T @ flat_dlogits
+            _xty(features.reshape(-1, mcfg.hidden), flat_dlogits, batch["input_ids"].shape[1],
+                 grads["head_w"])
             grads["head_b"] += flat_dlogits.sum(0)
             dfeatures = dlogits @ full["head_w"].T
             d_sequence, d_pooled = (None, dfeatures) if source == "pooled" else (dfeatures, None)

@@ -240,16 +240,14 @@ class _Rows:
     Token-wise work runs on arrays of shape (N, K) holding the N rows in
     batch order; a batch without padding takes the same path with
     N = B * L. The attention softmax and its backward run on (N, nh, L)
-    query rows too. The attention products and the backward pass's
-    weight-gradient products stay in the padded layout; its data-gradient
-    products ``dy @ w.T`` run on the token rows packed into blocks of L
-    rows, one (L, K) product per block as the padded layout has one per
-    batch row. Both give the bits of running every position for hidden
-    sizes from 2 up. At hidden size 1 a row sum over an (N, 1) array is
-    pairwise, and N rows pair differently from B * L rows. A projection
-    of a single row goes to a matrix-vector kernel, whose bits differ from
-    the matrix product's, so a subset holds at least two rows when its
-    parent does; encoded inputs always hold [CLS] and [SEP].
+    query rows too; only the attention products stay in the padded layout.
+    These give the bits of running every position for hidden sizes from 2
+    up. At hidden size 1 a row sum over an (N, 1) array is pairwise, and N
+    rows pair differently from B * L rows. A projection of a single row
+    goes to a matrix-vector kernel, whose bits differ from the matrix
+    product's, so a subset holds at least two rows when its parent does;
+    encoded inputs always hold [CLS] and [SEP]. The backward pass's
+    products run on the token rows packed into L-row blocks.
     ``keep`` indexes the set's rows within its parent's token rows.
     """
 
@@ -305,15 +303,32 @@ def _affine(x, w, b):
     return out
 
 
+def _blocks(rows: np.ndarray, length: int) -> np.ndarray:
+    """The (N, K) ``rows``, in order, in zeroed (ceil(N / L), L, K) blocks."""
+    n, width = rows.shape
+    blocks = np.zeros((-(-n // length), length, width))
+    blocks.reshape(-1, width)[:n] = rows
+    return blocks
+
+
+def _xty(x: np.ndarray, dy: np.ndarray, length: int, out: np.ndarray) -> None:
+    """Add x.T @ dy into ``out`` for (N, K) and (N, K') rows, or their
+    :func:`_blocks`, as one (K, L) @ (L, K') product per block, added in
+    block order: no BLAS sum runs over more than L rows."""
+    xb, dyb = (a if a.ndim == 3 else _blocks(a, length) for a in (x, dy))
+    for x_block, dy_block in zip(xb, dyb):
+        out += np.matmul(x_block.T, dy_block)
+
+
 def _encode(params, config, batch, reads=None, backward=True):
     """Run the encoder and the NSP head; returns (outputs, cache).
 
     outputs holds nsp_logits, pooled and sequence; cache holds what
     :func:`backprop_encoder` reads but the GELU output and the padded head
-    layouts of queries, keys, values, context and attention probabilities,
-    which it forms again by the operations that formed them here. Both
-    attention products stay padded, (B, nh, L, L); the softmax runs on the
-    query rows the layer keeps, which the cache holds as (N, nh, L). An
+    layouts of queries, keys, values and attention probabilities, which it
+    forms again by the operations that formed them here. Both attention
+    products stay padded, (B, nh, L, L); the softmax runs on the query rows
+    the layer keeps, which the cache holds as (N, nh, L). An
     unkept query row is exactly zero in the padded probabilities. The MLM
     head is not run here: callers apply :func:`_mlm_head` to whichever
     rows they score. Unattended positions are skipped: ``sequence`` holds exact zeros
@@ -501,24 +516,30 @@ def gradients(params, config: ModelConfig, batch):
     # MLM head backward over the labelled rows; with none, every MLM
     # gradient stays exactly zero
     n_sel = len(gold)
+    length = labels.shape[1]
     dlogits = np.exp(mlm_logp, out=mlm_logp)
     dlogits[np.arange(n_sel), gold] -= 1.0
     dlogits /= max(n_sel, 1)
-    grads["tok_emb"] += dlogits.T @ mlm_tr
+    _xty(dlogits, mlm_tr, length, grads["tok_emb"])
     grads["mlm_out_b"] += dlogits.sum(0)
-    dact, dg, db = _layer_norm_back(dlogits @ params["tok_emb"], mlm_ln)
+    # dlogits @ tok_emb as 64-wide vocabulary slices, added in order: no
+    # BLAS sum runs over the whole vocabulary
+    dtr = dlogits[:, :64] @ params["tok_emb"][:64]
+    for lo in range(64, config.vocab_size, 64):
+        dtr += dlogits[:, lo:lo + 64] @ params["tok_emb"][lo:lo + 64]
+    dact, dg, db = _layer_norm_back(dtr, mlm_ln)
     grads["mlm_ln_g"] += dg
     grads["mlm_ln_b"] += db
     dpre = _gelu_back(dact, mlm_pre, mlm_cdf)
-    grads["mlm_w"] += x_sel.T @ dpre
+    _xty(x_sel, dpre, length, grads["mlm_w"])
     grads["mlm_b"] += dpre.sum(0)
     dx = np.zeros(selected.shape + (config.hidden,))
     dx[selected] = dpre @ params["mlm_w"].T
-    del mlm_logp, dlogits, dact, dpre, x_sel, mlm_pre, mlm_cdf, mlm_tr, mlm_ln
+    del mlm_logp, dlogits, dtr, dact, dpre, x_sel, mlm_pre, mlm_cdf, mlm_tr, mlm_ln
 
     # NSP head backward
     dnsp = _softmax_xent_grad(nsp_logits, nsp_labels)
-    grads["nsp_w"] += cache["pooled"].T @ dnsp
+    _xty(cache["pooled"], dnsp, length, grads["nsp_w"])
     grads["nsp_b"] += dnsp.sum(0)
     dpooled = dnsp @ params["nsp_w"].T
 
@@ -542,26 +563,19 @@ def backprop_encoder(params, config: ModelConfig, cache, d_sequence, d_pooled, g
     result and the cached probabilities go into zeroed (B, nh, L, L)
     views for the key, query and value products; the gradient of an
     unkept query row is an exact zero row of ``dctx``, so only zeros meet
-    it. Each weight-gradient product ``x.T @ dy`` runs on padded
-    (B * L, K) operands whose other gradient rows are exact zeros; each
-    bias gradient sums the token rows. Each data-gradient product
-    ``dy @ w.T`` runs only on the N rows that carry gradient: the read
+    it. Each bias gradient sums the token rows. Each product ``x.T @ dy``
+    and ``dy @ w.T`` runs only on the N rows that carry gradient: the read
     rows for the last layer's FFN, output and query weights, the attended
-    rows otherwise. They are packed into a zeroed (ceil(N / L) * L, K)
-    buffer and multiplied one (L, K) block at a time. BLAS may choose
-    another kernel, and so another summation order, for another shape;
-    as every product keeps the shape the padded encoder gives it, the
-    gradients are the bits of an encoder that runs every position. One
-    (N, K) product would not be: at the fine-tuning shapes L = 5 and
-    L = 18 it changes bits, and so does a weight-gradient product that
-    sums over the token rows alone.
-
-    The padded operands go into zeroed (B * L, K) buffers, one hidden-wide
-    for the call and one FFN-wide per layer, and only token rows are ever
-    written; the last layer runs first and writes only its read rows until
-    its input ``x_in``. The pass consumes ``cache``, taking each array out
-    at its last use, so it holds the layers below and one layer's working
-    set; a second call on the same cache is a RuntimeError.
+    rows otherwise, packed once into zeroed (ceil(N / L), L, K) blocks.
+    ``dy @ w.T`` is one (L, K) product per block, the padded encoder's
+    shape, so its bits are that encoder's; ``x.T @ dy`` is one
+    (K, L) @ (L, K') product per block, added in block order
+    (:func:`_xty`), which equals the padded sum to rounding. No BLAS sum
+    is longer than L rows, so the gradients do not depend on the BLAS
+    thread count; a sum over the B * L padded rows does from a few hundred
+    rows up. The pass consumes ``cache``, taking each array out at its
+    last use, so it holds the layers below and one layer's working set; a
+    second call on the same cache is a RuntimeError.
     """
     rows, read, layers = cache["rows"], cache["read"], cache.get("layers", [])
     if len(layers) != config.layers:
@@ -569,7 +583,7 @@ def backprop_encoder(params, config: ModelConfig, cache, d_sequence, d_pooled, g
                            "call or built for no backward pass; encode the batch again "
                            "for another backward pass")
     bsz, length = rows.bsz, rows.length
-    hidden, inter = config.hidden, config.intermediate
+    hidden = config.hidden
     nh = config.heads
     dh = hidden // nh
     if d_sequence is None:
@@ -579,35 +593,22 @@ def backprop_encoder(params, config: ModelConfig, cache, d_sequence, d_pooled, g
 
     if d_pooled is not None:
         dpool_pre = d_pooled * (1.0 - cache["pooled"] ** 2)
-        grads["pool_w"] += cache["cls_state"].T @ dpool_pre
+        _xty(cache["cls_state"], dpool_pre, length, grads["pool_w"])
         grads["pool_b"] += dpool_pre.sum(0)
         dx[read.cls] += dpool_pre @ params["pool_w"].T
 
-    pad_hidden = np.zeros((bsz * length, hidden))
-
-    def padded(buffer, row_set, tokens):
-        """buffer, (B * L, K), with the token rows written in place."""
-        buffer[row_set.flat] = tokens
-        return buffer
-
-    def dense_back(flat_x, flat_dy, dy, w_name, b_name):
-        """Gradients of x @ w + b for x and dy as padded (B * L, K) rows,
-        with dy's (N, K) token rows: the weight's over the padded rows, the
-        bias's over the token rows. Returns dy @ w.T for the token rows."""
-        grads[w_name] += flat_x.T @ flat_dy
+    def dense_back(x, dy, w_name, b_name):
+        """Gradients of x @ w + b for the (N, K) token rows x and dy, both
+        products on dy's L-row blocks; returns dy @ w.T for the token rows."""
+        dy_blocks = _blocks(dy, length)
+        _xty(x, dy_blocks, length, grads[w_name])
         grads[b_name] += dy.sum(0)
-        # one (L, K) product per block of L token rows, the shape the padded
-        # encoder gives each batch row
-        n, width = dy.shape
-        blocks = np.zeros((-(-n // length), length, width))
-        blocks.reshape(-1, width)[:n] = dy
-        return np.matmul(blocks, params[w_name].T).reshape(-1, len(params[w_name]))[:n]
+        w = params[w_name]
+        return np.matmul(dy_blocks, w.T).reshape(-1, len(w))[:len(dy)]
 
-    def heads_back(flat_x, dheads, row_set, w_name, b_name):
-        """dense_back for dy given as (B, nh, L, K / nh) heads, nonzero on
-        ``row_set`` only."""
-        flat_dy = dheads.transpose(0, 2, 1, 3).reshape(-1, hidden)
-        return dense_back(flat_x, flat_dy, flat_dy[row_set.flat], w_name, b_name)
+    def heads_back(x, dheads, row_set, w_name, b_name):
+        """dense_back for dy given as (B, nh, L, K / nh) heads, on row_set."""
+        return dense_back(x, row_set.gather_heads(dheads).reshape(-1, hidden), w_name, b_name)
 
     for layer in reversed(range(config.layers)):
         p = f"layer{layer}."
@@ -617,21 +618,17 @@ def backprop_encoder(params, config: ModelConfig, cache, d_sequence, d_pooled, g
         dsum, dg, db = _layer_norm_back(dx, c.pop("ffn_ln"))
         grads[p + "ffn_ln_g"] += dg
         grads[p + "ffn_ln_b"] += db
-        pad_ffn = np.zeros((bsz * length, inter))
         # GELU's output, formed again as _gelu forms it
-        dact = dense_back(padded(pad_ffn, out, c["ffn_pre"] * c["ffn_cdf"]),
-                          padded(pad_hidden, out, dsum), dsum, p + "ffn_w2", p + "ffn_b2")
+        dact = dense_back(c["ffn_pre"] * c["ffn_cdf"], dsum, p + "ffn_w2", p + "ffn_b2")
         dpre = _gelu_back(dact, c.pop("ffn_pre"), c.pop("ffn_cdf"))
-        dx_attn = dense_back(padded(pad_hidden, out, c.pop("x_attn")), padded(pad_ffn, out, dpre),
-                             dpre, p + "ffn_w1", p + "ffn_b1")
-        del dact, dpre, pad_ffn
+        dx_attn = dense_back(c.pop("x_attn"), dpre, p + "ffn_w1", p + "ffn_b1")
+        del dact, dpre
         dx_attn += dsum
 
         dsum, dg, db = _layer_norm_back(dx_attn, c.pop("attn_ln"))
         grads[p + "attn_ln_g"] += dg
         grads[p + "attn_ln_b"] += db
-        dctx = dense_back(out.scatter(c.pop("ctx")).reshape(-1, hidden),
-                          padded(pad_hidden, out, dsum), dsum, p + "o_w", p + "o_b")
+        dctx = dense_back(c.pop("ctx"), dsum, p + "o_w", p + "o_b")
         dctx = out.scatter(dctx).reshape(bsz, length, nh, dh).transpose(0, 2, 1, 3)
 
         probs = c.pop("probs")
@@ -650,13 +647,14 @@ def backprop_encoder(params, config: ModelConfig, cache, d_sequence, d_pooled, g
 
         # dsum + dq @ q_w.T + dk @ k_w.T + dv @ v_w.T, summed in that order;
         # dq is zero off the kept query rows
-        x_in = padded(pad_hidden, rows, c.pop("x_in"))
+        x_in = c.pop("x_in")
         dx = np.zeros((rows.flat.size, hidden))
-        dx[out.keep] = heads_back(x_in, dqh, out, p + "q_w", p + "q_b")
+        dx[out.keep] = heads_back(x_in[out.keep], dqh, out, p + "q_w", p + "q_b")
         dx[out.keep] += dsum
+        x_in = _blocks(x_in, length)
         dx += heads_back(x_in, dkh, rows, p + "k_w", p + "k_b")
         dx += heads_back(x_in, dvh, rows, p + "v_w", p + "v_b")
-        del dqh, dkh, dvh
+        del dqh, dkh, dvh, x_in
 
     # embedding backward: the sums np.add.at forms, added in its order
     demb, dg, db = _layer_norm_back(dx, cache["emb_ln"])

@@ -9,6 +9,7 @@ measured, so a red line names the number that moved.
 """
 
 import filecmp
+import hashlib
 import math
 import os
 import re
@@ -16,6 +17,7 @@ import subprocess
 import sys
 import time
 from collections import Counter
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -66,6 +68,8 @@ from farsilm.wordpiece import (
     train_wordpiece,
 )
 
+ROOT = Path(__file__).resolve().parents[1]
+
 # The pre-training recipe shared by checks 6 and 7. Batch size, step count
 # and the Adam betas are contract terms; the learning rate and warmup are
 # the calibrated artifact choice for this corpus scale.
@@ -106,7 +110,7 @@ def pretrain_run(tmp_path_factory):
     )
     pretrain(
         str(examples_path), config, opt, seed=_TRAIN_SEED,
-        checkpoint_path=str(work / "model.flcp"),
+        checkpoint_path=str(work / "model.flcp"), trace_path=str(work / "trace.csv"),
     )
     return SimpleNamespace(
         tokenizer=tokenizer,
@@ -428,6 +432,23 @@ def test_06_pretraining_convergence(pretrain_run):
     )
 
 
+def test_06b_pretraining_artifacts_are_pinned(pretrain_run):
+    """The fixture's example file, checkpoint and loss trace keep their
+    sha256. No BLAS sum in training runs over more than L rows, so the
+    bytes are the same at any BLAS thread count."""
+    work = pretrain_run.examples_path.parent
+    digests = {
+        name: hashlib.sha256((work / name).read_bytes()).hexdigest()
+        for name in ("examples.ptex", "model.flcp", "trace.csv")
+    }
+    assert digests == {
+        "examples.ptex": "1fcfdd5a84e78fb04184d798d9c26991ffe44ea3c1106cc7e21493923557f6a6",
+        "model.flcp": "9f3f8aa35025036fa9ad5fea3fc293b07440d63687fe42f5fcf2f188e9a01d7e",
+        "trace.csv": "7e75a2e376bbdd03f23c1b2c5662aee69c188aed72b61d9b4e89da56fb8f1a46",
+    }
+    print(f"check 6b: fixture digests {', '.join(d[:8] for d in digests.values())}")
+
+
 def test_07_finetuning_transfer(pretrain_run):
     """The pre-trained checkpoint fine-tunes to 0.95 classification accuracy
     and 0.90 entity F1; a random-init encoder stays strictly behind on at
@@ -592,7 +613,8 @@ def test_09_end_to_end_determinism(tmp_path):
     """Running the full manifest twice in separate processes yields
     byte-identical vocabulary, example file, and checkpoint."""
     started = time.monotonic()
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=str(ROOT / "src"))
     for name in ("one", "two"):
         workdir = tmp_path / name
         workdir.mkdir()
