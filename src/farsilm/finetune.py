@@ -374,8 +374,10 @@ def _finetune(task: Task, checkpoint, tokenizer, train, dev, config) -> Finetune
     n_labels = len(config.label_inventory)
     full = {name: value.copy() for name, value in checkpoint.params.items()}
     rng = np.random.default_rng((config.seed, 4))
-    full["head_w"] = _truncated_normal(rng, (mcfg.hidden, n_labels), 0.02)
-    full["head_b"] = np.zeros(n_labels)
+    # the head takes the encoder's dtype, so its backward pass does too
+    dtype = full["tok_emb"].dtype
+    full["head_w"] = _truncated_normal(rng, (mcfg.hidden, n_labels), 0.02).astype(dtype)
+    full["head_b"] = np.zeros(n_labels, dtype)
     state = init_adam_state(full)
     steps_per_epoch = (len(train) + config.batch_size - 1) // config.batch_size
     opt = OptimizerConfig(

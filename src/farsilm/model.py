@@ -6,12 +6,16 @@ against central differences. Conventions follow the original BERT:
 post-layer-norm residual blocks, exact GELU, a tanh pooler over [CLS],
 and an MLM decoder tied to the token embedding table.
 
-Parameters live in a flat dict of named float64 arrays; every shape is a
-function of :class:`ModelConfig` and audited by :func:`shape_audit`.
+Parameters live in a flat dict of named arrays; every shape is a function
+of :class:`ModelConfig` and audited by :func:`shape_audit`. Every
+activation, cache and gradient takes the parameters' dtype: float32 as
+:func:`init_params` returns them, float64 for a float64 dict, which the
+gradient check and float64 checkpoints use. Losses are float64 either way.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,17 +111,18 @@ def _truncated_normal(rng: np.random.Generator, shape, std: float) -> np.ndarray
 
 
 def init_params(config: ModelConfig, seed: int) -> dict[str, np.ndarray]:
-    """Truncated-normal weights, zero biases, unit layer-norm gains."""
+    """Truncated-normal weights, zero biases, unit layer-norm gains, as
+    float32: float64 draws, each rounded once."""
     check_seed(seed)
     rng = np.random.default_rng(seed)
     params: dict[str, np.ndarray] = {}
     for name, shape in _param_shapes(config).items():
         if name.endswith(("_g",)):
-            params[name] = np.ones(shape)
+            params[name] = np.ones(shape, np.float32)
         elif name.endswith(("_b",)) or name == "mlm_out_b":
-            params[name] = np.zeros(shape)
+            params[name] = np.zeros(shape, np.float32)
         else:
-            params[name] = _truncated_normal(rng, shape, _INIT_STD)
+            params[name] = _truncated_normal(rng, shape, _INIT_STD).astype(np.float32)
     return params
 
 
@@ -173,7 +178,7 @@ def _gelu_back(dy, x, cdf):
     grad = -0.5 * x
     grad *= x
     np.exp(grad, out=grad)
-    grad /= np.sqrt(2.0 * np.pi)
+    grad /= math.sqrt(2.0 * math.pi)
     grad *= x
     grad += cdf
     grad *= dy
@@ -276,7 +281,7 @@ class _Rows:
 
     def scatter(self, tokens: np.ndarray) -> np.ndarray:
         """(B, L, K) array with the token rows in place and zeros elsewhere."""
-        padded = np.zeros((self.bsz * self.length, tokens.shape[-1]))
+        padded = np.zeros((self.bsz * self.length, tokens.shape[-1]), tokens.dtype)
         padded[self.flat] = tokens
         return padded.reshape(self.bsz, self.length, -1)
 
@@ -291,7 +296,7 @@ class _Rows:
     def scatter_heads(self, rows: np.ndarray) -> np.ndarray:
         """(B, nh, L, K) view with the (N, nh, K) query rows in place and
         zeros elsewhere; its last axis is contiguous, as a product reads it."""
-        padded = np.zeros((self.bsz * self.length,) + rows.shape[1:])
+        padded = np.zeros((self.bsz * self.length,) + rows.shape[1:], rows.dtype)
         padded[self.flat] = rows
         return padded.reshape((self.bsz, self.length) + rows.shape[1:]).swapaxes(1, 2)
 
@@ -306,7 +311,7 @@ def _affine(x, w, b):
 def _blocks(rows: np.ndarray, length: int) -> np.ndarray:
     """The (N, K) ``rows``, in order, in zeroed (ceil(N / L), L, K) blocks."""
     n, width = rows.shape
-    blocks = np.zeros((-(-n // length), length, width))
+    blocks = np.zeros((-(-n // length), length, width), rows.dtype)
     blocks.reshape(-1, width)[:n] = rows
     return blocks
 
@@ -361,7 +366,7 @@ def _encode(params, config, batch, reads=None, backward=True):
 
     # keys with attention 0 get a huge negative bias; exp underflows to an
     # exact zero weight, which is what makes padding invariance exact
-    bias = ((1.0 - batch["attention_mask"]) * _MASK_BIAS)[:, None, :]
+    bias = ((1.0 - batch["attention_mask"]) * _MASK_BIAS).astype(x.dtype)[:, None, :]
 
     layer_caches = []
     for layer in range(config.layers):
@@ -375,7 +380,7 @@ def _encode(params, config, batch, reads=None, backward=True):
         # the kept query rows of the padded scores, scaled, biased and
         # soft-maxed in place: the steps of _softmax
         probs = out.gather_heads(out.heads(q, nh) @ rows.heads(k, nh).transpose(0, 1, 3, 2))
-        probs /= np.sqrt(dh)
+        probs /= math.sqrt(dh)
         probs += bias[out.seqs]
         probs -= probs.max(-1, keepdims=True)
         np.exp(probs, out=probs)
@@ -441,18 +446,19 @@ def forward(params, config: ModelConfig, batch):
 
 def _losses(mlm_logits, mlm_gold, nsp_logits, nsp_labels):
     """Loss record from MLM logits gathered at the labelled positions,
-    shape (n_sel, V), with their gold ids, and from the NSP logits.
+    shape (n_sel, V), with their gold ids, and from the NSP logits. Both
+    log-softmaxes run in float64, whatever the logits' dtype.
 
-    Also returns the MLM log-softmax, which the backward pass turns into
-    the softmax gradient without normalizing a second time.
+    Also returns the float64 MLM log-softmax, which the backward pass turns
+    into the softmax gradient without normalizing a second time.
     """
     n_sel = len(mlm_gold)
-    mlm_logp = _log_softmax(mlm_logits)
+    mlm_logp = _log_softmax(mlm_logits.astype(np.float64, copy=False))
     if n_sel:
         mlm_loss = -mlm_logp[np.arange(n_sel), mlm_gold].sum() / n_sel
     else:
         mlm_loss = 0.0
-    nsp_logp = _log_softmax(nsp_logits)
+    nsp_logp = _log_softmax(nsp_logits.astype(np.float64, copy=False))
     nsp_loss = -nsp_logp[np.arange(len(nsp_labels)), nsp_labels].mean()
     losses = {
         "mlm_loss": float(mlm_loss),
@@ -514,12 +520,15 @@ def gradients(params, config: ModelConfig, batch):
     grads = zero_gradients(params)
 
     # MLM head backward over the labelled rows; with none, every MLM
-    # gradient stays exactly zero
+    # gradient stays exactly zero. The softmax gradient is formed in float64
+    # and rounded once to the parameters' dtype.
     n_sel = len(gold)
     length = labels.shape[1]
+    dtype = params["tok_emb"].dtype
     dlogits = np.exp(mlm_logp, out=mlm_logp)
     dlogits[np.arange(n_sel), gold] -= 1.0
     dlogits /= max(n_sel, 1)
+    dlogits = dlogits.astype(dtype, copy=False)
     _xty(dlogits, mlm_tr, length, grads["tok_emb"])
     grads["mlm_out_b"] += dlogits.sum(0)
     # dlogits @ tok_emb as 64-wide vocabulary slices, added in order: no
@@ -533,7 +542,7 @@ def gradients(params, config: ModelConfig, batch):
     dpre = _gelu_back(dact, mlm_pre, mlm_cdf)
     _xty(x_sel, dpre, length, grads["mlm_w"])
     grads["mlm_b"] += dpre.sum(0)
-    dx = np.zeros(selected.shape + (config.hidden,))
+    dx = np.zeros(selected.shape + (config.hidden,), dtype)
     dx[selected] = dpre @ params["mlm_w"].T
     del mlm_logp, dlogits, dtr, dact, dpre, x_sel, mlm_pre, mlm_cdf, mlm_tr, mlm_ln
 
@@ -586,8 +595,9 @@ def backprop_encoder(params, config: ModelConfig, cache, d_sequence, d_pooled, g
     hidden = config.hidden
     nh = config.heads
     dh = hidden // nh
+    dtype = params["tok_emb"].dtype
     if d_sequence is None:
-        dx = np.zeros((read.flat.size, hidden))
+        dx = np.zeros((read.flat.size, hidden), dtype)
     else:
         dx = read.gather(d_sequence)
 
@@ -638,7 +648,7 @@ def backprop_encoder(params, config: ModelConfig, cache, d_sequence, d_pooled, g
         dscores = dprobs
         dscores -= (dprobs * probs).sum(-1, keepdims=True)
         dscores *= probs
-        dscores /= np.sqrt(dh)
+        dscores /= math.sqrt(dh)
         dscores = out.scatter_heads(dscores)
         del probs, dprobs, dctx
         dqh = dscores @ rows.heads(c.pop("k"), nh)
@@ -648,7 +658,7 @@ def backprop_encoder(params, config: ModelConfig, cache, d_sequence, d_pooled, g
         # dsum + dq @ q_w.T + dk @ k_w.T + dv @ v_w.T, summed in that order;
         # dq is zero off the kept query rows
         x_in = c.pop("x_in")
-        dx = np.zeros((rows.flat.size, hidden))
+        dx = np.zeros((rows.flat.size, hidden), dtype)
         dx[out.keep] = heads_back(x_in[out.keep], dqh, out, p + "q_w", p + "q_b")
         dx[out.keep] += dsum
         x_in = _blocks(x_in, length)

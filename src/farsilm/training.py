@@ -79,9 +79,10 @@ class AdamState:
 
 
 def init_adam_state(params: dict[str, np.ndarray]) -> AdamState:
+    """Zeroed float64 moments, whatever the parameters' dtype."""
     return AdamState(
-        m={k: np.zeros_like(p) for k, p in params.items()},
-        v={k: np.zeros_like(p) for k, p in params.items()},
+        m={k: np.zeros(p.shape) for k, p in params.items()},
+        v={k: np.zeros(p.shape) for k, p in params.items()},
         step=0,
     )
 
@@ -94,10 +95,11 @@ def adam_step(
 ) -> None:
     """One bias-corrected Adam update, applied to params in place.
 
-    Each tensor's update runs in two scratch buffers sized to the largest
-    tensor, with the operations of ``m = b1*m + (1-b1)*g``,
+    Each tensor's update runs in two float64 scratch buffers sized to the
+    largest tensor, with the operations of ``m = b1*m + (1-b1)*g``,
     ``v = b2*v + (1-b2)*g*g`` and ``p -= lr*(m/bc1) / (sqrt(v/bc2) + eps)``
-    in that order.
+    in that order. The moments are float64 and so is the update, which is
+    rounded once into a parameter of another dtype.
     """
     state.step += 1
     t = state.step
@@ -115,10 +117,11 @@ def adam_step(
         step = scratch[: p.size].reshape(p.shape)
         root = denom[: p.size].reshape(p.shape)
         m *= config.beta1
-        np.multiply(g, 1.0 - config.beta1, out=step)
+        # a float32 g would otherwise pick the float32 loop
+        np.multiply(g, 1.0 - config.beta1, out=step, dtype=np.float64)
         m += step
         v *= config.beta2
-        np.multiply(g, 1.0 - config.beta2, out=step)
+        np.multiply(g, 1.0 - config.beta2, out=step, dtype=np.float64)
         step *= g
         v += step
         np.divide(m, bc1, out=step)

@@ -38,7 +38,13 @@ from farsilm.finetune import (
 )
 from farsilm.metrics import entity_f1
 from farsilm.model import ModelConfig, _encode, backprop_encoder, forward, init_params
-from farsilm.training import Checkpoint, OptimizerConfig, init_adam_state, save_checkpoint
+from farsilm.training import (
+    Checkpoint,
+    OptimizerConfig,
+    init_adam_state,
+    load_checkpoint,
+    save_checkpoint,
+)
 from farsilm.wordpiece import TokenizerTrainConfig, train_wordpiece
 
 WORDS = ["ab", "abc", "bcd", "cab", "dab", "bad", "cad", "add", "dba", "cba"]
@@ -63,6 +69,14 @@ def setup():
     params = init_params(config, seed=3)
     checkpoint = Checkpoint(config, OptimizerConfig(max_steps=0), params, init_adam_state(params))
     return tokenizer, config, checkpoint
+
+
+def float64_checkpoint(checkpoint):
+    """The checkpoint with float64 parameters, for tests whose bounds are
+    float64's: fine-tuning runs the same code in the parameters' dtype."""
+    params = {name: value.astype(np.float64) for name, value in checkpoint.params.items()}
+    return Checkpoint(checkpoint.model_config, checkpoint.opt_config, params,
+                      init_adam_state(params))
 
 
 def make_cls(n, seed):
@@ -403,7 +417,7 @@ class TestTaggerReads:
     def _run(self, setup):
         tokenizer, _, checkpoint = setup
         out = finetune_tokens(
-            checkpoint, tokenizer, make_split_ner(24, 5), make_split_ner(12, 6),
+            float64_checkpoint(checkpoint), tokenizer, make_split_ner(24, 5), make_split_ner(12, 6),
             FinetuneConfig(("O", "B-PER", "I-PER"), epochs=4, learning_rate=5e-3,
                            batch_size=8, seed=1),
         )
@@ -465,6 +479,47 @@ def _split_header(data):
     """A checkpoint file's JSON header and the tensor bytes after it."""
     (size,) = struct.unpack("<I", data[8:12])
     return json.loads(data[12 : 12 + size]), data[12 + size :]
+
+
+class TestDtypes:
+    """Fine-tuning runs in the encoder's dtype, head included: float32 from
+    a checkpoint of float32 parameters, float64 from one of float64."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_heads_and_backward_products_take_the_encoder_s_dtype(
+        self, setup, dtype, tmp_path, monkeypatch
+    ):
+        tokenizer, config, checkpoint = setup
+        assert {p.dtype for p in checkpoint.params.values()} == {np.dtype(np.float32)}
+        if dtype is np.float64:
+            # a float64 checkpoint file, as every run wrote before float32
+            wide = float64_checkpoint(checkpoint)
+            save_checkpoint(str(tmp_path / "wide.ckpt"), config, wide.opt_config, wide.params,
+                            wide.adam_state)
+            checkpoint = load_checkpoint(str(tmp_path / "wide.ckpt"))
+        products = []
+        real_matmul = np.matmul
+
+        def matmul(a, b):
+            products.append((a.dtype, b.dtype))
+            return real_matmul(a, b)
+
+        monkeypatch.setattr(np, "matmul", matmul)
+        models = [
+            finetune_sequence(checkpoint, tokenizer, make_cls(12, 1), [],
+                              FinetuneConfig(("pos", "neg"), epochs=1, batch_size=4)).model,
+            finetune_tokens(checkpoint, tokenizer, make_ner(12, 1), [],
+                            FinetuneConfig(("O", "B-PER", "I-PER"), epochs=1,
+                                           batch_size=4)).model,
+        ]
+        monkeypatch.undo()
+        assert products and set(products) == {(np.dtype(dtype), np.dtype(dtype))}
+        for model in models:
+            path = str(tmp_path / f"{model.kind}.ckpt")
+            save_head_model(path, model)
+            for held in (model, load_head_model(path)):
+                arrays = [*held.params.values(), held.head_w, held.head_b]
+                assert {a.dtype for a in arrays} == {np.dtype(dtype)}
 
 
 class TestHeadCheckpoints:
@@ -572,7 +627,8 @@ class TestHeadGradients:
 
         tokenizer, config, checkpoint = setup
         rng = np.random.default_rng(2)
-        full = dict({k: v.copy() for k, v in checkpoint.params.items()})
+        # float64: central differences at h = 1e-5 need it
+        full = float64_checkpoint(checkpoint).params
         full["head_w"] = rng.normal(0, 0.05, (config.hidden, 2))
         full["head_b"] = np.zeros(2)
         rows, _ = _encode_texts(["ab zz abc", "cab dab"], tokenizer, config.max_positions)
@@ -612,7 +668,7 @@ class TestHeadGradients:
 
         tokenizer, config, checkpoint = setup
         rng = np.random.default_rng(3)
-        full = dict({k: v.copy() for k, v in checkpoint.params.items()})
+        full = float64_checkpoint(checkpoint).params
         full["head_w"] = rng.normal(0, 0.05, (config.hidden, 3))
         full["head_b"] = np.zeros(3)
         rows, firsts = _encode_token_rows(

@@ -32,6 +32,12 @@ from farsilm.model import (
 from padded_reference import padded_backprop, padded_encode
 
 
+def float64_params(cfg, seed):
+    """init_params cast to float64, for tests whose bounds are float64's:
+    the model runs the same code in the parameters' dtype."""
+    return {name: value.astype(np.float64) for name, value in init_params(cfg, seed).items()}
+
+
 def make_batch(rng, vocab, bsz=2, length=12, pad_from=None):
     ids = rng.integers(5, vocab, (bsz, length))
     segs = np.zeros((bsz, length), dtype=np.int64)
@@ -271,7 +277,8 @@ class TestLosses:
 class TestGradients:
     def setup_method(self):
         self.cfg = desk_config(vocab_size=300, max_positions=32)
-        self.params = init_params(self.cfg, seed=4)
+        # float64: central differences and the 1e-12 loss bound need it
+        self.params = float64_params(self.cfg, seed=4)
         self.rng = np.random.default_rng(8)
         self.batch = make_batch(self.rng, 300, bsz=2, length=12)
 
@@ -388,7 +395,8 @@ class TestMaskedPositionHead:
 
     def setup_method(self):
         self.cfg = desk_config(vocab_size=300, max_positions=32)
-        self.params = init_params(self.cfg, seed=7)
+        # float64: the reference's bounds are float64 rounding
+        self.params = float64_params(self.cfg, seed=7)
         self.rng = np.random.default_rng(12)
 
     def _batch(self, kind):
@@ -562,14 +570,15 @@ class TestUnpaddedEncoder:
     hidden 1 a row sum over an (N, 1) array is pairwise, and N attended
     rows pair differently from B * L padded ones."""
 
+    # float64 parameters: the padded reference and the 1e-10 bound are float64's
     cfg = ModelConfig(layers=2, heads=2, hidden=64, intermediate=256, vocab_size=300,
                       max_positions=64)
-    params = init_params(cfg, seed=31)
+    params = float64_params(cfg, seed=31)
     # the FFN's products take packed operands of both widths; with equal
     # widths, operands swapped between them would keep their shapes
     square_cfg = ModelConfig(layers=2, heads=2, hidden=64, intermediate=64, vocab_size=300,
                              max_positions=64)
-    square_params = init_params(square_cfg, seed=31)
+    square_params = float64_params(square_cfg, seed=31)
 
     @pytest.mark.parametrize("param_noise", _GRID_PARAM_NOISE)
     @pytest.mark.parametrize("upstream", _GRID_UPSTREAM)

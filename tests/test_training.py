@@ -15,12 +15,22 @@ from hypothesis import given, settings
 
 from farsilm.errors import ConfigError, DataError
 from farsilm.finetune import load_head_model
-from farsilm.model import ModelConfig, _encode, _mlm_head, desk_config, forward, gradients, init_params
+from farsilm.model import (
+    ModelConfig,
+    _encode,
+    _mlm_head,
+    compute_losses,
+    desk_config,
+    forward,
+    gradients,
+    init_params,
+)
 from farsilm.pretrain_data import (
     MaskingPolicy,
     PackingConfig,
     PretrainExample,
     build_pretrain_examples,
+    collate,
     read_examples,
     write_examples,
 )
@@ -246,7 +256,8 @@ class TestCheckpoint:
         entries = header["tensors"]
         # "loss:" sorts after the moments and before the parameters
         at = next(i for i, entry in enumerate(entries) if entry["name"].startswith("param:"))
-        offset = sum(8 * math.prod(entry["shape"]) for entry in entries[:at])  # all float64
+        offset = sum(np.dtype(entry["dtype"]).itemsize * math.prod(entry["shape"])
+                     for entry in entries[:at])
         header["tensors"] = entries[:at] + [
             {"name": "loss:" + name, "shape": list(value.shape), "dtype": value.dtype.str}
             for name, value in sorted(losses.items())
@@ -476,8 +487,8 @@ class TestCheckpointMutation:
         seed_at = data.index(b'"seed":5')
         flips = [(at, value) for at in range(seed_at, seed_at + 8) for value in range(1, 256)]
         offset = len(data) - len(tail)
-        for entry in header["tensors"]:  # all float64
-            nbytes = 8 * int(np.prod(entry["shape"]))
+        for entry in header["tensors"]:
+            nbytes = np.dtype(entry["dtype"]).itemsize * int(np.prod(entry["shape"]))
             if entry["name"].startswith("loss:"):
                 flips += [(at, 1 << b) for at in range(offset, offset + nbytes) for b in range(8)]
             offset += nbytes
@@ -672,6 +683,9 @@ class TestPretrain:
         path, vocab = example_file
         config = dataclasses.replace(small_config(vocab), layers=layers)
         opt = OptimizerConfig(batch_size=8, max_steps=20)
+        # both runs start from float64 parameters, whose rounding the bounds are
+        monkeypatch.setattr(training, "init_params", lambda *args: {
+            name: value.astype(np.float64) for name, value in init_params(*args).items()})
         real = pretrain(path, config, opt, 11, str(tmp_path / "real.ckpt"))
         with monkeypatch.context() as patch:
             patch.setattr(model_module, "_encode", padded_encode)
@@ -761,6 +775,122 @@ class TestPretrain:
         assert last < first
 
 
+def _float_arrays(tree):
+    """Every floating-point array in nested dicts, lists and tuples."""
+    if isinstance(tree, np.ndarray):
+        if tree.dtype.kind == "f":
+            yield tree
+    elif isinstance(tree, dict):
+        for value in tree.values():
+            yield from _float_arrays(value)
+    elif isinstance(tree, (list, tuple)):
+        for value in tree:
+            yield from _float_arrays(value)
+
+
+def _float64_init(*args):
+    return {name: value.astype(np.float64) for name, value in init_params(*args).items()}
+
+
+class TestDtypes:
+    """Parameters, activations, caches and gradients take the parameters'
+    dtype; Adam's moments, the update, the losses and the loss history are
+    float64 whatever it is."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_one_step_keeps_the_parameters_dtype(self, example_file, dtype, monkeypatch):
+        path, vocab = example_file
+        # two layers, so a gradient promoted in the upper one reaches a product
+        config = dataclasses.replace(small_config(vocab), layers=2)
+        params = init_params(config, 3)
+        assert {value.dtype for value in params.values()} == {np.dtype(np.float32)}
+        params = {name: value.astype(dtype) for name, value in params.items()}
+        batch = collate(read_examples(path)[0][:8])
+        selected = batch["mlm_labels"] != -100
+
+        outputs, cache = _encode(params, config, batch, selected)
+        assert {a.dtype for a in _float_arrays([outputs, cache])} == {np.dtype(dtype)}
+        outputs = forward(params, config, batch)
+        assert {a.dtype for a in _float_arrays(outputs)} == {np.dtype(dtype)}
+
+        # the losses are float64 log-softmaxes of the logits, whatever their dtype
+        logits = outputs["mlm_logits"][selected].astype(np.float64)
+        shifted = logits - logits.max(-1, keepdims=True)
+        logp = shifted - np.log(np.exp(shifted).sum(-1, keepdims=True))
+        mlm_loss = -logp[np.arange(len(logp)), batch["mlm_labels"][selected]].sum() / len(logp)
+        nsp = outputs["nsp_logits"].astype(np.float64)
+        nsp -= nsp.max(-1, keepdims=True)
+        nsp -= np.log(np.exp(nsp).sum(-1, keepdims=True))
+        nsp_loss = -nsp[np.arange(len(nsp)), batch["nsp_labels"]].mean()
+        losses = compute_losses(outputs, batch)
+        assert (losses["mlm_loss"], losses["nsp_loss"]) == (float(mlm_loss), float(nsp_loss))
+
+        # every product of the backward pass reads operands of that dtype
+        products = []
+        real_matmul = np.matmul
+
+        def matmul(a, b):
+            products.append((a.dtype, b.dtype))
+            return real_matmul(a, b)
+
+        monkeypatch.setattr(np, "matmul", matmul)
+        losses, grads = gradients(params, config, batch)
+        monkeypatch.undo()
+        assert products and set(products) == {(np.dtype(dtype), np.dtype(dtype))}
+        assert all(type(losses[key]) is float for key in ("mlm_loss", "nsp_loss", "total"))
+        assert {g.dtype for g in grads.values()} == {np.dtype(dtype)}
+
+        state = init_adam_state(params)
+        adam_step(params, grads, state, OptimizerConfig(learning_rate=1e-3))
+        assert {p.dtype for p in params.values()} == {np.dtype(dtype)}
+        assert {m.dtype for m in [*state.m.values(), *state.v.values()]} == {np.dtype(np.float64)}
+
+    def test_adam_updates_in_float64_and_rounds_once(self):
+        # a float32 parameter takes the float64 update, written out longhand
+        # in adam_step's order, rounded once
+        params = {"w": np.array([1.0, -0.3, 0.7], np.float32)}
+        g = np.array([0.1, 0.2, -0.3], np.float32)
+        state = init_adam_state(params)
+        w, m, v = params["w"].astype(np.float64), np.zeros(3), np.zeros(3)
+        wide = g.astype(np.float64)
+        for t in range(1, 4):
+            adam_step(params, {"w": g}, state, OptimizerConfig(learning_rate=0.01))
+            m = 0.9 * m + wide * (1 - 0.9)
+            v = 0.98 * v + wide * (1 - 0.98) * wide
+            w = w - m / (1 - 0.9**t) * 0.01 / (np.sqrt(v / (1 - 0.98**t)) + 1e-8)
+            w = w.astype(np.float32).astype(np.float64)
+            assert params["w"].tobytes() == w.astype(np.float32).tobytes()
+            assert state.m["w"].tobytes() == m.tobytes()
+            assert state.v["w"].tobytes() == v.tobytes()
+
+    def test_a_checkpoint_holds_float32_parameters_and_float64_state(self, example_file, tmp_path):
+        path, vocab = example_file
+        ckpt = str(tmp_path / "run.ckpt")
+        pretrain(path, small_config(vocab), OptimizerConfig(batch_size=4, max_steps=3), 7, ckpt)
+        saved = load_checkpoint(ckpt)
+        assert {p.dtype for p in saved.params.values()} == {np.dtype(np.float32)}
+        moments = [*saved.adam_state.m.values(), *saved.adam_state.v.values()]
+        assert {m.dtype for m in [*moments, *saved.losses.values()]} == {np.dtype(np.float64)}
+
+    def test_a_float64_checkpoint_resumes_exactly_in_float64(self, example_file, tmp_path,
+                                                            monkeypatch):
+        # a checkpoint of float64 parameters, as every run wrote before the
+        # model ran in float32, resumes to an uninterrupted float64 run's bytes
+        path, vocab = example_file
+        config = small_config(vocab)
+        opt = OptimizerConfig(learning_rate=1e-3, batch_size=4, max_steps=6)
+        with monkeypatch.context() as patch:
+            patch.setattr(training, "init_params", _float64_init)
+            pretrain(path, config, opt, 13, str(tmp_path / "solid.ckpt"))
+            pretrain(path, config, dataclasses.replace(opt, max_steps=3), 13,
+                     str(tmp_path / "split.ckpt"))
+        split = load_checkpoint(str(tmp_path / "split.ckpt"))
+        assert {p.dtype for p in split.params.values()} == {np.dtype(np.float64)}
+        resumed = pretrain(path, config, opt, 13, str(tmp_path / "split.ckpt"))
+        assert {p.dtype for p in resumed.params.values()} == {np.dtype(np.float64)}
+        assert (tmp_path / "split.ckpt").read_bytes() == (tmp_path / "solid.ckpt").read_bytes()
+
+
 def _traced_high_water(call):
     """Bytes that ``call``'s second run holds at its peak beyond what was
     live before it; the first run fills the interpreter's and NumPy's caches."""
@@ -786,7 +916,9 @@ class TestStepMemory:
     # probabilities cached as the kept query rows only, 25,301,603 with each
     # dy @ w.T formed on packed token rows instead of padded (B, L, K) ones,
     # 21,866,296 with each x.T @ dy formed block by block on packed rows too,
-    # where it had padded (B * L, K) operands
+    # where it had padded (B * L, K) operands, all of these for float64
+    # parameters; 13,646,156 with float32 parameters, activations and
+    # gradients, and float64 Adam moments and scratch
     BOUND = 0.75 * 59_728_480
 
     def _acceptance_batch(self):
@@ -831,6 +963,10 @@ class TestStepMemory:
     def test_backward_holds_no_padded_weight_gradient_operand(self):
         # the step's reading while every x.T @ dy ran on padded (B * L, K) operands
         assert self._step_high_water() <= 0.96 * 25_301_603
+
+    def test_a_float32_step_holds_less_than_a_float64_one(self):
+        # the float64 step's reading; an array promoted back to float64 shows here
+        assert self._step_high_water() <= 0.7 * 21_866_296
 
     def test_data_gradient_products_run_on_packed_blocks(self, monkeypatch):
         config, params, batch = self._acceptance_batch()
