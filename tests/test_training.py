@@ -684,8 +684,7 @@ class TestPretrain:
         config = dataclasses.replace(small_config(vocab), layers=layers)
         opt = OptimizerConfig(batch_size=8, max_steps=20)
         # both runs start from float64 parameters, whose rounding the bounds are
-        monkeypatch.setattr(training, "init_params", lambda *args: {
-            name: value.astype(np.float64) for name, value in init_params(*args).items()})
+        monkeypatch.setattr(training, "init_params", _float64_init)
         real = pretrain(path, config, opt, 11, str(tmp_path / "real.ckpt"))
         with monkeypatch.context() as patch:
             patch.setattr(model_module, "_encode", padded_encode)
@@ -789,6 +788,7 @@ def _float_arrays(tree):
 
 
 def _float64_init(*args):
+    """init_params cast to float64, the dtype of checkpoints before float32."""
     return {name: value.astype(np.float64) for name, value in init_params(*args).items()}
 
 
