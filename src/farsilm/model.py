@@ -244,36 +244,40 @@ class _Rows:
 
     Token-wise work runs on arrays of shape (N, K) holding the N rows in
     batch order; a batch without padding takes the same path with
-    N = B * L. The attention softmax and its backward run on (N, nh, L)
-    query rows too; only the attention products stay in the padded layout.
-    These give the bits of running every position for hidden sizes from 2
-    up. At hidden size 1 a row sum over an (N, 1) array is pairwise, and N
-    rows pair differently from B * L rows. A projection of a single row
-    goes to a matrix-vector kernel, whose bits differ from the matrix
-    product's, so a subset holds at least two rows when its parent does;
-    encoded inputs always hold [CLS] and [SEP]. The backward pass's
-    products run on the token rows packed into L-row blocks.
-    ``keep`` indexes the set's rows within its parent's token rows.
+    N = B * L. ``keep`` indexes the set's rows within its parent's token
+    rows. The attention products run on each sequence's rows packed into
+    S slots (:meth:`split`). A row's slot is its rank among the subset's
+    rows of its sequence, so S is the most rows one sequence keeps. For
+    the attended set it is the row's position: the keys' slot, and the
+    queries' too, which is their rank under the prefix masks that collate
+    builds. S is then the batch's last attended column + 1, whatever L is.
+    A (B, heads, S, K) array of slots lives in (B, S, heads * K) memory,
+    so a row's heads sit side by side in one row of it. The backward
+    pass's products run on the token rows packed into L-row blocks.
     """
 
-    def __init__(self, shape, flat, keep=slice(None)):
+    def __init__(self, shape, heads, flat, keep=slice(None), ranked=False):
         self.bsz, self.length = shape
+        self.heads = heads
         self.flat = flat
         self.keep = keep
-        self.positions = flat % self.length
         self.seqs = flat // self.length
         # _validate_batch guarantees each row attends its position 0
         self.cls = np.searchsorted(flat, np.arange(self.bsz) * self.length)
+        if ranked:  # a subset: each row's rank in its sequence
+            self.slot = np.arange(flat.size) - self.cls[self.seqs]
+        else:  # the attended set: each row's position
+            self.slot = self.positions = flat % self.length
+        self.width = int(self.slot.max()) + 1
+        # each row's place in a (B * S, K) array
+        self.index = self.seqs * self.width + self.slot
 
     def subset(self, reads: np.ndarray) -> "_Rows":
-        """The rows where the (B, L) mask ``reads`` holds, every [CLS] row,
-        and the first two rows if that leaves one."""
+        """The rows where the (B, L) mask ``reads`` holds, and every [CLS] row."""
         picked = reads.reshape(-1)[self.flat]
         picked[self.cls] = True
-        if picked.sum() < 2:
-            picked[:2] = True
         keep = np.flatnonzero(picked)
-        return _Rows((self.bsz, self.length), self.flat[keep], keep)
+        return _Rows((self.bsz, self.length), self.heads, self.flat[keep], keep, ranked=True)
 
     def gather(self, padded: np.ndarray) -> np.ndarray:
         """Token rows of a (B, L, ...) array."""
@@ -285,20 +289,26 @@ class _Rows:
         padded[self.flat] = tokens
         return padded.reshape(self.bsz, self.length, -1)
 
-    def heads(self, tokens: np.ndarray, nh: int) -> np.ndarray:
-        """The scattered token rows split into nh heads: (B, nh, L, K / nh)."""
-        return self.scatter(tokens).reshape(self.bsz, self.length, nh, -1).transpose(0, 2, 1, 3)
+    def split(self, tokens: np.ndarray) -> np.ndarray:
+        """The (N, K) token rows in their sequences' slots, split into
+        heads: a (B, heads, S, K / heads) view of (B, S, K) memory, with
+        zeros in the empty slots."""
+        packed = np.zeros((self.bsz * self.width, tokens.shape[-1]), tokens.dtype)
+        packed[self.index] = tokens
+        return packed.reshape(self.bsz, self.width, self.heads, -1).swapaxes(1, 2)
 
-    def gather_heads(self, padded: np.ndarray) -> np.ndarray:
-        """Query rows of a (B, nh, L, K) array: (N, nh, K)."""
-        return padded[self.seqs, :, self.positions]
+    def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """a @ b for (B, heads, S, m) and (B, heads, m, K) operands, into a
+        (B, heads, S, K) view of (B, S, heads * K) memory, as split lays
+        its rows out and merge reads them."""
+        out = np.empty((self.bsz, self.width, self.heads, b.shape[-1]), a.dtype)
+        return np.matmul(a, b, out=out.swapaxes(1, 2))
 
-    def scatter_heads(self, rows: np.ndarray) -> np.ndarray:
-        """(B, nh, L, K) view with the (N, nh, K) query rows in place and
-        zeros elsewhere; its last axis is contiguous, as a product reads it."""
-        padded = np.zeros((self.bsz * self.length,) + rows.shape[1:], rows.dtype)
-        padded[self.flat] = rows
-        return padded.reshape((self.bsz, self.length) + rows.shape[1:]).swapaxes(1, 2)
+    def merge(self, packed: np.ndarray) -> np.ndarray:
+        """The set's rows of a (B, heads, S, K) view that split or matmul
+        made, heads joined: (N, heads * K)."""
+        memory = packed.swapaxes(1, 2).reshape(self.bsz * self.width, -1)
+        return np.take(memory, self.index, axis=0)
 
 
 def _affine(x, w, b):
@@ -329,12 +339,15 @@ def _encode(params, config, batch, reads=None, backward=True):
     """Run the encoder and the NSP head; returns (outputs, cache).
 
     outputs holds nsp_logits, pooled and sequence; cache holds what
-    :func:`backprop_encoder` reads but the GELU output and the padded head
+    :func:`backprop_encoder` reads but the GELU output and the slot
     layouts of queries, keys, values and attention probabilities, which it
     forms again by the operations that formed them here. Both attention
-    products stay padded, (B, nh, L, L); the softmax runs on the query rows
-    the layer keeps, which the cache holds as (N, nh, L). An
-    unkept query row is exactly zero in the padded probabilities. The MLM
+    products run on each sequence's slots (:meth:`_Rows.split`): the
+    scores are (B, nh, R, Lk) for the R query slots the layer keeps and
+    the Lk key columns up to the batch's last attended one, and the
+    softmax runs on them in place. The cache holds the kept query rows'
+    probabilities, (N, nh * Lk). Columns past the last attended one take
+    no part, so trailing padding changes no output bit. The MLM
     head is not run here: callers apply :func:`_mlm_head` to whichever
     rows they score. Unattended positions are skipped: ``sequence`` holds exact zeros
     there, and nothing at an attended position depends on them.
@@ -353,11 +366,11 @@ def _encode(params, config, batch, reads=None, backward=True):
     layer ends. The outputs are the same bytes either way.
     """
     _validate_batch(config, batch)
-    rows = _Rows(batch["attention_mask"].shape, np.flatnonzero(batch["attention_mask"]))
+    nh = config.heads
+    rows = _Rows(batch["attention_mask"].shape, nh, np.flatnonzero(batch["attention_mask"]))
     read = rows if reads is None else rows.subset(reads)
     ids = rows.gather(batch["input_ids"])
     segs = rows.gather(batch["segment_ids"])
-    nh = config.heads
     dh = config.hidden // nh
 
     x = params["tok_emb"][ids] + params["pos_emb"][rows.positions]
@@ -366,7 +379,8 @@ def _encode(params, config, batch, reads=None, backward=True):
 
     # keys with attention 0 get a huge negative bias; exp underflows to an
     # exact zero weight, which is what makes padding invariance exact
-    bias = ((1.0 - batch["attention_mask"]) * _MASK_BIAS).astype(x.dtype)[:, None, :]
+    attended = batch["attention_mask"][:, None, None, :rows.width]
+    bias = ((1.0 - attended) * _MASK_BIAS).astype(x.dtype)
 
     layer_caches = []
     for layer in range(config.layers):
@@ -377,15 +391,17 @@ def _encode(params, config, batch, reads=None, backward=True):
         q = _affine(x[out.keep], params[p + "q_w"], params[p + "q_b"])
         k = _affine(x, params[p + "k_w"], params[p + "k_b"])
         v = _affine(x, params[p + "v_w"], params[p + "v_b"])
-        # the kept query rows of the padded scores, scaled, biased and
-        # soft-maxed in place: the steps of _softmax
-        probs = out.gather_heads(out.heads(q, nh) @ rows.heads(k, nh).transpose(0, 1, 3, 2))
+        # each sequence's kept queries against its keys, (B, nh, R, Lk),
+        # scaled, biased and soft-maxed in place: the steps of _softmax
+        probs = out.matmul(out.split(q), rows.split(k).swapaxes(2, 3))
         probs /= math.sqrt(dh)
-        probs += bias[out.seqs]
+        probs += bias
         probs -= probs.max(-1, keepdims=True)
         np.exp(probs, out=probs)
         probs /= probs.sum(-1, keepdims=True)
-        ctx = out.gather_heads(out.scatter_heads(probs) @ rows.heads(v, nh)).reshape(len(q), -1)
+        ctx = out.merge(out.matmul(probs, rows.split(v)))
+        # the kept rows' probabilities, as the backward pass reads them
+        probs = out.merge(probs) if backward else None
         attn_out = _affine(ctx, params[p + "o_w"], params[p + "o_b"])
         attn_out += x_in[out.keep]
         x_attn, attn_ln_cache = _layer_norm(
@@ -567,22 +583,21 @@ def backprop_encoder(params, config: ModelConfig, cache, d_sequence, d_pooled, g
     constant zeros.
 
     Token-wise work runs on each layer's rows: the read rows in the last
-    layer, the attended rows below it. So does the softmax backward, on
-    the (N, nh, L) query rows gathered from the padded ``dctx @ V.T``; its
-    result and the cached probabilities go into zeroed (B, nh, L, L)
-    views for the key, query and value products; the gradient of an
-    unkept query row is an exact zero row of ``dctx``, so only zeros meet
-    it. Each bias gradient sums the token rows. Each product ``x.T @ dy``
+    layer, the attended rows below it. The attention backward runs on the
+    forward pass's slots: ``dctx``, the cached probabilities, the queries,
+    keys and values go into zeroed (B, nh, R or Lk, dh) layouts, and the
+    four products and the softmax backward run there. An empty query slot
+    is a zero row in each of them.
+    Each bias gradient sums the token rows. Each product ``x.T @ dy``
     and ``dy @ w.T`` runs only on the N rows that carry gradient: the read
     rows for the last layer's FFN, output and query weights, the attended
     rows otherwise, packed once into zeroed (ceil(N / L), L, K) blocks.
     ``dy @ w.T`` is one (L, K) product per block, the padded encoder's
-    shape, so its bits are that encoder's; ``x.T @ dy`` is one
-    (K, L) @ (L, K') product per block, added in block order
-    (:func:`_xty`), which equals the padded sum to rounding. No BLAS sum
-    is longer than L rows, so the gradients do not depend on the BLAS
-    thread count; a sum over the B * L padded rows does from a few hundred
-    rows up. The pass consumes ``cache``, taking each array out at its
+    shape; ``x.T @ dy`` is one (K, L) @ (L, K') product per block, added
+    in block order (:func:`_xty`), which equals the padded sum to
+    rounding. No BLAS sum is longer than L rows, so the gradients do not
+    depend on the BLAS thread count; a sum over the B * L padded rows does
+    from a few hundred rows up. The pass consumes ``cache``, taking each array out at its
     last use, so it holds the layers below and one layer's working set; a
     second call on the same cache is a RuntimeError.
     """
@@ -591,10 +606,9 @@ def backprop_encoder(params, config: ModelConfig, cache, d_sequence, d_pooled, g
         raise RuntimeError("this encoder cache was consumed by an earlier backprop_encoder "
                            "call or built for no backward pass; encode the batch again "
                            "for another backward pass")
-    bsz, length = rows.bsz, rows.length
+    length = rows.length
     hidden = config.hidden
-    nh = config.heads
-    dh = hidden // nh
+    dh = hidden // config.heads
     dtype = params["tok_emb"].dtype
     if d_sequence is None:
         dx = np.zeros((read.flat.size, hidden), dtype)
@@ -616,10 +630,6 @@ def backprop_encoder(params, config: ModelConfig, cache, d_sequence, d_pooled, g
         w = params[w_name]
         return np.matmul(dy_blocks, w.T).reshape(-1, len(w))[:len(dy)]
 
-    def heads_back(x, dheads, row_set, w_name, b_name):
-        """dense_back for dy given as (B, nh, L, K / nh) heads, on row_set."""
-        return dense_back(x, row_set.gather_heads(dheads).reshape(-1, hidden), w_name, b_name)
-
     for layer in reversed(range(config.layers)):
         p = f"layer{layer}."
         c = layers.pop()  # each array is taken out of c at its last use
@@ -638,32 +648,30 @@ def backprop_encoder(params, config: ModelConfig, cache, d_sequence, d_pooled, g
         dsum, dg, db = _layer_norm_back(dx_attn, c.pop("attn_ln"))
         grads[p + "attn_ln_g"] += dg
         grads[p + "attn_ln_b"] += db
-        dctx = dense_back(c.pop("ctx"), dsum, p + "o_w", p + "o_b")
-        dctx = out.scatter(dctx).reshape(bsz, length, nh, dh).transpose(0, 2, 1, 3)
+        dctx = out.split(dense_back(c.pop("ctx"), dsum, p + "o_w", p + "o_b"))
 
-        probs = c.pop("probs")
-        dprobs = out.gather_heads(dctx @ rows.heads(c.pop("v"), nh).transpose(0, 1, 3, 2))
-        dvh = out.scatter_heads(probs).transpose(0, 1, 3, 2) @ dctx
+        probs = out.split(c.pop("probs"))
+        dprobs = out.matmul(dctx, rows.split(c.pop("v")).swapaxes(2, 3))
+        dvh = rows.matmul(probs.swapaxes(2, 3), dctx)
         # probs * (dprobs - rowsum(dprobs * probs)) / sqrt(dh), in dprobs's buffer
         dscores = dprobs
         dscores -= (dprobs * probs).sum(-1, keepdims=True)
         dscores *= probs
         dscores /= math.sqrt(dh)
-        dscores = out.scatter_heads(dscores)
         del probs, dprobs, dctx
-        dqh = dscores @ rows.heads(c.pop("k"), nh)
-        dkh = dscores.transpose(0, 1, 3, 2) @ out.heads(c.pop("q"), nh)
+        dqh = out.matmul(dscores, rows.split(c.pop("k")))
+        dkh = rows.matmul(dscores.swapaxes(2, 3), out.split(c.pop("q")))
         del dscores
 
         # dsum + dq @ q_w.T + dk @ k_w.T + dv @ v_w.T, summed in that order;
         # dq is zero off the kept query rows
         x_in = c.pop("x_in")
         dx = np.zeros((rows.flat.size, hidden), dtype)
-        dx[out.keep] = heads_back(x_in[out.keep], dqh, out, p + "q_w", p + "q_b")
+        dx[out.keep] = dense_back(x_in[out.keep], out.merge(dqh), p + "q_w", p + "q_b")
         dx[out.keep] += dsum
         x_in = _blocks(x_in, length)
-        dx += heads_back(x_in, dkh, rows, p + "k_w", p + "k_b")
-        dx += heads_back(x_in, dvh, rows, p + "v_w", p + "v_b")
+        dx += dense_back(x_in, rows.merge(dkh), p + "k_w", p + "k_b")
+        dx += dense_back(x_in, rows.merge(dvh), p + "v_w", p + "v_b")
         del dqh, dkh, dvh, x_in
 
     # embedding backward: the sums np.add.at forms, added in its order

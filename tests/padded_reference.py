@@ -1,14 +1,18 @@
 """The padded encoder: every position runs through every layer.
 
 This is the encoder as it was before token-wise work moved to the
-attended rows only, without the dropout it has since lost. The tests
-hold the unpadded encoder in ``farsilm.model`` to its output and
-gradient bytes. It keeps its own copies of the helpers, so that a change
+attended rows only, without the dropout it has since lost. It computes in
+the parameters' dtype, as the encoder does, so the tests hold the float32
+encoder that pretraining runs to a padded run as well as the float64 one.
+The tests hold the unpadded encoder in ``farsilm.model`` to its outputs,
+losses and gradients within rounding bounds. It keeps its own copies of the helpers, so that a change
 to a shared helper cannot move both sides at once.
 
 ``reference_adam_step`` is the Adam update as it was before it ran in
 scratch buffers; ``farsilm.training.adam_step`` is held to its bytes.
 """
+
+import math
 
 import numpy as np
 from scipy.special import ndtr
@@ -44,7 +48,7 @@ def _gelu(x):
 
 
 def _gelu_back(dy, x, cdf):
-    phi = np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi)
+    phi = np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
     return dy * (cdf + x * phi)
 
 
@@ -64,7 +68,7 @@ def padded_encode(params, config, batch, reads=None):
 
     # keys with attention 0 get a huge negative bias; exp underflows to an
     # exact zero weight, which is what makes padding invariance exact
-    bias = (1.0 - attn[:, None, None, :]) * _MASK_BIAS
+    bias = ((1.0 - attn[:, None, None, :]) * _MASK_BIAS).astype(x.dtype)
 
     layer_caches = []
     for layer in range(config.layers):
@@ -76,7 +80,7 @@ def padded_encode(params, config, batch, reads=None):
         qh = q.reshape(bsz, length, nh, dh).transpose(0, 2, 1, 3)
         kh = k.reshape(bsz, length, nh, dh).transpose(0, 2, 1, 3)
         vh = v.reshape(bsz, length, nh, dh).transpose(0, 2, 1, 3)
-        scores = qh @ kh.transpose(0, 1, 3, 2) / np.sqrt(dh) + bias
+        scores = qh @ kh.transpose(0, 1, 3, 2) / math.sqrt(dh) + bias
         probs = _softmax(scores)
         ctx = (probs @ vh).transpose(0, 2, 1, 3).reshape(bsz, length, config.hidden)
         attn_out = ctx @ params[p + "o_w"] + params[p + "o_b"]
@@ -117,7 +121,9 @@ def padded_backprop(params, config, cache, d_sequence, d_pooled, grads):
     bsz = ids.shape[0]
     nh = config.heads
     dh = config.hidden // nh
-    dx = np.zeros(ids.shape + (config.hidden,)) if d_sequence is None else np.array(d_sequence)
+    dtype = cache["pooled"].dtype
+    dx = (np.zeros(ids.shape + (config.hidden,), dtype) if d_sequence is None
+          else np.array(d_sequence, dtype))
 
     if d_pooled is not None:
         dpool_pre = d_pooled * (1.0 - cache["pooled"] ** 2)
@@ -157,7 +163,7 @@ def padded_backprop(params, config, cache, d_sequence, d_pooled, grads):
         dprobs = dctx @ c["vh"].transpose(0, 1, 3, 2)
         dvh = c["probs"].transpose(0, 1, 3, 2) @ dctx
         dscores = c["probs"] * (dprobs - (dprobs * c["probs"]).sum(-1, keepdims=True))
-        dscores /= np.sqrt(dh)
+        dscores /= math.sqrt(dh)
         dqh = dscores @ c["kh"]
         dkh = dscores.transpose(0, 1, 3, 2) @ c["qh"]
 

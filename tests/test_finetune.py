@@ -500,9 +500,9 @@ class TestDtypes:
         products = []
         real_matmul = np.matmul
 
-        def matmul(a, b):
+        def matmul(a, b, **kwargs):
             products.append((a.dtype, b.dtype))
-            return real_matmul(a, b)
+            return real_matmul(a, b, **kwargs)
 
         monkeypatch.setattr(np, "matmul", matmul)
         models = [

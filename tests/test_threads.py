@@ -1,11 +1,12 @@
 """Training bits do not depend on the BLAS thread count.
 
 OpenBLAS reads OPENBLAS_NUM_THREADS once, when NumPy loads, so each run
-goes in a child process: this file run as a script. The child takes six
+goes in a child process: this file run as a script. The child takes seven
 pretraining steps at the acceptance shapes (the desk encoder, a vocabulary
 of about 1,000, B = 32, L = 64) with Adam between them, then one epoch of
 each fine-tuning loop from the parameters they reach, and prints the
-sha256 of every gradient and of both heads' parameters.
+sha256 of every gradient and of both heads' parameters. The seventh step's
+rows hold 8 to 52 tokens, so its attention stops short of L.
 """
 
 import hashlib
@@ -24,9 +25,10 @@ def _digest(array: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(array).tobytes()).hexdigest()
 
 
-def _pretraining_batch(rng, vocab_size, bsz=32, length=64):
-    """Ragged rows with about 15% of each row's inner positions labelled."""
-    lengths = rng.integers(8, length + 1, bsz)
+def _pretraining_batch(rng, vocab_size, bsz=32, length=64, longest=64):
+    """Ragged rows of 8 to ``longest`` tokens with about 15% of each row's
+    inner positions labelled."""
+    lengths = rng.integers(8, longest + 1, bsz)
     pos = np.arange(length)
     attn = (pos < lengths[:, None]).astype(np.int64)
     inner = (pos > 0) & (pos < lengths[:, None] - 1)
@@ -60,11 +62,12 @@ def training_digests() -> dict[str, str]:
     config = desk_config(vocab_size=len(tokenizer.vocab))
     params = init_params(config, seed=42)
     state = init_adam_state(params)
-    opt = OptimizerConfig(learning_rate=1e-3, batch_size=32, max_steps=6)
+    opt = OptimizerConfig(learning_rate=1e-3, batch_size=32, max_steps=7)
     rng = np.random.default_rng(0)
     digests = {}
-    for step in range(1, 7):
-        _, grads = gradients(params, config, _pretraining_batch(rng, config.vocab_size))
+    for step in range(1, 8):
+        batch = _pretraining_batch(rng, config.vocab_size, longest=64 if step < 7 else 52)
+        _, grads = gradients(params, config, batch)
         digests.update({f"step {step} {name}": _digest(g) for name, g in grads.items()})
         adam_step(params, grads, state, opt)
 

@@ -829,9 +829,9 @@ class TestDtypes:
         products = []
         real_matmul = np.matmul
 
-        def matmul(a, b):
+        def matmul(a, b, **kwargs):
             products.append((a.dtype, b.dtype))
-            return real_matmul(a, b)
+            return real_matmul(a, b, **kwargs)
 
         monkeypatch.setattr(np, "matmul", matmul)
         losses, grads = gradients(params, config, batch)
@@ -973,13 +973,15 @@ class TestStepMemory:
         shapes = []
         real_matmul = np.matmul
 
-        def matmul(a, b):
+        def matmul(a, b, **kwargs):
             shapes.append((a.shape, b.shape))
-            return real_matmul(a, b)
+            return real_matmul(a, b, **kwargs)
 
         monkeypatch.setattr(np, "matmul", matmul)
         gradients(params, config, batch)
         monkeypatch.undo()
+        # the attention products are 4-D; the next test pins them
+        shapes = [(a, b) for a, b in shapes if len(a) < 4]
 
         length, h, i = 64, config.hidden, config.intermediate
         attn = batch["attention_mask"].astype(bool)
@@ -1006,6 +1008,45 @@ class TestStepMemory:
         for n, (k, m) in zip(blocks, widths * 2):
             encoder += [((m, length), (length, k))] * n + [((n, length, k), (k, m))]
         assert shapes == heads + encoder
+
+    def test_attention_products_run_on_each_sequence_s_slots(self, monkeypatch):
+        config, params, batch = self._acceptance_batch()
+        shapes = []
+        real_matmul = np.matmul
+
+        def matmul(a, b, **kwargs):
+            if a.ndim == 4:
+                shapes.append((a.shape, b.shape))
+            return real_matmul(a, b, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", matmul)
+        gradients(params, config, batch)
+        monkeypatch.undo()
+
+        bsz, nh, dh = 32, config.heads, config.hidden // config.heads
+        # keys up to the last attended column, Lk = 63 of L = 64; queries in
+        # as many slots as the sequence keeping the most rows: every attended
+        # row below the last layer (Lk again, under a prefix mask), the
+        # labelled rows and [CLS] in it
+        keys = int(batch["attention_mask"].sum(1).max())
+        read = (batch["mlm_labels"] != -100) | (np.arange(64) == 0)
+        most_read = int(read.sum(1).max())
+        assert (keys, most_read) == (63, 13)
+
+        def forward_layer(r):  # the scores, then the context
+            return [((bsz, nh, r, dh), (bsz, nh, dh, keys)),
+                    ((bsz, nh, r, keys), (bsz, nh, keys, dh))]
+
+        def backward_layer(r):  # dprobs, dV, dQ, dK
+            return [((bsz, nh, r, dh), (bsz, nh, dh, keys)),
+                    ((bsz, nh, keys, r), (bsz, nh, r, dh)),
+                    ((bsz, nh, r, keys), (bsz, nh, keys, dh)),
+                    ((bsz, nh, keys, r), (bsz, nh, r, dh))]
+
+        assert shapes == (forward_layer(keys) + forward_layer(most_read)
+                          + backward_layer(most_read) + backward_layer(keys))
+        # the last layer's scores are (32, 2, 13, 63), where the padded layout was (32, 2, 64, 64)
+        assert shapes[2] == ((32, 2, 13, 32), (32, 2, 32, 63))
 
     def test_an_encode_without_backward_frees_each_layer_as_it_ends(self):
         config, params, batch = self._acceptance_batch()
