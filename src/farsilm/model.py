@@ -247,13 +247,23 @@ class _Rows:
     N = B * L. ``keep`` indexes the set's rows within its parent's token
     rows. The attention products run on each sequence's rows packed into
     S slots (:meth:`split`). A row's slot is its rank among the subset's
-    rows of its sequence, so S is the most rows one sequence keeps. For
-    the attended set it is the row's position: the keys' slot, and the
-    queries' too, which is their rank under the prefix masks that collate
-    builds. S is then the batch's last attended column + 1, whatever L is.
+    rows of its sequence, so S is the most rows one sequence keeps, and at
+    least two: a one-slot product goes to a matrix-vector kernel. For the
+    attended set it is the row's position (``positions``, which only this
+    set has): the keys' slot, and the queries' too, which is their rank
+    under the prefix masks that collate builds. S is then the batch's last
+    attended column + 1, rounded up to a multiple of 16 but not past L.
     A (B, heads, S, K) array of slots lives in (B, S, heads * K) memory,
     so a row's heads sit side by side in one row of it. The backward
     pass's products run on the token rows packed into L-row blocks.
+
+    These slot counts keep the padded (L, L) attention's bits at
+    pretraining's L = 64. With NumPy's OpenBLAS on AVX-512 three things
+    round otherwise: a product whose columns end 1 to 8 past a multiple
+    of 16, a product with a transposed right operand and few
+    multiply-adds, and a softmax row sum over other than a multiple of 8
+    entries. Hence the rounding to 16, and the keys' contiguous (K, S)
+    operand for the scores (:meth:`split_t`).
     """
 
     def __init__(self, shape, heads, flat, keep=slice(None), ranked=False):
@@ -264,11 +274,12 @@ class _Rows:
         self.seqs = flat // self.length
         # _validate_batch guarantees each row attends its position 0
         self.cls = np.searchsorted(flat, np.arange(self.bsz) * self.length)
-        if ranked:  # a subset: each row's rank in its sequence
+        if ranked:  # a subset: each row's rank in its sequence; no positions
             self.slot = np.arange(flat.size) - self.cls[self.seqs]
+            self.width = max(int(self.slot.max()) + 1, 2)
         else:  # the attended set: each row's position
             self.slot = self.positions = flat % self.length
-        self.width = int(self.slot.max()) + 1
+            self.width = min((int(self.slot.max()) + 16) // 16 * 16, self.length)
         # each row's place in a (B * S, K) array
         self.index = self.seqs * self.width + self.slot
 
@@ -296,6 +307,14 @@ class _Rows:
         packed = np.zeros((self.bsz * self.width, tokens.shape[-1]), tokens.dtype)
         packed[self.index] = tokens
         return packed.reshape(self.bsz, self.width, self.heads, -1).swapaxes(1, 2)
+
+    def split_t(self, tokens: np.ndarray) -> np.ndarray:
+        """split's heads transposed into contiguous (B, heads, K / heads, S)
+        memory, as the right operand of a product over K / heads."""
+        packed = np.zeros((self.bsz, self.heads, tokens.shape[-1] // self.heads, self.width),
+                          tokens.dtype)
+        packed[self.seqs, :, :, self.slot] = tokens.reshape(len(tokens), self.heads, -1)
+        return packed
 
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """a @ b for (B, heads, S, m) and (B, heads, m, K) operands, into a
@@ -343,11 +362,12 @@ def _encode(params, config, batch, reads=None, backward=True):
     layouts of queries, keys, values and attention probabilities, which it
     forms again by the operations that formed them here. Both attention
     products run on each sequence's slots (:meth:`_Rows.split`): the
-    scores are (B, nh, R, Lk) for the R query slots the layer keeps and
-    the Lk key columns up to the batch's last attended one, and the
+    scores are (B, nh, R, S) for the R query slots the layer keeps and
+    the S key slots that reach the batch's last attended column, and the
     softmax runs on them in place. The cache holds the kept query rows'
-    probabilities, (N, nh * Lk). Columns past the last attended one take
-    no part, so trailing padding changes no output bit. The MLM
+    probabilities, (N, nh * S). Columns past S take no part, so more
+    padding columns on a batch whose width is a multiple of 16 change no
+    output bit. The MLM
     head is not run here: callers apply :func:`_mlm_head` to whichever
     rows they score. Unattended positions are skipped: ``sequence`` holds exact zeros
     there, and nothing at an attended position depends on them.
@@ -391,9 +411,9 @@ def _encode(params, config, batch, reads=None, backward=True):
         q = _affine(x[out.keep], params[p + "q_w"], params[p + "q_b"])
         k = _affine(x, params[p + "k_w"], params[p + "k_b"])
         v = _affine(x, params[p + "v_w"], params[p + "v_b"])
-        # each sequence's kept queries against its keys, (B, nh, R, Lk),
+        # each sequence's kept queries against its keys, (B, nh, R, S),
         # scaled, biased and soft-maxed in place: the steps of _softmax
-        probs = out.matmul(out.split(q), rows.split(k).swapaxes(2, 3))
+        probs = out.matmul(out.split(q), rows.split_t(k))
         probs /= math.sqrt(dh)
         probs += bias
         probs -= probs.max(-1, keepdims=True)
@@ -585,9 +605,10 @@ def backprop_encoder(params, config: ModelConfig, cache, d_sequence, d_pooled, g
     Token-wise work runs on each layer's rows: the read rows in the last
     layer, the attended rows below it. The attention backward runs on the
     forward pass's slots: ``dctx``, the cached probabilities, the queries,
-    keys and values go into zeroed (B, nh, R or Lk, dh) layouts, and the
-    four products and the softmax backward run there. An empty query slot
-    is a zero row in each of them.
+    keys and values go into zeroed (B, nh, R or S, dh) layouts, the values
+    transposed as the keys are for the scores, and the four products and
+    the softmax backward run there. An empty query slot is a zero row in
+    each of them.
     Each bias gradient sums the token rows. Each product ``x.T @ dy``
     and ``dy @ w.T`` runs only on the N rows that carry gradient: the read
     rows for the last layer's FFN, output and query weights, the attended
@@ -651,7 +672,7 @@ def backprop_encoder(params, config: ModelConfig, cache, d_sequence, d_pooled, g
         dctx = out.split(dense_back(c.pop("ctx"), dsum, p + "o_w", p + "o_b"))
 
         probs = out.split(c.pop("probs"))
-        dprobs = out.matmul(dctx, rows.split(c.pop("v")).swapaxes(2, 3))
+        dprobs = out.matmul(dctx, rows.split_t(c.pop("v")))
         dvh = rows.matmul(probs.swapaxes(2, 3), dctx)
         # probs * (dprobs - rowsum(dprobs * probs)) / sqrt(dh), in dprobs's buffer
         dscores = dprobs

@@ -447,8 +447,8 @@ def test_06b_pretraining_artifacts_are_pinned(pretrain_run):
     }
     assert digests == {
         "examples.ptex": "1fcfdd5a84e78fb04184d798d9c26991ffe44ea3c1106cc7e21493923557f6a6",
-        "model.flcp": "c481a8feb4e216644edb682ed05abc2586672e87ddbf0a86280314cbb463c037",
-        "trace.csv": "0768673374c78f1a1eea70622c28e8a086749c279b7df77f1925966b3b74f2d2",
+        "model.flcp": "48436a029c4781ead9da2adb5528b0abcfe2a0971a64c9950a28b3a97c846dba",
+        "trace.csv": "4194d5a17c0ccf57dcb2e7f4979a638998cb2ab8067615227785cccb75b6707a",
     }
     print(f"check 6b: fixture digests {', '.join(d[:8] for d in digests.values())}")
 

@@ -1009,8 +1009,8 @@ class TestStepMemory:
             encoder += [((m, length), (length, k))] * n + [((n, length, k), (k, m))]
         assert shapes == heads + encoder
 
-    def test_attention_products_run_on_each_sequence_s_slots(self, monkeypatch):
-        config, params, batch = self._acceptance_batch()
+    def _attention_products(self, monkeypatch, config, params, batch):
+        """The operand shapes of every 4-D np.matmul in one step."""
         shapes = []
         real_matmul = np.matmul
 
@@ -1019,19 +1019,32 @@ class TestStepMemory:
                 shapes.append((a.shape, b.shape))
             return real_matmul(a, b, **kwargs)
 
-        monkeypatch.setattr(np, "matmul", matmul)
-        gradients(params, config, batch)
-        monkeypatch.undo()
+        with monkeypatch.context() as patch:
+            patch.setattr(np, "matmul", matmul)
+            gradients(params, config, batch)
+        return shapes
+
+    @pytest.mark.parametrize("longest", [64, 40])
+    def test_attention_products_run_on_each_sequence_s_slots(self, monkeypatch, longest):
+        config, params, batch = self._acceptance_batch()
+        if longest < 64:  # the same rows cut to at most 40 tokens
+            batch["attention_mask"][:, longest:] = 0
+            batch["input_ids"][:, longest:] = 0
+            batch["segment_ids"][:, longest:] = 0
+            batch["mlm_labels"][:, longest:] = -100
+        shapes = self._attention_products(monkeypatch, config, params, batch)
 
         bsz, nh, dh = 32, config.heads, config.hidden // config.heads
-        # keys up to the last attended column, Lk = 63 of L = 64; queries in
-        # as many slots as the sequence keeping the most rows: every attended
-        # row below the last layer (Lk again, under a prefix mask), the
-        # labelled rows and [CLS] in it
-        keys = int(batch["attention_mask"].sum(1).max())
+        # keys in slots up to the last attended column, rounded up to a
+        # multiple of 16: 64 for the longest row's 63 columns, 48 for 40;
+        # queries in as many slots as the sequence keeping the most rows:
+        # every attended row below the last layer (as many as the keys,
+        # under a prefix mask), the labelled rows and [CLS] in it
+        last = int(batch["attention_mask"].sum(1).max())
         read = (batch["mlm_labels"] != -100) | (np.arange(64) == 0)
         most_read = int(read.sum(1).max())
-        assert (keys, most_read) == (63, 13)
+        assert (last, most_read) == {64: (63, 13), 40: (40, 12)}[longest]
+        keys = {64: 64, 40: 48}[longest]
 
         def forward_layer(r):  # the scores, then the context
             return [((bsz, nh, r, dh), (bsz, nh, dh, keys)),
@@ -1043,10 +1056,10 @@ class TestStepMemory:
                     ((bsz, nh, r, keys), (bsz, nh, keys, dh)),
                     ((bsz, nh, keys, r), (bsz, nh, r, dh))]
 
+        # the last layer's scores are (32, 2, 13, 64) or (32, 2, 12, 48),
+        # where the padded layout's were (32, 2, 64, 64)
         assert shapes == (forward_layer(keys) + forward_layer(most_read)
                           + backward_layer(most_read) + backward_layer(keys))
-        # the last layer's scores are (32, 2, 13, 63), where the padded layout was (32, 2, 64, 64)
-        assert shapes[2] == ((32, 2, 13, 32), (32, 2, 32, 63))
 
     def test_an_encode_without_backward_frees_each_layer_as_it_ends(self):
         config, params, batch = self._acceptance_batch()
