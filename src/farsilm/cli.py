@@ -22,7 +22,7 @@ from . import synthetic
 from .corpus import corpus_stats, format_stats_table, load_documents, stats_records
 from .errors import ConfigError, DataError, FarsilmError, check_seed
 from .finetune import TASKS, FinetuneConfig, Task, load_head_model, predict, save_head_model
-from .lineio import atomic_open, read_records, read_text, write_records
+from .lineio import atomic_open, read_records, read_text, record_strings, write_records
 from .model import ModelConfig, desk_config
 from .pretrain_data import (
     MaskingPolicy,
@@ -87,7 +87,7 @@ def _load_sentences(path: str, format: str) -> list[str]:
     """Sentence list from plain text (one per line) or line-records.
 
     Records may carry a ``sentences`` list (segmenter output) or a plain
-    ``text`` field; both shapes feed the tokenizer trainer.
+    ``text`` field; both shapes feed the tokenizer trainer, strings only.
     """
     if format == "plain":
         return [line for line in read_text(path).splitlines() if line.strip()]
@@ -95,16 +95,16 @@ def _load_sentences(path: str, format: str) -> list[str]:
     for lineno, record in read_records(path):
         listed = record.get("sentences")
         if isinstance(listed, list):
-            sentences.extend(str(s) for s in listed)
+            sentences.extend(record_strings(path, lineno, "sentences", listed))
         elif "text" in record:
-            sentences.append(str(record["text"]))
+            sentences.extend(record_strings(path, lineno, "text", [record["text"]]))
         else:
             raise DataError(f"{path}: record on line {lineno} has neither sentences nor text")
     return sentences
 
 
 def _segmented_documents(path: str) -> list[list[str]]:
-    """Per-document sentence lists from segmenter output records."""
+    """Per-document sentence lists, of strings, from segmenter output records."""
     documents = []
     for lineno, record in read_records(path):
         listed = record.get("sentences")
@@ -112,7 +112,7 @@ def _segmented_documents(path: str) -> list[list[str]]:
             raise DataError(
                 f"{path}: record on line {lineno} lacks a sentences list; run segment first"
             )
-        documents.append([str(s) for s in listed])
+        documents.append(record_strings(path, lineno, "sentences", listed))
     return documents
 
 

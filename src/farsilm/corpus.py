@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 from .errors import DataError
-from .lineio import read_records, read_text
+from .lineio import read_records, read_text, record_strings
 
 FORMATS = ("plain", "line-records")
 
@@ -73,8 +73,7 @@ def _load_line_records(path: Path) -> Iterator[Document]:
     for lineno, record in read_records(path):
         if "text" not in record:
             raise DataError(f"{path}: record on line {lineno} lacks the text field")
-        if not isinstance(record["text"], str):
-            raise DataError(f"{path}: record on line {lineno} has a non-string text field")
+        record_strings(path, lineno, "text", [record["text"]])
         doc_id = record.get("id")
         if doc_id is None:
             doc_id = f"{path.name}#{lineno}"

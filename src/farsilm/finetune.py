@@ -28,9 +28,10 @@ from typing import Callable
 
 import numpy as np
 
+from . import model as encoder
 from . import wordpiece as wp
 from .errors import ConfigError, DataError, check_positive, check_seed
-from .lineio import atomic_open, read_records, read_text, write_records
+from .lineio import atomic_open, read_records, read_text, record_strings, write_records
 from .metrics import (
     _parse_tag,
     accuracy,
@@ -41,15 +42,7 @@ from .metrics import (
     format_entity_score,
     format_eval_report,
 )
-from .model import (
-    ModelConfig,
-    _encode,
-    _softmax_xent_grad,
-    _truncated_normal,
-    _xty,
-    backprop_encoder,
-    zero_gradients,
-)
+from .model import ModelConfig, _truncated_normal, head_gradients
 from .pretrain_data import IGNORE_INDEX
 from .training import (
     AdamState,
@@ -149,13 +142,14 @@ class FinetuneOutcome:
 
 
 def load_labeled(path: str) -> list[LabeledText]:
-    """Read {text, label} line records."""
+    """Read {text, label} line records; both fields must be strings."""
     items = []
     for lineno, record in read_records(path):
         for field in ("text", "label"):
             if field not in record:
-                raise DataError(f"record on line {lineno} lacks the {field} field")
-        items.append(LabeledText(text=str(record["text"]), label=str(record["label"])))
+                raise DataError(f"{path}: record on line {lineno} lacks the {field} field")
+            record_strings(path, lineno, field, [record[field]])
+        items.append(LabeledText(text=record["text"], label=record["label"]))
     return items
 
 
@@ -262,10 +256,6 @@ def _encode_token_rows(token_seqs, tokenizer, capacity: int):
     return rows, firsts
 
 
-def _one_label(item: LabeledText) -> tuple[str]:
-    return (item.label,)
-
-
 def _cls_report(items, predicted, labels):
     gold = [item.label for item in items]
     report = f1_report(gold, predicted, labels)
@@ -296,8 +286,58 @@ class Task:
     def finetune(self, checkpoint: Checkpoint, tokenizer: wp.WordPieceModel, train, dev,
                  config: FinetuneConfig) -> FinetuneOutcome:
         """Fine-tune the encoder and this task's head together; ``dev_trace``
-        holds the report's headline score on ``dev`` after each epoch."""
-        return _finetune(self, checkpoint, tokenizer, train, dev, config)
+        holds the report's headline score on ``dev`` after each epoch.
+        Rows are encoded once, before training. A non-finite gradient is a
+        DataError naming the epoch, the step and the tensor, raised before
+        that step's update."""
+        mcfg = checkpoint.model_config
+        _check_tokenizer(tokenizer, mcfg)
+        if not train:
+            raise DataError("training set is empty")
+        label_to_id = {label: i for i, label in enumerate(config.label_inventory)}
+        train_ids = _label_ids(self, train, label_to_id, "train")
+        _label_ids(self, dev, label_to_id, "dev")
+        rows, firsts = self.encode(list(map(self.inputs, train)), tokenizer, mcfg.max_positions)
+        dev_rows = self.encode(list(map(self.inputs, dev)), tokenizer, mcfg.max_positions)
+        if firsts is None:
+            gold_rows = np.array(train_ids)[:, 0]  # each item's one label
+        else:
+            # word tags sit on first pieces; every other position is ignored
+            gold_rows = [[IGNORE_INDEX] * len(row) for row in rows]
+            for gold, first, ids in zip(gold_rows, firsts, train_ids):
+                for pos, tag_id in zip(first, ids):
+                    gold[pos] = tag_id
+
+        n_labels = len(config.label_inventory)
+        full = {name: value.copy() for name, value in checkpoint.params.items()}
+        rng = np.random.default_rng((config.seed, 4))
+        # the head takes the encoder's dtype, so its backward pass does too
+        dtype = full["tok_emb"].dtype
+        full["head_w"] = _truncated_normal(rng, (mcfg.hidden, n_labels), 0.02).astype(dtype)
+        full["head_b"] = np.zeros(n_labels, dtype)
+        state = init_adam_state(full)
+        steps = config.epochs * -(-len(train) // config.batch_size)
+        opt = OptimizerConfig(learning_rate=config.learning_rate, batch_size=config.batch_size,
+                              max_steps=max(1, steps))
+        trace = []
+        for epoch in range(config.epochs):
+            order = np.random.default_rng((config.seed, 5, epoch)).permutation(len(train))
+            for start in range(0, len(train), config.batch_size):
+                picks = order[start : start + config.batch_size]
+                batch = _pad_batch([rows[i] for i in picks], tokenizer.pad_id)
+                gold = (gold_rows[picks] if firsts is None
+                        else _pad([gold_rows[i] for i in picks], IGNORE_INDEX))
+                grads = head_gradients(full, mcfg, batch, gold)
+                check_finite_gradients(grads, f"epoch {epoch + 1} step {state.step + 1}")
+                adam_step(full, grads, state, opt)
+            if dev:
+                model = _assemble(self.head_kind, mcfg, full, config.label_inventory, tokenizer)
+                predicted = _predict_rows(self, model, *dev_rows, tokenizer.pad_id)
+                _, _, score = self.report(dev, predicted, config.label_inventory)
+                trace.append(score)
+
+        model = _assemble(self.head_kind, mcfg, full, config.label_inventory, tokenizer)
+        return FinetuneOutcome(model=model, dev_trace=tuple(trace))
 
     def reads(self, batch, firsts):
         """The final states this task's head reads besides [CLS], as
@@ -305,16 +345,15 @@ class Task:
         first piece for a tagger. ``firsts`` holds the first-piece
         positions of each batch row, or None for a classifier."""
         reads = np.zeros(batch["input_ids"].shape, bool)
-        if self.source == "sequence":
-            for row, first in enumerate(firsts):
-                reads[row, first] = True
+        for row, first in enumerate(firsts or ()):
+            reads[row, first] = True
         return reads
 
 
 TASKS = {
     "cls": Task(
         "cls", "classifier", "pooled", "accuracy", load_labeled, write_labeled, _encode_texts,
-        inputs=attrgetter("text"), labels=_one_label, report=_cls_report,
+        inputs=attrgetter("text"), labels=lambda item: (item.label,), report=_cls_report,
     ),
     "ner": Task(
         "ner", "tagger", "sequence", "entity F1", load_tagged, write_tagged, _encode_token_rows,
@@ -349,87 +388,8 @@ def _label_ids(task: Task, items, label_to_id, where: str) -> list[list[int]]:
     return all_ids
 
 
-def _finetune(task: Task, checkpoint, tokenizer, train, dev, config) -> FinetuneOutcome:
-    """The fine-tuning loop every task shares. Rows are encoded once, before
-    training. A non-finite gradient is a DataError naming the epoch, the
-    step and the tensor, raised before that step's update."""
-    mcfg = checkpoint.model_config
-    _check_tokenizer(tokenizer, mcfg)
-    if not train:
-        raise DataError("training set is empty")
-    label_to_id = {label: i for i, label in enumerate(config.label_inventory)}
-    train_ids = _label_ids(task, train, label_to_id, "train")
-    _label_ids(task, dev, label_to_id, "dev")
-    rows, firsts = task.encode([task.inputs(item) for item in train], tokenizer, mcfg.max_positions)
-    dev_rows = task.encode([task.inputs(item) for item in dev], tokenizer, mcfg.max_positions)
-    if firsts is None:
-        gold_rows = np.array(train_ids)[:, 0]  # each item's one label
-    else:
-        # word tags sit on first pieces; every other position is ignored
-        gold_rows = [[IGNORE_INDEX] * len(row) for row in rows]
-        for gold, first, ids in zip(gold_rows, firsts, train_ids):
-            for pos, tag_id in zip(first, ids):
-                gold[pos] = tag_id
-
-    n_labels = len(config.label_inventory)
-    full = {name: value.copy() for name, value in checkpoint.params.items()}
-    rng = np.random.default_rng((config.seed, 4))
-    # the head takes the encoder's dtype, so its backward pass does too
-    dtype = full["tok_emb"].dtype
-    full["head_w"] = _truncated_normal(rng, (mcfg.hidden, n_labels), 0.02).astype(dtype)
-    full["head_b"] = np.zeros(n_labels, dtype)
-    state = init_adam_state(full)
-    steps_per_epoch = (len(train) + config.batch_size - 1) // config.batch_size
-    opt = OptimizerConfig(
-        learning_rate=config.learning_rate,
-        batch_size=config.batch_size,
-        max_steps=max(1, config.epochs * steps_per_epoch),
-    )
-    source = task.source
-    trace = []
-    for epoch in range(config.epochs):
-        order = np.random.default_rng((config.seed, 5, epoch)).permutation(len(train))
-        for start in range(0, len(train), config.batch_size):
-            picks = order[start : start + config.batch_size]
-            batch = _pad_batch([rows[i] for i in picks], tokenizer.pad_id)
-            if firsts is None:
-                gold, batch_firsts = gold_rows[picks], None
-            else:
-                gold = _pad([gold_rows[i] for i in picks], IGNORE_INDEX)
-                batch_firsts = [firsts[i] for i in picks]
-
-            outputs, cache = _encode(full, mcfg, batch, task.reads(batch, batch_firsts))
-            features = outputs[source]
-            logits = features @ full["head_w"] + full["head_b"]
-            dlogits = _softmax_xent_grad(logits, gold)
-
-            grads = zero_gradients(full)
-            flat_dlogits = dlogits.reshape(-1, n_labels)
-            _xty(features.reshape(-1, mcfg.hidden), flat_dlogits, batch["input_ids"].shape[1],
-                 grads["head_w"])
-            grads["head_b"] += flat_dlogits.sum(0)
-            dfeatures = dlogits @ full["head_w"].T
-            d_sequence, d_pooled = (None, dfeatures) if source == "pooled" else (dfeatures, None)
-            backprop_encoder(full, mcfg, cache, d_sequence, d_pooled, grads)
-            check_finite_gradients(grads, f"epoch {epoch + 1} step {state.step + 1}")
-            adam_step(full, grads, state, opt)
-        if dev:
-            model = _assemble(task.head_kind, mcfg, full, config.label_inventory, tokenizer)
-            predicted = _predict_rows(task, model, *dev_rows, tokenizer.pad_id)
-            _, _, score = task.report(dev, predicted, config.label_inventory)
-            trace.append(score)
-
-    model = _assemble(task.head_kind, mcfg, full, config.label_inventory, tokenizer)
-    return FinetuneOutcome(model=model, dev_trace=tuple(trace))
-
-
-def finetune_sequence(
-    checkpoint: Checkpoint,
-    tokenizer: wp.WordPieceModel,
-    train,
-    dev,
-    config: FinetuneConfig,
-) -> FinetuneOutcome:
+def finetune_sequence(checkpoint: Checkpoint, tokenizer: wp.WordPieceModel, train, dev,
+                      config: FinetuneConfig) -> FinetuneOutcome:
     """Train a softmax classifier on the pooled [CLS] state.
 
     Every encoder weight updates alongside the head. Returns the model and
@@ -438,13 +398,8 @@ def finetune_sequence(
     return TASKS["cls"].finetune(checkpoint, tokenizer, train, dev, config)
 
 
-def finetune_tokens(
-    checkpoint: Checkpoint,
-    tokenizer: wp.WordPieceModel,
-    train,
-    dev,
-    config: FinetuneConfig,
-) -> FinetuneOutcome:
+def finetune_tokens(checkpoint: Checkpoint, tokenizer: wp.WordPieceModel, train, dev,
+                    config: FinetuneConfig) -> FinetuneOutcome:
     """Train a per-position tagger over IOB tags.
 
     Word tags sit on first pieces only; continuation pieces are ignored by
@@ -471,8 +426,8 @@ def _predict_rows(task: Task, model: HeadModel, rows, firsts, pad_id: int):
     for start in range(0, len(rows), PREDICT_BATCH):
         batch = _pad_batch(rows[start : start + PREDICT_BATCH], pad_id)
         batch_firsts = None if firsts is None else firsts[start : start + PREDICT_BATCH]
-        outputs, _ = _encode(model.params, model.model_config, batch,
-                             task.reads(batch, batch_firsts), backward=False)
+        outputs, _ = encoder._encode(model.params, model.model_config, batch,
+                                     task.reads(batch, batch_firsts), backward=False)
         picks = (outputs[task.source] @ model.head_w + model.head_b).argmax(-1)
         if firsts is None:
             results.extend(model.labels[int(pick)] for pick in picks)

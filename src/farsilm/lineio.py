@@ -80,6 +80,16 @@ def read_records(path: str | Path) -> Iterator[tuple[int, dict]]:
         yield lineno, record
 
 
+def record_strings(path: str | Path, lineno: int, field: str, values: list) -> list:
+    """``values``, read from a record's ``field``, once each is a string:
+    JSON null or a number is a DataError naming the file and line."""
+    for value in values:
+        if not isinstance(value, str):
+            raise DataError(f"{path}: record on line {lineno} holds "
+                            f"{json.dumps(value, ensure_ascii=False)} in {field}, not a string")
+    return values
+
+
 def write_records(path: str | Path, records: Iterable[dict[str, Any]]) -> int:
     """Write records as one JSON object per line; returns the record count."""
     n = 0

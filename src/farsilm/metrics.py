@@ -147,12 +147,15 @@ def entity_f1(
     """Micro-averaged exact-match entity scoring across a corpus.
 
     An entity counts only when category, start and end all agree. A corpus
-    with no entities on either side scores 1.0 throughout.
+    with no entities on either side scores 1.0 throughout; one with no
+    sequences is a DataError.
     """
     if len(gold_seqs) != len(pred_seqs):
         raise DataError(
             f"corpus mismatch: {len(gold_seqs)} gold sequences vs {len(pred_seqs)} predicted"
         )
+    if not gold_seqs:
+        raise DataError("entity_f1 is undefined on empty inputs")
     tp = fp = fn = 0
     cat_counts: dict[str, list[int]] = {}
     for item, (gold_tags, pred_tags) in enumerate(zip(gold_seqs, pred_seqs)):

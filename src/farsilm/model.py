@@ -354,6 +354,25 @@ def _xty(x: np.ndarray, dy: np.ndarray, length: int, out: np.ndarray) -> None:
         out += np.matmul(x_block.T, dy_block)
 
 
+def _affine_back(params, grads, x, dy, w, b, length):
+    """Add the gradients of x @ params[w] + params[b] into grads[w] and
+    grads[b], for rows ``x`` and upstream rows ``dy``, each (N, K) or in
+    (n, L, K) blocks; returns dy @ params[w].T in dy's layout.
+
+    x.T @ dy always runs in L-row blocks (:func:`_xty`). dy @ w.T runs on
+    dy as given, because a product's rounding depends on its row count:
+    in float32 on one thread with K = 64, 1 to 18 rows padded into a
+    64-row block rounded otherwise than the same rows alone in 50 of 50
+    trials (19 to 32 matched). The encoder's dense_back hands over L-row
+    blocks, the padded encoder's (L, K) products, whose bits training
+    keeps. The heads and the pooler hand over their arrays as their
+    forward pass laid them out, (N, K) rows or a tagger's (B, L, K):
+    their products never ran in blocks, and blocks would move their bits."""
+    _xty(x, dy, length, grads[w])
+    grads[b] += dy.reshape(-1, dy.shape[-1]).sum(0)
+    return np.matmul(dy, params[w].T)
+
+
 def _encode(params, config, batch, reads=None, backward=True):
     """Run the encoder and the NSP head; returns (outputs, cache).
 
@@ -374,8 +393,9 @@ def _encode(params, config, batch, reads=None, backward=True):
 
     ``reads``, a (B, L) boolean mask, names the positions whose final
     states the caller reads besides [CLS]: the labelled rows in
-    pretraining, none for the classifier, each word's first piece for
-    the tagger; None reads every attended one, as :func:`forward` does.
+    :func:`gradients`, the gold rows in :func:`head_gradients` (none for
+    a classifier, each word's first piece for a tagger), and the same in
+    prediction; None reads every attended one, as :func:`forward` does.
     The last layer runs its token-wise work on those rows only (see
     :meth:`_Rows.subset`), and ``sequence`` is exactly zero at the others.
     Its keys and values still cover every attended row, which the read
@@ -576,31 +596,46 @@ def gradients(params, config: ModelConfig, batch):
     grads["mlm_ln_g"] += dg
     grads["mlm_ln_b"] += db
     dpre = _gelu_back(dact, mlm_pre, mlm_cdf)
-    _xty(x_sel, dpre, length, grads["mlm_w"])
-    grads["mlm_b"] += dpre.sum(0)
     dx = np.zeros(selected.shape + (config.hidden,), dtype)
-    dx[selected] = dpre @ params["mlm_w"].T
+    dx[selected] = _affine_back(params, grads, x_sel, dpre, "mlm_w", "mlm_b", length)
     del mlm_logp, dlogits, dtr, dact, dpre, x_sel, mlm_pre, mlm_cdf, mlm_tr, mlm_ln
 
-    # NSP head backward
     dnsp = _softmax_xent_grad(nsp_logits, nsp_labels)
-    _xty(cache["pooled"], dnsp, length, grads["nsp_w"])
-    grads["nsp_b"] += dnsp.sum(0)
-    dpooled = dnsp @ params["nsp_w"].T
-
+    dpooled = _affine_back(params, grads, cache["pooled"], dnsp, "nsp_w", "nsp_b", length)
     backprop_encoder(params, config, cache, dx, dpooled, grads)
     return losses, grads
+
+
+def head_gradients(params, config: ModelConfig, batch, gold):
+    """Gradients of the fine-tuning head's (``head_w``, ``head_b``) mean
+    softmax cross-entropy for every parameter in ``params``.
+
+    A (B,) ``gold`` holds each item's class, scored on the pooled [CLS]
+    state. A (B, L) ``gold`` holds a tag at each position it scores on the
+    final states and IGNORE_INDEX elsewhere; the last layer runs on those
+    rows and [CLS] only, so a tagger scoring first pieces reads just them.
+    """
+    tagger = gold.ndim == 2
+    reads = gold != IGNORE_INDEX if tagger else np.zeros(batch["input_ids"].shape, bool)
+    outputs, cache = _encode(params, config, batch, reads)
+    features = outputs["sequence" if tagger else "pooled"]
+    dlogits = _softmax_xent_grad(features @ params["head_w"] + params["head_b"], gold)
+    grads = zero_gradients(params)
+    dfeatures = _affine_back(params, grads, features, dlogits, "head_w", "head_b", reads.shape[1])
+    d_sequence, d_pooled = (dfeatures, None) if tagger else (None, dfeatures)
+    backprop_encoder(params, config, cache, d_sequence, d_pooled, grads)
+    return grads
 
 
 def backprop_encoder(params, config: ModelConfig, cache, d_sequence, d_pooled, grads):
     """Accumulate encoder gradients for upstream gradients on the final
     hidden states and on the pooled [CLS] vector; either may be None.
 
-    This is the shared backward half used by the pretraining heads and by
-    the fine-tuning heads; grads is mutated in place. ``d_sequence`` is
-    read at the positions ``_encode`` was told are read (every attended
-    one by default) and ignored elsewhere, as the outputs there are
-    constant zeros.
+    This is the backward half that :func:`gradients` and
+    :func:`head_gradients` share, after their heads' :func:`_affine_back`;
+    grads is mutated in place. ``d_sequence`` is read at the positions
+    ``_encode`` was told are read (every attended one by default) and
+    ignored elsewhere, as the outputs there are constant zeros.
 
     Token-wise work runs on each layer's rows: the read rows in the last
     layer, the attended rows below it. The attention backward runs on the
@@ -609,8 +644,9 @@ def backprop_encoder(params, config: ModelConfig, cache, d_sequence, d_pooled, g
     transposed as the keys are for the scores, and the four products and
     the softmax backward run there. An empty query slot is a zero row in
     each of them.
-    Each bias gradient sums the token rows. Each product ``x.T @ dy``
-    and ``dy @ w.T`` runs only on the N rows that carry gradient: the read
+    Each dense layer's backward is :func:`_affine_back`: its bias
+    gradient sums the token rows, and each product ``x.T @ dy`` and
+    ``dy @ w.T`` runs only on the N rows that carry gradient: the read
     rows for the last layer's FFN, output and query weights, the attended
     rows otherwise, packed once into zeroed (ceil(N / L), L, K) blocks.
     ``dy @ w.T`` is one (L, K) product per block, the padded encoder's
@@ -631,25 +667,18 @@ def backprop_encoder(params, config: ModelConfig, cache, d_sequence, d_pooled, g
     hidden = config.hidden
     dh = hidden // config.heads
     dtype = params["tok_emb"].dtype
-    if d_sequence is None:
-        dx = np.zeros((read.flat.size, hidden), dtype)
-    else:
-        dx = read.gather(d_sequence)
+    dx = (np.zeros((read.flat.size, hidden), dtype) if d_sequence is None
+          else read.gather(d_sequence))
 
     if d_pooled is not None:
         dpool_pre = d_pooled * (1.0 - cache["pooled"] ** 2)
-        _xty(cache["cls_state"], dpool_pre, length, grads["pool_w"])
-        grads["pool_b"] += dpool_pre.sum(0)
-        dx[read.cls] += dpool_pre @ params["pool_w"].T
+        dx[read.cls] += _affine_back(params, grads, cache["cls_state"], dpool_pre,
+                                     "pool_w", "pool_b", length)
 
-    def dense_back(x, dy, w_name, b_name):
-        """Gradients of x @ w + b for the (N, K) token rows x and dy, both
-        products on dy's L-row blocks; returns dy @ w.T for the token rows."""
-        dy_blocks = _blocks(dy, length)
-        _xty(x, dy_blocks, length, grads[w_name])
-        grads[b_name] += dy.sum(0)
-        w = params[w_name]
-        return np.matmul(dy_blocks, w.T).reshape(-1, len(w))[:len(dy)]
+    def dense_back(x, dy, w, b):
+        """:func:`_affine_back` on dy's L-row blocks; dy @ w.T for the token rows."""
+        dx = _affine_back(params, grads, x, _blocks(dy, length), w, b, length)
+        return dx.reshape(-1, dx.shape[-1])[:len(dy)]
 
     for layer in reversed(range(config.layers)):
         p = f"layer{layer}."

@@ -399,6 +399,7 @@ def test_05_gradient_check():
     )
 
 
+@pytest.mark.slow
 def test_06_pretraining_convergence(pretrain_run):
     """2000 steps at batch 32 push MLM under half the uniform baseline and
     NSP dev accuracy on clean held-out pairs to at least 0.9."""
@@ -436,6 +437,7 @@ def test_06_pretraining_convergence(pretrain_run):
     )
 
 
+@pytest.mark.slow
 def test_06b_pretraining_artifacts_are_pinned(pretrain_run):
     """The fixture's example file, checkpoint and loss trace keep their
     sha256. No BLAS sum in training runs over more than L rows, so the
@@ -479,6 +481,7 @@ def _best_dev_score(finetune, checkpoint, tokenizer, train, dev, config, seed):
     return max(finetune(checkpoint, tokenizer, train, dev, replace(config, seed=seed)).dev_trace)
 
 
+@pytest.mark.slow
 def test_07_finetuning_transfer(pretrain_run):
     """Over fine-tuning seeds 0-4, the pre-trained checkpoint's median
     classification accuracy reaches 0.95 and its median entity F1 0.90; on

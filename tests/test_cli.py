@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from farsilm import finetune as finetune_module
+from farsilm import model as model_module
 from farsilm.cli import _evaluate, build_parser, main
 from farsilm.finetune import TASKS, FinetuneConfig, save_head_model
 from farsilm.lineio import read_records
@@ -145,8 +145,8 @@ class TestExitCodes:
             real_backprop(*args)
             args[-1]["head_w"][0, 0] = np.inf
 
-        real_backprop = finetune_module.backprop_encoder
-        monkeypatch.setattr(finetune_module, "backprop_encoder", poisoned)
+        real_backprop = model_module.backprop_encoder
+        monkeypatch.setattr(model_module, "backprop_encoder", poisoned)
         data, out = tmp_path / f"{task}.data", tmp_path / "out"
         assert main(["gen-synthetic", task, "--seed", "3", "--count", "8",
                      "--out", str(data)]) == 0
@@ -155,6 +155,52 @@ class TestExitCodes:
                      "--dev", str(data), "--out", str(out)]) == 2
         assert "epoch 1 step 1: gradient of head_w is not finite" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, record, shown",
+        [
+            (["finetune-cls", "--checkpoint", "{checkpoint}", "--vocab", "{vocab}",
+              "--train", "{bad}", "--dev", "{bad}", "--out", "{out}"],
+             {"text": None, "label": "class0"}, "null in text"),
+            (["finetune-cls", "--checkpoint", "{checkpoint}", "--vocab", "{vocab}",
+              "--train", "{bad}", "--dev", "{bad}", "--out", "{out}"],
+             {"text": 12, "label": "class0"}, "12 in text"),
+            (["train-tokenizer", "--in", "{bad}", "--out", "{out}", "--min-freq", "1"],
+             {"sentences": [None, 7, "سلام دنیا"]}, "null in sentences"),
+            (["train-tokenizer", "--in", "{bad}", "--out", "{out}", "--min-freq", "1"],
+             {"text": 7}, "7 in text"),
+            (["build-pretrain", "--in", "{bad}", "--vocab", "{vocab}", "--out", "{out}",
+              "--seed", "1"],
+             {"sentences": [None, 7, "سلام دنیا"]}, "null in sentences"),
+        ],
+        ids=["finetune-cls-null", "finetune-cls-number", "train-tokenizer-sentences",
+             "train-tokenizer-text", "build-pretrain"],
+    )
+    def test_non_string_record_field_is_two(self, pipeline, tmp_path, capsys, argv, record,
+                                            shown):
+        # the first line is well formed, so the error must name the second
+        good = {key: "class0" if key == "label" else "سلام" for key in record}
+        if "sentences" in record:
+            good["sentences"] = ["سلام دنیا"]
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(json.dumps(good) + "\n" + json.dumps(record) + "\n", encoding="utf-8")
+        names = {**pipeline, "bad": bad, "out": tmp_path / "out"}
+        assert main([arg.format(**names) for arg in argv]) == 2
+        assert f"{bad}: record on line 2 holds {shown}, not a string" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_eval_ner_on_an_empty_file_is_two(self, pipeline, tmp_path, capsys):
+        data, head, empty = tmp_path / "ner.conll", tmp_path / "ner.flcp", tmp_path / "empty"
+        assert main(["gen-synthetic", "ner", "--seed", "3", "--count", "8",
+                     "--out", str(data)]) == 0
+        assert main(["finetune-ner", "--checkpoint", str(pipeline["checkpoint"]),
+                     "--vocab", str(pipeline["vocab"]), "--train", str(data), "--dev", str(data),
+                     "--out", str(head), "--epochs", "0", "--seed", "1"]) == 0
+        empty.write_text("", encoding="utf-8")
+        assert main(["eval-ner", "--model", str(head), "--vocab", str(pipeline["vocab"]),
+                     "--in", str(empty), "--out", str(tmp_path / "report")]) == 2
+        assert "entity_f1 is undefined on empty inputs" in capsys.readouterr().err
+        assert not (tmp_path / "report").exists()
 
     def test_help_exits_zero(self):
         with pytest.raises(SystemExit) as info:

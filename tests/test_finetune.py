@@ -15,10 +15,10 @@ import numpy as np
 import pytest
 
 from farsilm import finetune as finetune_module
+from farsilm import model as model_module
 from farsilm import wordpiece as wp
 from farsilm.errors import ConfigError, DataError
 from farsilm.finetune import (
-    TASKS,
     FinetuneConfig,
     HeadModel,
     LabeledText,
@@ -37,7 +37,7 @@ from farsilm.finetune import (
     write_tagged,
 )
 from farsilm.metrics import entity_f1
-from farsilm.model import ModelConfig, _encode, backprop_encoder, forward, init_params
+from farsilm.model import ModelConfig, forward, head_gradients, init_params
 from farsilm.training import (
     Checkpoint,
     OptimizerConfig,
@@ -173,6 +173,18 @@ class TestDataFiles:
         path.write_text('{"text": "a", "label": "x"}\n{"text": "b"}\n', encoding="utf-8")
         with pytest.raises(DataError, match="line 2"):
             load_labeled(str(path))
+
+    @pytest.mark.parametrize("field, value, shown", [
+        ("text", None, "null"), ("text", 12, "12"), ("label", 1, "1"), ("label", ["x"], '["x"]'),
+    ])
+    def test_labeled_non_string_field_names_file_and_line(self, tmp_path, field, value, shown):
+        path = tmp_path / "bad.jsonl"
+        record = {"text": "b", "label": "x", field: value}
+        path.write_text('{"text": "a", "label": "x"}\n' + json.dumps(record) + "\n",
+                        encoding="utf-8")
+        with pytest.raises(DataError) as info:
+            load_labeled(str(path))
+        assert str(info.value) == f"{path}: record on line 2 holds {shown} in {field}, not a string"
 
     def test_tagged_round_trip(self, tmp_path):
         path = str(tmp_path / "ner.tsv")
@@ -313,8 +325,8 @@ class TestErrors:
             updates.append(1)
             real_adam(*args)
 
-        real_backprop, real_adam = finetune_module.backprop_encoder, finetune_module.adam_step
-        monkeypatch.setattr(finetune_module, "backprop_encoder", poisoned)
+        real_backprop, real_adam = model_module.backprop_encoder, finetune_module.adam_step
+        monkeypatch.setattr(model_module, "backprop_encoder", poisoned)
         monkeypatch.setattr(finetune_module, "adam_step", counted)
         train, run, labels = {
             "cls": (make_cls(8, 1), finetune_sequence, ("pos", "neg")),
@@ -438,13 +450,17 @@ class TestTaggerReads:
             row_counts.append((cache["read"].flat.size, cache["rows"].flat.size))
             return outputs, cache
 
-        real_encode = finetune_module._encode
+        def every_row(params, config, batch, reads=None, backward=True):
+            return real_encode(params, config, batch, None, backward)
+
+        real_encode = model_module._encode
         with monkeypatch.context() as patch:
-            patch.setattr(finetune_module, "_encode", counted)
+            patch.setattr(model_module, "_encode", counted)
             params, trace, tags = self._run(setup)
         assert all(read < attended for read, attended in row_counts)
+        # the reference reads every attended row, in training and in prediction
         with monkeypatch.context() as patch:
-            patch.setattr(finetune_module.Task, "reads", lambda self, batch, firsts: None)
+            patch.setattr(model_module, "_encode", every_row)
             ref_params, ref_trace, ref_tags = self._run(setup)
         assert (trace, tags) == (ref_trace, ref_tags)
         assert set(params) == set(ref_params)
@@ -466,8 +482,8 @@ class TestTaggerReads:
             seen.append((cache["read"].flat.tolist(), outputs["sequence"]))
             return outputs, cache
 
-        real_encode = finetune_module._encode
-        monkeypatch.setattr(finetune_module, "_encode", recorded)
+        real_encode = model_module._encode
+        monkeypatch.setattr(model_module, "_encode", recorded)
         tags = predict(model, tokenizer, [("ab",)])
         [(read, sequence)] = seen
         assert read == [0, 1]  # [CLS] and the word, not [SEP]
@@ -615,6 +631,9 @@ class TestHeadCheckpoints:
 
 
 class TestHeadGradients:
+    """head_gradients, the backward pass fine-tuning runs, against float64
+    central differences."""
+
     def _numeric_cls_loss(self, full, config, batch, gold):
         outputs = forward(full, config, batch)
         logits = outputs["pooled"] @ full["head_w"] + full["head_b"]
@@ -623,8 +642,6 @@ class TestHeadGradients:
         return -logp[np.arange(len(gold)), gold].mean()
 
     def test_classifier_backward_matches_central_differences(self, setup):
-        from farsilm.model import _softmax
-
         tokenizer, config, checkpoint = setup
         rng = np.random.default_rng(2)
         # float64: central differences at h = 1e-5 need it
@@ -634,19 +651,7 @@ class TestHeadGradients:
         rows, _ = _encode_texts(["ab zz abc", "cab dab"], tokenizer, config.max_positions)
         batch = _pad_batch(rows, tokenizer.pad_id)
         gold = np.array([0, 1])
-
-        outputs, cache = _encode(full, config, batch)
-        pooled = outputs["pooled"]
-        logits = pooled @ full["head_w"] + full["head_b"]
-        probs = _softmax(logits)
-        dlogits = probs.copy()
-        dlogits[np.arange(2), gold] -= 1.0
-        dlogits /= 2
-        grads = {name: np.zeros_like(value) for name, value in full.items()}
-        grads["head_w"] += pooled.T @ dlogits
-        grads["head_b"] += dlogits.sum(0)
-        dx = np.zeros_like(outputs["sequence"])
-        backprop_encoder(full, config, cache, dx, dlogits @ full["head_w"].T, grads)
+        grads = head_gradients(full, config, batch, gold)
 
         h = 1e-5
         crng = np.random.default_rng(6)
@@ -663,7 +668,6 @@ class TestHeadGradients:
             assert abs(numeric - analytic) / max(abs(numeric), abs(analytic), 1e-8) < 1e-4
 
     def test_tagger_backward_matches_central_differences(self, setup):
-        from farsilm.model import _softmax
         from farsilm.pretrain_data import IGNORE_INDEX
 
         tokenizer, config, checkpoint = setup
@@ -690,20 +694,7 @@ class TestHeadGradients:
             sel = np.where(aligned != IGNORE_INDEX)
             return -logp[sel[0], sel[1], aligned[sel]].mean()
 
-        outputs, cache = _encode(full, config, batch, TASKS["ner"].reads(batch, firsts))
-        sequence = outputs["sequence"]
-        logits = sequence @ full["head_w"] + full["head_b"]
-        selected = aligned != IGNORE_INDEX
-        n_sel = int(selected.sum())
-        probs = _softmax(logits)
-        dlogits = probs * selected[..., None]
-        sel = np.where(selected)
-        dlogits[sel[0], sel[1], aligned[sel]] -= 1.0
-        dlogits /= n_sel
-        grads = {name: np.zeros_like(value) for name, value in full.items()}
-        grads["head_w"] += sequence.reshape(-1, config.hidden).T @ dlogits.reshape(-1, 3)
-        grads["head_b"] += dlogits.reshape(-1, 3).sum(0)
-        backprop_encoder(full, config, cache, dlogits @ full["head_w"].T, None, grads)
+        grads = head_gradients(full, config, batch, aligned)
 
         h = 1e-5
         crng = np.random.default_rng(8)

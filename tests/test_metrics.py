@@ -197,6 +197,11 @@ class TestEntityF1:
         with pytest.raises(DataError, match="corpus mismatch"):
             entity_f1([["O"]], [])
 
+    def test_empty_corpus_rejected(self):
+        # as f1_report and accuracy: no sequences is no score, not a perfect one
+        with pytest.raises(DataError, match="entity_f1 is undefined on empty inputs"):
+            entity_f1([], [])
+
     def test_per_category_breakdown(self):
         gold = [["B-LOC", "O", "B-PER"]]
         pred = [["B-LOC", "O", "O"]]

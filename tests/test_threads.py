@@ -17,8 +17,11 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
+# two child runs of the training steps below
+pytestmark = pytest.mark.slow
 
 
 def _digest(array: np.ndarray) -> str:

@@ -992,12 +992,16 @@ class TestStepMemory:
         assert (attended, reads) == (19, 4)
         # the heads' weight gradients come first, one (K, L) @ (L, K')
         # product per block: the tied decoder's and mlm_w's on the 3 blocks
-        # of labelled rows, nsp_w's and pool_w's on the one block of 32 [CLS]
-        labelled = -(-int((batch["mlm_labels"] != -100).sum()) // length)
-        assert labelled == 3
+        # of labelled rows, nsp_w's and pool_w's on the one block of 32 [CLS].
+        # Each of mlm_w, nsp_w and pool_w is followed by its dy @ w.T, one
+        # product over the head's rows, not in blocks
+        n_labelled = int((batch["mlm_labels"] != -100).sum())
+        labelled = -(-n_labelled // length)
+        assert (n_labelled, labelled) == (183, 3)
         heads = ([((config.vocab_size, length), (length, h))] * labelled
-                 + [((h, length), (length, h))] * labelled
-                 + [((h, length), (length, 2)), ((h, length), (length, h))])
+                 + [((h, length), (length, h))] * labelled + [((n_labelled, h), (h, h))]
+                 + [((h, length), (length, 2)), ((32, 2), (2, h))]
+                 + [((h, length), (length, h)), ((32, h), (h, h))])
         # then the encoder's, the last layer's first: ffn_w2, ffn_w1, o_w,
         # q_w on the read rows, k_w and v_w on the attended ones; for a
         # weight of shape (m, k), x.T @ dy is (m, L) @ (L, k) per block and
