@@ -15,6 +15,7 @@ uniform across subcommands.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from pathlib import Path
 
@@ -25,7 +26,6 @@ from .finetune import TASKS, FinetuneConfig, Task, load_head_model, predict, sav
 from .lineio import atomic_open, read_records, read_text, record_strings, write_records
 from .model import ModelConfig, desk_config
 from .pretrain_data import (
-    MaskingPolicy,
     PackingConfig,
     build_pretrain_examples,
     read_examples_header,
@@ -96,6 +96,9 @@ def _load_sentences(path: str, format: str) -> list[str]:
         listed = record.get("sentences")
         if isinstance(listed, list):
             sentences.extend(record_strings(path, lineno, "sentences", listed))
+        elif listed is not None:
+            raise DataError(f"{path}: record on line {lineno} holds "
+                            f"{json.dumps(listed, ensure_ascii=False)} in sentences, not a list")
         elif "text" in record:
             sentences.extend(record_strings(path, lineno, "text", [record["text"]]))
         else:
@@ -181,7 +184,7 @@ def _build_pretrain(infile, vocab, out, max_len, seed) -> None:
     model = load_vocab(vocab)
     documents = _segmented_documents(infile)
     packing = PackingConfig(max_len=max_len, rng_seed=seed)
-    examples = build_pretrain_examples(documents, model, packing, MaskingPolicy())
+    examples = build_pretrain_examples(documents, model, packing)
     write_examples(examples, out, vocab_size=len(model.vocab))
     _note(f"wrote {len(examples)} examples at {out}")
 
@@ -330,6 +333,13 @@ class _Manifest:
             what = "a number" if kind is float else "an integer"
             raise ConfigError(f"manifest key {key} is not {what}: {self.entries[key]!r}") from None
 
+    def count(self, key: str, default: int) -> int:
+        """The value of ``key`` as an integer of at least 1."""
+        value = self.number(key, default)
+        if value < 1:
+            raise ConfigError(f"manifest key {key} must be at least 1, got {value}")
+        return value
+
     def path(self, key: str) -> str:
         if not self.has(key):
             raise ConfigError(f"manifest lacks the required {key} path")
@@ -350,7 +360,7 @@ def _finetune_stages(manifest: _Manifest, task: Task, seed: int, capacity: int):
         manifest.path(f"{name}_{key}") for key in ("train", "dev", "model", "report")
     )
     # 300 items here, where gen-synthetic's --count defaults to 200
-    count = manifest.number(f"{name}_count", 300)
+    count = manifest.count(f"{name}_count", 300)
     dev_count = max(2, count // 4)
     if name == "cls":
         classes = manifest.number("cls_classes", _SYNTHETIC_OPTIONS["classes"])
@@ -394,7 +404,7 @@ def _cmd_run(args) -> None:
         parent = Path(target).parent
         if not parent.is_dir():
             raise DataError(f"manifest output directory {parent} does not exist")
-    docs = number("docs", _SYNTHETIC_OPTIONS["docs"])
+    docs = manifest.count("docs", _SYNTHETIC_OPTIONS["docs"])
     # The manifest's own defaults where the subcommands differ: vocab_size
     # 1,000 (train-tokenizer: 100,000), max_len 64 (build-pretrain: 512) and
     # steps 100 (pretrain: required). Each surface keeps its values, so

@@ -52,9 +52,10 @@ class CorpusStats:
 def load_documents(path: str | Path, format: str = "line-records") -> Iterator[Document]:
     """Yield documents from ``path`` in file order.
 
-    For line-records, a missing ``id`` is synthesized as
-    ``<filename>#<line-number>`` and a missing ``source`` falls back to the
-    filename stem. Malformed lines raise :class:`DataError` naming the line.
+    For line-records, a missing or null ``id`` is synthesized as
+    ``<filename>#<line-number>`` and a missing or null ``source`` falls
+    back to the filename stem. Malformed lines, and fields that are not
+    strings, raise :class:`DataError` naming the line.
     """
     path = Path(path)
     if format not in FORMATS:
@@ -74,13 +75,11 @@ def _load_line_records(path: Path) -> Iterator[Document]:
         if "text" not in record:
             raise DataError(f"{path}: record on line {lineno} lacks the text field")
         record_strings(path, lineno, "text", [record["text"]])
-        doc_id = record.get("id")
-        if doc_id is None:
-            doc_id = f"{path.name}#{lineno}"
-        source = record.get("source")
-        if source is None:
-            source = path.stem
-        yield Document(id=str(doc_id), source=str(source), text=record["text"])
+        fields = {"id": f"{path.name}#{lineno}", "source": path.stem}
+        for field in fields:
+            if record.get(field) is not None:  # null, like a missing field, is synthesized
+                fields[field] = record_strings(path, lineno, field, [record[field]])[0]
+        yield Document(text=record["text"], **fields)
 
 
 def corpus_stats(documents: Iterable[tuple[Document, int]]) -> CorpusStats:

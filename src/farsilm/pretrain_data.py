@@ -2,18 +2,22 @@
 fixed length, the 15% / 80-10-10 masking procedure, and a binary example
 file format.
 
-Examples live in an :class:`ExampleTable` from build to batch: one
-structured array in the file's record layout, which is written and read
-as it stands and indexed into training batches. :class:`PretrainExample`
-is the single example, as :func:`assemble_input` and
-:func:`apply_mlm_mask` take and give it and as a table's integer index
-returns it.
+Examples are built in two stages that each return an
+:class:`ExampleTable`: :func:`pack_pairs` writes NSP pairs as unmasked
+rows, and :func:`mask_examples` masks a table's rows.
+:func:`build_pretrain_examples` composes them on :func:`build_nsp_pairs`.
+A table is one structured array in the file's record layout, which is
+written and read as it stands and indexed into training batches.
+:class:`PretrainExample` is the single example a table's integer index
+returns; :func:`assemble_input` and :func:`apply_mlm_mask` run the two
+stages on one example.
 
 Randomness discipline: pair building consumes one generator; each
 example's masking draws the stream of ``default_rng((seed, 1, index))``,
-so files are byte-identical however the work is distributed. One build
-derives all those starting states in one vectorized pass and re-seeds a
-single generator with each, instead of constructing one per example.
+so files are byte-identical however the work is distributed. The mask
+stage derives all those starting states in one vectorized pass and
+re-seeds a single generator with each, instead of constructing one per
+example.
 """
 
 from __future__ import annotations
@@ -22,9 +26,9 @@ import struct
 from array import array
 from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, ClassVar, Iterator
+from typing import Callable, ClassVar, Iterable, Iterator
 
 import numpy as np
 
@@ -147,22 +151,6 @@ def build_nsp_pairs(
     return pairs
 
 
-def _pack(pair: tuple[str, str, int], model: WordPieceModel, max_len: int) -> tuple[list[int], int]:
-    """The real tokens of :func:`assemble_input`'s packing, and how many
-    of them are segment 0."""
-    text_a, text_b, _ = pair
-    ids_a = encode(model, text_a)
-    ids_b = encode(model, text_b)
-    while 3 + len(ids_a) + len(ids_b) > max_len:
-        longer = ids_a if len(ids_a) >= len(ids_b) else ids_b
-        longer.pop()
-    if not ids_a or not ids_b:
-        raise DataError(f"pair untokenizable at max_len {max_len}")
-    cls_id = model.token_to_id[CLS]
-    sep_id = model.token_to_id[SEP]
-    return [cls_id] + ids_a + [sep_id] + ids_b + [sep_id], 2 + len(ids_a)
-
-
 def _record_dtype(max_len: int) -> np.dtype:
     """One record of an example file: a u32 payload length (10 * max_len + 1
     bytes), then the payload's five fields."""
@@ -249,93 +237,127 @@ def _example(row) -> PretrainExample:
     )
 
 
-def assemble_input(
-    pair: tuple[str, str, int],
-    model: WordPieceModel,
-    packing: PackingConfig,
-) -> PretrainExample:
-    """Pack one pair as [CLS] A [SEP] B [SEP], truncate, pad to max_len.
+def pack_pairs(
+    pairs: Sequence[tuple[str, str, int]], model: WordPieceModel, packing: PackingConfig
+) -> ExampleTable:
+    """Each (A, B, label) pair as [CLS] A [SEP] B [SEP], padded to
+    max_len, with every MLM label IGNORE_INDEX.
 
     Truncation pops tokens off the end of the longer side (ties trim A)
-    until the three structural tokens plus both sides fit.
+    until the three structural tokens plus both sides fit. The loop keeps
+    only each pair's real tokens and how many are segment 0; the padded
+    columns are filled once, after the last pair.
     """
-    ids, first = _pack(pair, model, packing.max_len)
-    real, pad = len(ids), packing.max_len - len(ids)
-    return PretrainExample(
-        input_ids=tuple(ids + [model.pad_id] * pad),
-        segment_ids=tuple([0] * first + [1] * (real - first) + [0] * pad),
-        attention_mask=tuple([1] * real + [0] * pad),
-        mlm_labels=(IGNORE_INDEX,) * packing.max_len,
-        nsp_label=pair[2],
-    )
+    max_len = packing.max_len
+    cls_id, sep_id = model.token_to_id[CLS], model.token_to_id[SEP]
+    tokens = array("i")  # every pair's real tokens, end to end
+    lengths, firsts = [], []  # per pair: tokens, segment-0 tokens
+    for text_a, text_b, _ in pairs:
+        ids_a, ids_b = encode(model, text_a), encode(model, text_b)
+        while 3 + len(ids_a) + len(ids_b) > max_len:
+            (ids_a if len(ids_a) >= len(ids_b) else ids_b).pop()
+        if not ids_a or not ids_b:
+            raise DataError(f"pair untokenizable at max_len {max_len}")
+        tokens.extend([cls_id, *ids_a, sep_id, *ids_b, sep_id])
+        lengths.append(3 + len(ids_a) + len(ids_b))
+        firsts.append(2 + len(ids_a))
+
+    record = _record_dtype(max_len)
+    records = np.empty(len(lengths), dtype=record)
+    records["length"] = record.itemsize - 4
+    column = np.arange(max_len)
+    real = column < np.array(lengths)[:, None]
+    records["input_ids"] = model.pad_id
+    records["input_ids"][real] = tokens  # row-major, so each pair's tokens in turn
+    records["segment_ids"] = real & (column >= np.array(firsts)[:, None])
+    records["attention_mask"] = real
+    records["mlm_labels"] = IGNORE_INDEX
+    records["nsp_label"] = [pair[2] for pair in pairs]
+    return ExampleTable(records)
 
 
-def _mask_count(n_candidates: int, select_fraction: float) -> int:
-    if n_candidates < 1:
-        return 0
-    # round half-up, floored at one so short sequences still train
-    return max(1, int(np.floor(select_fraction * n_candidates + 0.5)))
+def mask_examples(table: ExampleTable, model: WordPieceModel, seed: int) -> ExampleTable:
+    """``table`` with BERT's masking applied, row ``i`` drawing from the
+    stream of ``default_rng((seed, 1, i))``: one generator, made for row 0
+    and re-seeded to each later row's state from :func:`_masking_states`.
+    """
+    check_seed(seed)
+
+    def streams():
+        rng = np.random.default_rng((seed, 1, 0))
+        yield rng
+        for state in _masking_states(seed, len(table) - 1, first=1):
+            rng.bit_generator.state = state
+            yield rng
+
+    return _mask_rows(table, model, streams())
 
 
-def _mask(
-    ids: list[int],
-    candidates: list[int],
-    model: WordPieceModel,
-    policy: MaskingPolicy,
-    rng: np.random.Generator,
-) -> tuple[list[int], list[int]]:
-    """Select among the candidate positions of ``ids`` and apply the
-    mask/random/keep split to ``ids`` in place. Returns the selected
-    positions, ascending, and the ids they held; nothing is drawn when
-    nothing is selected."""
-    k = _mask_count(len(candidates), policy.select_fraction)
-    if k == 0:
-        return [], []
+def _mask_rows(
+    table: ExampleTable, model: WordPieceModel, generators: Iterable[np.random.Generator]
+) -> ExampleTable:
+    """A copy of ``table`` with each row masked, drawing from the
+    generator that ``generators`` yields for it.
 
-    order = rng.permutation(len(candidates))
-    selected = sorted(candidates[j] for j in order[:k].tolist())
-    originals = [ids[pos] for pos in selected]
-
+    Candidates are attended positions holding a non-special token. Of n,
+    one permutation selects max(1, round-half-up(0.15 n)); one draw per
+    selected position, in column order, makes it [MASK] (80%), a random
+    non-special token (10%) or leaves it (10%), and its label its original
+    id. Other labels of a masked row are IGNORE_INDEX; a row without
+    candidates draws nothing and stays as it is.
+    """
+    records = table.records.copy()
+    ids, labels = records["input_ids"], records["mlm_labels"]
+    candidates = (records["attention_mask"] == 1) & ~np.isin(ids, list(model.special_ids))
+    rows, cols = np.nonzero(candidates)  # every row's candidates, row after row
+    counts = candidates.sum(axis=1)
     non_special = model.non_special_ids
     mask_id = model.token_to_id[MASK]
-    # a class attribute read through an instance costs three times a local
-    mask_below, random_below = policy.mask_prob, policy.mask_prob + policy.random_prob
-    for pos in selected:
-        u = rng.random()
-        if u < mask_below:
-            ids[pos] = mask_id
-        elif u < random_below:
-            ids[pos] = non_special[int(rng.integers(0, len(non_special)))]
-        # else: keep the original token
-    return selected, originals
+    # a class attribute costs three times a local in the loop
+    select, mask_below = MaskingPolicy.select_fraction, MaskingPolicy.mask_prob
+    random_below = mask_below + MaskingPolicy.random_prob
+    picked = array("q")  # selected candidates, as indices into rows and cols
+    values = array("q")  # each selected position's new id; -1 keeps the original
+    start = 0
+    for end, rng in zip(np.cumsum(counts).tolist(), generators):
+        n = end - start
+        if n:
+            # int() floors the positive count, rounding half up
+            picks = sorted(rng.permutation(n)[: max(1, int(select * n + 0.5))].tolist())
+            picked.extend([start + j for j in picks])
+            for _ in picks:
+                u = rng.random()
+                if u < mask_below:
+                    values.append(mask_id)
+                elif u < random_below:
+                    values.append(non_special[int(rng.integers(0, len(non_special)))])
+                else:
+                    values.append(-1)
+        start = end
+
+    picked = np.frombuffer(picked, dtype=np.int64)
+    rows, cols = rows[picked], cols[picked]
+    held = ids[rows, cols]
+    labels[counts > 0] = IGNORE_INDEX
+    labels[rows, cols] = held
+    new = np.frombuffer(values, dtype=np.int64)
+    ids[rows, cols] = np.where(new < 0, held, new)
+    return ExampleTable(records)
+
+
+def assemble_input(
+    pair: tuple[str, str, int], model: WordPieceModel, packing: PackingConfig
+) -> PretrainExample:
+    """One pair packed as :func:`pack_pairs` packs it."""
+    return pack_pairs([pair], model, packing)[0]
 
 
 def apply_mlm_mask(
-    example: PretrainExample,
-    model: WordPieceModel,
-    policy: MaskingPolicy,
-    rng: np.random.Generator,
+    example: PretrainExample, model: WordPieceModel, policy: MaskingPolicy, rng: np.random.Generator
 ) -> PretrainExample:
-    """Select candidate positions and apply the mask/random/keep split.
-
-    Candidates are positions holding real (non-special) tokens under the
-    attention mask. Selected positions get their original id as label;
-    everything else stays ignored.
-    """
-    special_ids = model.special_ids
-    candidates = [
-        i
-        for i, (tok, attn) in enumerate(zip(example.input_ids, example.attention_mask))
-        if attn == 1 and tok not in special_ids
-    ]
-    ids = list(example.input_ids)
-    selected, originals = _mask(ids, candidates, model, policy, rng)
-    if not selected:
-        return example
-    labels = [IGNORE_INDEX] * len(ids)
-    for pos, original in zip(selected, originals):
-        labels[pos] = original
-    return replace(example, input_ids=tuple(ids), mlm_labels=tuple(labels))
+    """``example`` masked as :func:`mask_examples` masks a row, drawing
+    from ``rng``. ``policy`` is the fixed recipe of :class:`MaskingPolicy`."""
+    return _mask_rows(ExampleTable.of([example]), model, [rng])[0]
 
 
 # NumPy's SeedSequence hash (bit_generator.pyx) and PCG64 seeding
@@ -426,50 +448,13 @@ def build_pretrain_examples(
     packing: PackingConfig = PackingConfig(),
     policy: MaskingPolicy = MaskingPolicy(),
 ) -> ExampleTable:
-    """Corpus to masked examples, reproducible from packing.rng_seed alone.
-
-    Each example equals ``apply_mlm_mask(assemble_input(pair), ...)`` with
-    the generator ``default_rng((rng_seed, 1, index))``; it is packed and
-    masked in one pass, with candidates sought among its real tokens only,
-    since padding is never attended. The pair generator, once pairing is
-    done, is re-seeded to each of those generators' starting states in
-    turn. The loop keeps only each example's real tokens, how many are
-    segment 0 and its MLM targets; the padded columns are filled once,
-    after the last example.
+    """Corpus to masked examples, reproducible from packing.rng_seed alone:
+    the NSP pairs of ``default_rng((rng_seed, 0))``, packed by
+    :func:`pack_pairs` and masked by :func:`mask_examples` at
+    ``rng_seed``. ``policy`` is the fixed recipe of :class:`MaskingPolicy`.
     """
-    rng = np.random.default_rng((packing.rng_seed, 0))
-    pairs = build_nsp_pairs(documents, rng)
-    special_ids = model.special_ids
-    tokens = array("i")  # every example's real tokens, end to end
-    lengths, firsts, targets = [], [], []  # per example: tokens, segment-0 tokens, targets
-    positions, originals = array("i"), array("i")  # per target, example after example
-    for pair, state in zip(pairs, _masking_states(packing.rng_seed, len(pairs))):
-        ids, first = _pack(pair, model, packing.max_len)
-        candidates = [i for i, tok in enumerate(ids) if tok not in special_ids]
-        rng.bit_generator.state = state
-        selected, held = _mask(ids, candidates, model, policy, rng)
-        tokens.extend(ids)
-        lengths.append(len(ids))
-        firsts.append(first)
-        targets.append(len(selected))
-        positions.extend(selected)
-        originals.extend(held)
-
-    record = _record_dtype(packing.max_len)
-    records = np.empty(len(pairs), dtype=record)
-    records["length"] = record.itemsize - 4
-    column = np.arange(packing.max_len)
-    real = column < np.array(lengths)[:, None]
-    input_ids = records["input_ids"]
-    input_ids[...] = model.pad_id
-    input_ids[real] = tokens  # row-major, so each example's tokens in turn
-    records["segment_ids"] = real & (column >= np.array(firsts)[:, None])
-    records["attention_mask"] = real
-    labels = records["mlm_labels"]
-    labels[...] = IGNORE_INDEX
-    labels[np.repeat(np.arange(len(pairs)), targets), positions] = originals
-    records["nsp_label"] = [pair[2] for pair in pairs]
-    return ExampleTable(records)
+    pairs = build_nsp_pairs(documents, np.random.default_rng((packing.rng_seed, 0)))
+    return mask_examples(pack_pairs(pairs, model, packing), model, packing.rng_seed)
 
 
 def write_examples(examples: Sequence[PretrainExample], path: str | Path, vocab_size: int) -> int:

@@ -172,9 +172,13 @@ class TestExitCodes:
             (["build-pretrain", "--in", "{bad}", "--vocab", "{vocab}", "--out", "{out}",
               "--seed", "1"],
              {"sentences": [None, 7, "سلام دنیا"]}, "null in sentences"),
+            (["normalize", "--in", "{bad}", "--out", "{out}", "--format", "line-records"],
+             {"id": 7, "text": "سلام"}, "7 in id"),
+            (["normalize", "--in", "{bad}", "--out", "{out}", "--format", "line-records"],
+             {"source": False, "text": "سلام"}, "false in source"),
         ],
         ids=["finetune-cls-null", "finetune-cls-number", "train-tokenizer-sentences",
-             "train-tokenizer-text", "build-pretrain"],
+             "train-tokenizer-text", "build-pretrain", "normalize-id", "normalize-source"],
     )
     def test_non_string_record_field_is_two(self, pipeline, tmp_path, capsys, argv, record,
                                             shown):
@@ -187,6 +191,16 @@ class TestExitCodes:
         names = {**pipeline, "bad": bad, "out": tmp_path / "out"}
         assert main([arg.format(**names) for arg in argv]) == 2
         assert f"{bad}: record on line 2 holds {shown}, not a string" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_sentences_that_are_not_a_list_is_two(self, tmp_path, capsys):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(json.dumps({"sentences": "سلام دنیا"}, ensure_ascii=False) + "\n",
+                       encoding="utf-8")
+        assert main(["train-tokenizer", "--in", str(bad), "--out", str(tmp_path / "out"),
+                     "--min-freq", "1"]) == 2
+        assert (f'{bad}: record on line 1 holds "سلام دنیا" in sentences, not a list'
+                in capsys.readouterr().err)
         assert not (tmp_path / "out").exists()
 
     def test_eval_ner_on_an_empty_file_is_two(self, pipeline, tmp_path, capsys):
@@ -400,6 +414,7 @@ class TestGenSynthetic:
 
 
 _CLS_PATHS = "".join(f"cls_{key} = cls_{key}.out\n" for key in ("train", "dev", "model", "report"))
+_NER_PATHS = "".join(f"ner_{key} = ner_{key}.out\n" for key in ("train", "dev", "model", "report"))
 
 
 class TestManifestRun:
@@ -462,6 +477,14 @@ class TestManifestRun:
         assert "seed must be a non-negative integer, got -1" in capsys.readouterr().err
         assert not (tmp_path / "corpus.jsonl").exists()
 
+    def test_zero_docs_fails_before_the_first_stage(self, tmp_path, capsys):
+        manifest = self._write(tmp_path / "m.txt")
+        manifest.write_text(manifest.read_text(encoding="utf-8").replace("docs = 20", "docs = 0"),
+                            encoding="utf-8")
+        assert main(["run", "--manifest", str(manifest)]) == 2
+        assert "manifest key docs must be at least 1, got 0" in capsys.readouterr().err
+        assert not (tmp_path / "corpus.jsonl").exists()
+
     def test_malformed_line_is_config_error(self, tmp_path):
         manifest = tmp_path / "m.txt"
         manifest.write_text("seed = 1\nthis line has no equals sign\n", encoding="utf-8")
@@ -481,13 +504,15 @@ class TestManifestRun:
                 "cls_classes = 3\ncls_count = 4\n" + _CLS_PATHS,
                 r"count 2 must cover every class at least once \(3 classes\)",
             ),
+            ("ner_count = 0\n" + _NER_PATHS, "manifest key ner_count must be at least 1, got 0"),
+            ("cls_count = 0\n" + _CLS_PATHS, "manifest key cls_count must be at least 1, got 0"),
             ("log_every = 0", "log_every must be at least 1"),
             ("stepz = 2", r"manifest has unknown keys \['stepz'\]"),
             ("dropout = 0.1", r"manifest has unknown keys \['dropout'\]"),
             ("cls_epochs = 1", r"manifest has unknown keys \['cls_epochs'\]"),
         ],
         ids=["beta1", "learning_rate", "learning_rate-nan", "heads-3", "heads-0", "cls_classes",
-             "cls_count-dev", "log_every", "stepz", "dropout", "cls_epochs-without-cls_model"],
+             "cls_count-dev", "ner_count-0", "cls_count-0", "log_every", "stepz", "dropout", "cls_epochs-without-cls_model"],
     )
     def test_bad_key_fails_before_the_first_stage(self, tmp_path, capsys, line, message):
         assert main(["run", "--manifest", str(self._write(tmp_path / "m.txt", line + "\n"))]) == 2
@@ -508,8 +533,7 @@ class TestManifestRun:
         assert any(True for _ in read_records(tmp_path / "cls_report.jsonl"))
 
     def test_oversized_finetune_item_fails_before_pretraining(self, tmp_path, capsys):
-        extra = "".join(f"ner_{key} = ner_{key}.out\n" for key in ("train", "dev", "model", "report"))
-        assert main(["run", "--manifest", str(self._write(tmp_path / "m.txt", extra))]) == 2
+        assert main(["run", "--manifest", str(self._write(tmp_path / "m.txt", _NER_PATHS))]) == 2
         assert re.search(r"sequence \d+ needs \d+ pieces, model capacity is 32\n$",
                          capsys.readouterr().err)
         assert (tmp_path / "vocab.txt").exists()

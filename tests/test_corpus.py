@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 from hypothesis import given
@@ -72,6 +73,25 @@ class TestLoadLineRecords:
         assert docs[0].id == "corpus.jsonl#1"
         assert docs[1].id == "corpus.jsonl#2"
         assert docs[0].source == "corpus"
+
+    def test_null_id_and_source_are_synthesized(self, tmp_path):
+        path = write_lines(tmp_path / "c.jsonl", ['{"id": null, "source": null, "text": "x"}'])
+        (doc,) = load_documents(path)
+        assert doc == Document(id="c.jsonl#1", source="c", text="x")
+
+    @pytest.mark.parametrize(
+        "field, value, shown",
+        [("id", 7, "7"), ("id", [1], "[1]"), ("source", False, "false"),
+         ("source", {"a": 1}, '{"a": 1}')],
+        ids=["id-number", "id-list", "source-boolean", "source-object"],
+    )
+    def test_id_or_source_that_is_not_a_string_names_line_and_field(
+        self, tmp_path, field, value, shown
+    ):
+        lines = ['{"text": "ok"}', json.dumps({field: value, "text": "x"})]
+        path = write_lines(tmp_path / "c.jsonl", lines)
+        with pytest.raises(DataError, match=re.escape(f"line 2 holds {shown} in {field}, not a")):
+            list(load_documents(path))
 
     def test_unknown_fields_are_ignored(self, tmp_path):
         path = write_lines(

@@ -13,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from farsilm.pretrain_data import (
+    ExampleTable,
     MaskingPolicy,
     PackingConfig,
     PretrainExample,
@@ -20,6 +21,8 @@ from farsilm.pretrain_data import (
     assemble_input,
     build_nsp_pairs,
     build_pretrain_examples,
+    mask_examples,
+    pack_pairs,
 )
 from farsilm.segmenter import (
     BOUNDARY_CHARS,
@@ -240,6 +243,88 @@ class TestExampleBuilding:
         got = apply_mlm_mask(unmasked, MODEL, MaskingPolicy(), rng)
         assert got == ref.apply_mlm_mask(unmasked, MODEL, MaskingPolicy(), rng_ref)
         assert rng.bit_generator.state == rng_ref.bit_generator.state
+
+
+def _check_mask_stage(table, seed):
+    """mask_examples against the reference masking each row with the
+    generator ``default_rng((seed, 1, row))``."""
+    with generators_made() as made:
+        got = mask_examples(table, MODEL, seed)
+    with generators_made() as made_ref:
+        want = [
+            ref.apply_mlm_mask(ex, MODEL, MaskingPolicy(), np.random.default_rng((seed, 1, i)))
+            for i, ex in enumerate(table)
+        ]
+    assert got == want
+    assert _states(made) == _states(made_ref)
+    return got
+
+
+# both sides longer than 8 tokens, so max_len 8 truncates A and B
+LONG = "a b c d e f g h i j", "j i h g f e d c b a"
+# a row without candidates: specials only, or real tokens under no attention
+NO_CANDIDATES = [
+    PretrainExample((2, 4, 3, 0), (0, 0, 0, 0), (1, 1, 1, 0), (-100,) * 4, 1),
+    PretrainExample((2, 9, 10, 11), (0, 0, 0, 0), (1, 0, 0, 0), (-100,) * 4, 0),
+]
+# 30 and 70 candidates: 15% is 4.5 and 10.5, which round half up to 5 and 11
+HALF_WAY = [
+    PretrainExample(
+        tuple(len(SPECIAL_TOKENS) + i % len(LETTERS) for i in range(70)), (0,) * 70,
+        (1,) * n + (0,) * (70 - n), (-100,) * 70, 1,
+    )
+    for n in (30, 70)
+]
+
+
+class TestStages:
+    @given(st.lists(st.tuples(sentences, sentences, st.sampled_from((0, 1))), max_size=8),
+           st.integers(8, 40))
+    @example([(*LONG, 1)], 8)
+    @settings(max_examples=150, deadline=None)
+    def test_pack_pairs_matches_reference(self, pairs, max_len):
+        packing = PackingConfig(max_len=max_len)
+        got = outcome(pack_pairs, pairs, MODEL, packing)
+        want = outcome(lambda: [ref.assemble_input(pair, MODEL, packing) for pair in pairs])
+        assert got == want
+
+    @given(
+        st.integers(1, 24).flatmap(
+            lambda n: st.lists(
+                st.tuples(
+                    st.lists(st.sampled_from(range(len(VOCAB))), min_size=n, max_size=n),
+                    st.lists(st.sampled_from((0, 1)), min_size=n, max_size=n),
+                    # labels already set, which a masked row's labels replace
+                    st.lists(st.sampled_from((-100, -100, 5, 12)), min_size=n, max_size=n),
+                ),
+                max_size=6,
+            )
+        ),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_mask_examples_on_any_attention_pattern(self, rows, seed):
+        table = ExampleTable.of(
+            [PretrainExample(tuple(ids), (0,) * len(ids), tuple(attention), tuple(labels), 1)
+             for ids, attention, labels in rows]
+        )
+        _check_mask_stage(table, seed)
+
+    @pytest.mark.parametrize("seed", [0, 611, 2**32 - 1])
+    @pytest.mark.parametrize("rows", ["truncated", "half-way", "no-candidates", "empty"])
+    def test_mask_examples_on_edge_tables(self, rows, seed):
+        if rows == "truncated":
+            packing = PackingConfig(max_len=8, rng_seed=seed)
+            table = pack_pairs([(*LONG, 1), (LONG[1], LONG[0], 0)], MODEL, packing)
+            assert table.records["attention_mask"].all()
+        else:
+            table = ExampleTable.of({"half-way": HALF_WAY, "no-candidates": NO_CANDIDATES,
+                                     "empty": []}[rows])
+        got = _check_mask_stage(table, seed)
+        if rows == "half-way":
+            assert (got.records["mlm_labels"] != -100).sum(axis=1).tolist() == [5, 11]
+        elif rows != "truncated":
+            assert got == table
 
 
 _JUNK = (
