@@ -365,8 +365,12 @@ def _finetune_stages(manifest: _Manifest, task: Task, seed: int, capacity: int):
     if name == "cls":
         classes = manifest.number("cls_classes", _SYNTHETIC_OPTIONS["classes"])
         labels = synthetic.classification_labels(classes)
-        for items in (count, dev_count):
-            synthetic.check_class_count(items, classes)
+        if min(count, dev_count) < classes:
+            raise ConfigError(
+                f"cls_count {count} and its dev split of {dev_count} items (a quarter of "
+                f"cls_count, at least 2) must each cover every class at least once "
+                f"({classes} classes)"
+            )
     else:
         classes, labels = _SYNTHETIC_OPTIONS["classes"], synthetic.ner_tag_inventory()
     options = {

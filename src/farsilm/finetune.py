@@ -309,12 +309,16 @@ class Task:
                     gold[pos] = tag_id
 
         n_labels = len(config.label_inventory)
-        full = {name: value.copy() for name, value in checkpoint.params.items()}
         rng = np.random.default_rng((config.seed, 4))
         # the head takes the encoder's dtype, so its backward pass does too
-        dtype = full["tok_emb"].dtype
-        full["head_w"] = _truncated_normal(rng, (mcfg.hidden, n_labels), 0.02).astype(dtype)
-        full["head_b"] = np.zeros(n_labels, dtype)
+        dtype = checkpoint.params["tok_emb"].dtype
+        full = {
+            **checkpoint.params,
+            "head_w": _truncated_normal(rng, (mcfg.hidden, n_labels), 0.02).astype(dtype),
+            "head_b": np.zeros(n_labels, dtype),
+        }
+        # one copy of the encoder and the head, into the buffers adam_step runs over
+        full = encoder.pack(full, values=full)
         state = init_adam_state(full)
         steps = config.epochs * -(-len(train) // config.batch_size)
         opt = OptimizerConfig(learning_rate=config.learning_rate, batch_size=config.batch_size,

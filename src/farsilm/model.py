@@ -6,8 +6,9 @@ against central differences. Conventions follow the original BERT:
 post-layer-norm residual blocks, exact GELU, a tanh pooler over [CLS],
 and an MLM decoder tied to the token embedding table.
 
-Parameters live in a flat dict of named arrays; every shape is a function
-of :class:`ModelConfig` and audited by :func:`shape_audit`. Every
+Parameters live in a flat dict of named arrays, views into one buffer per
+dtype (:func:`pack`); every shape is a function of :class:`ModelConfig`
+and audited by :func:`shape_audit`. Every
 activation, cache and gradient takes the parameters' dtype: float32 as
 :func:`init_params` returns them, float64 for a float64 dict, which the
 gradient check and float64 checkpoints use. Losses are float64 either way.
@@ -110,9 +111,73 @@ def _truncated_normal(rng: np.random.Generator, shape, std: float) -> np.ndarray
     return ndtri(lo + u * (hi - lo)) * std
 
 
-def init_params(config: ModelConfig, seed: int) -> dict[str, np.ndarray]:
+class Packed(dict):
+    """Named arrays that are views into one 1-D buffer per dtype, as
+    :func:`pack` builds them. ``layout`` holds each buffer with the names
+    and the views it was cut into, in buffer order: an array's address is
+    not cheap to read, so :func:`buffers` checks that each array is still
+    the view ``pack`` made instead."""
+
+    layout: tuple = ()  # (names, buffer, views) for each buffer
+
+    def __reduce__(self):
+        # a pickled or deep-copied view is an array of its own, so a copy
+        # is a plain dict, which holds no layout to misread
+        return dict, (dict(self),)
+
+
+def pack(like, dtype=None, values=None) -> Packed:
+    """Arrays shaped like ``like``'s, in its order, as views into one new
+    1-D buffer for each dtype among ``like``'s arrays, cut in dict order.
+
+    Each buffer is zeroed or, given ``values``, holds the values of its
+    names, copied in one call. ``dtype`` sets every buffer's dtype, which is
+    otherwise its group's: Adam's float64 moments take the parameters'
+    grouping, so the parameter, gradient and moment buffers line up.
+    This is the one constructor of every dict that :func:`adam_step
+    <farsilm.training.adam_step>` updates.
+    """
+    out, layout = {}, []
+    for group in dict.fromkeys(value.dtype for value in like.values()):
+        names = tuple(name for name, value in like.items() if value.dtype == group)
+        sizes = [like[name].size for name in names]
+        if values is None:
+            buffer = np.zeros(sum(sizes), dtype or group)
+        else:
+            buffer = np.concatenate([np.ravel(values[name]) for name in names],
+                                    dtype=dtype or group)
+        views = tuple(view.reshape(like[name].shape) for name, view
+                      in zip(names, np.split(buffer, np.cumsum(sizes)[:-1])))
+        out.update(zip(names, views))
+        layout.append((names, buffer, views))
+    packed = Packed((name, out[name]) for name in like)
+    packed.layout = tuple(layout)
+    return packed
+
+
+def buffers(named, what: str) -> list[tuple[tuple[str, ...], np.ndarray]]:
+    """The (names, buffer) pairs whose views ``named``'s arrays are, one
+    per dtype: its :func:`pack` layout while every array is still the view
+    it made, else one contiguous array per dtype, which is its own buffer.
+    Any other dict is a ValueError naming ``what``."""
+    layout = getattr(named, "layout", ())
+    if len(named) == sum(len(names) for names, _, _ in layout) and all(
+        named.get(name) is view for names, _, views in layout for name, view in zip(names, views)
+    ):
+        return [(names, buffer) for names, buffer, _ in layout]
+    first = {}
+    for name, value in named.items():
+        if value.dtype in first or not value.flags.c_contiguous:
+            raise ValueError(f"{what} is not views into one buffer per dtype; "
+                             "build it with farsilm.model.pack")
+        first[value.dtype] = ((name,), value.reshape(-1))
+    return list(first.values())
+
+
+def init_params(config: ModelConfig, seed: int) -> Packed:
     """Truncated-normal weights, zero biases, unit layer-norm gains, as
-    float32: float64 draws, each rounded once."""
+    float32: float64 draws, each rounded once. The arrays are views into
+    one buffer (:func:`pack`)."""
     check_seed(seed)
     rng = np.random.default_rng(seed)
     params: dict[str, np.ndarray] = {}
@@ -123,7 +188,7 @@ def init_params(config: ModelConfig, seed: int) -> dict[str, np.ndarray]:
             params[name] = np.zeros(shape, np.float32)
         else:
             params[name] = _truncated_normal(rng, shape, _INIT_STD).astype(np.float32)
-    return params
+    return pack(params, values=params)
 
 
 def shape_audit(params: dict[str, np.ndarray], config: ModelConfig) -> None:
@@ -540,18 +605,12 @@ def compute_losses(outputs, batch) -> dict:
     return losses
 
 
-def zero_gradients(params):
+def zero_gradients(params) -> Packed:
     """Zeroed arrays shaped and typed like ``params``, in the same order:
-    views into one buffer per dtype, so a step allocates and zeroes its
-    gradients in one call for a model of one dtype."""
-    grads = {}
-    for dtype in {value.dtype for value in params.values()}:
-        names = [name for name, value in params.items() if value.dtype == dtype]
-        sizes = [params[name].size for name in names]
-        views = np.split(np.zeros(sum(sizes), dtype), np.cumsum(sizes)[:-1])
-        for name, view in zip(names, views):
-            grads[name] = view.reshape(params[name].shape)
-    return {name: grads[name] for name in params}
+    :func:`pack`'s views into one buffer per dtype, laid out as a packed
+    ``params`` is, so a step allocates and zeroes its gradients in one call
+    for a model of one dtype and Adam runs over the buffers."""
+    return pack(params)
 
 
 def gradients(params, config: ModelConfig, batch):

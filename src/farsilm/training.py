@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError, check_positive, check_seed
 from .lineio import atomic_open, read_text
-from .model import ModelConfig, gradients, init_params, shape_audit
+from .model import ModelConfig, buffers, gradients, init_params, pack, shape_audit
 from .pretrain_data import ExampleTable, collate, read_examples
 
 _MAGIC = b"FLCP"
@@ -79,12 +79,17 @@ class AdamState:
 
 
 def init_adam_state(params: dict[str, np.ndarray]) -> AdamState:
-    """Zeroed float64 moments, whatever the parameters' dtype."""
-    return AdamState(
-        m={k: np.zeros(p.shape) for k, p in params.items()},
-        v={k: np.zeros(p.shape) for k, p in params.items()},
-        step=0,
-    )
+    """Zeroed float64 moments, whatever the parameters' dtype, each laid out
+    as :func:`~farsilm.model.pack` lays out ``params``: one buffer for each
+    of the parameters' dtypes, so the moment buffers line up with the
+    parameter and gradient buffers that :func:`adam_step` runs over."""
+    return AdamState(m=pack(params, np.float64), v=pack(params, np.float64), step=0)
+
+
+# values per slice of adam_step's buffers: its two float64 scratch arrays
+# stay small enough to be reused from the heap, where scratch sized to a
+# whole buffer took fresh pages on every call
+ADAM_SLICE = 32_768
 
 
 def adam_step(
@@ -95,12 +100,25 @@ def adam_step(
 ) -> None:
     """One bias-corrected Adam update, applied to params in place.
 
-    Each tensor's update runs in two float64 scratch buffers sized to the
-    largest tensor, with the operations of ``m = b1*m + (1-b1)*g``,
-    ``v = b2*v + (1-b2)*g*g`` and ``p -= lr*(m/bc1) / (sqrt(v/bc2) + eps)``
-    in that order. The moments are float64 and so is the update, which is
-    rounded once into a parameter of another dtype.
+    ``params``, ``grads`` and both moment dicts must be views into one
+    buffer per dtype, laid out alike (:func:`~farsilm.model.pack`); any
+    other dict is a ValueError naming it, raised before the update. The
+    update runs over each buffer in slices of ``ADAM_SLICE`` values, in two
+    float64 scratch arrays of one slice, with the operations of
+    ``m = b1*m + (1-b1)*g``, ``v = b2*v + (1-b2)*g*g`` and
+    ``p -= lr*(m/bc1) / (sqrt(v/bc2) + eps)`` in that order. The moments
+    are float64 and so is the update, which is rounded once into a
+    parameter of another dtype. Every operation is elementwise, so the
+    slicing moves no byte.
     """
+    groups = buffers(params, "params")
+    layout = [(names, buffer.size) for names, buffer in groups]
+    columns = [[buffer for _, buffer in groups]]
+    for what, named in (("grads", grads), ("state.m", state.m), ("state.v", state.v)):
+        groups = buffers(named, what)
+        if [(names, buffer.size) for names, buffer in groups] != layout:
+            raise ValueError(f"{what} is not laid out as params is")
+        columns.append([buffer for _, buffer in groups])
     state.step += 1
     t = state.step
     lr = config.learning_rate
@@ -108,29 +126,26 @@ def adam_step(
         lr *= min(1.0, t / config.warmup_steps)
     bc1 = 1.0 - config.beta1**t
     bc2 = 1.0 - config.beta2**t
-    size = max((p.size for p in params.values()), default=0)
-    scratch, denom = np.empty(size), np.empty(size)
-    for name, p in params.items():
-        g = grads[name]
-        m = state.m[name]
-        v = state.v[name]
-        step = scratch[: p.size].reshape(p.shape)
-        root = denom[: p.size].reshape(p.shape)
-        m *= config.beta1
-        # a float32 g would otherwise pick the float32 loop
-        np.multiply(g, 1.0 - config.beta1, out=step, dtype=np.float64)
-        m += step
-        v *= config.beta2
-        np.multiply(g, 1.0 - config.beta2, out=step, dtype=np.float64)
-        step *= g
-        v += step
-        np.divide(m, bc1, out=step)
-        step *= lr
-        np.divide(v, bc2, out=root)
-        np.sqrt(root, out=root)
-        root += config.epsilon
-        step /= root
-        p -= step
+    scratch, denom = np.empty(ADAM_SLICE), np.empty(ADAM_SLICE)
+    for whole in zip(*columns):
+        for lo in range(0, whole[0].size, ADAM_SLICE):
+            p, g, m, v = (buffer[lo : lo + ADAM_SLICE] for buffer in whole)
+            step, root = scratch[: p.size], denom[: p.size]
+            m *= config.beta1
+            # a float32 g would otherwise pick the float32 loop
+            np.multiply(g, 1.0 - config.beta1, out=step, dtype=np.float64)
+            m += step
+            v *= config.beta2
+            np.multiply(g, 1.0 - config.beta2, out=step, dtype=np.float64)
+            step *= g
+            v += step
+            np.divide(m, bc1, out=step)
+            step *= lr
+            np.divide(v, bc2, out=root)
+            np.sqrt(root, out=root)
+            root += config.epsilon
+            step /= root
+            p -= step
 
 
 @dataclass(frozen=True)
@@ -344,7 +359,7 @@ def load_checkpoint(path: str) -> Checkpoint:
     model_config = _config_from(ModelConfig, header["model_config"], path, "model_config")
     opt_config = _config_from(OptimizerConfig, header["opt_config"], path, "opt_config")
 
-    offset = 12 + header_len
+    offset, whole = 12 + header_len, memoryview(data)
     tensors: dict[str, np.ndarray] = {}
     for entry in header["tensors"]:
         name, dtype, shape = _tensor_spec(entry, path)
@@ -352,10 +367,11 @@ def load_checkpoint(path: str) -> Checkpoint:
             # the writer lists tensors once each, in name order
             raise DataError(f"checkpoint {path}: tensor {name} is repeated or out of order")
         nbytes = dtype.itemsize * math.prod(shape)
-        chunk = data[offset : offset + nbytes]
+        chunk = whole[offset : offset + nbytes]
         if len(chunk) != nbytes:
             raise DataError(f"checkpoint {path} is truncated in tensor {name}")
-        tensors[name] = np.frombuffer(chunk, dtype=dtype).reshape(shape).copy()
+        # a read-only view of the file's bytes, which its group's pack copies once
+        tensors[name] = np.frombuffer(chunk, dtype=dtype).reshape(shape)
         offset += nbytes
     if offset != len(data):
         raise DataError(f"checkpoint {path} has {len(data) - offset} bytes after its last tensor")
@@ -367,15 +383,14 @@ def load_checkpoint(path: str) -> Checkpoint:
             if name.startswith(prefix)
         }
 
-    params = group("param:")
-    state = AdamState(m=group("adam_m:"), v=group("adam_v:"), step=step)
+    params, moments = group("param:"), (group("adam_m:"), group("adam_v:"))
     shape_audit(params, model_config)
     # a fine-tuned model carries no moments; a pretraining one carries both
     # for every parameter, with the parameter's shape
-    for moments in (state.m, state.v):
-        if moments and (
-            set(moments) != set(params)
-            or any(moments[k].shape != params[k].shape for k in params)
+    for moment in moments:
+        if moment and (
+            set(moment) != set(params)
+            or any(moment[k].shape != params[k].shape for k in params)
         ):
             raise DataError(f"checkpoint {path}: Adam moments do not match the parameters")
     head_params = group("head:")
@@ -383,16 +398,19 @@ def load_checkpoint(path: str) -> Checkpoint:
         raise DataError(f"checkpoint {path}: head tensors and head record disagree")
     losses = group("loss:")
     _check_history(losses, step, path)
+    params = pack(params, values=params)
+    # float64 moments laid out as the parameters are, for adam_step
+    m, v = (pack(params, np.float64, values=moment) if moment else {} for moment in moments)
     return Checkpoint(
         model_config,
         opt_config,
         params,
-        state,
+        AdamState(m=m, v=v, step=step),
         head_kind=head["kind"] if head else None,
         head_labels=tuple(head["labels"]) if head else None,
-        head_params=head_params or None,
+        head_params=pack(head_params, values=head_params) or None,
         seed=header.get("seed"),
-        losses=losses or None,
+        losses=pack(losses, values=losses) or None,
         examples_sha256=header.get("examples_sha256"),
         vocab_sha256=header.get("vocab_sha256"),
     )
@@ -432,11 +450,14 @@ def _batch_for_step(examples: ExampleTable, batch_size: int, seed: int, step: in
 
 
 def check_finite_gradients(grads: dict[str, np.ndarray], where: str) -> None:
-    """Raise DataError naming ``where`` and the first gradient that holds a
-    non-finite value; the training loops call it before each update."""
-    for name, grad in grads.items():
-        if not np.isfinite(grad).all():
-            raise DataError(f"{where}: gradient of {name} is not finite; no checkpoint written")
+    """Raise DataError naming ``where`` and the first gradient, in dict
+    order, that holds a non-finite value; the training loops call it before
+    each update. It checks each gradient buffer in one call
+    (:func:`~farsilm.model.buffers`), and looks for the tensor only then."""
+    if all(np.isfinite(buffer).all() for _, buffer in buffers(grads, "grads")):
+        return
+    name = next(name for name, grad in grads.items() if not np.isfinite(grad).all())
+    raise DataError(f"{where}: gradient of {name} is not finite; no checkpoint written")
 
 
 def check_log_every(log_every: int) -> None:

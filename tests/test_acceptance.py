@@ -32,6 +32,7 @@ from farsilm.model import (
     finite_difference_check,
     forward,
     init_params,
+    pack,
 )
 from farsilm.pretrain_data import (
     IGNORE_INDEX,
@@ -357,7 +358,8 @@ def test_05_gradient_check():
     assert (config.layers, config.heads, config.hidden) == (2, 2, 64)
     # central differences at h = 1e-4 need float64: the float32 model's
     # code, run on its initialization cast to float64
-    params = {name: value.astype(np.float64) for name, value in init_params(config, 505).items()}
+    params = init_params(config, 505)
+    params = pack(params, np.float64, values=params)
     assert all(v.dtype == np.float64 for v in params.values())
 
     rng = np.random.default_rng(506)

@@ -502,7 +502,8 @@ class TestManifestRun:
             # the dev set is a quarter of cls_count, at least 2: here 2 items
             (
                 "cls_classes = 3\ncls_count = 4\n" + _CLS_PATHS,
-                r"count 2 must cover every class at least once \(3 classes\)",
+                r"cls_count 4 and its dev split of 2 items \(a quarter of cls_count, at least 2\) "
+                r"must each cover every class at least once \(3 classes\)",
             ),
             ("ner_count = 0\n" + _NER_PATHS, "manifest key ner_count must be at least 1, got 0"),
             ("cls_count = 0\n" + _CLS_PATHS, "manifest key cls_count must be at least 1, got 0"),

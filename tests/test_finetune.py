@@ -37,7 +37,7 @@ from farsilm.finetune import (
     write_tagged,
 )
 from farsilm.metrics import entity_f1
-from farsilm.model import ModelConfig, forward, head_gradients, init_params
+from farsilm.model import ModelConfig, forward, head_gradients, init_params, pack
 from farsilm.training import (
     Checkpoint,
     OptimizerConfig,
@@ -74,7 +74,7 @@ def setup():
 def float64_checkpoint(checkpoint):
     """The checkpoint with float64 parameters, for tests whose bounds are
     float64's: fine-tuning runs the same code in the parameters' dtype."""
-    params = {name: value.astype(np.float64) for name, value in checkpoint.params.items()}
+    params = pack(checkpoint.params, np.float64, values=checkpoint.params)
     return Checkpoint(checkpoint.model_config, checkpoint.opt_config, params,
                       init_adam_state(params))
 

@@ -25,6 +25,7 @@ from farsilm.model import (
     forward,
     gradients,
     init_params,
+    pack,
     param_count,
     shape_audit,
     zero_gradients,
@@ -35,7 +36,8 @@ from padded_reference import padded_backprop, padded_encode
 def float64_params(cfg, seed):
     """init_params cast to float64, for tests whose bounds are float64's:
     the model runs the same code in the parameters' dtype."""
-    return {name: value.astype(np.float64) for name, value in init_params(cfg, seed).items()}
+    params = init_params(cfg, seed)
+    return pack(params, np.float64, values=params)
 
 
 def make_batch(rng, vocab, bsz=2, length=12, pad_from=None):

@@ -24,6 +24,7 @@ from farsilm.model import (
     forward,
     gradients,
     init_params,
+    pack,
 )
 from farsilm.pretrain_data import (
     MaskingPolicy,
@@ -139,12 +140,14 @@ class TestAdam:
 
     @pytest.mark.parametrize("warmup", [0, 10])
     def test_bytes_equal_reference_adam(self, warmup):
-        # desk parameters plus a fine-tuning head: tensors from 2 to 64,000
-        # entries, so each one takes another slice of the scratch buffers
-        params = init_params(desk_config(vocab_size=1000), 3)
+        # float32 desk parameters plus a float64 fine-tuning head, packed into
+        # one buffer each: tensors from 2 to 64,000 entries, so tok_emb spans
+        # slice boundaries and other tensors share a slice
         head_rng = np.random.default_rng(4)
-        params["head_w"] = head_rng.normal(0.0, 0.02, (64, 5))
-        params["head_b"] = np.zeros(5)
+        full = {**init_params(desk_config(vocab_size=1000), 3),
+                "head_w": head_rng.normal(0.0, 0.02, (64, 5)), "head_b": np.zeros(5)}
+        params = pack(full, values=full)
+        assert params["tok_emb"].size == 64_000 > training.ADAM_SLICE
         ref_params = {name: value.copy() for name, value in params.items()}
         state, ref_state = init_adam_state(params), init_adam_state(ref_params)
         config = OptimizerConfig(learning_rate=1e-3, warmup_steps=warmup)
@@ -157,6 +160,7 @@ class TestAdam:
                 if (i + step) % 7 == 0:
                     grad[...] = 0.0  # and whole tensors of them
                 grads[name] = grad
+            grads = pack(params, np.float64, values=grads)
             adam_step(params, grads, state, config)
             reference_adam_step(ref_params, grads, ref_state, config)
         assert state.step == ref_state.step == 25
@@ -789,7 +793,8 @@ def _float_arrays(tree):
 
 def _float64_init(*args):
     """init_params cast to float64, the dtype of checkpoints before float32."""
-    return {name: value.astype(np.float64) for name, value in init_params(*args).items()}
+    params = init_params(*args)
+    return pack(params, np.float64, values=params)
 
 
 class TestDtypes:
@@ -804,7 +809,7 @@ class TestDtypes:
         config = dataclasses.replace(small_config(vocab), layers=2)
         params = init_params(config, 3)
         assert {value.dtype for value in params.values()} == {np.dtype(np.float32)}
-        params = {name: value.astype(dtype) for name, value in params.items()}
+        params = pack(params, dtype, values=params)
         batch = collate(read_examples(path)[0][:8])
         selected = batch["mlm_labels"] != -100
 
