@@ -1,8 +1,18 @@
-"""UTF-8 text and line-record (JSONL) helpers used by every file-facing module.
+"""UTF-8 text, line-record (JSONL) and binary container helpers used by
+every file-facing module.
 
 A line-record file is UTF-8 text with one JSON object per line. Writers
 always emit LF line endings and sorted keys so identical data produces
 byte-identical files.
+
+Every binary file, a pretraining checkpoint, a fine-tuned head file or a
+pretraining example file, is one container: the magic ``FLCP``, then
+three little-endian u32 values (the format version, a CRC32 of every
+byte after it, and the length of the header), then the header, a JSON
+object that names every tensor with its shape and dtype in name order,
+then the raw tensor bytes in that order. Each kind of file adds its own
+header keys and picks its own tensor names, and its reader checks those;
+:func:`read_container` checks everything else.
 
 Every artifact writer goes through :func:`atomic_open`, so a write that
 fails leaves any earlier file at the target as it was. No file is
@@ -13,10 +23,16 @@ its checkpoint holds.
 from __future__ import annotations
 
 import json
+import math
 import os
+import re
+import struct
+import zlib
 from contextlib import contextmanager
 from pathlib import Path
 from typing import IO, Any, Iterable, Iterator
+
+import numpy as np
 
 from .errors import DataError
 
@@ -99,3 +115,108 @@ def write_records(path: str | Path, records: Iterable[dict[str, Any]]) -> int:
             fh.write("\n")
             n += 1
     return n
+
+
+_MAGIC = b"FLCP"
+_VERSION = 2
+_PREFIX = struct.Struct("<4sIII")  # magic, version, CRC32 of the rest, header length
+_NUMERIC_DTYPE = re.compile(r"[<>|][biuf][0-9]{1,2}")
+
+
+def write_container(path: str | Path, header: dict, tensors: dict[str, np.ndarray]) -> None:
+    """Write ``header``, with a ``tensors`` entry added, and ``tensors`` in
+    name order, atomically (:func:`~farsilm.lineio.atomic_open`)."""
+    order = sorted(tensors)
+    arrays = [np.ascontiguousarray(tensors[name]) for name in order]
+    header = {**header, "tensors": [
+        {"name": name, "shape": list(array.shape), "dtype": array.dtype.str}
+        for name, array in zip(order, arrays)
+    ]}
+    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    crc = zlib.crc32(blob, zlib.crc32(struct.pack("<I", len(blob))))
+    for array in arrays:
+        crc = zlib.crc32(array, crc)
+    with atomic_open(path, binary=True) as handle:
+        handle.write(_PREFIX.pack(_MAGIC, _VERSION, crc, len(blob)))
+        handle.write(blob)
+        handle.writelines(arrays)
+
+
+def _tensor_spec(entry, where: str) -> tuple[str, np.dtype, tuple[int, ...]]:
+    try:
+        name, spelled, shape = entry["name"], entry["dtype"], tuple(entry["shape"])
+    except (KeyError, TypeError) as exc:
+        raise DataError(f"{where} has a malformed tensor entry {entry!r}") from exc
+    if not isinstance(name, str) or not all(type(d) is int and d >= 0 for d in shape):
+        raise DataError(f"{where} has a malformed tensor entry {entry!r}")
+    # np.dtype parses far more than the writer writes (field lists, repeat
+    # counts, some of which end in SyntaxError), so only a plain numeric
+    # spelling reaches it, and only the one spelling the writer uses passes
+    if not (isinstance(spelled, str) and _NUMERIC_DTYPE.fullmatch(spelled)):
+        raise DataError(f"{where}: tensor {name} has non-numeric dtype {spelled!r}")
+    try:
+        dtype = np.dtype(spelled)
+    except TypeError as exc:
+        raise DataError(f"{where}: tensor {name} has unknown dtype {spelled!r}") from exc
+    if dtype.str != spelled:
+        raise DataError(f"{where}: tensor {name} dtype {spelled!r} is not {dtype.str!r}")
+    return name, dtype, shape
+
+
+def read_container(path: str | Path, what: str) -> tuple[dict, dict[str, np.ndarray]]:
+    """The header, less its ``tensors`` entry, and the tensors, in name
+    order and each a read-only view of the file's bytes, of a container
+    file; ``what`` names its kind in messages ("checkpoint file x is
+    truncated"). Any file that :func:`write_container` did not write whole,
+    or wrote at another version, is a DataError that names it.
+    """
+    where = f"{what} file {path}"
+    try:
+        with open(path, "rb") as handle:
+            data = handle.read()
+    except OSError as exc:
+        raise DataError(f"cannot read {where}: {exc}") from exc
+    if data[:4] == b"PTEX":  # the example file's own format before this container
+        raise DataError(f"{path} is a version-1 example file (magic PTEX); rebuild it")
+    if data[:4] != _MAGIC:
+        raise DataError(f"{path} is not a {what} file (bad magic {data[:4]!r})")
+    if len(data) < _PREFIX.size:
+        raise DataError(f"{where} is truncated")
+    _, version, crc, header_len = _PREFIX.unpack_from(data)
+    if version != _VERSION:
+        raise DataError(f"{where} has format version {version}, not {_VERSION}; rebuild the file")
+    offset = _PREFIX.size + header_len
+    if len(data) < offset:
+        raise DataError(f"{where} is truncated")
+    try:
+        header = json.loads(data[_PREFIX.size : offset].decode("utf-8"))
+    except (UnicodeDecodeError, ValueError) as exc:
+        raise DataError(f"{where} has a malformed header: {exc}") from exc
+    if not isinstance(header, dict):
+        raise DataError(f"{where}: header is not a record")
+    entries = header.pop("tensors", None)
+    if not isinstance(entries, list):
+        raise DataError(f"{where}: header lacks a 'tensors' list")
+
+    whole = memoryview(data)
+    tensors: dict[str, np.ndarray] = {}
+    for entry in entries:
+        name, dtype, shape = _tensor_spec(entry, where)
+        if tensors and name <= next(reversed(tensors)):
+            # the writer lists tensors once each, in name order
+            raise DataError(f"{where}: tensor {name} is repeated or out of order")
+        nbytes = dtype.itemsize * math.prod(shape)
+        chunk = whole[offset : offset + nbytes]
+        if len(chunk) != nbytes:
+            row = len(chunk) // (nbytes // (shape[0] if shape else 1))
+            raise DataError(f"{where} is truncated in tensor {name}, at row {row}")
+        try:
+            tensors[name] = np.frombuffer(chunk, dtype=dtype).reshape(shape)
+        except ValueError as exc:  # an empty tensor can still have too many or too wide axes
+            raise DataError(f"{where}: tensor {name} has a shape numpy cannot hold: {exc}") from exc
+        offset += nbytes
+    if offset != len(data):
+        raise DataError(f"{where} has {len(data) - offset} bytes after its last tensor")
+    if zlib.crc32(whole[12:]) != crc:  # the header length on, as the writer sums it
+        raise DataError(f"{where} fails its CRC32 check: its bytes are corrupt")
+    return header, tensors

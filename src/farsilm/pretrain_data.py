@@ -1,13 +1,14 @@
 """MLM+NSP example construction: sentence-pair sampling, packing to a
-fixed length, the 15% / 80-10-10 masking procedure, and a binary example
-file format.
+fixed length, the 15% / 80-10-10 masking procedure, and the example file.
 
 Examples are built in two stages that each return an
 :class:`ExampleTable`: :func:`pack_pairs` writes NSP pairs as unmasked
 rows, and :func:`mask_examples` masks a table's rows.
 :func:`build_pretrain_examples` composes them on :func:`build_nsp_pairs`.
-A table is one structured array in the file's record layout, which is
-written and read as it stands and indexed into training batches.
+A table holds five columns, one array per example field. They are the
+example file's tensors in the container every binary file shares
+(:func:`~farsilm.lineio.write_container`), written and read as they
+stand and indexed into training batches.
 :class:`PretrainExample` is the single example a table's integer index
 returns; :func:`assemble_input` and :func:`apply_mlm_mask` run the two
 stages on one example.
@@ -22,7 +23,6 @@ example.
 
 from __future__ import annotations
 
-import struct
 from array import array
 from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
@@ -33,15 +33,22 @@ from typing import Callable, ClassVar, Iterable, Iterator
 import numpy as np
 
 from .errors import ConfigError, DataError, check_seed
-from .lineio import atomic_open
+from .lineio import read_container, write_container
 from .wordpiece import CLS, MASK, SEP, WordPieceModel, encode
 
 IGNORE_INDEX = -100
 IS_NEXT = 1
 NOT_NEXT = 0
 
-_MAGIC = b"PTEX"
-_VERSION = 1
+# the example columns in PretrainExample's field order, with the dtype each
+# takes in a table and in the example file; nsp_label holds one value a row
+_COLUMNS = {
+    "input_ids": "<i4",
+    "segment_ids": "|i1",
+    "attention_mask": "|i1",
+    "mlm_labels": "<i4",
+    "nsp_label": "|u1",
+}
 
 
 @dataclass(frozen=True)
@@ -151,38 +158,29 @@ def build_nsp_pairs(
     return pairs
 
 
-def _record_dtype(max_len: int) -> np.dtype:
-    """One record of an example file: a u32 payload length (10 * max_len + 1
-    bytes), then the payload's five fields."""
-    return np.dtype(
-        [
-            ("length", "<u4"),
-            ("input_ids", "<i4", (max_len,)),
-            ("segment_ids", "i1", (max_len,)),
-            ("attention_mask", "i1", (max_len,)),
-            ("mlm_labels", "<i4", (max_len,)),
-            ("nsp_label", "u1"),
-        ]
-    )
-
-
-_FIELDS = _record_dtype(0).names[1:]  # the example fields after the length
+def _empty_columns(count: int, max_len: int) -> dict[str, np.ndarray]:
+    return {
+        name: np.empty((count, max_len) if name != "nsp_label" else count, dtype=dtype)
+        for name, dtype in _COLUMNS.items()
+    }
 
 
 class ExampleTable(Sequence):
-    """Read-only examples held as one `_record_dtype` array, the layout
-    of the example file.
+    """Read-only examples held as five columns, the example file's
+    tensors: (count, max_len) arrays of the four per-token fields and a
+    (count,) array of NSP labels, each in its `_COLUMNS` dtype.
 
     An integer index gives a :class:`PretrainExample`; a slice or an
-    integer array gives another table over the chosen records. A table
+    integer array gives another table over the chosen rows. A table
     equals any sequence of equal examples.
     """
 
-    __slots__ = ("records",)
+    __slots__ = ("columns",)
 
-    def __init__(self, records: np.ndarray):
-        self.records = records.view()
-        self.records.flags.writeable = False
+    def __init__(self, columns: dict[str, np.ndarray]):
+        self.columns = {name: columns[name].view() for name in _COLUMNS}
+        for column in self.columns.values():
+            column.flags.writeable = False
 
     @classmethod
     def of(cls, examples: Sequence[PretrainExample]) -> ExampleTable:
@@ -195,45 +193,39 @@ class ExampleTable(Sequence):
                 raise DataError(
                     f"record {i}: length {len(ex.input_ids)} differs from header {max_len}"
                 )
-        record = _record_dtype(max_len)
-        records = np.empty(len(examples), dtype=record)
-        records["length"] = record.itemsize - 4
-        for name in _FIELDS:
-            records[name] = [getattr(ex, name) for ex in examples]
-        return cls(records)
+        columns = _empty_columns(len(examples), max_len)
+        for name, column in columns.items():
+            column[...] = [getattr(ex, name) for ex in examples]
+        return cls(columns)
 
     @property
     def max_len(self) -> int:
-        return self.records.dtype["input_ids"].shape[0]
+        return self.columns["input_ids"].shape[1]
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.columns["nsp_label"])
 
     def __getitem__(self, index):
         if isinstance(index, (int, np.integer)):
-            return _example(self.records[index])
-        return ExampleTable(self.records[index])
+            return _example(*(column[index].tolist() for column in self.columns.values()))
+        return ExampleTable({name: column[index] for name, column in self.columns.items()})
 
     def __iter__(self):
-        return map(_example, self.records)
+        return map(self.__getitem__, range(len(self)))
 
     def __eq__(self, other) -> bool:
         if isinstance(other, ExampleTable):
             return len(self) == len(other) and all(
-                np.array_equal(self.records[name], other.records[name]) for name in _FIELDS
+                np.array_equal(column, other.columns[name]) for name, column in self.columns.items()
             )
         if isinstance(other, Sequence) and not isinstance(other, (str, bytes)):
             return len(self) == len(other) and all(a == b for a, b in zip(self, other))
         return NotImplemented
 
 
-def _example(row) -> PretrainExample:
+def _example(input_ids, segment_ids, attention_mask, mlm_labels, nsp_label) -> PretrainExample:
     return PretrainExample(
-        tuple(row["input_ids"].tolist()),
-        tuple(row["segment_ids"].tolist()),
-        tuple(row["attention_mask"].tolist()),
-        tuple(row["mlm_labels"].tolist()),
-        int(row["nsp_label"]),
+        tuple(input_ids), tuple(segment_ids), tuple(attention_mask), tuple(mlm_labels), nsp_label
     )
 
 
@@ -262,18 +254,16 @@ def pack_pairs(
         lengths.append(3 + len(ids_a) + len(ids_b))
         firsts.append(2 + len(ids_a))
 
-    record = _record_dtype(max_len)
-    records = np.empty(len(lengths), dtype=record)
-    records["length"] = record.itemsize - 4
+    columns = _empty_columns(len(lengths), max_len)
     column = np.arange(max_len)
     real = column < np.array(lengths)[:, None]
-    records["input_ids"] = model.pad_id
-    records["input_ids"][real] = tokens  # row-major, so each pair's tokens in turn
-    records["segment_ids"] = real & (column >= np.array(firsts)[:, None])
-    records["attention_mask"] = real
-    records["mlm_labels"] = IGNORE_INDEX
-    records["nsp_label"] = [pair[2] for pair in pairs]
-    return ExampleTable(records)
+    columns["input_ids"][...] = model.pad_id
+    columns["input_ids"][real] = tokens  # row-major, so each pair's tokens in turn
+    columns["segment_ids"][...] = real & (column >= np.array(firsts)[:, None])
+    columns["attention_mask"][...] = real
+    columns["mlm_labels"][...] = IGNORE_INDEX
+    columns["nsp_label"][...] = [pair[2] for pair in pairs]
+    return ExampleTable(columns)
 
 
 def mask_examples(table: ExampleTable, model: WordPieceModel, seed: int) -> ExampleTable:
@@ -306,9 +296,8 @@ def _mask_rows(
     id. Other labels of a masked row are IGNORE_INDEX; a row without
     candidates draws nothing and stays as it is.
     """
-    records = table.records.copy()
-    ids, labels = records["input_ids"], records["mlm_labels"]
-    candidates = (records["attention_mask"] == 1) & ~np.isin(ids, list(model.special_ids))
+    ids, labels = table.columns["input_ids"].copy(), table.columns["mlm_labels"].copy()
+    candidates = (table.columns["attention_mask"] == 1) & ~np.isin(ids, list(model.special_ids))
     rows, cols = np.nonzero(candidates)  # every row's candidates, row after row
     counts = candidates.sum(axis=1)
     non_special = model.non_special_ids
@@ -342,7 +331,7 @@ def _mask_rows(
     labels[rows, cols] = held
     new = np.frombuffer(values, dtype=np.int64)
     ids[rows, cols] = np.where(new < 0, held, new)
-    return ExampleTable(records)
+    return ExampleTable({**table.columns, "input_ids": ids, "mlm_labels": labels})
 
 
 def assemble_input(
@@ -458,38 +447,16 @@ def build_pretrain_examples(
 
 
 def write_examples(examples: Sequence[PretrainExample], path: str | Path, vocab_size: int) -> int:
-    """Binary example file: 16-byte header, then one `_record_dtype` record
-    per example.
-
-    The write is atomic (:func:`~farsilm.lineio.atomic_open`).
+    """Example file: a container (:func:`~farsilm.lineio.write_container`)
+    whose header holds ``max_len`` and ``vocab_size`` and whose tensors are
+    the five columns of :class:`ExampleTable`. The write is atomic.
     """
     table = ExampleTable.of(examples)
-    max_len = table.max_len if len(table) else 0
-    header = _MAGIC + struct.pack("<III", _VERSION, max_len, vocab_size)
-    with atomic_open(path, binary=True) as fh:
-        fh.writelines((header, np.ascontiguousarray(table.records)))
+    if not len(table):
+        table = ExampleTable.of([])  # every file without examples has max_len 0
+    header = {"max_len": table.max_len, "vocab_size": vocab_size}
+    write_container(path, header, table.columns)
     return len(table)
-
-
-def _read_with_header(path: str | Path, size: int = -1) -> tuple[bytes, int, int]:
-    """The first ``size`` bytes of an example file (all with -1), plus the
-    header's (max_len, vocab_size)."""
-    try:
-        with open(path, "rb") as fh:
-            blob = fh.read(size)
-    except OSError as exc:
-        raise DataError(f"cannot read example file {path}: {exc}") from exc
-    if len(blob) < 16 or blob[:4] != _MAGIC:
-        raise DataError(f"{path} is not an example file (bad magic)")
-    version, max_len, vocab_size = struct.unpack("<III", blob[4:16])
-    if version != _VERSION:
-        raise DataError(f"{path}: unsupported example file version {version}")
-    return blob, max_len, vocab_size
-
-
-def read_examples_header(path: str | Path) -> tuple[int, int]:
-    """(max_len, vocab_size) of an example file, without reading its records."""
-    return _read_with_header(path, 16)[1:]
 
 
 def read_examples(path: str | Path) -> tuple[ExampleTable, int]:
@@ -498,63 +465,47 @@ def read_examples(path: str | Path) -> tuple[ExampleTable, int]:
     Every value is range-checked against the header's vocabulary size, so
     a file that reads back can be fed to the model as it stands.
     """
-    blob, max_len, vocab_size = _read_with_header(path)
+    header, columns = read_container(path, "pretraining example")
+    if set(header) != {"max_len", "vocab_size"} or not all(
+        type(value) is int and value >= 0 for value in header.values()
+    ):
+        raise DataError(f"example file {path}: header {sorted(header)} does not hold "
+                        f"a max_len and a vocab_size of 0 or more")
+    max_len, vocab_size = header["max_len"], header["vocab_size"]
+    count = np.size(columns.get("nsp_label", ()))
+    if {name: (column.dtype.str, column.shape) for name, column in columns.items()} != {
+        name: (dtype, (count, max_len) if name != "nsp_label" else (count,))
+        for name, dtype in _COLUMNS.items()
+    }:
+        raise DataError(f"example file {path}: tensors are not the five example columns "
+                        f"of {count} records of {max_len} tokens")
 
-    expected = 10 * max_len + 1
-    count, tail = divmod(len(blob) - 16, 4 + expected)
-    # with no whole record present, a zero-width one stands in, so a corrupt
-    # max_len cannot ask numpy for a record wider than it allows
-    record = _record_dtype(max_len if count else 0)
-    records = np.frombuffer(blob, dtype=record, count=count, offset=16)
-    bad = np.flatnonzero(records["length"] != expected)
-    if bad.size:
-        index = int(bad[0])
-        raise DataError(
-            f"{path}: corrupted record {index}: payload {records['length'][index]} bytes, "
-            f"expected {expected}"
-        )
-    if tail:
-        if tail < 4:
-            raise DataError(f"{path}: truncated length prefix at record {count}")
-        (length,) = struct.unpack_from("<I", blob, 16 + count * (4 + expected))
-        if length != expected:
-            raise DataError(
-                f"{path}: corrupted record {count}: payload {length} bytes, expected {expected}"
-            )
-        raise DataError(f"{path}: truncated record {count}")
-    if not count and max_len:
-        # the writer gives a file without examples max_len 0
-        raise DataError(
-            f"{path}: truncated: no record follows a header for {max_len}-token records"
-        )
-
-    ids = records["input_ids"]
-    labels = records["mlm_labels"]
+    ids, labels = columns["input_ids"], columns["mlm_labels"]
     faults = (
         (f"token id outside [0,{vocab_size})", (ids < 0) | (ids >= vocab_size)),
         (
             f"MLM label neither {IGNORE_INDEX} nor inside [0,{vocab_size})",
             (labels != IGNORE_INDEX) & ((labels < 0) | (labels >= vocab_size)),
         ),
-        ("segment byte not 0 or 1", records["segment_ids"].view(np.uint8) > 1),
-        ("attention byte not 0 or 1", records["attention_mask"].view(np.uint8) > 1),
-        ("NSP byte not 0 or 1", records["nsp_label"][:, None] > 1),
+        ("segment byte not 0 or 1", columns["segment_ids"].view(np.uint8) > 1),
+        ("attention byte not 0 or 1", columns["attention_mask"].view(np.uint8) > 1),
+        ("NSP byte not 0 or 1", columns["nsp_label"][:, None] > 1),
     )
     for what, bad_values in faults:
         bad = np.flatnonzero(bad_values.any(axis=1))
         if bad.size:
             raise DataError(f"{path}: record {int(bad[0])}: {what}")
-    return ExampleTable(records), vocab_size
+    return ExampleTable(columns), vocab_size
 
 
 def collate(examples: Sequence[PretrainExample]) -> dict[str, np.ndarray]:
     """Int64 arrays keyed by field name, one row per example; a table's
-    columns are copied as they stand."""
-    records = ExampleTable.of(examples).records
+    columns are cast as they stand."""
+    columns = ExampleTable.of(examples).columns
     return {
-        "input_ids": records["input_ids"].astype(np.int64),
-        "segment_ids": records["segment_ids"].astype(np.int64),
-        "attention_mask": records["attention_mask"].astype(np.int64),
-        "mlm_labels": records["mlm_labels"].astype(np.int64),
-        "nsp_labels": records["nsp_label"].astype(np.int64),
+        "input_ids": columns["input_ids"].astype(np.int64),
+        "segment_ids": columns["segment_ids"].astype(np.int64),
+        "attention_mask": columns["attention_mask"].astype(np.int64),
+        "mlm_labels": columns["mlm_labels"].astype(np.int64),
+        "nsp_labels": columns["nsp_label"].astype(np.int64),
     }

@@ -1,9 +1,12 @@
 """Adam optimization, binary checkpoints, and the pretraining loop.
 
-Checkpoints use a small versioned container: magic ``FLCP``, a format
-version, a JSON header naming every tensor with shape and dtype, then the
-raw tensor bytes in header order. Saving the same state twice produces
-byte-identical files, which the reproducibility checks rely on.
+Checkpoints and fine-tuned head files are containers
+(:func:`~farsilm.lineio.write_container`), as example files are. Their
+header holds the model and optimizer configs, the step, and the optional
+seed, head record and digests; their tensors are named by group:
+``param:``, ``adam_m:``, ``adam_v:``, ``head:`` and ``loss:``. Saving the
+same state twice produces byte-identical files, which the
+reproducibility checks rely on.
 
 The pretraining loop draws each step's batch independently from the
 example file with a counter-based seed, so a run resumed from step 100
@@ -21,26 +24,20 @@ from __future__ import annotations
 import csv
 import dataclasses
 import hashlib
-import json
-import math
 import os
 import re
-import struct
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError, DataError, check_positive, check_seed
-from .lineio import atomic_open, read_text
+from .lineio import atomic_open, read_container, read_text, write_container
 from .model import ModelConfig, buffers, gradients, init_params, pack, shape_audit
 from .pretrain_data import ExampleTable, collate, read_examples
 
-_MAGIC = b"FLCP"
-_VERSION = 1
 _TENSOR_GROUPS = ("param:", "adam_m:", "adam_v:", "head:", "loss:")  # tensor name prefixes
 _LOSSES = ("mlm_loss", "nsp_loss")
-_NUMERIC_DTYPE = re.compile(r"[<>|][biuf][0-9]{1,2}")
 _SHA256 = re.compile(r"[0-9a-f]{64}")
 
 
@@ -197,10 +194,6 @@ def _check_digest(key: str, digest, path: str) -> None:
         )
 
 
-def _json_bytes(obj) -> bytes:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode("utf-8")
-
-
 def save_checkpoint(
     path: str,
     model_config: ModelConfig,
@@ -227,43 +220,19 @@ def save_checkpoint(
         for name, value in named.items():
             if not np.isfinite(value).all():
                 raise DataError(f"checkpoint {path}: {group} {name} contains non-finite values")
-    tensors: dict[str, np.ndarray] = {}
-    for name, value in params.items():
-        tensors["param:" + name] = value
-    for name, value in state.m.items():
-        tensors["adam_m:" + name] = value
-    for name, value in state.v.items():
-        tensors["adam_v:" + name] = value
-    for name, value in (head_params or {}).items():
-        tensors["head:" + name] = value
-    for name, value in (losses or {}).items():
-        tensors["loss:" + name] = value
-    order = sorted(tensors)
+    groups = zip(_TENSOR_GROUPS, (params, state.m, state.v, head_params or {}, losses or {}))
+    tensors = {prefix + name: value for prefix, named in groups for name, value in named.items()}
     header = {
         "model_config": dataclasses.asdict(model_config),
         "opt_config": dataclasses.asdict(opt_config),
         "step": state.step,
-        "tensors": [
-            {
-                "name": name,
-                "shape": list(tensors[name].shape),
-                "dtype": tensors[name].dtype.str,
-            }
-            for name in order
-        ],
     }
     if head_kind is not None:
         header["head"] = {"kind": head_kind, "labels": list(head_labels or ())}
     if seed is not None:
         header["seed"] = seed
     header.update(digests)
-    blob = _json_bytes(header)
-    with atomic_open(path, binary=True) as handle:
-        handle.write(_MAGIC)
-        handle.write(struct.pack("<II", _VERSION, len(blob)))
-        handle.write(blob)
-        for name in order:
-            handle.write(np.ascontiguousarray(tensors[name]).tobytes())
+    write_container(path, header, tensors)
 
 
 def _config_from(cls, fields, path: str, key: str):
@@ -287,51 +256,10 @@ def _config_from(cls, fields, path: str, key: str):
         raise DataError(f"checkpoint {path}: {key}: {exc}") from exc
 
 
-def _tensor_spec(entry, path: str) -> tuple[str, np.dtype, tuple[int, ...]]:
-    try:
-        name, spelled, shape = entry["name"], entry["dtype"], tuple(entry["shape"])
-    except (KeyError, TypeError) as exc:
-        raise DataError(f"checkpoint {path} has a malformed tensor entry {entry!r}") from exc
-    if not isinstance(name, str) or not all(
-        isinstance(d, int) and not isinstance(d, bool) and d >= 0 for d in shape
-    ):
-        raise DataError(f"checkpoint {path} has a malformed tensor entry {entry!r}")
-    if not name.startswith(_TENSOR_GROUPS):
-        raise DataError(f"checkpoint {path}: tensor {name!r} belongs to no group")
-    # np.dtype parses far more than the writer writes (field lists, repeat
-    # counts, some of which end in SyntaxError), so only a plain numeric
-    # spelling reaches it, and only the one spelling the writer uses passes
-    if not (isinstance(spelled, str) and _NUMERIC_DTYPE.fullmatch(spelled)):
-        raise DataError(f"checkpoint {path}: tensor {name} has non-numeric dtype {spelled!r}")
-    try:
-        dtype = np.dtype(spelled)
-    except TypeError as exc:
-        raise DataError(f"checkpoint {path}: tensor {name} has unknown dtype {spelled!r}") from exc
-    if dtype.str != spelled:
-        raise DataError(f"checkpoint {path}: tensor {name} dtype {spelled!r} is not {dtype.str!r}")
-    return name, dtype, shape
-
-
 def load_checkpoint(path: str) -> Checkpoint:
     """Read a checkpoint; any malformed or inconsistent file is a DataError."""
-    with open(path, "rb") as handle:
-        data = handle.read()
-    if data[:4] != _MAGIC:
-        raise DataError(f"{path} is not a checkpoint file")
-    if len(data) < 12:
-        raise DataError(f"checkpoint {path} is truncated")
-    version, header_len = struct.unpack("<II", data[4:12])
-    if version != _VERSION:
-        raise DataError(f"unsupported checkpoint version {version}")
-    if len(data) < 12 + header_len:
-        raise DataError(f"checkpoint {path} is truncated")
-    try:
-        header = json.loads(data[12 : 12 + header_len].decode("utf-8"))
-    except (UnicodeDecodeError, ValueError) as exc:
-        raise DataError(f"checkpoint {path} has a malformed header: {exc}") from exc
-    if not isinstance(header, dict):
-        raise DataError(f"checkpoint {path} header is not a record")
-    required = ("model_config", "opt_config", "step", "tensors")
+    header, tensors = read_container(path, "checkpoint")
+    required = ("model_config", "opt_config", "step")
     for key in required:
         if key not in header:
             raise DataError(f"checkpoint {path} header lacks {key!r}")
@@ -346,8 +274,6 @@ def load_checkpoint(path: str) -> Checkpoint:
         if key in header:
             _check_digest(key, header[key], path)
     step = header["step"]
-    if not isinstance(header["tensors"], list):
-        raise DataError(f"checkpoint {path}: tensors is not a list")
     head = header.get("head")
     if head is not None and not (
         isinstance(head, dict)
@@ -359,22 +285,9 @@ def load_checkpoint(path: str) -> Checkpoint:
     model_config = _config_from(ModelConfig, header["model_config"], path, "model_config")
     opt_config = _config_from(OptimizerConfig, header["opt_config"], path, "opt_config")
 
-    offset, whole = 12 + header_len, memoryview(data)
-    tensors: dict[str, np.ndarray] = {}
-    for entry in header["tensors"]:
-        name, dtype, shape = _tensor_spec(entry, path)
-        if tensors and name <= next(reversed(tensors)):
-            # the writer lists tensors once each, in name order
-            raise DataError(f"checkpoint {path}: tensor {name} is repeated or out of order")
-        nbytes = dtype.itemsize * math.prod(shape)
-        chunk = whole[offset : offset + nbytes]
-        if len(chunk) != nbytes:
-            raise DataError(f"checkpoint {path} is truncated in tensor {name}")
-        # a read-only view of the file's bytes, which its group's pack copies once
-        tensors[name] = np.frombuffer(chunk, dtype=dtype).reshape(shape)
-        offset += nbytes
-    if offset != len(data):
-        raise DataError(f"checkpoint {path} has {len(data) - offset} bytes after its last tensor")
+    for name in tensors:
+        if not name.startswith(_TENSOR_GROUPS):
+            raise DataError(f"checkpoint {path}: tensor {name!r} belongs to no group")
 
     def group(prefix):
         return {
@@ -398,6 +311,8 @@ def load_checkpoint(path: str) -> Checkpoint:
         raise DataError(f"checkpoint {path}: head tensors and head record disagree")
     losses = group("loss:")
     _check_history(losses, step, path)
+    # the tensors are read-only views of the file's bytes, which each
+    # group's pack copies once
     params = pack(params, values=params)
     # float64 moments laid out as the parameters are, for adam_step
     m, v = (pack(params, np.float64, values=moment) if moment else {} for moment in moments)

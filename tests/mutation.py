@@ -1,4 +1,9 @@
-"""Byte mutations of a valid file, shared by the binary-format tests."""
+"""Byte mutations of a valid file, and the container's layout spelled out
+independently of the library, shared by the binary-format tests."""
+
+import json
+import struct
+import zlib
 
 from hypothesis import strategies as st
 
@@ -22,3 +27,20 @@ def mutate(data, mutation):
     if kind == "truncate":
         return data[:where]
     return data + where
+
+
+def split_container(data):
+    """A container file's JSON header and the tensor bytes after it. The
+    prefix is the magic, the version, the CRC32 and the header length."""
+    (size,) = struct.unpack("<I", data[12:16])
+    return json.loads(data[16 : 16 + size]), data[16 + size :]
+
+
+def join_container(header, payload):
+    """The version-2 container of ``header`` (a record, or raw bytes) and
+    ``payload``, with the CRC32 of everything after it, as the writer
+    computes it."""
+    if not isinstance(header, bytes):
+        header = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    body = struct.pack("<I", len(header)) + header + payload
+    return b"FLCP" + struct.pack("<II", 2, zlib.crc32(body)) + body

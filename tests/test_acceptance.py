@@ -450,8 +450,8 @@ def test_06b_pretraining_artifacts_are_pinned(pretrain_run):
         for name in ("examples.ptex", "model.flcp", "trace.csv")
     }
     assert digests == {
-        "examples.ptex": "1fcfdd5a84e78fb04184d798d9c26991ffe44ea3c1106cc7e21493923557f6a6",
-        "model.flcp": "48436a029c4781ead9da2adb5528b0abcfe2a0971a64c9950a28b3a97c846dba",
+        "examples.ptex": "46803f5cb6841bffca40331ca172ce2756d2a22a739730ecfe189eb4b7634ea2",
+        "model.flcp": "246904218ed5a2ee9b2ca636beee5a1b04beb08d02a1c0d1850c9e4bfc8d5263",
         "trace.csv": "4194d5a17c0ccf57dcb2e7f4979a638998cb2ab8067615227785cccb75b6707a",
     }
     print(f"check 6b: fixture digests {', '.join(d[:8] for d in digests.values())}")

@@ -9,7 +9,6 @@ import dataclasses
 import hashlib
 import json
 import re
-import struct
 
 import numpy as np
 import pytest
@@ -46,6 +45,7 @@ from farsilm.training import (
     save_checkpoint,
 )
 from farsilm.wordpiece import TokenizerTrainConfig, train_wordpiece
+from mutation import join_container, split_container
 
 WORDS = ["ab", "abc", "bcd", "cab", "dab", "bad", "cad", "add", "dba", "cba"]
 
@@ -491,12 +491,6 @@ class TestTaggerReads:
         assert len(tags) == 1 and len(tags[0]) == 1 and tags[0][0] in model.labels
 
 
-def _split_header(data):
-    """A checkpoint file's JSON header and the tensor bytes after it."""
-    (size,) = struct.unpack("<I", data[8:12])
-    return json.loads(data[12 : 12 + size]), data[12 + size :]
-
-
 class TestDtypes:
     """Fine-tuning runs in the encoder's dtype, head included: float32 from
     a checkpoint of float32 parameters, float64 from one of float64."""
@@ -601,7 +595,7 @@ class TestHeadCheckpoints:
         for name, digest in (("with", model.vocab_sha256), ("without", None)):
             path = tmp_path / f"{name}.flcp"
             save_head_model(str(path), dataclasses.replace(model, vocab_sha256=digest))
-            files[name] = _split_header(path.read_bytes())
+            files[name] = split_container(path.read_bytes())
         header, payload = files["with"]
         assert header.pop("vocab_sha256") == model.vocab_sha256
         assert (header, payload) == files["without"]
@@ -614,10 +608,9 @@ class TestHeadCheckpoints:
             save_head_model(str(path), dataclasses.replace(model, vocab_sha256=digest))
         assert not path.exists()
         save_head_model(str(path), model)
-        header, payload = _split_header(path.read_bytes())
+        header, payload = split_container(path.read_bytes())
         header["vocab_sha256"] = digest
-        blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-        path.write_bytes(path.read_bytes()[:8] + struct.pack("<I", len(blob)) + blob + payload)
+        path.write_bytes(join_container(header, payload))
         with pytest.raises(DataError, match="bad vocab_sha256"):
             load_head_model(str(path))
 

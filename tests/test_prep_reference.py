@@ -316,13 +316,13 @@ class TestStages:
         if rows == "truncated":
             packing = PackingConfig(max_len=8, rng_seed=seed)
             table = pack_pairs([(*LONG, 1), (LONG[1], LONG[0], 0)], MODEL, packing)
-            assert table.records["attention_mask"].all()
+            assert table.columns["attention_mask"].all()
         else:
             table = ExampleTable.of({"half-way": HALF_WAY, "no-candidates": NO_CANDIDATES,
                                      "empty": []}[rows])
         got = _check_mask_stage(table, seed)
         if rows == "half-way":
-            assert (got.records["mlm_labels"] != -100).sum(axis=1).tolist() == [5, 11]
+            assert (got.columns["mlm_labels"] != -100).sum(axis=1).tolist() == [5, 11]
         elif rows != "truncated":
             assert got == table
 

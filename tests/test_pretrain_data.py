@@ -1,6 +1,8 @@
 import hashlib
+import json
 import struct
 import time
+import zlib
 
 import numpy as np
 import pytest
@@ -37,7 +39,7 @@ from farsilm.wordpiece import (
     WordPieceModel,
     train_wordpiece,
 )
-from mutation import mutate, mutations
+from mutation import mutate, mutations, split_container
 
 
 def model_from(tokens):
@@ -347,7 +349,8 @@ class TestPipelineAndFiles:
     def test_empty_file_round_trip(self, tmp_path):
         path = tmp_path / "empty.bin"
         write_examples([], path, vocab_size=9)
-        assert path.stat().st_size == 16
+        header, payload = split_container(path.read_bytes())
+        assert payload == b"" and header["max_len"] == 0
         loaded, vocab_size = read_examples(path)
         assert loaded == [] and vocab_size == 9
 
@@ -356,21 +359,11 @@ class TestPipelineAndFiles:
         examples = list(build_pretrain_examples(DOCS, MODEL, packing)) * 3
         path = tmp_path / "ex.bin"
         write_examples(examples, path, vocab_size=len(MODEL.vocab))
-        record_size = 4 + 10 * 16 + 1
-        blob = bytearray(path.read_bytes())
-        blob = blob[: 16 + 5 * record_size + 30]  # cut inside record 5
-        path.write_bytes(bytes(blob))
-        with pytest.raises(DataError, match="record 5"):
-            read_examples(path)
-
-    def test_bad_length_prefix_named(self, tmp_path):
-        path = tmp_path / "ex.bin"
-        examples = build_pretrain_examples(DOCS, MODEL, PackingConfig(max_len=16))
-        write_examples(examples, path, vocab_size=len(MODEL.vocab))
-        blob = bytearray(path.read_bytes())
-        blob[16] = 0xFF  # clobber record 0's length prefix
-        path.write_bytes(bytes(blob))
-        with pytest.raises(DataError, match="record 0"):
+        blob = path.read_bytes()
+        (header_len,) = struct.unpack("<I", blob[12:16])
+        # the first column, attention_mask, holds 16 bytes a record
+        path.write_bytes(blob[: 16 + header_len + 5 * 16 + 7])  # cut inside record 5
+        with pytest.raises(DataError, match="attention_mask, at row 5"):
             read_examples(path)
 
     @pytest.mark.parametrize(
@@ -386,41 +379,25 @@ class TestPipelineAndFiles:
         ],
     )
     def test_out_of_range_value_named_with_record(self, tmp_path, field, value, match):
-        # payload layout for max_len L: ids (4L bytes), segments (L),
-        # attention (L), labels (4L), then one NSP byte
-        length = 16
-        start, width = {
-            "ids": (0, 4), "segments": (4 * length, 1), "attention": (5 * length, 1),
-            "labels": (6 * length, 4), "nsp": (10 * length, 1),
-        }[field]
-        examples = build_pretrain_examples(DOCS, MODEL, PackingConfig(max_len=length))
+        """A value the writer does not check, written in a whole file with
+        its CRC, so only the reader's range checks can refuse it."""
+        name = {"ids": "input_ids", "segments": "segment_ids", "attention": "attention_mask",
+                "labels": "mlm_labels", "nsp": "nsp_label"}[field]
+        examples = build_pretrain_examples(DOCS, MODEL, PackingConfig(max_len=16))
+        columns = {key: column.copy() for key, column in examples.columns.items()}
+        columns[name][(2,) if field == "nsp" else (2, 3)] = value  # record 2
         path = tmp_path / "ex.bin"
-        write_examples(examples, path, vocab_size=len(MODEL.vocab))
-        blob = bytearray(path.read_bytes())
-        position = 0 if field == "nsp" else 3
-        at = 16 + 2 * (4 + 10 * length + 1) + 4 + start + position * width  # record 2
-        blob[at : at + width] = value.to_bytes(width, "little", signed=True)
-        path.write_bytes(bytes(blob))
+        write_examples(ExampleTable(columns), path, vocab_size=len(MODEL.vocab))
         with pytest.raises(DataError, match=f"record 2: {match}"):
-            read_examples(path)
-
-    def test_corrupt_max_len_named(self, tmp_path):
-        path = tmp_path / "ex.bin"
-        write_examples(build_pretrain_examples(DOCS, MODEL, PackingConfig(max_len=16)),
-                       path, vocab_size=len(MODEL.vocab))
-        blob = bytearray(path.read_bytes())
-        blob[8:12] = b"\xff\xff\xff\xff"  # max_len
-        path.write_bytes(bytes(blob))
-        with pytest.raises(DataError, match="corrupted record 0"):
             read_examples(path)
 
     def test_version_mismatch(self, tmp_path):
         path = tmp_path / "ex.bin"
         write_examples([], path, vocab_size=9)
         blob = bytearray(path.read_bytes())
-        blob[4] = 2
+        blob[4] = 3
         path.write_bytes(bytes(blob))
-        with pytest.raises(DataError, match="version 2"):
+        with pytest.raises(DataError, match="version 3"):
             read_examples(path)
 
     def test_bad_magic(self, tmp_path):
@@ -439,21 +416,28 @@ class TestPipelineAndFiles:
 
 
 def reference_write_examples(examples, path, vocab_size):
-    """write_examples as it was before it staged records in arrays: each
-    record is packed field by field and written on its own."""
+    """write_examples spelled out field by field: the container's prefix
+    and JSON header, then each column, name by name, one example at a time."""
     max_len = len(examples[0].input_ids) if examples else 0
-    with open(path, "wb") as fh:
-        fh.write(b"PTEX" + struct.pack("<III", 1, max_len, vocab_size))
+    n = len(examples)
+    columns = [  # name order, the order the container keeps
+        ("attention_mask", "|i1", "b"), ("input_ids", "<i4", "i"), ("mlm_labels", "<i4", "i"),
+        ("nsp_label", "|u1", "B"), ("segment_ids", "|i1", "b"),
+    ]
+    header = {"max_len": max_len, "vocab_size": vocab_size, "tensors": [
+        {"name": name, "shape": [n] if name == "nsp_label" else [n, max_len], "dtype": dtype}
+        for name, dtype, _ in columns
+    ]}
+    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    parts = [struct.pack("<I", len(blob)), blob]
+    for name, _, code in columns:
         for ex in examples:
-            payload = (
-                np.asarray(ex.input_ids, dtype="<i4").tobytes()
-                + np.asarray(ex.segment_ids, dtype="i1").tobytes()
-                + np.asarray(ex.attention_mask, dtype="i1").tobytes()
-                + np.asarray(ex.mlm_labels, dtype="<i4").tobytes()
-                + struct.pack("B", ex.nsp_label)
-            )
-            fh.write(struct.pack("<I", len(payload)))
-            fh.write(payload)
+            values = getattr(ex, name)
+            values = values if isinstance(values, tuple) else (values,)
+            parts.append(struct.pack(f"<{len(values)}{code}", *values))
+    body = b"".join(parts)
+    with open(path, "wb") as fh:
+        fh.write(b"FLCP" + struct.pack("<II", 2, zlib.crc32(body)) + body)
 
 
 def built_table(max_len=24):
@@ -521,9 +505,9 @@ class TestExampleTable:
     def test_table_is_read_only(self):
         table = built_table()
         with pytest.raises(ValueError):
-            table.records["nsp_label"][0] = 1
+            table.columns["nsp_label"][0] = 1
         with pytest.raises(ValueError):
-            table[2:4].records["input_ids"][0, 0] = 1
+            table[2:4].columns["input_ids"][0, 0] = 1
 
     def test_collate_of_table_equals_collate_of_list(self):
         table = built_table()
@@ -576,34 +560,48 @@ class TestExampleTable:
         assert list(tmp_path.iterdir()) == [path]
 
 
-class TestExampleFileMutation:
-    def test_mutated_file_is_rejected_or_read_faithfully(self, tmp_path_factory):
-        """The format carries no checksum, so a flipped token byte can make
-        another valid file; what must hold is that the reader either raises
-        DataError or returns exactly what the bytes say, so writing the
-        examples back gives the mutated file byte for byte."""
-        work = tmp_path_factory.mktemp("mutation")
-        docs = [[sent("abcde"), sent("fgh")], [sent("ijk"), sent("lmnop"), sent("qrst")]]
-        examples = build_pretrain_examples(docs, MODEL, PackingConfig(max_len=12, rng_seed=3))
-        write_examples(examples, work / "good.ptex", len(MODEL.vocab))
-        data = (work / "good.ptex").read_bytes()
+def small_example_file(work):
+    docs = [[sent("abcde"), sent("fgh")], [sent("ijk"), sent("lmnop"), sent("qrst")]]
+    examples = build_pretrain_examples(docs, MODEL, PackingConfig(max_len=12, rng_seed=3))
+    write_examples(examples, work / "good.ptex", len(MODEL.vocab))
+    return (work / "good.ptex").read_bytes()
 
-        @given(mutations(len(data), 16))
-        @example(("truncate", 16))  # the header alone
-        @example(("truncate", len(data) - (len(data) - 16) // 2))  # a whole record
+
+class TestExampleFileMutation:
+    def test_every_mutation_is_a_data_error(self, tmp_path_factory):
+        """The container's CRC32 covers every byte after it, and its prefix
+        and sizes cover the rest, so no flipped, cut or appended byte reads
+        back as another valid file."""
+        work = tmp_path_factory.mktemp("mutation")
+        data = small_example_file(work)
+        header_end = 16 + struct.unpack("<I", data[12:16])[0]
+
+        @given(mutations(len(data), header_end))
+        @example(("truncate", 16))  # the prefix alone
+        @example(("truncate", len(data) - 12))  # the last record's segment ids
         @settings(max_examples=400, derandomize=True, deadline=None)
         def check(mutation):
-            mutated = mutate(data, mutation)
             path = work / "mutated.ptex"
-            path.write_bytes(mutated)
-            try:
-                got, vocab_size = read_examples(path)
-            except DataError:
-                return
-            write_examples(got, path, vocab_size)
-            assert path.read_bytes() == mutated
+            path.write_bytes(mutate(data, mutation))
+            with pytest.raises(DataError):
+                read_examples(path)
 
         check()
+
+    def test_every_truncation_and_bit_flip_is_a_data_error(self, tmp_path):
+        data = small_example_file(tmp_path)
+        path = tmp_path / "mutated.ptex"
+        mutated = [data[:size] for size in range(len(data))]
+        for at in range(len(data)):
+            for bit in range(8):
+                flipped = bytearray(data)
+                flipped[at] ^= 1 << bit
+                mutated.append(bytes(flipped))
+        assert len(mutated) == 9 * len(data)
+        for blob in mutated:
+            path.write_bytes(blob)
+            with pytest.raises(DataError):
+                read_examples(path)
 
 
 class TestExampleValidation:
@@ -675,5 +673,5 @@ def test_acceptance_example_file_pinned(tmp_path):
     path = tmp_path / "examples.ptex"
     write_examples(examples, path, len(tokenizer.vocab))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-        "1fcfdd5a84e78fb04184d798d9c26991ffe44ea3c1106cc7e21493923557f6a6"
+        "46803f5cb6841bffca40331ca172ce2756d2a22a739730ecfe189eb4b7634ea2"
     )
