@@ -163,19 +163,28 @@ def _tensor_spec(entry, where: str) -> tuple[str, np.dtype, tuple[int, ...]]:
     return name, dtype, shape
 
 
-def read_container(path: str | Path, what: str) -> tuple[dict, dict[str, np.ndarray]]:
+def read_bytes(path: str | Path, what: str) -> bytes:
+    """The bytes of the ``what`` file at ``path``; an unreadable path is a
+    DataError that names it."""
+    try:
+        with open(path, "rb") as handle:
+            return handle.read()
+    except OSError as exc:
+        raise DataError(f"cannot read {what} file {path}: {exc}") from exc
+
+
+def read_container(path: str | Path, what: str,
+                   data: bytes | None = None) -> tuple[dict, dict[str, np.ndarray]]:
     """The header, less its ``tensors`` entry, and the tensors, in name
     order and each a read-only view of the file's bytes, of a container
     file; ``what`` names its kind in messages ("checkpoint file x is
-    truncated"). Any file that :func:`write_container` did not write whole,
-    or wrote at another version, is a DataError that names it.
+    truncated"). ``data``, if given, is the file's bytes, already read
+    (:func:`read_bytes`). Any file that :func:`write_container` did not
+    write whole, or wrote at another version, is a DataError that names it.
     """
     where = f"{what} file {path}"
-    try:
-        with open(path, "rb") as handle:
-            data = handle.read()
-    except OSError as exc:
-        raise DataError(f"cannot read {where}: {exc}") from exc
+    if data is None:
+        data = read_bytes(path, what)
     if data[:4] == b"PTEX":  # the example file's own format before this container
         raise DataError(f"{path} is a version-1 example file (magic PTEX); rebuild it")
     if data[:4] != _MAGIC:

@@ -4,7 +4,9 @@ Everything is plain NumPy with hand-written backpropagation, so the whole
 training story fits on a laptop CPU and every gradient can be audited
 against central differences. Conventions follow the original BERT:
 post-layer-norm residual blocks, exact GELU, a tanh pooler over [CLS],
-and an MLM decoder tied to the token embedding table.
+and an MLM decoder tied to the token embedding table. The GELU's normal
+CDF is NumPy too (:func:`_normal_cdf`): a rational float32 erf for float32
+arrays, Cody's erf and erfc for float64 ones.
 
 Parameters live in a flat dict of named arrays, views into one buffer per
 dtype (:func:`pack`); every shape is a function of :class:`ModelConfig`
@@ -20,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .errors import ConfigError, DataError, check_seed
 from .pretrain_data import IGNORE_INDEX
@@ -103,12 +104,49 @@ def param_count(config: ModelConfig) -> int:
     return sum(int(np.prod(s)) for s in _param_shapes(config).values())
 
 
+# Wichura's normal quantile, PPND16 (Applied Statistics algorithm AS241,
+# 1988), to float64 rounding: the ratio of its central region, |p - 1/2|
+# <= 0.425, and of the region beside it, which holds the rest of the
+# quantiles within two sigma; lowest power first
+_AS241_CENTRAL = (
+    (3.3871328727963666080e0, 1.3314166789178437745e2, 1.9715909503065514427e3,
+     1.3731693765509461125e4, 4.5921953931549871457e4, 6.7265770927008700853e4,
+     3.3430575583588128105e4, 2.5090809287301226727e3),
+    (1.0, 4.2313330701600911252e1, 6.8718700749205790830e2, 5.3941960214247511077e3,
+     2.1213794301586595867e4, 3.9307895800092710610e4, 2.8729085735721942674e4,
+     5.2264952788528545610e3),
+)
+_AS241_NEAR = (
+    (1.42343711074968357734e0, 4.63033784615654529590e0, 5.76949722146069140550e0,
+     3.64784832476320460504e0, 1.27045825245236838258e0, 2.41780725177450611770e-1,
+     2.27238449892691845833e-2, 7.74545014278341407640e-4),
+    (1.0, 2.05319162663775882187e0, 1.67638483018380384940e0, 6.89767334985100004550e-1,
+     1.48103976427480074590e-1, 1.51986665636164571966e-2, 5.47593808499534494600e-4,
+     1.05075007164441684324e-9),
+)
+
+
+def _as241(coefficients, t):
+    """One of PPND16's ratios of two polynomials at t, by Horner's rule."""
+    num, den = (np.full_like(t, c[-1]) for c in coefficients)
+    for a, b in zip(coefficients[0][-2::-1], coefficients[1][-2::-1]):
+        num = num * t + a
+        den = den * t + b
+    return num / den
+
+
 def _truncated_normal(rng: np.random.Generator, shape, std: float) -> np.ndarray:
-    # inverse-CDF sampling on [-2 sigma, 2 sigma]: one uniform per element,
-    # so the draw count is fixed and the result reproducible
-    lo, hi = ndtr(-2.0), ndtr(2.0)
-    u = rng.random(shape)
-    return ndtri(lo + u * (hi - lo)) * std
+    """Normal draws of standard deviation ``std`` truncated to
+    [-2 std, 2 std], as float64, by inverse-CDF sampling: one uniform per
+    element, so the draw count is fixed and the result reproducible. Every
+    float32 initialization rounds as it did through scipy's ``ndtri``, so
+    a seed names the weights it always named."""
+    lo, hi = _normal_cdf(np.array([-2.0, 2.0]))
+    p = lo + rng.random(shape) * (hi - lo)
+    q = p - 0.5
+    central = q * _as241(_AS241_CENTRAL, 0.180625 - q * q)
+    near = np.copysign(_as241(_AS241_NEAR, np.sqrt(-np.log(np.minimum(p, 1.0 - p))) - 1.6), q)
+    return np.where(np.abs(q) <= 0.425, central, near) * std
 
 
 class Packed(dict):
@@ -231,10 +269,116 @@ def _layer_norm_back(dy, cache):
     return dx, dg, db
 
 
+# Eigen's and XLA's float32 erf, z P(z^2) / Q(z^2) for |z| <= 4, beyond
+# which float32 erf is +-1; highest power first, and P halved (exactly),
+# so that the ratio is erf(z) / 2
+_ERF32_P = np.array([
+    -2.72614225801306e-10, 2.77068142495902e-08, -2.10102402082508e-06, -5.69250639462346e-05,
+    -7.34990630326855e-04, -2.95459980854025e-03, -1.60960333262415e-02,
+], np.float32) / np.float32(2)
+_ERF32_Q = np.array([
+    -1.45660718464996e-05, -2.13374055278905e-04, -1.68282697438203e-03, -7.37332916720468e-03,
+    -1.42647390514189e-02,
+], np.float32)
+
+# Cody's rational Chebyshev approximations ("Rational Chebyshev
+# approximations for the error function", Math. Comp. 23, 1969), as his
+# CALERF evaluates them: erf(z) / z in z^2 on |z| <= 0.46875, erfc(y)
+# exp(y^2) in y on (0.46875, 4], and in 1 / y^2 beyond, to erfc = 0 at
+# _CODY_BIG, where it leaves float64
+_CODY_ERF = (
+    (3.16112374387056560e00, 1.13864154151050156e02, 3.77485237685302021e02,
+     3.20937758913846947e03, 1.85777706184603153e-1),
+    (2.36012909523441209e01, 2.44024637934444173e02, 1.28261652607737228e03,
+     2.84423683343917062e03),
+)
+_CODY_ERFC = (
+    (5.64188496988670089e-1, 8.88314979438837594e00, 6.61191906371416295e01,
+     2.98635138197400131e02, 8.81952221241769090e02, 1.71204761263407058e03,
+     2.05107837782607147e03, 1.23033935479799725e03, 2.15311535474403846e-8),
+    (1.57449261107098347e01, 1.17693950891312499e02, 5.37181101862009858e02,
+     1.62138957456669019e03, 3.29079923573345963e03, 4.36261909014324716e03,
+     3.43936767414372164e03, 1.23033935480374942e03),
+)
+_CODY_TAIL = (
+    (3.05326634961232344e-1, 3.60344899949804439e-1, 1.25781726111229246e-1,
+     1.60837851487422766e-2, 6.58749161529837803e-4, 1.63153871373020978e-2),
+    (2.56852019228982242e00, 1.87295284992346725e00, 5.27905102951428412e-1,
+     6.05183413124413191e-2, 2.33520497626869185e-3),
+)
+_CODY_BIG = 26.543
+
+
+def _cody(t, coefficients):
+    """One of Cody's ratios at t, in CALERF's order of operations."""
+    num, den = coefficients
+    top, bottom = num[-1] * t, t
+    for a, b in zip(num[:-2], den[:-1]):
+        top = (top + a) * t
+        bottom = (bottom + b) * t
+    return (top + num[-2]) / (bottom + den[-1])
+
+
+def _erfc_cody(y):
+    """erfc(y) for y > 0.46875 (NaN gives NaN), as CALERF forms it."""
+    tail = ~(y <= 4.0)
+    y = np.minimum(y, _CODY_BIG)
+    ratio = _cody(y, _CODY_ERFC)
+    inverse = 1.0 / np.square(y[tail])
+    ratio[tail] = (1.0 / math.sqrt(math.pi) - inverse * _cody(inverse, _CODY_TAIL)) / y[tail]
+    # exp(-y^2) with y split at a sixteenth, so that y^2 is not rounded
+    head = np.trunc(y * 16.0) / 16.0
+    ratio *= np.exp(-head * head) * np.exp(-(y - head) * (y + head))
+    ratio[y >= _CODY_BIG] = 0.0
+    return ratio
+
+
+def _normal_cdf(x):
+    """The standard normal CDF at each value of the array x.
+
+    A float32 x takes the rational erf that Eigen and XLA use for float32,
+    within 3e-7 of the exact CDF, in float32 and two temporaries; any other
+    x is computed in float64 by Cody's erf and erfc, to float64 rounding. Both
+    stay within [0, 1], give exactly 0 and 1 at -inf and inf, and NaN at
+    NaN.
+    """
+    if x.dtype == np.float32:
+        # Phi(x) = 1/2 + erf(z) / 2 at z = x / sqrt(2), clamped to [-4, 4];
+        # flat, so that no step returns a scalar for a 0-d x
+        z = np.ravel(x) * np.float32(math.sqrt(0.5))
+        np.clip(z, -4.0, 4.0, out=z)
+        z2 = np.square(z)
+        cdf = np.multiply(z2, _ERF32_P[0])
+        cdf += _ERF32_P[1]
+        for c in _ERF32_P[2:]:
+            cdf *= z2
+            cdf += c
+        cdf *= z
+        q = np.multiply(z2, _ERF32_Q[0], out=z)
+        q += _ERF32_Q[1]
+        for c in _ERF32_Q[2:]:
+            q *= z2
+            q += c
+        cdf /= q
+        cdf += 0.5
+        # the ratio strays past +-1 by an ulp near the clamp
+        return np.clip(cdf, 0.0, 1.0, out=cdf).reshape(x.shape)
+    # Phi(x) = erfc(z) / 2 at z = -x / sqrt(2)
+    z = np.ravel(x).astype(np.float64) * -math.sqrt(0.5)
+    y = np.abs(z)
+    cdf = np.empty_like(z)
+    small = y <= 0.46875
+    near = z[small]
+    cdf[small] = 0.5 - 0.5 * near * _cody(near * near, _CODY_ERF)
+    half_erfc = 0.5 * _erfc_cody(y[~small])
+    cdf[~small] = np.where(z[~small] > 0.0, half_erfc, 1.0 - half_erfc)
+    return cdf.reshape(np.shape(x))
+
+
 def _gelu(x):
-    """Exact GELU; also returns the normal CDF so the backward pass can
-    reuse it instead of evaluating ndtr a second time."""
-    cdf = ndtr(x)
+    """Exact GELU, x Phi(x); also returns the normal CDF so the backward
+    pass can reuse it instead of evaluating it a second time."""
+    cdf = _normal_cdf(x)
     return x * cdf, cdf
 
 

@@ -450,22 +450,36 @@ def write_examples(examples: Sequence[PretrainExample], path: str | Path, vocab_
     """Example file: a container (:func:`~farsilm.lineio.write_container`)
     whose header holds ``max_len`` and ``vocab_size`` and whose tensors are
     the five columns of :class:`ExampleTable`. The write is atomic.
+
+    ``vocab_size`` is an integer, a NumPy one too, above every token id and
+    MLM label of the examples, as :func:`read_examples` checks; anything
+    else is a DataError, raised before the file is opened.
     """
     table = ExampleTable.of(examples)
     if not len(table):
         table = ExampleTable.of([])  # every file without examples has max_len 0
+    if isinstance(vocab_size, bool) or not isinstance(vocab_size, (int, np.integer)) \
+            or vocab_size < 0:
+        raise DataError(f"vocab_size {vocab_size!r} for {path} is not an integer of 0 or more")
+    vocab_size = int(vocab_size)
+    if len(table):
+        top = int(max(table.columns["input_ids"].max(), table.columns["mlm_labels"].max()))
+        if top >= vocab_size:
+            raise DataError(f"vocab_size {vocab_size} for {path} is not above id {top} "
+                            "of its examples")
     header = {"max_len": table.max_len, "vocab_size": vocab_size}
     write_container(path, header, table.columns)
     return len(table)
 
 
-def read_examples(path: str | Path) -> tuple[ExampleTable, int]:
+def read_examples(path: str | Path, data: bytes | None = None) -> tuple[ExampleTable, int]:
     """Read an example file back; returns (examples, vocab_size).
 
     Every value is range-checked against the header's vocabulary size, so
-    a file that reads back can be fed to the model as it stands.
+    a file that reads back can be fed to the model as it stands. ``data``,
+    if given, is the file's bytes, already read, and ``path`` only names it.
     """
-    header, columns = read_container(path, "pretraining example")
+    header, columns = read_container(path, "pretraining example", data)
     if set(header) != {"max_len", "vocab_size"} or not all(
         type(value) is int and value >= 0 for value in header.values()
     ):

@@ -27,12 +27,11 @@ import hashlib
 import os
 import re
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError, DataError, check_positive, check_seed
-from .lineio import atomic_open, read_container, read_text, write_container
+from .lineio import atomic_open, read_bytes, read_container, read_text, write_container
 from .model import ModelConfig, buffers, gradients, init_params, pack, shape_audit
 from .pretrain_data import ExampleTable, collate, read_examples
 
@@ -406,11 +405,14 @@ def pretrain(
     resuming a checkpoint without a loss history is a DataError; all are
     raised before the first step and leave the checkpoint as it was. A
     checkpoint that records no example-file digest resumes on any file.
+    The example file is read once, and the digest is of the bytes read.
     """
     check_seed(seed)
     check_log_every(log_every)
-    examples, file_vocab = read_examples(examples_path)
-    digest = hashlib.sha256(Path(examples_path).read_bytes()).hexdigest()
+    # one read: the digest names the very bytes that are trained on
+    data = read_bytes(examples_path, "pretraining example")
+    digest = hashlib.sha256(data).hexdigest()
+    examples, file_vocab = read_examples(examples_path, data)
     if file_vocab != model_config.vocab_size:
         raise ConfigError(
             f"example file was built for vocab size {file_vocab}, "

@@ -6,7 +6,10 @@ the parameters' dtype, as the encoder does, so the tests hold the float32
 encoder that pretraining runs to a padded run as well as the float64 one.
 The tests hold the unpadded encoder in ``farsilm.model`` to its outputs,
 losses and gradients within rounding bounds. It keeps its own copies of the helpers, so that a change
-to a shared helper cannot move both sides at once.
+to a shared helper cannot move both sides at once, except the normal CDF:
+the GELU takes the library's ``_normal_cdf``, whose values the tests in
+``test_model.py`` hold to ``scipy.special.ndtr``, so that the byte-equality
+grid compares the two encoders, not two CDFs.
 
 ``reference_adam_step`` is the Adam update as it was before it ran in
 scratch buffers; ``farsilm.training.adam_step`` is held to its bytes.
@@ -15,9 +18,7 @@ scratch buffers; ``farsilm.training.adam_step`` is held to its bytes.
 import math
 
 import numpy as np
-from scipy.special import ndtr
-
-from farsilm.model import _MASK_BIAS, LN_EPS, _softmax, _validate_batch
+from farsilm.model import _MASK_BIAS, LN_EPS, _normal_cdf, _softmax, _validate_batch
 
 
 def _layer_norm(x, g, b):
@@ -42,8 +43,8 @@ def _layer_norm_back(dy, cache):
 
 def _gelu(x):
     """Exact GELU; also returns the normal CDF so the backward pass can
-    reuse it instead of evaluating ndtr a second time."""
-    cdf = ndtr(x)
+    reuse it instead of evaluating it a second time."""
+    cdf = _normal_cdf(x)
     return x * cdf, cdf
 
 

@@ -469,8 +469,8 @@ def test_06b_pretraining_artifacts_are_pinned(pretrain_run):
     }
     assert digests == {
         "examples.ptex": "46803f5cb6841bffca40331ca172ce2756d2a22a739730ecfe189eb4b7634ea2",
-        "model.flcp": "246904218ed5a2ee9b2ca636beee5a1b04beb08d02a1c0d1850c9e4bfc8d5263",
-        "trace.csv": "4194d5a17c0ccf57dcb2e7f4979a638998cb2ab8067615227785cccb75b6707a",
+        "model.flcp": "0026ee327b0355a63b48ed07a92b6740549308a9c9e0f4abe447fe3700f40f57",
+        "trace.csv": "6ab2a337c95a83e135ab9c2ac3c295fe52244d3cee26ec280b8cf04f3e6e5568",
     }
     print(f"check 6b: fixture digests {', '.join(d[:8] for d in digests.values())}")
 

@@ -5,9 +5,11 @@ forward passes, so the analytic backward pass is checked against an
 independent implementation of the same quantity.
 """
 
+import math
+
 import numpy as np
 import pytest
-from scipy.special import ndtr
+from scipy.special import ndtr, ndtri
 
 from farsilm import model as model_module
 from farsilm.errors import ConfigError, DataError
@@ -17,7 +19,9 @@ from farsilm.model import (
     _encode,
     _layer_norm,
     _layer_norm_back,
+    _normal_cdf,
     _softmax,
+    _truncated_normal,
     backprop_encoder,
     compute_losses,
     desk_config,
@@ -149,6 +153,84 @@ class TestParams:
         params["pool_w"][0, 0] = np.nan
         with pytest.raises(DataError, match="non-finite"):
             shape_audit(params, cfg)
+
+
+class TestNormalCdf:
+    """The GELU's normal CDF against scipy's float64 ``ndtr``, an
+    implementation it shares no code with."""
+
+    def test_float32_within_3e_7(self):
+        x = np.linspace(-10.0, 10.0, 2_000_001, dtype=np.float32)
+        cdf = _normal_cdf(x)
+        assert cdf.dtype == np.float32
+        assert np.abs(cdf - ndtr(x.astype(np.float64))).max() <= 3e-7
+
+    def test_float64_within_1e_15(self):
+        # the grid crosses each of Cody's region edges, |x| = 0.46875,
+        # 4 and 26.543 times sqrt(2)
+        x = np.linspace(-40.0, 40.0, 2_000_001)
+        assert np.abs(_normal_cdf(x) - ndtr(x)).max() <= 1e-15
+
+    def test_float64_lower_tail_to_relative_rounding(self):
+        x = np.linspace(-37.0, 0.0, 370_001)
+        reference = ndtr(x)
+        assert np.all(np.abs(_normal_cdf(x) - reference) <= 1e-13 * reference)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_exact_at_infinities_and_nan_kept(self, dtype):
+        cdf = _normal_cdf(np.array([-np.inf, np.inf, np.nan, 0.0], dtype))
+        assert cdf.dtype == dtype
+        assert cdf[0] == 0.0 and cdf[1] == 1.0 and np.isnan(cdf[2]) and cdf[3] == 0.5
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_within_the_unit_interval_and_shape_kept(self, dtype):
+        x = np.random.default_rng(4).normal(0.0, 4.0, (300, 7)).astype(dtype)
+        cdf = _normal_cdf(x)
+        assert cdf.shape == x.shape and cdf.dtype == dtype
+        assert cdf.min() >= 0.0 and cdf.max() <= 1.0
+        assert _normal_cdf(np.array(-1.0, dtype)).shape == ()
+
+    def test_float32_leaves_its_input_alone(self):
+        x = np.linspace(-6.0, 6.0, 1001, dtype=np.float32)
+        before = x.copy()
+        _normal_cdf(x)
+        assert np.array_equal(x, before)
+
+
+class TestTruncatedNormal:
+    """Inverse-CDF draws within two standard deviations."""
+
+    def test_every_draw_within_two_std(self):
+        draws = _truncated_normal(np.random.default_rng(0), (500, 400), 0.02)
+        assert draws.shape == (500, 400) and draws.dtype == np.float64
+        assert np.abs(draws).max() <= 2 * 0.02
+
+    def test_equals_scipy_quantile_of_the_same_uniforms(self):
+        for seed in range(3):
+            u = np.random.default_rng(seed).random((400, 256))
+            lo, hi = ndtr(-2.0), ndtr(2.0)
+            want = ndtri(lo + u * (hi - lo)) * 0.02
+            got = _truncated_normal(np.random.default_rng(seed), (400, 256), 0.02)
+            assert np.abs(got - want).max() <= 1e-16  # a few float64 ulps of 0.02
+            # the float32 initialization keeps every byte it had under scipy
+            assert np.array_equal(got.astype(np.float32), want.astype(np.float32))
+
+    def test_same_bytes_for_a_seed(self):
+        def draw(seed):
+            return _truncated_normal(np.random.default_rng(seed), (300, 64), 0.02).tobytes()
+
+        assert draw(5) == draw(5)
+        assert draw(5) != draw(6)
+
+    def test_sample_std_of_the_truncated_normal(self):
+        # a normal cut at +-2 has variance 1 - 4 phi(2) / (2 Phi(2) - 1)
+        phi = math.exp(-2.0) / math.sqrt(2.0 * math.pi)
+        expected = math.sqrt(1.0 - 4.0 * phi / (2.0 * ndtr(2.0) - 1.0))
+        assert expected == pytest.approx(0.8796, abs=1e-4)
+        draws = _truncated_normal(np.random.default_rng(1), 400_000, 3.0)
+        # the sample std's standard error is about 0.0042 here
+        assert draws.std() == pytest.approx(3.0 * expected, abs=0.02)
+        assert abs(draws.mean()) < 0.02
 
 
 class TestForward:

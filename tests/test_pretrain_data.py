@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from farsilm.errors import ConfigError, DataError
+from farsilm.lineio import write_container
 from farsilm.pretrain_data import (
     IGNORE_INDEX,
     IS_NEXT,
@@ -379,17 +380,51 @@ class TestPipelineAndFiles:
         ],
     )
     def test_out_of_range_value_named_with_record(self, tmp_path, field, value, match):
-        """A value the writer does not check, written in a whole file with
-        its CRC, so only the reader's range checks can refuse it."""
+        """A value written in a whole container with its CRC, past the
+        example writer's own checks, so only the reader's range checks can
+        refuse it."""
         name = {"ids": "input_ids", "segments": "segment_ids", "attention": "attention_mask",
                 "labels": "mlm_labels", "nsp": "nsp_label"}[field]
         examples = build_pretrain_examples(DOCS, MODEL, PackingConfig(max_len=16))
         columns = {key: column.copy() for key, column in examples.columns.items()}
         columns[name][(2,) if field == "nsp" else (2, 3)] = value  # record 2
         path = tmp_path / "ex.bin"
-        write_examples(ExampleTable(columns), path, vocab_size=len(MODEL.vocab))
+        write_container(path, {"max_len": 16, "vocab_size": len(MODEL.vocab)}, columns)
         with pytest.raises(DataError, match=f"record 2: {match}"):
             read_examples(path)
+
+    @pytest.mark.parametrize(
+        "vocab_size, match",
+        [
+            (-1, "not an integer of 0 or more"),
+            (25.0, "not an integer"),
+            ("25", "not an integer"),
+            (True, "not an integer"),
+            (None, "not an integer"),
+            ("top", "is not above id"),
+        ],
+    )
+    def test_bad_vocab_size_refused_before_the_file_is_opened(self, tmp_path, vocab_size,
+                                                               match):
+        examples = build_pretrain_examples(DOCS, MODEL, PackingConfig(max_len=16))
+        if vocab_size == "top":  # the largest id, which a vocabulary must exceed
+            columns = examples.columns
+            vocab_size = int(max(columns["input_ids"].max(), columns["mlm_labels"].max()))
+        with pytest.raises(DataError, match=match):
+            write_examples(examples, tmp_path / "ex.bin", vocab_size)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_numpy_integer_vocab_size_writes_an_int(self, tmp_path):
+        examples = build_pretrain_examples(DOCS, MODEL, PackingConfig(max_len=16))
+        write_examples(examples, tmp_path / "np.bin", np.int64(len(MODEL.vocab)))
+        write_examples(examples, tmp_path / "int.bin", len(MODEL.vocab))
+        assert (tmp_path / "np.bin").read_bytes() == (tmp_path / "int.bin").read_bytes()
+        _, vocab_size = read_examples(tmp_path / "np.bin")
+        assert type(vocab_size) is int and vocab_size == len(MODEL.vocab)
+
+    def test_empty_file_takes_any_vocab_size(self, tmp_path):
+        write_examples([], tmp_path / "empty.bin", np.uint8(0))
+        assert read_examples(tmp_path / "empty.bin")[1] == 0
 
     def test_version_mismatch(self, tmp_path):
         path = tmp_path / "ex.bin"

@@ -616,6 +616,30 @@ class TestPretrain:
         digest = hashlib.sha256(Path(path).read_bytes()).hexdigest()
         assert run.examples_sha256 == load_checkpoint(str(ckpt)).examples_sha256 == digest
 
+    def test_recorded_digest_is_of_the_bytes_trained_on(
+        self, example_file, tmp_path, monkeypatch
+    ):
+        """The file is replaced once pretrain() has parsed it: the checkpoint
+        must still name the bytes it trained on, so the file is read once."""
+        source, vocab = example_file
+        path = tmp_path / "train.bin"
+        path.write_bytes(Path(source).read_bytes())
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        examples, _ = read_examples(source)
+        parse = training.read_examples
+
+        def parse_then_replace(*args, **kwargs):
+            parsed = parse(*args, **kwargs)
+            write_examples(examples[: len(examples) // 2], str(path), vocab)
+            return parsed
+
+        monkeypatch.setattr(training, "read_examples", parse_then_replace)
+        run = pretrain(str(path), small_config(vocab), OptimizerConfig(batch_size=4, max_steps=1),
+                       3, str(tmp_path / "d.ckpt"))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() != digest
+        assert run.examples_sha256 == load_checkpoint(str(tmp_path / "d.ckpt")).examples_sha256
+        assert run.examples_sha256 == digest
+
     def test_resume_onto_another_example_file_fails_before_the_first_step(
         self, example_file, tmp_path
     ):
