@@ -107,29 +107,31 @@ def param_count(config: ModelConfig) -> int:
 # Wichura's normal quantile, PPND16 (Applied Statistics algorithm AS241,
 # 1988), to float64 rounding: the ratio of its central region, |p - 1/2|
 # <= 0.425, and of the region beside it, which holds the rest of the
-# quantiles within two sigma; lowest power first
+# quantiles within two sigma; numerator and denominator, highest power
+# first (:func:`_ratio`)
 _AS241_CENTRAL = (
-    (3.3871328727963666080e0, 1.3314166789178437745e2, 1.9715909503065514427e3,
-     1.3731693765509461125e4, 4.5921953931549871457e4, 6.7265770927008700853e4,
-     3.3430575583588128105e4, 2.5090809287301226727e3),
-    (1.0, 4.2313330701600911252e1, 6.8718700749205790830e2, 5.3941960214247511077e3,
-     2.1213794301586595867e4, 3.9307895800092710610e4, 2.8729085735721942674e4,
-     5.2264952788528545610e3),
+    (2.5090809287301226727e3, 3.3430575583588128105e4, 6.7265770927008700853e4,
+     4.5921953931549871457e4, 1.3731693765509461125e4, 1.9715909503065514427e3,
+     1.3314166789178437745e2, 3.3871328727963666080e0),
+    (5.2264952788528545610e3, 2.8729085735721942674e4, 3.9307895800092710610e4,
+     2.1213794301586595867e4, 5.3941960214247511077e3, 6.8718700749205790830e2,
+     4.2313330701600911252e1, 1.0),
 )
 _AS241_NEAR = (
-    (1.42343711074968357734e0, 4.63033784615654529590e0, 5.76949722146069140550e0,
-     3.64784832476320460504e0, 1.27045825245236838258e0, 2.41780725177450611770e-1,
-     2.27238449892691845833e-2, 7.74545014278341407640e-4),
-    (1.0, 2.05319162663775882187e0, 1.67638483018380384940e0, 6.89767334985100004550e-1,
-     1.48103976427480074590e-1, 1.51986665636164571966e-2, 5.47593808499534494600e-4,
-     1.05075007164441684324e-9),
+    (7.74545014278341407640e-4, 2.27238449892691845833e-2, 2.41780725177450611770e-1,
+     1.27045825245236838258e0, 3.64784832476320460504e0, 5.76949722146069140550e0,
+     4.63033784615654529590e0, 1.42343711074968357734e0),
+    (1.05075007164441684324e-9, 5.47593808499534494600e-4, 1.51986665636164571966e-2,
+     1.48103976427480074590e-1, 6.89767334985100004550e-1, 1.67638483018380384940e0,
+     2.05319162663775882187e0, 1.0),
 )
 
 
-def _as241(coefficients, t):
-    """One of PPND16's ratios of two polynomials at t, by Horner's rule."""
-    num, den = (np.full_like(t, c[-1]) for c in coefficients)
-    for a, b in zip(coefficients[0][-2::-1], coefficients[1][-2::-1]):
+def _ratio(coefficients, t):
+    """A ratio of two polynomials at t by Horner's rule, from their
+    coefficients, highest power first."""
+    num, den = (np.full_like(t, c[0]) for c in coefficients)
+    for a, b in zip(coefficients[0][1:], coefficients[1][1:]):
         num = num * t + a
         den = den * t + b
     return num / den
@@ -144,8 +146,8 @@ def _truncated_normal(rng: np.random.Generator, shape, std: float) -> np.ndarray
     lo, hi = _normal_cdf(np.array([-2.0, 2.0]))
     p = lo + rng.random(shape) * (hi - lo)
     q = p - 0.5
-    central = q * _as241(_AS241_CENTRAL, 0.180625 - q * q)
-    near = np.copysign(_as241(_AS241_NEAR, np.sqrt(-np.log(np.minimum(p, 1.0 - p))) - 1.6), q)
+    central = q * _ratio(_AS241_CENTRAL, 0.180625 - q * q)
+    near = np.copysign(_ratio(_AS241_NEAR, np.sqrt(-np.log(np.minimum(p, 1.0 - p))) - 1.6), q)
     return np.where(np.abs(q) <= 0.425, central, near) * std
 
 
@@ -282,50 +284,40 @@ _ERF32_Q = np.array([
 ], np.float32)
 
 # Cody's rational Chebyshev approximations ("Rational Chebyshev
-# approximations for the error function", Math. Comp. 23, 1969), as his
-# CALERF evaluates them: erf(z) / z in z^2 on |z| <= 0.46875, erfc(y)
-# exp(y^2) in y on (0.46875, 4], and in 1 / y^2 beyond, to erfc = 0 at
-# _CODY_BIG, where it leaves float64
+# approximations for the error function", Math. Comp. 23, 1969), in the
+# order of operations of his CALERF: erf(z) / z in z^2 on |z| <= 0.46875,
+# erfc(y) exp(y^2) in y on (0.46875, 4], and in 1 / y^2 beyond, to
+# erfc = 0 at _CODY_BIG, where it leaves float64; highest power first
 _CODY_ERF = (
-    (3.16112374387056560e00, 1.13864154151050156e02, 3.77485237685302021e02,
-     3.20937758913846947e03, 1.85777706184603153e-1),
-    (2.36012909523441209e01, 2.44024637934444173e02, 1.28261652607737228e03,
+    (1.85777706184603153e-1, 3.16112374387056560e00, 1.13864154151050156e02,
+     3.77485237685302021e02, 3.20937758913846947e03),
+    (1.0, 2.36012909523441209e01, 2.44024637934444173e02, 1.28261652607737228e03,
      2.84423683343917062e03),
 )
 _CODY_ERFC = (
-    (5.64188496988670089e-1, 8.88314979438837594e00, 6.61191906371416295e01,
-     2.98635138197400131e02, 8.81952221241769090e02, 1.71204761263407058e03,
-     2.05107837782607147e03, 1.23033935479799725e03, 2.15311535474403846e-8),
-    (1.57449261107098347e01, 1.17693950891312499e02, 5.37181101862009858e02,
+    (2.15311535474403846e-8, 5.64188496988670089e-1, 8.88314979438837594e00,
+     6.61191906371416295e01, 2.98635138197400131e02, 8.81952221241769090e02,
+     1.71204761263407058e03, 2.05107837782607147e03, 1.23033935479799725e03),
+    (1.0, 1.57449261107098347e01, 1.17693950891312499e02, 5.37181101862009858e02,
      1.62138957456669019e03, 3.29079923573345963e03, 4.36261909014324716e03,
      3.43936767414372164e03, 1.23033935480374942e03),
 )
 _CODY_TAIL = (
-    (3.05326634961232344e-1, 3.60344899949804439e-1, 1.25781726111229246e-1,
-     1.60837851487422766e-2, 6.58749161529837803e-4, 1.63153871373020978e-2),
-    (2.56852019228982242e00, 1.87295284992346725e00, 5.27905102951428412e-1,
+    (1.63153871373020978e-2, 3.05326634961232344e-1, 3.60344899949804439e-1,
+     1.25781726111229246e-1, 1.60837851487422766e-2, 6.58749161529837803e-4),
+    (1.0, 2.56852019228982242e00, 1.87295284992346725e00, 5.27905102951428412e-1,
      6.05183413124413191e-2, 2.33520497626869185e-3),
 )
 _CODY_BIG = 26.543
-
-
-def _cody(t, coefficients):
-    """One of Cody's ratios at t, in CALERF's order of operations."""
-    num, den = coefficients
-    top, bottom = num[-1] * t, t
-    for a, b in zip(num[:-2], den[:-1]):
-        top = (top + a) * t
-        bottom = (bottom + b) * t
-    return (top + num[-2]) / (bottom + den[-1])
 
 
 def _erfc_cody(y):
     """erfc(y) for y > 0.46875 (NaN gives NaN), as CALERF forms it."""
     tail = ~(y <= 4.0)
     y = np.minimum(y, _CODY_BIG)
-    ratio = _cody(y, _CODY_ERFC)
+    ratio = _ratio(_CODY_ERFC, y)
     inverse = 1.0 / np.square(y[tail])
-    ratio[tail] = (1.0 / math.sqrt(math.pi) - inverse * _cody(inverse, _CODY_TAIL)) / y[tail]
+    ratio[tail] = (1.0 / math.sqrt(math.pi) - inverse * _ratio(_CODY_TAIL, inverse)) / y[tail]
     # exp(-y^2) with y split at a sixteenth, so that y^2 is not rounded
     head = np.trunc(y * 16.0) / 16.0
     ratio *= np.exp(-head * head) * np.exp(-(y - head) * (y + head))
@@ -369,7 +361,7 @@ def _normal_cdf(x):
     cdf = np.empty_like(z)
     small = y <= 0.46875
     near = z[small]
-    cdf[small] = 0.5 - 0.5 * near * _cody(near * near, _CODY_ERF)
+    cdf[small] = 0.5 - 0.5 * near * _ratio(_CODY_ERF, near * near)
     half_erfc = 0.5 * _erfc_cody(y[~small])
     cdf[~small] = np.where(z[~small] > 0.0, half_erfc, 1.0 - half_erfc)
     return cdf.reshape(np.shape(x))
