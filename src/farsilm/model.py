@@ -140,9 +140,10 @@ def _ratio(coefficients, t):
 def _truncated_normal(rng: np.random.Generator, shape, std: float) -> np.ndarray:
     """Normal draws of standard deviation ``std`` truncated to
     [-2 std, 2 std], as float64, by inverse-CDF sampling: one uniform per
-    element, so the draw count is fixed and the result reproducible. Every
-    float32 initialization rounds as it did through scipy's ``ndtri``, so
-    a seed names the weights it always named."""
+    element, so the draw count is fixed and the result reproducible. The
+    quantile is Wichura's AS241 to float64 rounding, so the float32 weights
+    are those of the exact quantile, which the tests hold to an independent
+    one."""
     lo, hi = _normal_cdf(np.array([-2.0, 2.0]))
     p = lo + rng.random(shape) * (hi - lo)
     q = p - 0.5

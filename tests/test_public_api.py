@@ -46,7 +46,8 @@ _WITHOUT_SCIPY = textwrap.dedent("""
     params = init_params(config, seed=0)
     batch = dict(
         input_ids=np.array([[2, 7, 8, 3, 9, 3]]), segment_ids=np.array([[0, 0, 0, 0, 1, 1]]),
-        attention_mask=np.ones((1, 6), np.int64), mlm_labels=np.array([[-100, 7, -100, -100, -100, -100]]),
+        attention_mask=np.ones((1, 6), np.int64),
+        mlm_labels=np.array([[-100, 7, -100, -100, -100, -100]]),
         nsp_labels=np.array([1]),
     )
     losses, grads = gradients(params, config, batch)
