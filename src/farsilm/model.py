@@ -132,9 +132,12 @@ def _ratio(coefficients, t):
     coefficients, highest power first."""
     num, den = (np.full_like(t, c[0]) for c in coefficients)
     for a, b in zip(coefficients[0][1:], coefficients[1][1:]):
-        num = num * t + a
-        den = den * t + b
-    return num / den
+        num *= t
+        num += a
+        den *= t
+        den += b
+    num /= den
+    return num
 
 
 def _truncated_normal(rng: np.random.Generator, shape, std: float) -> np.ndarray:
@@ -147,9 +150,14 @@ def _truncated_normal(rng: np.random.Generator, shape, std: float) -> np.ndarray
     lo, hi = _normal_cdf(np.array([-2.0, 2.0]))
     p = lo + rng.random(shape) * (hi - lo)
     q = p - 0.5
-    central = q * _ratio(_AS241_CENTRAL, 0.180625 - q * q)
-    near = np.copysign(_ratio(_AS241_NEAR, np.sqrt(-np.log(np.minimum(p, 1.0 - p))) - 1.6), q)
-    return np.where(np.abs(q) <= 0.425, central, near) * std
+    quantile = q * _ratio(_AS241_CENTRAL, 0.180625 - q * q)
+    # about a ninth of the draws lie outside the central region
+    near = np.abs(q) > 0.425
+    p, q = p[near], q[near]
+    quantile[near] = np.copysign(
+        _ratio(_AS241_NEAR, np.sqrt(-np.log(np.minimum(p, 1.0 - p))) - 1.6), q)
+    quantile *= std
+    return quantile
 
 
 class Packed(dict):
