@@ -6,6 +6,7 @@ as a :class:`DataError` or :class:`ConfigError` exits 2.
 """
 
 import math
+from numbers import Integral
 
 
 class FarsilmError(Exception):
@@ -21,9 +22,10 @@ class ConfigError(FarsilmError):
 
 
 def check_seed(seed: int) -> None:
-    """Raise ConfigError unless ``seed`` is one NumPy's generators accept."""
-    if seed < 0:
-        raise ConfigError(f"seed must be a non-negative integer, got {seed}")
+    """Raise ConfigError unless ``seed`` is a non-negative integer, a NumPy
+    one too; a bool, a float, a string or None is refused by name."""
+    if isinstance(seed, bool) or not isinstance(seed, Integral) or seed < 0:
+        raise ConfigError(f"seed must be a non-negative integer, got {seed!r}")
 
 
 def check_positive(name: str, value: float) -> None:

@@ -107,9 +107,15 @@ class FinetuneConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if isinstance(self.label_inventory, str):
+            raise ConfigError(f"label inventory is the string {self.label_inventory!r}, "
+                              "not a sequence of labels")
         object.__setattr__(self, "label_inventory", tuple(self.label_inventory))
         if not self.label_inventory:
             raise ConfigError("label inventory must be nonempty")
+        for label in self.label_inventory:
+            if not isinstance(label, str) or not label:
+                raise ConfigError(f"label {label!r} is not a non-empty string")
         if len(set(self.label_inventory)) != len(self.label_inventory):
             raise ConfigError("label inventory holds duplicates")
         if self.epochs < 0:

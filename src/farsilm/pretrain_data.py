@@ -14,11 +14,9 @@ returns; :func:`assemble_input` and :func:`apply_mlm_mask` run the two
 stages on one example.
 
 Randomness discipline: pair building consumes one generator; each
-example's masking draws the stream of ``default_rng((seed, 1, index))``,
-so files are byte-identical however the work is distributed. The mask
-stage derives all those starting states in one vectorized pass and
-re-seeds a single generator with each, instead of constructing one per
-example.
+example's masking draws its own stream, Philox keyed by the seed with the
+example's index in its counter (Salmon et al., SC 2011), so files are
+byte-identical however the work is distributed.
 """
 
 from __future__ import annotations
@@ -28,7 +26,7 @@ from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, ClassVar, Iterable, Iterator
+from typing import ClassVar, Iterable
 
 import numpy as np
 
@@ -267,16 +265,20 @@ def pack_pairs(
 
 
 def mask_examples(table: ExampleTable, model: WordPieceModel, seed: int) -> ExampleTable:
-    """``table`` with BERT's masking applied, row ``i`` drawing from the
-    stream of ``default_rng((seed, 1, i))``: one generator, made for row 0
-    and re-seeded to each later row's state from :func:`_masking_states`.
+    """``table`` with BERT's masking applied, row ``i`` drawing from Philox
+    keyed by ``SeedSequence((seed, 1))`` and started at counter
+    ``(0, i, 0, 0)``. One generator serves every row: before each, its
+    counter moves to the row's and its buffered draws are dropped, so row
+    ``i`` takes the counters ``(k, i, 0, 0)`` and no two rows share one.
     """
     check_seed(seed)
+    key = np.random.SeedSequence((seed, 1)).generate_state(2, np.uint64)
 
     def streams():
-        rng = np.random.default_rng((seed, 1, 0))
-        yield rng
-        for state in _masking_states(seed, len(table) - 1, first=1):
+        rng = np.random.Generator(np.random.Philox(key=key))
+        state = rng.bit_generator.state  # counter 0, nothing buffered
+        for i in range(len(table)):
+            state["state"]["counter"][1] = i
             rng.bit_generator.state = state
             yield rng
 
@@ -347,88 +349,6 @@ def apply_mlm_mask(
     """``example`` masked as :func:`mask_examples` masks a row, drawing
     from ``rng``. ``policy`` is the fixed recipe of :class:`MaskingPolicy`."""
     return _mask_rows(ExampleTable.of([example]), model, [rng])[0]
-
-
-# NumPy's SeedSequence hash (bit_generator.pyx) and PCG64 seeding
-# (pcg64.h) constants, which fix the state default_rng(entropy) starts in
-_MASK32 = 0xFFFFFFFF
-_HASH_INIT_A, _HASH_MULT_A = 0x43B0D7E5, 0x931E8875
-_HASH_INIT_B, _HASH_MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_POOL_SIZE = 4
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = (1 << 128) - 1
-
-
-def _masking_states(seed: int, count: int, first: int = 0) -> Iterator[dict]:
-    """``default_rng((seed, 1, i)).bit_generator.state`` for each i in
-    [first, first + count), in order.
-
-    SeedSequence's hash runs once over uint32 columns, one row per index;
-    only the two 128-bit steps of PCG64's seeding run per index, as each
-    state is taken. An index of 2**32 or more spans two entropy words,
-    which this derivation does not model, so it raises instead.
-    """
-    if first < 0 or first + count > 1 << 32:
-        raise DataError(
-            f"masking generators exist for example indices below 2**32, "
-            f"not [{first}, {first + count})"
-        )
-    seed = int(seed)
-    # entropy words: the seed's, least significant first, then 1, then the index
-    words = [seed >> shift & _MASK32 for shift in range(0, max(seed.bit_length(), 1), 32)]
-    entropy = [np.full(count, word, dtype=np.uint32) for word in words + [1]]
-    entropy.append(np.arange(first, first + count, dtype=np.uint64).astype(np.uint32))
-    entropy += [np.zeros(count, dtype=np.uint32)] * (_POOL_SIZE - len(entropy))
-
-    hashmix = _hasher(_HASH_INIT_A, _HASH_MULT_A)
-
-    def mix(x, y):
-        result = x * np.uint32(_MIX_MULT_L) - y * np.uint32(_MIX_MULT_R)
-        return result ^ result >> np.uint32(16)
-
-    pool = [hashmix(word) for word in entropy[:_POOL_SIZE]]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            pool[dst] = mix(pool[dst], hashmix(word))
-
-    # generate_state(4, uint64): eight words cycling the pool, paired low
-    # word first into (seed high, seed low, sequence high, sequence low)
-    output = _hasher(_HASH_INIT_B, _HASH_MULT_B)
-    state_words = np.stack([output(pool[i % _POOL_SIZE]) for i in range(8)], axis=1)
-    seeds = state_words.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
-    return map(_pcg64_state, seeds)
-
-
-def _hasher(const: int, mult: int) -> Callable[[np.ndarray], np.ndarray]:
-    """SeedSequence's running hash over uint32 arrays: each call hashes
-    with the current constant, then steps it."""
-
-    def hash_words(value):
-        nonlocal const
-        value = value ^ np.uint32(const)
-        const = const * mult & _MASK32
-        value = value * np.uint32(const)
-        return value ^ value >> np.uint32(16)
-
-    return hash_words
-
-
-def _pcg64_state(seeds: np.ndarray) -> dict:
-    """PCG64's state after seeding with generate_state(4, uint64) = seeds."""
-    seed_hi, seed_lo, seq_hi, seq_lo = seeds.tolist()
-    inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _MASK128
-    state = ((inc + (seed_hi << 64 | seed_lo)) * _PCG_MULT + inc) & _MASK128
-    return {
-        "bit_generator": "PCG64",
-        "state": {"state": state, "inc": inc},
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
 
 
 def build_pretrain_examples(

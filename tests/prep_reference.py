@@ -201,12 +201,19 @@ def apply_mlm_mask(example, model, policy, rng):
     return replace(example, input_ids=tuple(ids), mlm_labels=tuple(labels))
 
 
+def masking_generator(seed, idx):
+    """A fresh generator over example ``idx``'s masking stream: Philox keyed
+    by ``SeedSequence((seed, 1))``, started at counter (0, idx, 0, 0)."""
+    key = np.random.SeedSequence((seed, 1)).generate_state(2, np.uint64)
+    return np.random.Generator(np.random.Philox(key=key, counter=[0, idx, 0, 0]))
+
+
 def build_pretrain_examples(documents, model, packing, policy):
     pair_rng = np.random.default_rng((packing.rng_seed, 0))
     pairs = build_nsp_pairs(documents, pair_rng)
     examples = []
     for idx, pair in enumerate(pairs):
         example = assemble_input(pair, model, packing)
-        mask_rng = np.random.default_rng((packing.rng_seed, 1, idx))
+        mask_rng = masking_generator(packing.rng_seed, idx)
         examples.append(apply_mlm_mask(example, model, policy, mask_rng))
     return examples

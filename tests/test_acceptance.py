@@ -468,9 +468,9 @@ def test_06b_pretraining_artifacts_are_pinned(pretrain_run):
         for name in ("examples.ptex", "model.flcp", "trace.csv")
     }
     assert digests == {
-        "examples.ptex": "46803f5cb6841bffca40331ca172ce2756d2a22a739730ecfe189eb4b7634ea2",
-        "model.flcp": "0026ee327b0355a63b48ed07a92b6740549308a9c9e0f4abe447fe3700f40f57",
-        "trace.csv": "6ab2a337c95a83e135ab9c2ac3c295fe52244d3cee26ec280b8cf04f3e6e5568",
+        "examples.ptex": "488c51fe47b18fe2737bb712e2c3e5bba07bd9817b84ae2399d6e499716a4f59",
+        "model.flcp": "98b8a046b189aea098283baf61c56ec215dbd07632e04c0a5dbf11a1a279ffff",
+        "trace.csv": "8db349b08fd67c7c3c1c1ee63964840888f7ca7224d098b5c5b745ea48fbebc2",
     }
     print(f"check 6b: fixture digests {', '.join(d[:8] for d in digests.values())}")
 

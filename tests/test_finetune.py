@@ -155,6 +155,19 @@ class TestTypes:
         with pytest.raises(ConfigError, match="nonempty"):
             FinetuneConfig(())
 
+    @pytest.mark.parametrize("inventory", ["pos", "", "B-PER"])
+    def test_config_rejects_a_string_inventory(self, inventory):
+        # iterating a string would make each character a label
+        with pytest.raises(ConfigError, match=re.escape(f"the string {inventory!r}")):
+            FinetuneConfig(inventory)
+
+    @pytest.mark.parametrize("inventory, bad", [
+        ((1, 2), 1), (("",), ""), (("pos", None), None), (("O", b"B-PER"), b"B-PER"),
+    ])
+    def test_config_rejects_a_label_that_is_not_a_nonempty_string(self, inventory, bad):
+        with pytest.raises(ConfigError, match=re.escape(f"label {bad!r} is not a non-empty string")):
+            FinetuneConfig(inventory)
+
     @pytest.mark.parametrize("rate", [0.0, float("inf"), float("nan")])
     def test_config_rejects_a_rate_that_is_not_finite_and_positive(self, rate):
         with pytest.raises(ConfigError, match="learning_rate must be a finite positive number"):

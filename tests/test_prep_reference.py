@@ -140,57 +140,79 @@ VOCAB = tuple(SPECIAL_TOKENS) + tuple(LETTERS) + ("##a", "##b")
 MODEL = WordPieceModel(vocab=VOCAB, token_to_id={t: i for i, t in enumerate(VOCAB)})
 
 
-class PCG64(np.random.PCG64):
-    """A PCG64 that notes the state it held each time it is re-seeded.
+_PHILOX = np.random.Philox
 
-    It keeps the name, since a PCG64 takes only states that name its class.
+
+class Philox(_PHILOX):
+    """A Philox that notes the state it held each time a set moves it to
+    another, and so the state each stream it served ended in.
+
+    It keeps the name, since a Philox takes only states that name its class.
     """
 
-    def __init__(self, seed):
-        super().__init__(seed)
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
         self.left = []
 
     @property
     def state(self):
-        return np.random.PCG64.state.__get__(self)
+        return _PHILOX.state.__get__(self)
 
     @state.setter
     def state(self, value):
-        self.left.append(self.state)
-        np.random.PCG64.state.__set__(self, value)
+        held = self.state
+        _PHILOX.state.__set__(self, value)
+        if _plain(self.state) != _plain(held):
+            self.left.append(held)
+
+
+def _plain(state):
+    """A bit generator's state with its arrays as lists, so states compare."""
+    if isinstance(state, dict):
+        return {key: _plain(value) for key, value in state.items()}
+    return state.tolist() if isinstance(state, np.ndarray) else state
 
 
 @contextmanager
 def generators_made():
-    """Every generator ``np.random.default_rng`` makes inside the block,
-    each over a logging :class:`PCG64`."""
+    """Every bit generator made inside the block: those of the generators
+    ``np.random.default_rng`` makes, and each ``np.random.Philox``, over a
+    logging :class:`Philox`."""
     made = []
+    default_rng = np.random.default_rng
 
     def record(seed):
-        made.append(np.random.Generator(PCG64(seed)))
+        made.append(default_rng(seed).bit_generator)
+        return np.random.Generator(made[-1])
+
+    def philox(*args, **kwargs):
+        made.append(Philox(*args, **kwargs))
         return made[-1]
 
-    with mock.patch.object(np.random, "default_rng", record):
+    with mock.patch.object(np.random, "default_rng", record), \
+            mock.patch.object(np.random, "Philox", philox):
         yield made
 
 
-def _states(generators):
-    """The state each stream the generators served ended in: a stream ends
-    where its generator is re-seeded, and the last one where the block left
-    its generator."""
-    return [state for g in generators for state in g.bit_generator.left + [g.bit_generator.state]]
+def _states(bit_generators):
+    """The state each stream the bit generators served ended in: a stream
+    ends where a set moves its generator, and the last one where the block
+    left its generator."""
+    return [_plain(state) for b in bit_generators
+            for state in getattr(b, "left", []) + [b.state]]
 
 
 def _composed(documents, model, packing, policy):
-    """build_pretrain_examples through the public assembly and masking
-    calls, as the benchmark's traced run makes them."""
+    """build_pretrain_examples through the public per-example assembly and
+    masking calls, each example masked from a fresh generator over its
+    stream."""
     pairs = build_nsp_pairs(documents, np.random.default_rng((packing.rng_seed, 0)))
     return [
         apply_mlm_mask(
             assemble_input(pair, model, packing),
             model,
             policy,
-            np.random.default_rng((packing.rng_seed, 1, idx)),
+            ref.masking_generator(packing.rng_seed, idx),
         )
         for idx, pair in enumerate(pairs)
     ]
@@ -246,13 +268,13 @@ class TestExampleBuilding:
 
 
 def _check_mask_stage(table, seed):
-    """mask_examples against the reference masking each row with the
-    generator ``default_rng((seed, 1, row))``."""
+    """mask_examples against the reference masking each row with a fresh
+    generator over its stream, ``ref.masking_generator(seed, row)``."""
     with generators_made() as made:
         got = mask_examples(table, MODEL, seed)
     with generators_made() as made_ref:
         want = [
-            ref.apply_mlm_mask(ex, MODEL, MaskingPolicy(), np.random.default_rng((seed, 1, i)))
+            ref.apply_mlm_mask(ex, MODEL, MaskingPolicy(), ref.masking_generator(seed, i))
             for i, ex in enumerate(table)
         ]
     assert got == want

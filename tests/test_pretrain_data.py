@@ -22,9 +22,10 @@ from farsilm.pretrain_data import (
     apply_mlm_mask,
     assemble_input,
     build_nsp_pairs,
-    _masking_states,
     build_pretrain_examples,
     collate,
+    mask_examples,
+    pack_pairs,
     read_examples,
     write_examples,
 )
@@ -40,6 +41,7 @@ from farsilm.wordpiece import (
     WordPieceModel,
     train_wordpiece,
 )
+import prep_reference as ref
 from mutation import mutate, mutations, split_container
 
 
@@ -661,34 +663,65 @@ class TestExampleValidation:
             )
 
 
+def _unmasked_table(count):
+    """``count`` packed pairs of random letter sentences, 2 to 14 letters a
+    side at max_len 24, so rows hold from 4 to 21 candidates."""
+    rng = np.random.default_rng(5)
+    pairs = [
+        (sent(rng.choice(LETTERS, int(rng.integers(2, 15)))),
+         sent(rng.choice(LETTERS, int(rng.integers(2, 15)))), IS_NEXT)
+        for _ in range(count)
+    ]
+    return pack_pairs(pairs, MODEL, PackingConfig(max_len=24))
+
+
 class TestMaskingStates:
+    """Row i of mask_examples draws the stream of a fresh Philox keyed by
+    SeedSequence((seed, 1)) and started at counter (0, i, 0, 0)."""
+
     SEEDS = [0, 1, 611, 2**32 - 1, 2**32, 2**40 + 5, 2**64 + 3, 2**100 + 7]
+    TABLE = _unmasked_table(600)
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_equal_to_a_fresh_generator(self, seed):
-        got = list(_masking_states(seed, 5000))
-        for i, state in enumerate(got):
-            assert state == np.random.PCG64(np.random.SeedSequence((seed, 1, i))).state, i
-        (last,) = _masking_states(seed, 1, first=2**32 - 1)
-        assert last == np.random.PCG64(np.random.SeedSequence((seed, 1, 2**32 - 1))).state
+        got = mask_examples(self.TABLE, MODEL, seed)
+        for i, example in enumerate(self.TABLE):
+            want = ref.apply_mlm_mask(
+                example, MODEL, MaskingPolicy(), ref.masking_generator(seed, i))
+            assert got[i] == want, i
 
     def test_reseeded_generator_draws_as_a_fresh_one(self):
-        rng = np.random.default_rng(3)
-        rng.integers(0, 5)  # leaves half a 64-bit draw buffered
-        for i, state in enumerate(_masking_states(611, 20)):
-            rng.bit_generator.state = state
-            fresh = np.random.default_rng((611, 1, i))
-            for _ in range(3):
-                assert rng.integers(0, 1000) == fresh.integers(0, 1000)
-                assert rng.random() == fresh.random()
+        # rows whose fresh generator ends with half a 64-bit draw held, or
+        # with draws left in Philox's four-word buffer
+        held, buffered = [], []
+        for i, example in enumerate(self.TABLE[:-1]):
+            rng = ref.masking_generator(611, i)
+            ref.apply_mlm_mask(example, MODEL, MaskingPolicy(), rng)
+            state = rng.bit_generator.state
+            if state["has_uint32"]:
+                held.append(i)
+            if state["buffer_pos"] < 4:
+                buffered.append(i)
+        assert held and buffered
+        got = mask_examples(self.TABLE, MODEL, 611)
+        for i in sorted(set(held + buffered)):
+            want = ref.apply_mlm_mask(
+                self.TABLE[i + 1], MODEL, MaskingPolicy(), ref.masking_generator(611, i + 1))
+            assert got[i + 1] == want, i + 1
 
-    @pytest.mark.parametrize("first, count", [(2**32 - 1, 2), (2**32, 1), (-1, 1)])
-    def test_index_outside_one_entropy_word_raises(self, first, count):
-        with pytest.raises(DataError, match="below 2\\*\\*32"):
-            _masking_states(0, count, first=first)
+    def test_a_row_does_not_depend_on_earlier_rows(self):
+        got = mask_examples(self.TABLE, MODEL, 611)
+        columns = {name: column.copy() for name, column in self.TABLE.columns.items()}
+        # the first 100 rows lose every candidate, or gain ones they lacked
+        columns["attention_mask"][:50] = 0
+        columns["input_ids"][50:100, 1:-1] = columns["input_ids"][50:100, 1:2]
+        columns["attention_mask"][50:100] = 1
+        changed = mask_examples(ExampleTable(columns), MODEL, 611)
+        assert changed[:100] != got[:100]
+        assert changed[100:] == got[100:]
 
     def test_no_examples(self):
-        assert list(_masking_states(7, 0)) == []
+        assert mask_examples(ExampleTable.of([]), MODEL, 7) == []
 
 
 def test_acceptance_example_file_pinned(tmp_path):
@@ -708,5 +741,5 @@ def test_acceptance_example_file_pinned(tmp_path):
     path = tmp_path / "examples.ptex"
     write_examples(examples, path, len(tokenizer.vocab))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-        "46803f5cb6841bffca40331ca172ce2756d2a22a739730ecfe189eb4b7634ea2"
+        "488c51fe47b18fe2737bb712e2c3e5bba07bd9817b84ae2399d6e499716a4f59"
     )
