@@ -14,19 +14,20 @@ returns; :func:`assemble_input` and :func:`apply_mlm_mask` run the two
 stages on one example.
 
 Randomness discipline: pair building consumes one generator; each
-example's masking draws its own stream, Philox keyed by the seed with the
-example's index in its counter (Salmon et al., SC 2011), so files are
-byte-identical however the work is distributed.
+example's masking reads its own run of a counter-based stream, Philox
+keyed by the seed at a counter set by the example's index (Salmon et al.,
+SC 2011). Any block of rows is one draw from its first row's counter, so
+files are byte-identical however the rows are blocked or distributed.
 """
 
 from __future__ import annotations
 
 from array import array
 from bisect import bisect_left, bisect_right
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from pathlib import Path
-from typing import ClassVar, Iterable
+from typing import ClassVar
 
 import numpy as np
 
@@ -37,6 +38,9 @@ from .wordpiece import CLS, MASK, SEP, WordPieceModel, encode
 IGNORE_INDEX = -100
 IS_NEXT = 1
 NOT_NEXT = 0
+# rows masked from one draw; the bytes do not depend on it, and at L = 64 a
+# block's uniforms take 1.5 MB
+MASK_BLOCK = 1024
 
 # the example columns in PretrainExample's field order, with the dtype each
 # takes in a table and in the example file; nsp_label holds one value a row
@@ -265,74 +269,65 @@ def pack_pairs(
 
 
 def mask_examples(table: ExampleTable, model: WordPieceModel, seed: int) -> ExampleTable:
-    """``table`` with BERT's masking applied, row ``i`` drawing from Philox
-    keyed by ``SeedSequence((seed, 1))`` and started at counter
-    ``(0, i, 0, 0)``. One generator serves every row: before each, its
-    counter moves to the row's and its buffered draws are dropped, so row
-    ``i`` takes the counters ``(k, i, 0, 0)`` and no two rows share one.
+    """``table`` with BERT's masking applied, row ``i`` drawing the first
+    3L uniforms of Philox keyed by ``SeedSequence((seed, 1))`` and started
+    at counter ``i * ceil(3L / 4)``. Each row owns that many four-word
+    Philox blocks, so a block of ``MASK_BLOCK`` rows is one draw from its
+    first row's counter, and the bytes do not depend on the block size.
     """
     check_seed(seed)
     key = np.random.SeedSequence((seed, 1)).generate_state(2, np.uint64)
+    per_row = -(-3 * table.max_len // 4)
 
-    def streams():
-        rng = np.random.Generator(np.random.Philox(key=key))
-        state = rng.bit_generator.state  # counter 0, nothing buffered
-        for i in range(len(table)):
-            state["state"]["counter"][1] = i
-            rng.bit_generator.state = state
-            yield rng
+    def uniforms(lo, hi):
+        philox = np.random.Philox(key=key, counter=lo * per_row)
+        return np.random.Generator(philox).random((hi - lo, 4 * per_row))
 
-    return _mask_rows(table, model, streams())
+    return _mask_rows(table, model, uniforms)
 
 
 def _mask_rows(
-    table: ExampleTable, model: WordPieceModel, generators: Iterable[np.random.Generator]
+    table: ExampleTable, model: WordPieceModel,
+    uniforms: Callable[[int, int], np.ndarray],
 ) -> ExampleTable:
-    """A copy of ``table`` with each row masked, drawing from the
-    generator that ``generators`` yields for it.
+    """A copy of ``table`` with each row masked. ``uniforms(lo, hi)`` gives
+    one row of draws for each of rows ``lo..hi``, and a row of L columns
+    reads its first 3L: selection keys in ``[0, L)``, action draws in
+    ``[L, 2L)`` and replacement draws in ``[2L, 3L)``, each by column.
 
     Candidates are attended positions holding a non-special token. Of n,
-    one permutation selects max(1, round-half-up(0.15 n)); one draw per
-    selected position, in column order, makes it [MASK] (80%), a random
-    non-special token (10%) or leaves it (10%), and its label its original
-    id. Other labels of a masked row are IGNORE_INDEX; a row without
-    candidates draws nothing and stays as it is.
+    the max(1, round-half-up(0.15 n)) with the smallest keys are selected,
+    ties going to the lower column. A selected position becomes [MASK]
+    when its action draw is below 0.8, the non-special token its
+    replacement draw indexes when below 0.9, and stays otherwise; its
+    label is its original id. Other labels of a masked row are
+    IGNORE_INDEX; a row without candidates stays as it is.
     """
     ids, labels = table.columns["input_ids"].copy(), table.columns["mlm_labels"].copy()
+    width = table.max_len
     candidates = (table.columns["attention_mask"] == 1) & ~np.isin(ids, list(model.special_ids))
-    rows, cols = np.nonzero(candidates)  # every row's candidates, row after row
     counts = candidates.sum(axis=1)
-    non_special = model.non_special_ids
-    mask_id = model.token_to_id[MASK]
-    # a class attribute costs three times a local in the loop
-    select, mask_below = MaskingPolicy.select_fraction, MaskingPolicy.mask_prob
-    random_below = mask_below + MaskingPolicy.random_prob
-    picked = array("q")  # selected candidates, as indices into rows and cols
-    values = array("q")  # each selected position's new id; -1 keeps the original
-    start = 0
-    for end, rng in zip(np.cumsum(counts).tolist(), generators):
-        n = end - start
-        if n:
-            # int() floors the positive count, rounding half up
-            picks = sorted(rng.permutation(n)[: max(1, int(select * n + 0.5))].tolist())
-            picked.extend([start + j for j in picks])
-            for _ in picks:
-                u = rng.random()
-                if u < mask_below:
-                    values.append(mask_id)
-                elif u < random_below:
-                    values.append(non_special[int(rng.integers(0, len(non_special)))])
-                else:
-                    values.append(-1)
-        start = end
-
-    picked = np.frombuffer(picked, dtype=np.int64)
-    rows, cols = rows[picked], cols[picked]
-    held = ids[rows, cols]
+    # the cast floors the positive count, rounding half up; none of no candidates
+    picks = np.maximum(counts > 0, (MaskingPolicy.select_fraction * counts + 0.5).astype(np.int64))
     labels[counts > 0] = IGNORE_INDEX
-    labels[rows, cols] = held
-    new = np.frombuffer(values, dtype=np.int64)
-    ids[rows, cols] = np.where(new < 0, held, new)
+    non_special = np.array(model.non_special_ids, dtype=np.int64)
+    mask_id = model.token_to_id[MASK]
+    mask_below = MaskingPolicy.mask_prob
+    random_below = mask_below + MaskingPolicy.random_prob
+    for lo in range(0, len(ids), MASK_BLOCK):
+        hi = min(lo + MASK_BLOCK, len(ids))
+        keys, action, pick = np.split(uniforms(lo, hi)[:, :3 * width], 3, axis=1)
+        # a key of 2 puts every non-candidate after the candidates
+        order = np.argsort(np.where(candidates[lo:hi], keys, 2.0), axis=1, kind="stable")
+        chosen = np.empty((hi - lo, width), dtype=bool)
+        np.put_along_axis(chosen, order, np.arange(width) < picks[lo:hi, None], axis=1)
+        block = ids[lo:hi]  # a view, so writing it masks ids
+        held = block[chosen]
+        labels[lo:hi][chosen] = held
+        act = action[chosen]
+        new = np.where(act < mask_below, mask_id,
+                       non_special[(pick[chosen] * len(non_special)).astype(np.int64)])
+        block[chosen] = np.where(act < random_below, new, held)
     return ExampleTable({**table.columns, "input_ids": ids, "mlm_labels": labels})
 
 
@@ -348,7 +343,8 @@ def apply_mlm_mask(
 ) -> PretrainExample:
     """``example`` masked as :func:`mask_examples` masks a row, drawing
     from ``rng``. ``policy`` is the fixed recipe of :class:`MaskingPolicy`."""
-    return _mask_rows(ExampleTable.of([example]), model, [rng])[0]
+    return _mask_rows(ExampleTable.of([example]), model,
+                      lambda lo, hi: rng.random((1, 3 * len(example.input_ids))))[0]
 
 
 def build_pretrain_examples(

@@ -6,9 +6,11 @@ second pass after ``str.translate``; segmentation visits every
 character; word counting pretokenizes every sentence; example building
 assembles each example, then rebuilds it with its mask. The tests hold
 ``farsilm`` to the outputs of these, and to the generator state they
-leave. The module keeps its own copies of the helpers, so that a change
-to a shared helper cannot move both sides at once; it imports only the
-rule inventories, the value types and the unchanged encoder and pairer.
+leave. Masking here draws its uniforms one at a time, from a generator
+of each example's own. The module keeps its own copies of the helpers,
+so that a change to a shared helper cannot move both sides at once; it
+imports only the rule inventories, the value types and the unchanged
+encoder and pairer.
 """
 
 import re
@@ -174,6 +176,12 @@ def assemble_input(pair, model, packing):
 
 
 def apply_mlm_mask(example, model, policy, rng):
+    """``example`` masked from 3L uniforms that ``rng`` draws one at a
+    time: selection keys, then action draws, then replacement draws, each
+    run of L indexed by column."""
+    width = len(example.input_ids)
+    draws = [rng.random() for _ in range(3 * width)]
+    keys, actions, picks = draws[:width], draws[width : 2 * width], draws[2 * width :]
     special_ids = model.special_ids
     candidates = [
         i
@@ -183,9 +191,7 @@ def apply_mlm_mask(example, model, policy, rng):
     if not candidates:
         return example
     k = max(1, int(np.floor(policy.select_fraction * len(candidates) + 0.5)))
-
-    order = rng.permutation(len(candidates))
-    selected = sorted(candidates[int(j)] for j in order[:k])
+    selected = sorted(sorted(candidates, key=lambda i: (keys[i], i))[:k])
 
     non_special = model.non_special_ids
     mask_id = model.token_to_id[MASK]
@@ -193,19 +199,20 @@ def apply_mlm_mask(example, model, policy, rng):
     labels = [IGNORE_INDEX] * len(ids)
     for pos in selected:
         labels[pos] = ids[pos]
-        u = rng.random()
-        if u < policy.mask_prob:
+        if actions[pos] < policy.mask_prob:
             ids[pos] = mask_id
-        elif u < policy.mask_prob + policy.random_prob:
-            ids[pos] = non_special[int(rng.integers(0, len(non_special)))]
+        elif actions[pos] < policy.mask_prob + policy.random_prob:
+            ids[pos] = non_special[int(picks[pos] * len(non_special))]
     return replace(example, input_ids=tuple(ids), mlm_labels=tuple(labels))
 
 
-def masking_generator(seed, idx):
-    """A fresh generator over example ``idx``'s masking stream: Philox keyed
-    by ``SeedSequence((seed, 1))``, started at counter (0, idx, 0, 0)."""
+def masking_generator(seed, idx, width):
+    """A fresh generator over the masking stream of example ``idx`` of
+    ``width`` tokens: Philox keyed by ``SeedSequence((seed, 1))``, started
+    at counter ``idx * ceil(3 width / 4)``, the four-word blocks each
+    example before it owns."""
     key = np.random.SeedSequence((seed, 1)).generate_state(2, np.uint64)
-    return np.random.Generator(np.random.Philox(key=key, counter=[0, idx, 0, 0]))
+    return np.random.Generator(np.random.Philox(key=key, counter=idx * -(-3 * width // 4)))
 
 
 def build_pretrain_examples(documents, model, packing, policy):
@@ -214,6 +221,6 @@ def build_pretrain_examples(documents, model, packing, policy):
     examples = []
     for idx, pair in enumerate(pairs):
         example = assemble_input(pair, model, packing)
-        mask_rng = masking_generator(packing.rng_seed, idx)
+        mask_rng = masking_generator(packing.rng_seed, idx, packing.max_len)
         examples.append(apply_mlm_mask(example, model, policy, mask_rng))
     return examples

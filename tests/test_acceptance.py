@@ -468,9 +468,9 @@ def test_06b_pretraining_artifacts_are_pinned(pretrain_run):
         for name in ("examples.ptex", "model.flcp", "trace.csv")
     }
     assert digests == {
-        "examples.ptex": "488c51fe47b18fe2737bb712e2c3e5bba07bd9817b84ae2399d6e499716a4f59",
-        "model.flcp": "98b8a046b189aea098283baf61c56ec215dbd07632e04c0a5dbf11a1a279ffff",
-        "trace.csv": "8db349b08fd67c7c3c1c1ee63964840888f7ca7224d098b5c5b745ea48fbebc2",
+        "examples.ptex": "f537495176749ea3301a373b52c258d08959d5d29c91912d282c059b380d73bd",
+        "model.flcp": "59810eff0a13d496d79eeddc367a8426d266b45247fce4136777461d3907f69d",
+        "trace.csv": "aee4dc7ad3b6ff3fb5089e39f72b0d57954127e0961468aab82500c27658834e",
     }
     print(f"check 6b: fixture digests {', '.join(d[:8] for d in digests.values())}")
 

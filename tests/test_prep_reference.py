@@ -1,6 +1,7 @@
 """Normalization, segmentation, word counting and example building are
 held to their earlier implementations in ``prep_reference``: equal
-outputs, and equal generator state after every call that draws."""
+outputs, and equal generator state after every call that draws from a
+generator it is given or makes with ``default_rng``."""
 
 import sys
 from contextlib import contextmanager
@@ -25,6 +26,7 @@ from farsilm.pretrain_data import (
     pack_pairs,
 )
 from farsilm.segmenter import (
+    _LETTER_RUN,
     BOUNDARY_CHARS,
     DEFAULT_ABBREVIATIONS,
     SegmenterConfig,
@@ -75,6 +77,10 @@ EDGE_CASES = [
     ZWNJ + " " + ZWNJ,
 ]
 
+# letters, dots, digits, ZWNJ, NBSP and line breaks, for the letter-run scan
+LETTER_RUN_PIECES = ["a", "Z", "ق", "م", "é", ".", "..", "7", "۵", "_", ZWNJ, "\xa0", " ",
+                     "\n", "\r\n", "\u2028", "\t", "-"]
+
 SEGMENTER_CONFIGS = {
     "default": SegmenterConfig(),
     "min-1": SegmenterConfig(min_tokens=1),
@@ -119,6 +125,12 @@ class TestSegmentation:
     def test_edge_cases(self, name, text):
         self._check(SEGMENTER_CONFIGS[name], text)
 
+    @given(st.lists(st.sampled_from(LETTER_RUN_PIECES), max_size=30).map("".join))
+    @settings(max_examples=500)
+    def test_letter_runs_match_reference(self, text):
+        spans = [match.span() for match in _LETTER_RUN.finditer(text)]
+        assert spans == [match.span() for match in ref._LETTER_RUN.finditer(text)]
+
     @staticmethod
     def _check(config, text):
         assert _suppressed_positions(text) == ref.suppressed_positions(text)
@@ -140,44 +152,12 @@ VOCAB = tuple(SPECIAL_TOKENS) + tuple(LETTERS) + ("##a", "##b")
 MODEL = WordPieceModel(vocab=VOCAB, token_to_id={t: i for i, t in enumerate(VOCAB)})
 
 
-_PHILOX = np.random.Philox
-
-
-class Philox(_PHILOX):
-    """A Philox that notes the state it held each time a set moves it to
-    another, and so the state each stream it served ended in.
-
-    It keeps the name, since a Philox takes only states that name its class.
-    """
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.left = []
-
-    @property
-    def state(self):
-        return _PHILOX.state.__get__(self)
-
-    @state.setter
-    def state(self, value):
-        held = self.state
-        _PHILOX.state.__set__(self, value)
-        if _plain(self.state) != _plain(held):
-            self.left.append(held)
-
-
-def _plain(state):
-    """A bit generator's state with its arrays as lists, so states compare."""
-    if isinstance(state, dict):
-        return {key: _plain(value) for key, value in state.items()}
-    return state.tolist() if isinstance(state, np.ndarray) else state
-
-
 @contextmanager
 def generators_made():
-    """Every bit generator made inside the block: those of the generators
-    ``np.random.default_rng`` makes, and each ``np.random.Philox``, over a
-    logging :class:`Philox`."""
+    """The bit generator of every generator ``np.random.default_rng`` makes
+    inside the block. Masking makes none: it draws from Philox by counter,
+    one generator per block of rows, and is held to the reference by its
+    bytes."""
     made = []
     default_rng = np.random.default_rng
 
@@ -185,21 +165,12 @@ def generators_made():
         made.append(default_rng(seed).bit_generator)
         return np.random.Generator(made[-1])
 
-    def philox(*args, **kwargs):
-        made.append(Philox(*args, **kwargs))
-        return made[-1]
-
-    with mock.patch.object(np.random, "default_rng", record), \
-            mock.patch.object(np.random, "Philox", philox):
+    with mock.patch.object(np.random, "default_rng", record):
         yield made
 
 
 def _states(bit_generators):
-    """The state each stream the bit generators served ended in: a stream
-    ends where a set moves its generator, and the last one where the block
-    left its generator."""
-    return [_plain(state) for b in bit_generators
-            for state in getattr(b, "left", []) + [b.state]]
+    return [b.state for b in bit_generators]
 
 
 def _composed(documents, model, packing, policy):
@@ -212,7 +183,7 @@ def _composed(documents, model, packing, policy):
             assemble_input(pair, model, packing),
             model,
             policy,
-            ref.masking_generator(packing.rng_seed, idx),
+            ref.masking_generator(packing.rng_seed, idx, packing.max_len),
         )
         for idx, pair in enumerate(pairs)
     ]
@@ -269,16 +240,14 @@ class TestExampleBuilding:
 
 def _check_mask_stage(table, seed):
     """mask_examples against the reference masking each row with a fresh
-    generator over its stream, ``ref.masking_generator(seed, row)``."""
-    with generators_made() as made:
-        got = mask_examples(table, MODEL, seed)
-    with generators_made() as made_ref:
-        want = [
-            ref.apply_mlm_mask(ex, MODEL, MaskingPolicy(), ref.masking_generator(seed, i))
-            for i, ex in enumerate(table)
-        ]
+    generator over its stream, ``ref.masking_generator(seed, row, L)``."""
+    got = mask_examples(table, MODEL, seed)
+    want = [
+        ref.apply_mlm_mask(
+            ex, MODEL, MaskingPolicy(), ref.masking_generator(seed, i, table.max_len))
+        for i, ex in enumerate(table)
+    ]
     assert got == want
-    assert _states(made) == _states(made_ref)
     return got
 
 

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from farsilm.errors import ConfigError, DataError
+from farsilm import pretrain_data
 from farsilm.lineio import write_container
 from farsilm.pretrain_data import (
     IGNORE_INDEX,
@@ -676,8 +677,8 @@ def _unmasked_table(count):
 
 
 class TestMaskingStates:
-    """Row i of mask_examples draws the stream of a fresh Philox keyed by
-    SeedSequence((seed, 1)) and started at counter (0, i, 0, 0)."""
+    """Row i of mask_examples draws the first 3L uniforms of a fresh Philox
+    keyed by SeedSequence((seed, 1)) and started at counter i * ceil(3L / 4)."""
 
     SEEDS = [0, 1, 611, 2**32 - 1, 2**32, 2**40 + 5, 2**64 + 3, 2**100 + 7]
     TABLE = _unmasked_table(600)
@@ -687,27 +688,17 @@ class TestMaskingStates:
         got = mask_examples(self.TABLE, MODEL, seed)
         for i, example in enumerate(self.TABLE):
             want = ref.apply_mlm_mask(
-                example, MODEL, MaskingPolicy(), ref.masking_generator(seed, i))
+                example, MODEL, MaskingPolicy(), ref.masking_generator(seed, i, 24))
             assert got[i] == want, i
 
-    def test_reseeded_generator_draws_as_a_fresh_one(self):
-        # rows whose fresh generator ends with half a 64-bit draw held, or
-        # with draws left in Philox's four-word buffer
-        held, buffered = [], []
-        for i, example in enumerate(self.TABLE[:-1]):
-            rng = ref.masking_generator(611, i)
-            ref.apply_mlm_mask(example, MODEL, MaskingPolicy(), rng)
-            state = rng.bit_generator.state
-            if state["has_uint32"]:
-                held.append(i)
-            if state["buffer_pos"] < 4:
-                buffered.append(i)
-        assert held and buffered
-        got = mask_examples(self.TABLE, MODEL, 611)
-        for i in sorted(set(held + buffered)):
-            want = ref.apply_mlm_mask(
-                self.TABLE[i + 1], MODEL, MaskingPolicy(), ref.masking_generator(611, i + 1))
-            assert got[i + 1] == want, i + 1
+    @pytest.mark.parametrize("block", [1, 7, 10**6])
+    def test_block_size_moves_no_byte(self, block, monkeypatch):
+        # every block draws from a fresh generator at its first row's
+        # counter, so one row a block, blocks that end mid-table and one
+        # block for the whole table all give the same rows
+        want = mask_examples(self.TABLE, MODEL, 611)
+        monkeypatch.setattr(pretrain_data, "MASK_BLOCK", block)
+        assert mask_examples(self.TABLE, MODEL, 611) == want
 
     def test_a_row_does_not_depend_on_earlier_rows(self):
         got = mask_examples(self.TABLE, MODEL, 611)
@@ -722,6 +713,47 @@ class TestMaskingStates:
 
     def test_no_examples(self):
         assert mask_examples(ExampleTable.of([]), MODEL, 7) == []
+
+
+class ChosenDraws:
+    """A generator stand-in whose ``random(shape)`` returns the selection
+    keys, action draws and replacement draws it was given, one run of L
+    each."""
+
+    def __init__(self, keys, actions, picks):
+        self.draws = np.concatenate([keys, actions, picks])[None, :]
+
+    def random(self, shape):
+        assert shape == self.draws.shape
+        return self.draws
+
+
+class TestChosenDraws:
+    def test_tied_keys_select_the_lowest_columns(self):
+        # 60 candidates at columns 1-60, of which 9 are selected; an
+        # unstable sort of these tied keys selects column 12 for column 9
+        letters = [MODEL.token_to_id[LETTERS[i % len(LETTERS)]] for i in range(60)]
+        base = PretrainExample(
+            (MODEL.token_to_id[CLS], *letters, MODEL.token_to_id[SEP], MODEL.pad_id, MODEL.pad_id),
+            (0,) * 64, (1,) * 62 + (0, 0), (IGNORE_INDEX,) * 64, IS_NEXT,
+        )
+        zeros = np.zeros(64)
+        ex = apply_mlm_mask(base, MODEL, MaskingPolicy(), ChosenDraws(zeros, zeros, zeros))
+        selected = [pos for pos, label in enumerate(ex.mlm_labels) if label != IGNORE_INDEX]
+        assert selected == list(range(1, 10))
+        assert [ex.input_ids[pos] for pos in selected] == [MODEL.token_to_id[MASK]] * 9
+        assert [ex.mlm_labels[pos] for pos in selected] == letters[:9]
+
+    def test_top_replacement_draw_stays_in_range(self):
+        base = assemble(10, 10)
+        width = len(base.input_ids)
+        keys = np.linspace(1.0, 0.0, width, endpoint=False)  # the last columns win
+        actions = np.linspace(0.8, 0.9, width, endpoint=False)
+        picks = np.full(width, 1 - 2**-53)
+        ex = apply_mlm_mask(base, MODEL, MaskingPolicy(), ChosenDraws(keys, actions, picks))
+        selected = [pos for pos, label in enumerate(ex.mlm_labels) if label != IGNORE_INDEX]
+        assert selected == [19, 20, 21]
+        assert [ex.input_ids[pos] for pos in selected] == [MODEL.non_special_ids[-1]] * 3
 
 
 def test_acceptance_example_file_pinned(tmp_path):
@@ -741,5 +773,5 @@ def test_acceptance_example_file_pinned(tmp_path):
     path = tmp_path / "examples.ptex"
     write_examples(examples, path, len(tokenizer.vocab))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-        "488c51fe47b18fe2737bb712e2c3e5bba07bd9817b84ae2399d6e499716a4f59"
+        "f537495176749ea3301a373b52c258d08959d5d29c91912d282c059b380d73bd"
     )
