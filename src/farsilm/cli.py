@@ -28,7 +28,7 @@ from .model import ModelConfig, desk_config
 from .pretrain_data import (
     PackingConfig,
     build_pretrain_examples,
-    read_examples,
+    read_example_sizes,
     write_examples,
 )
 from .segmenter import SegmenterConfig, segment_by_notation, segment_true
@@ -207,9 +207,8 @@ def _pretrain_configs(options: dict, steps, vocab_size, max_positions):
 
 def _pretrain(examples, out, trace, seed, steps, max_positions, options: dict) -> None:
     """Pretrain on an example file; ``max_positions`` 0 means its length."""
-    table, vocab_size = read_examples(examples)
-    model_config, opt_config = _pretrain_configs(
-        options, steps, vocab_size, max_positions or table.max_len)
+    max_len, vocab_size = read_example_sizes(examples)  # pretrain() reads the examples
+    model_config, opt_config = _pretrain_configs(options, steps, vocab_size, max_positions or max_len)
     result = pretrain(
         examples,
         model_config,

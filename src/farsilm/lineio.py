@@ -163,35 +163,26 @@ def _tensor_spec(entry, where: str) -> tuple[str, np.dtype, tuple[int, ...]]:
     return name, dtype, shape
 
 
-def read_bytes(path: str | Path, what: str) -> bytes:
-    """The bytes of the ``what`` file at ``path``; an unreadable path is a
-    DataError that names it."""
+def read_bytes(path: str | Path, what: str, size: int = -1) -> bytes:
+    """The bytes of the ``what`` file at ``path``, or its first ``size``
+    bytes; an unreadable path is a DataError that names it."""
     try:
         with open(path, "rb") as handle:
-            return handle.read()
+            return handle.read(size)
     except OSError as exc:
         raise DataError(f"cannot read {what} file {path}: {exc}") from exc
 
 
-def read_container(path: str | Path, what: str,
-                   data: bytes | None = None) -> tuple[dict, dict[str, np.ndarray]]:
-    """The header, less its ``tensors`` entry, and the tensors, in name
-    order and each a read-only view of the file's bytes, of a container
-    file; ``what`` names its kind in messages ("checkpoint file x is
-    truncated"). ``data``, if given, is the file's bytes, already read
-    (:func:`read_bytes`). Any file that :func:`write_container` did not
-    write whole, or wrote at another version, is a DataError that names it.
-    """
+def _read_head(path, what: str, data: bytes) -> tuple[dict, list, int]:
+    """(header less ``tensors``, that entry, offset past the header) of ``data``."""
     where = f"{what} file {path}"
-    if data is None:
-        data = read_bytes(path, what)
     if data[:4] == b"PTEX":  # the example file's own format before this container
         raise DataError(f"{path} is a version-1 example file (magic PTEX); rebuild it")
     if data[:4] != _MAGIC:
         raise DataError(f"{path} is not a {what} file (bad magic {data[:4]!r})")
     if len(data) < _PREFIX.size:
         raise DataError(f"{where} is truncated")
-    _, version, crc, header_len = _PREFIX.unpack_from(data)
+    _, version, _, header_len = _PREFIX.unpack_from(data)
     if version != _VERSION:
         raise DataError(f"{where} has format version {version}, not {_VERSION}; rebuild the file")
     offset = _PREFIX.size + header_len
@@ -206,6 +197,31 @@ def read_container(path: str | Path, what: str,
     entries = header.pop("tensors", None)
     if not isinstance(entries, list):
         raise DataError(f"{where}: header lacks a 'tensors' list")
+    return header, entries, offset
+
+
+def read_container_header(path: str | Path, what: str) -> dict:
+    """The header, less ``tensors``, of a container file, checked as
+    :func:`read_container` checks it, but read without tensors or CRC32."""
+    head = read_bytes(path, what, _PREFIX.size)
+    if len(head) == _PREFIX.size:  # then on through the header, but not past the file
+        head = read_bytes(path, what, min(len(head) + _PREFIX.unpack(head)[3], os.path.getsize(path)))
+    return _read_head(path, what, head)[0]
+
+
+def read_container(path: str | Path, what: str,
+                   data: bytes | None = None) -> tuple[dict, dict[str, np.ndarray]]:
+    """The header, less its ``tensors`` entry, and the tensors, in name
+    order and each a read-only view of the file's bytes, of a container
+    file; ``what`` names its kind in messages ("checkpoint file x is
+    truncated"). ``data``, if given, is the file's bytes, already read
+    (:func:`read_bytes`). Any file that :func:`write_container` did not
+    write whole, or wrote at another version, is a DataError that names it.
+    """
+    where = f"{what} file {path}"
+    if data is None:
+        data = read_bytes(path, what)
+    header, entries, offset = _read_head(path, what, data)
 
     whole = memoryview(data)
     tensors: dict[str, np.ndarray] = {}
@@ -226,6 +242,6 @@ def read_container(path: str | Path, what: str,
         offset += nbytes
     if offset != len(data):
         raise DataError(f"{where} has {len(data) - offset} bytes after its last tensor")
-    if zlib.crc32(whole[12:]) != crc:  # the header length on, as the writer sums it
+    if zlib.crc32(whole[12:]) != _PREFIX.unpack_from(data)[2]:  # as the writer sums it
         raise DataError(f"{where} fails its CRC32 check: its bytes are corrupt")
     return header, tensors

@@ -32,7 +32,7 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import ConfigError, DataError, check_seed
-from .lineio import read_container, write_container
+from .lineio import read_container, read_container_header, write_container
 from .wordpiece import CLS, MASK, SEP, WordPieceModel, encode
 
 IGNORE_INDEX = -100
@@ -388,6 +388,20 @@ def write_examples(examples: Sequence[PretrainExample], path: str | Path, vocab_
     return len(table)
 
 
+def _example_sizes(header: dict, path) -> tuple[int, int]:
+    if set(header) != {"max_len", "vocab_size"} or not all(
+        type(value) is int and value >= 0 for value in header.values()
+    ):
+        raise DataError(f"example file {path}: header {sorted(header)} does not hold "
+                        f"a max_len and a vocab_size of 0 or more")
+    return header["max_len"], header["vocab_size"]
+
+
+def read_example_sizes(path: str | Path) -> tuple[int, int]:
+    """(max_len, vocab_size) of an example file, read from its header alone."""
+    return _example_sizes(read_container_header(path, "pretraining example"), path)
+
+
 def read_examples(path: str | Path, data: bytes | None = None) -> tuple[ExampleTable, int]:
     """Read an example file back; returns (examples, vocab_size).
 
@@ -396,12 +410,7 @@ def read_examples(path: str | Path, data: bytes | None = None) -> tuple[ExampleT
     if given, is the file's bytes, already read, and ``path`` only names it.
     """
     header, columns = read_container(path, "pretraining example", data)
-    if set(header) != {"max_len", "vocab_size"} or not all(
-        type(value) is int and value >= 0 for value in header.values()
-    ):
-        raise DataError(f"example file {path}: header {sorted(header)} does not hold "
-                        f"a max_len and a vocab_size of 0 or more")
-    max_len, vocab_size = header["max_len"], header["vocab_size"]
+    max_len, vocab_size = _example_sizes(header, path)
     count = np.size(columns.get("nsp_label", ()))
     if {name: (column.dtype.str, column.shape) for name, column in columns.items()} != {
         name: (dtype, (count, max_len) if name != "nsp_label" else (count,))

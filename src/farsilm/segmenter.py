@@ -17,12 +17,14 @@ from .errors import ConfigError, DataError
 from .lineio import read_text
 
 BOUNDARY_CHARS = frozenset("؟?!.:")
-# the splitters visit only the boundary characters, found by this one scan
+# the splitters cut only after the boundary characters, found by this scan
 _BOUNDARY = re.compile(f"[{re.escape(''.join(sorted(BOUNDARY_CHARS)))}]")
 
-# Two or more letter-dot units at a word start, e.g. ق.م. or U.S.; without
-# MULTILINE, (?<!\S) holds where (?<=\s) or ^ does, and is cheaper to scan
-_LETTER_RUN = re.compile(r"(?<!\S)(?:[^\W\d_]\.){2,}")
+# Two or more letter-dot units at a word start, e.g. ق.م. or U.S.; a match
+# begins at the first dot, a literal ``re`` skips to, one after the run
+_LETTER_RUN = re.compile(r"\.(?<=(?<!\S)[^\W\d_]\.)(?:[^\W\d_]\.)+")
+# a dot or colon between word characters, as every str.isdigit one is
+_WORD_SEPARATOR = re.compile(r"[.:](?<=\w[.:])(?=\w)")
 
 
 def load_abbreviations(path: str | Path) -> frozenset[str]:
@@ -61,18 +63,8 @@ def _emit(fragments: list[str], doc_id: str) -> list[Sentence]:
     for fragment in fragments:
         text = fragment.strip()
         if text:
-            sentences.append(Sentence(text=text, doc_id=doc_id, index=len(sentences)))
+            sentences.append(Sentence(text, doc_id, len(sentences)))  # keywords cost more
     return sentences
-
-
-def _split_after(text: str, positions: list[int]) -> list[str]:
-    fragments = []
-    start = 0
-    for pos in positions:
-        fragments.append(text[start : pos + 1])
-        start = pos + 1
-    fragments.append(text[start:])
-    return fragments
 
 
 def segment_by_notation(
@@ -83,8 +75,12 @@ def segment_by_notation(
     Empty fragments are dropped; nothing else is filtered or repaired.
     ``config`` is unused; it keeps the two splitters interchangeable.
     """
-    positions = [match.start() for match in _BOUNDARY.finditer(text)]
-    return _emit(_split_after(text, positions), doc_id)
+    return _emit(re.split(f"(?<={_BOUNDARY.pattern})", text), doc_id)
+
+
+def _letter_runs(text: str) -> list[tuple[int, int]]:
+    """The (start, end) span of every letter-dot run in ``text``."""
+    return [(match.start() - 1, match.end()) for match in _LETTER_RUN.finditer(text)]
 
 
 def _suppressed_positions(text: str) -> set[int]:
@@ -92,17 +88,16 @@ def _suppressed_positions(text: str) -> set[int]:
     and every dot or colon between two ``str.isdigit`` characters."""
     suppressed: set[int] = set()
     for abbr in DEFAULT_ABBREVIATIONS:
-        if abbr not in text:  # the pattern below matches abbr literally
-            continue
-        for match in re.finditer(rf"(?<!\S){re.escape(abbr)}(?!\w)", text):
-            suppressed.update(range(match.start(), match.end()))
-    for match in _LETTER_RUN.finditer(text):
-        suppressed.update(range(match.start(), match.end()))
-    for match in _BOUNDARY.finditer(text):
+        if abbr in text:  # the entry, then a look back past it for a word start
+            entry = re.escape(abbr)
+            for match in re.finditer(rf"{entry}(?<!\S{entry})(?!\w)", text):
+                suppressed.update(range(match.start(), match.end()))
+    for start, end in _letter_runs(text):
+        suppressed.update(range(start, end))
+    for match in _WORD_SEPARATOR.finditer(text):
         i = match.start()
-        if text[i] in ".:" and 0 < i < len(text) - 1:
-            if text[i - 1].isdigit() and text[i + 1].isdigit():
-                suppressed.add(i)
+        if text[i - 1].isdigit() and text[i + 1].isdigit():
+            suppressed.add(i)
     return suppressed
 
 
@@ -117,25 +112,18 @@ def segment_true(
     leftover at the document end is kept only when it is the whole output.
     """
     suppressed = _suppressed_positions(text)
-    positions = []
+    merged: list[str] = []
+    start = 0  # where the pending text begins: short fragments pile up in it
     for match in _BOUNDARY.finditer(text):
         i = match.start()
-        if i in suppressed:
+        if i in suppressed or (text[i] == ":" and i + 1 < len(text) and not text[i + 1].isspace()):
             continue
-        if text[i] == ":" and i + 1 < len(text) and not text[i + 1].isspace():
-            continue
-        positions.append(i)
-
-    merged: list[str] = []
-    pending = ""
-    for fragment in _split_after(text, positions):
-        # fragments are contiguous slices, so plain concatenation restores
-        # the original spacing between a short fragment and its successor
-        pending += fragment
+        pending = text[start : i + 1]
         if len(pending.split()) >= config.min_tokens:
             merged.append(pending)
-            pending = ""
-    if pending.strip() and not merged:
+            start = i + 1
+    pending = text[start:]
+    if len(pending.split()) >= config.min_tokens or (pending.strip() and not merged):
         merged.append(pending)
     return _emit(merged, doc_id)
 

@@ -75,14 +75,15 @@ DEFAULT_RULES = _RuleInventory(
     strip_marks=_STRIP_MARKS,
 )
 
-# The rules as they run: each junk pattern compiled once, and one
-# translation table that does "fold, then strip" in a single
-# ``str.translate`` (a mark maps to nothing; the tests check that the map
-# is closed and that no mapped value holds a mark). One character class
-# over the table's keys tells whether a text holds anything to translate.
-_COMPILED_JUNK = tuple((re.compile(pattern), replacement) for _, pattern, replacement in _JUNK)
-_FOLD_TABLE: dict[int, str | None] = {**dict.fromkeys(_STRIP_MARKS), **DEFAULT_RULES.char_map}
-_FOLDABLE = re.compile("[" + "".join(re.escape(chr(c)) for c in sorted(_FOLD_TABLE)) + "]")
+# The rules as they run. Each junk pattern is compiled once with two
+# literals, one of which is in every match it can make, and runs only on a
+# text that holds one ("" is in any). The fold table maps each mark to "";
+# one ``str.replace`` per key a text holds gives one ``str.translate``'s
+# bytes in any order, as no value holds a key (TestRulesValidation checks it).
+_NEEDED_LITERALS = {"html-tag": ("<", "<"), "url": ("/", "w"), "email": ("@", "@")}
+_COMPILED_JUNK = tuple((*_NEEDED_LITERALS.get(kind, ("", "")), re.compile(p), r) for kind, p, r in _JUNK)
+_FOLD_TABLE = {**dict.fromkeys(_STRIP_MARKS, ""), **DEFAULT_RULES.char_map}
+_FOLD_PAIRS = tuple((chr(src), dst) for src, dst in _FOLD_TABLE.items())
 
 
 _ZWNJ_RUN = re.compile(f"{ZWNJ}+")
@@ -93,8 +94,9 @@ _ZWNJ_BEFORE_SPACE = re.compile(f"{ZWNJ}(?=\\s|$)")
 def clean_junk(text: str) -> str:
     """Remove trivial and junk content: markup, URLs, emails, control
     characters, emoji and zero-width characters other than ZWNJ."""
-    for pattern, replacement in _COMPILED_JUNK:
-        text = pattern.sub(replacement, text)
+    for first, second, pattern, replacement in _COMPILED_JUNK:
+        if first in text or second in text:
+            text = pattern.sub(replacement, text)
     return text
 
 
@@ -106,8 +108,9 @@ def standardize_chars(text: str) -> str:
     runs then become one space, and the ends are trimmed; ``str.split``
     and ``re``'s ``\\s`` agree on what whitespace is.
     """
-    if _FOLDABLE.search(text):
-        text = text.translate(_FOLD_TABLE)
+    for src, dst in _FOLD_PAIRS:
+        if src in text:
+            text = text.replace(src, dst)
     if ZWNJ in text:
         text = _ZWNJ_RUN.sub(ZWNJ, text)
         text = _ZWNJ_AFTER_SPACE.sub("", text)

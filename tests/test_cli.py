@@ -4,6 +4,7 @@ import filecmp
 import hashlib
 import json
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -294,6 +295,39 @@ class TestPretrainCommand:
         bogus.write_bytes(b"not an example file")
         assert main(["pretrain", "--examples", str(bogus), "--out",
                      str(tmp_path / "x.flcp"), "--seed", "1", "--steps", "1"]) == 2
+
+    @pytest.mark.parametrize(
+        ("damage", "message"),
+        [("flipped-tensor-byte", "fails its CRC32 check"), ("cut-in-tensors", "is truncated"),
+         ("cut-in-header", "is truncated")],
+    )
+    def test_damaged_example_file_is_two(self, pipeline, tmp_path, capsys, damage, message):
+        data = pipeline["examples"].read_bytes()
+        bad = tmp_path / "bad.ptex"
+        bad.write_bytes({
+            "flipped-tensor-byte": data[:-3] + bytes([data[-3] ^ 1]) + data[-2:],
+            "cut-in-tensors": data[:-7],
+            "cut-in-header": data[:20],  # the prefix and four bytes of the header
+        }[damage])
+        out = tmp_path / "x.flcp"
+        assert main(["pretrain", "--examples", str(bad), "--out", str(out),
+                     "--seed", "1", "--steps", "1"]) == 2
+        err = capsys.readouterr().err
+        assert message in err and str(bad) in err
+        assert not out.exists()
+
+    def test_reads_the_example_file_once(self, pipeline, tmp_path, monkeypatch):
+        """The sizes come from the header; only pretrain() reads the examples."""
+        calls = []
+        for name, module in list(sys.modules.items()):
+            if name.startswith("farsilm") and hasattr(module, "read_examples"):
+                def counted(*args, _read=module.read_examples, **kwargs):
+                    calls.append(args[0])
+                    return _read(*args, **kwargs)
+                monkeypatch.setattr(module, "read_examples", counted)
+        assert main(["pretrain", "--examples", str(pipeline["examples"]),
+                     "--out", str(tmp_path / "x.flcp"), "--seed", "1", "--steps", "1"]) == 0
+        assert calls == [str(pipeline["examples"])]
 
 
 class TestFinetuneAndEval:

@@ -26,10 +26,10 @@ from farsilm.pretrain_data import (
     pack_pairs,
 )
 from farsilm.segmenter import (
-    _LETTER_RUN,
     BOUNDARY_CHARS,
     DEFAULT_ABBREVIATIONS,
     SegmenterConfig,
+    _letter_runs,
     _suppressed_positions,
     segment_by_notation,
     segment_true,
@@ -43,6 +43,7 @@ from farsilm.wordpiece import (
     _word_counts,
     train_wordpiece,
 )
+from perfbench.junk import junk_corpus
 
 TATWEEL = "ـ"
 # all 29 characters str.isspace accepts, \x1c-\x1f, \x85, U+2028 and U+2029 among them
@@ -63,6 +64,10 @@ PIECES = (
     + ["سلام", "کتاب", "خانه", "word", "x", "q", "«", "»", "-"]
     + ["<b>", "</div>", "<!--x-->", "http://مثال.ir/a", "www.example.com", "user@mail.co"]
     + ["​", "‍", "\x00", "\x7f", "😊", "☀"]
+    # the literals clean_junk checks for before it runs a pattern, on their
+    # own, and junk that a mark splits until the first pass strips it
+    + ["@", "<", ">", "/", "//", "w", "www", "http:"]
+    + ["us\u064ber@mail.co", "h\u064bttp://x.ir"]
 )
 
 texts = st.lists(st.sampled_from(PIECES), max_size=40).map("".join)
@@ -127,9 +132,20 @@ class TestSegmentation:
 
     @given(st.lists(st.sampled_from(LETTER_RUN_PIECES), max_size=30).map("".join))
     @settings(max_examples=500)
+    # runs at a string edge, after a space, in a word, cut short, and after
+    # NBSP, a line separator, an ideographic space and ZWNJ (no word start)
+    @example(" a.b. x")
+    @example("ق.م.")
+    @example("U.S.")
+    @example("xa.b.")
+    @example("a.b.c")
+    @example("\xa0a.b.")
+    @example("x\u2028ق.م. y")
+    @example("\u3000U.S.")
+    @example(ZWNJ + "a.b.")
     def test_letter_runs_match_reference(self, text):
-        spans = [match.span() for match in _LETTER_RUN.finditer(text)]
-        assert spans == [match.span() for match in ref._LETTER_RUN.finditer(text)]
+        # the spans _suppressed_positions marks, not the pattern's own matches
+        assert _letter_runs(text) == [match.span() for match in ref._LETTER_RUN.finditer(text)]
 
     @staticmethod
     def _check(config, text):
@@ -336,6 +352,18 @@ def _junk_corpus(seed, n_docs):
             words.insert(int(rng.integers(0, len(words) + 1)), piece)
         corpus.append(" ".join(words))
     return corpus
+
+
+@pytest.mark.parametrize("seed", [611, 7012])
+def test_benchmark_junk_corpus_normalizes_and_segments_as_the_reference(seed):
+    """The prep benchmark's own generator, on which the text layers are timed."""
+    config = SegmenterConfig()
+    for doc in junk_corpus(seed, 300):
+        text = normalize(doc.raw)
+        assert text == ref.normalize(doc.raw, DEFAULT_RULES)
+        for case in (text, doc.raw):
+            assert _suppressed_positions(case) == ref.suppressed_positions(case)
+            assert outcome(segment_true, case) == outcome(ref.segment_true, case, config)
 
 
 @pytest.mark.parametrize("seed", [3, 17, 401])

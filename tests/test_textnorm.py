@@ -174,8 +174,9 @@ class TestNormalize:
 
 
 class TestRulesValidation:
-    """The built-in rules hold the conditions a single ``str.translate``
-    needs to do "fold, then strip"."""
+    """The built-in rules hold the conditions under which one
+    ``str.replace`` per folded character and mark, in any order, gives the
+    bytes of a single "fold, then strip" ``str.translate``."""
 
     def test_char_map_must_be_closed(self):
         for src, dst in DEFAULT_RULES.char_map.items():
