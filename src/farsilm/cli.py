@@ -384,7 +384,7 @@ def _finetune_stages(manifest: _Manifest, task: Task, seed: int, capacity: int):
         tokenizer = load_vocab(vocab)
         for path in (train, dev):
             # the DataError fine-tuning would raise on an item that does not fit
-            task.encode([task.inputs(item) for item in task.load(path)], tokenizer, capacity)
+            task.encode([task.inputs(item) for item in task.load(path)], tokenizer, capacity, path)
 
     def run(checkpoint, vocab):
         _finetune(task, checkpoint, vocab, train, dev, model, labels, options)

@@ -229,18 +229,20 @@ def _pad_batch(rows: list[list[int]], pad_id: int):
     }
 
 
-def _encode_texts(texts, tokenizer, capacity: int):
+def _encode_texts(texts, tokenizer, capacity: int, where: str = "input"):
     """[CLS] pieces [SEP] per text, truncated to the model's capacity; no
-    first-piece positions (None)."""
+    first-piece positions (None). Nothing is refused, so ``where`` goes
+    unused."""
     cls_id = tokenizer.token_to_id[wp.CLS]
     sep_id = tokenizer.token_to_id[wp.SEP]
     budget = capacity - 2
     return [[cls_id] + wp.encode(tokenizer, text)[:budget] + [sep_id] for text in texts], None
 
 
-def _encode_token_rows(token_seqs, tokenizer, capacity: int):
+def _encode_token_rows(token_seqs, tokenizer, capacity: int, where: str = "input"):
     """Piece rows for word sequences plus each word's first-piece position;
-    a sequence longer than the model's capacity is a DataError."""
+    a sequence longer than the model's capacity is a DataError naming
+    ``where`` the sequences come from."""
     cls_id = tokenizer.token_to_id[wp.CLS]
     sep_id = tokenizer.token_to_id[wp.SEP]
     rows = []
@@ -255,7 +257,7 @@ def _encode_token_rows(token_seqs, tokenizer, capacity: int):
         ids.append(sep_id)
         if len(ids) > capacity:
             raise DataError(
-                f"sequence {index} needs {len(ids)} pieces, model capacity is {capacity}"
+                f"{where} sequence {index} needs {len(ids)} pieces, model capacity is {capacity}"
             )
         rows.append(ids)
         firsts.append(first)
@@ -284,7 +286,7 @@ class Task:
     score_name: str
     load: Callable  # path -> items
     write: Callable  # (path, items) -> item count
-    encode: Callable  # (inputs, tokenizer, capacity) -> (piece rows, first pieces or None)
+    encode: Callable  # (inputs, tokenizer, capacity, where) -> (piece rows, first pieces or None)
     inputs: Callable  # item -> model input
     labels: Callable  # item -> its labels, one per item or one per word
     report: Callable  # (items, predicted, labels) -> (records, table, headline score)
@@ -303,8 +305,9 @@ class Task:
         label_to_id = {label: i for i, label in enumerate(config.label_inventory)}
         train_ids = _label_ids(self, train, label_to_id, "train")
         _label_ids(self, dev, label_to_id, "dev")
-        rows, firsts = self.encode(list(map(self.inputs, train)), tokenizer, mcfg.max_positions)
-        dev_rows = self.encode(list(map(self.inputs, dev)), tokenizer, mcfg.max_positions)
+        rows, firsts = self.encode(list(map(self.inputs, train)), tokenizer, mcfg.max_positions,
+                                   "train")
+        dev_rows = self.encode(list(map(self.inputs, dev)), tokenizer, mcfg.max_positions, "dev")
         if firsts is None:
             gold_rows = np.array(train_ids)[:, 0]  # each item's one label
         else:

@@ -5,8 +5,8 @@ training story fits on a laptop CPU and every gradient can be audited
 against central differences. Conventions follow the original BERT:
 post-layer-norm residual blocks, exact GELU, a tanh pooler over [CLS],
 and an MLM decoder tied to the token embedding table. The GELU's normal
-CDF is NumPy too (:func:`_normal_cdf`): a rational float32 erf for float32
-arrays, Cody's erf and erfc for float64 ones.
+CDF needs no scipy (:func:`_normal_cdf`): a rational float32 erf for float32
+arrays, the standard library's ``math.erfc`` for float64 ones.
 
 Parameters live in a flat dict of named arrays, views into one buffer per
 dtype (:func:`pack`); every shape is a function of :class:`ModelConfig`
@@ -292,56 +292,15 @@ _ERF32_Q = np.array([
     -1.42647390514189e-02,
 ], np.float32)
 
-# Cody's rational Chebyshev approximations ("Rational Chebyshev
-# approximations for the error function", Math. Comp. 23, 1969), in the
-# order of operations of his CALERF: erf(z) / z in z^2 on |z| <= 0.46875,
-# erfc(y) exp(y^2) in y on (0.46875, 4], and in 1 / y^2 beyond, to
-# erfc = 0 at _CODY_BIG, where it leaves float64; highest power first
-_CODY_ERF = (
-    (1.85777706184603153e-1, 3.16112374387056560e00, 1.13864154151050156e02,
-     3.77485237685302021e02, 3.20937758913846947e03),
-    (1.0, 2.36012909523441209e01, 2.44024637934444173e02, 1.28261652607737228e03,
-     2.84423683343917062e03),
-)
-_CODY_ERFC = (
-    (2.15311535474403846e-8, 5.64188496988670089e-1, 8.88314979438837594e00,
-     6.61191906371416295e01, 2.98635138197400131e02, 8.81952221241769090e02,
-     1.71204761263407058e03, 2.05107837782607147e03, 1.23033935479799725e03),
-    (1.0, 1.57449261107098347e01, 1.17693950891312499e02, 5.37181101862009858e02,
-     1.62138957456669019e03, 3.29079923573345963e03, 4.36261909014324716e03,
-     3.43936767414372164e03, 1.23033935480374942e03),
-)
-_CODY_TAIL = (
-    (1.63153871373020978e-2, 3.05326634961232344e-1, 3.60344899949804439e-1,
-     1.25781726111229246e-1, 1.60837851487422766e-2, 6.58749161529837803e-4),
-    (1.0, 2.56852019228982242e00, 1.87295284992346725e00, 5.27905102951428412e-1,
-     6.05183413124413191e-2, 2.33520497626869185e-3),
-)
-_CODY_BIG = 26.543
-
-
-def _erfc_cody(y):
-    """erfc(y) for y > 0.46875 (NaN gives NaN), as CALERF forms it."""
-    tail = ~(y <= 4.0)
-    y = np.minimum(y, _CODY_BIG)
-    ratio = _ratio(_CODY_ERFC, y)
-    inverse = 1.0 / np.square(y[tail])
-    ratio[tail] = (1.0 / math.sqrt(math.pi) - inverse * _ratio(_CODY_TAIL, inverse)) / y[tail]
-    # exp(-y^2) with y split at a sixteenth, so that y^2 is not rounded
-    head = np.trunc(y * 16.0) / 16.0
-    ratio *= np.exp(-head * head) * np.exp(-(y - head) * (y + head))
-    ratio[y >= _CODY_BIG] = 0.0
-    return ratio
-
 
 def _normal_cdf(x):
     """The standard normal CDF at each value of the array x.
 
     A float32 x takes the rational erf that Eigen and XLA use for float32,
     within 3e-7 of the exact CDF, in float32 and two temporaries; any other
-    x is computed in float64 by Cody's erf and erfc, to float64 rounding. Both
-    stay within [0, 1], give exactly 0 and 1 at -inf and inf, and NaN at
-    NaN.
+    x is computed in float64 by the standard library's ``math.erfc``, one
+    value at a time, to float64 rounding. Both stay within [0, 1], give
+    exactly 0 and 1 at -inf and inf, and NaN at NaN.
     """
     if x.dtype == np.float32:
         # Phi(x) = 1/2 + erf(z) / 2 at z = x / sqrt(2), clamped to [-4, 4];
@@ -366,13 +325,8 @@ def _normal_cdf(x):
         return np.clip(cdf, 0.0, 1.0, out=cdf).reshape(x.shape)
     # Phi(x) = erfc(z) / 2 at z = -x / sqrt(2)
     z = np.ravel(x).astype(np.float64) * -math.sqrt(0.5)
-    y = np.abs(z)
-    cdf = np.empty_like(z)
-    small = y <= 0.46875
-    near = z[small]
-    cdf[small] = 0.5 - 0.5 * near * _ratio(_CODY_ERF, near * near)
-    half_erfc = 0.5 * _erfc_cody(y[~small])
-    cdf[~small] = np.where(z[~small] > 0.0, half_erfc, 1.0 - half_erfc)
+    cdf = np.fromiter(map(math.erfc, z.tolist()), np.float64, count=z.size)
+    cdf *= 0.5
     return cdf.reshape(np.shape(x))
 
 

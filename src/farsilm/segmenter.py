@@ -25,6 +25,8 @@ _BOUNDARY = re.compile(f"[{re.escape(''.join(sorted(BOUNDARY_CHARS)))}]")
 _LETTER_RUN = re.compile(r"\.(?<=(?<!\S)[^\W\d_]\.)(?:[^\W\d_]\.)+")
 # a dot or colon between word characters, as every str.isdigit one is
 _WORD_SEPARATOR = re.compile(r"[.:](?<=\w[.:])(?=\w)")
+# a whitespace run that holds a line break, which a sentence spans as one space
+_LINE_BREAK = re.compile(r"\s*\n\s*")
 
 
 def load_abbreviations(path: str | Path) -> frozenset[str]:
@@ -62,6 +64,8 @@ def _emit(fragments: list[str], doc_id: str) -> list[Sentence]:
     sentences = []
     for fragment in fragments:
         text = fragment.strip()
+        if "\n" in text:
+            text = _LINE_BREAK.sub(" ", text)
         if text:
             sentences.append(Sentence(text, doc_id, len(sentences)))  # keywords cost more
     return sentences

@@ -64,6 +64,9 @@ def _emit(fragments, doc_id):
     sentences = []
     for fragment in fragments:
         text = fragment.strip()
+        # a whitespace run that holds a line break becomes one space
+        runs = re.split(r"(\s+)", text)
+        text = "".join(" " if "\n" in run else run for run in runs)
         if text:
             sentences.append(Sentence(text=text, doc_id=doc_id, index=len(sentences)))
     return sentences

@@ -19,6 +19,9 @@ from farsilm.synthetic import classification_labels, ner_tag_inventory
 from farsilm.training import load_checkpoint
 from farsilm.wordpiece import load_vocab
 
+# one document whose first sentence spans a line break
+LINE_BROKEN = "این یک جمله است\nو ادامه دارد. جمله دوم هم هست.\n"
+
 
 @pytest.fixture(scope="module")
 def pipeline(tmp_path_factory):
@@ -252,6 +255,23 @@ class TestSegment:
         )
         assert any(notation_counts[k] > true_counts[k] for k in true_counts)
 
+    def test_sentence_across_a_line_break_in_plain_text(self, tmp_path):
+        src = tmp_path / "p.txt"
+        src.write_text(LINE_BROKEN, encoding="utf-8")
+        out = tmp_path / "s.jsonl"
+        assert main(["segment", "--in", str(src), "--out", str(out), "--format", "plain"]) == 0
+        [(_, record)] = read_records(out)
+        assert record["sentences"] == ["این یک جمله است و ادامه دارد.", "جمله دوم هم هست."]
+
+    def test_sentence_across_a_line_break_in_a_record(self, tmp_path):
+        src = tmp_path / "r.jsonl"
+        src.write_text(json.dumps({"id": "d", "text": LINE_BROKEN}) + "\n", encoding="utf-8")
+        out = tmp_path / "s.jsonl"
+        assert main(["segment", "--in", str(src), "--out", str(out)]) == 0
+        [(_, record)] = read_records(out)
+        assert not any("\n" in text for text in record["sentences"])
+        assert len(record["sentences"]) == 2
+
 
 class TestStats:
     def test_table_and_records(self, pipeline, tmp_path, capsys):
@@ -261,6 +281,12 @@ class TestStats:
         assert "synthetic" in table and "TOTAL" in table
         records = [r for _, r in read_records(out)]
         assert any(r.get("source") == "__total__" for r in records)
+
+    def test_sentence_across_a_line_break_in_plain_text(self, tmp_path, capsys):
+        src = tmp_path / "p.txt"
+        src.write_text(LINE_BROKEN, encoding="utf-8")
+        assert main(["stats", "--in", str(src), "--format", "plain"]) == 0
+        assert re.search(r"TOTAL +1 +2\n", capsys.readouterr().out)
 
 
 class TestTokenizerCommands:
@@ -569,8 +595,9 @@ class TestManifestRun:
 
     def test_oversized_finetune_item_fails_before_pretraining(self, tmp_path, capsys):
         assert main(["run", "--manifest", str(self._write(tmp_path / "m.txt", _NER_PATHS))]) == 2
-        assert re.search(r"sequence \d+ needs \d+ pieces, model capacity is 32\n$",
-                         capsys.readouterr().err)
+        err = capsys.readouterr().err
+        assert re.search(r"sequence \d+ needs \d+ pieces, model capacity is 32\n$", err)
+        assert f"{tmp_path / 'ner_train.out'} sequence" in err
         assert (tmp_path / "vocab.txt").exists()
         for name in ("ex.ptex", "ck.flcp", "trace.csv", "ner_model.out"):
             assert not (tmp_path / name).exists(), name

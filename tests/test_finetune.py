@@ -295,6 +295,16 @@ class TestErrors:
             finetune_tokens(checkpoint, tokenizer, seqs, [],
                             FinetuneConfig(("O", "B-LOC"), epochs=1))
 
+    @pytest.mark.parametrize("split", ["train", "dev"])
+    def test_oversized_sequence_names_its_split(self, setup, split):
+        tokenizer, _, checkpoint = setup
+        fits = TaggedSequence(("ab",), ("O",))
+        oversized = TaggedSequence(tuple(WORDS * 5), ("O",) * (len(WORDS) * 5))
+        train, dev = [fits], [fits]
+        (train if split == "train" else dev).append(oversized)
+        with pytest.raises(DataError, match=rf"^{split} sequence 1 needs \d+ pieces, model capa"):
+            finetune_tokens(checkpoint, tokenizer, train, dev, FinetuneConfig(("O",), epochs=1))
+
     @pytest.mark.parametrize("tag", ["B-A B", "B-X\xa0"])
     def test_fine_tuning_accepts_the_tags_entity_scoring_accepts(self, setup, tag):
         tokenizer, _, checkpoint = setup

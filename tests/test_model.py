@@ -166,8 +166,8 @@ class TestNormalCdf:
         assert np.abs(cdf - ndtr(x.astype(np.float64))).max() <= 3e-7
 
     def test_float64_within_1e_15(self):
-        # the grid crosses each of Cody's region edges, |x| = 0.46875,
-        # 4 and 26.543 times sqrt(2)
+        # the grid runs past x = -38.5, where the CDF underflows float64,
+        # and through the upper tail, where it rounds to 1
         x = np.linspace(-40.0, 40.0, 2_000_001)
         assert np.abs(_normal_cdf(x) - ndtr(x)).max() <= 1e-15
 

@@ -34,7 +34,7 @@ _WITHOUT_SCIPY = textwrap.dedent("""
         importlib.import_module(f"farsilm.{info.name}")
 
     from farsilm.finetune import FinetuneConfig, LabeledText, finetune_sequence, predict
-    from farsilm.model import ModelConfig, gradients, init_params
+    from farsilm.model import ModelConfig, gradients, init_params, pack
     from farsilm.training import Checkpoint, OptimizerConfig, init_adam_state
     from farsilm.wordpiece import TokenizerTrainConfig, train_wordpiece
 
@@ -52,6 +52,9 @@ _WITHOUT_SCIPY = textwrap.dedent("""
     )
     losses, grads = gradients(params, config, batch)
     assert np.isfinite(losses["total"]) and grads["layer0.ffn_w1"].any()
+    # float64 parameters take the float64 normal CDF
+    losses64, grads64 = gradients(pack(params, np.float64, values=params), config, batch)
+    assert np.isfinite(losses64["total"]) and grads64["layer0.ffn_w1"].dtype == np.float64
     checkpoint = Checkpoint(config, OptimizerConfig(max_steps=0), params, init_adam_state(params))
     items = [LabeledText(text, label) for text, label in zip(texts, "xyxy")]
     outcome = finetune_sequence(checkpoint, tokenizer, items, [],

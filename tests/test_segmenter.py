@@ -35,6 +35,10 @@ class TestSegmentByNotation:
     def test_persian_question_mark(self):
         assert texts_of(segment_by_notation("چرا؟ چون.")) == ["چرا؟", "چون."]
 
+    def test_sentence_spans_a_line_break(self):
+        got = segment_by_notation("A \n\t b.\nC!\n")
+        assert texts_of(got) == ["A b.", "C!"]
+
     def test_indices_consecutive(self):
         sentences = segment_by_notation("A? B! C.", doc_id="d9")
         assert [s.index for s in sentences] == [0, 1, 2]
@@ -74,6 +78,14 @@ class TestSegmentTrue:
         assert texts_of(segment_true("ساعت ۱۲:۳۰ رسید", config)) == ["ساعت ۱۲:۳۰ رسید"]
         assert texts_of(segment_true("گفت: بیا اینجا", config)) == ["گفت:", "بیا اینجا"]
         assert texts_of(segment_true("نسبت ۱:۲ است", config)) == ["نسبت ۱:۲ است"]
+
+    def test_sentence_spans_a_line_break(self):
+        got = segment_true("این یک جمله است\nو ادامه دارد. جمله دوم هم\r\n\nهست.\n")
+        assert texts_of(got) == ["این یک جمله است و ادامه دارد.", "جمله دوم هم هست."]
+
+    def test_whitespace_without_a_line_break_kept(self):
+        got = segment_true("او\tبه  خانه\r\nرفت.", LOOSE)
+        assert texts_of(got) == ["او\tبه  خانه رفت."]
 
     def test_single_letter_run_not_boundary(self):
         got = segment_true("او در ع.ج.م زندگی کرد", LOOSE)
